@@ -28,6 +28,7 @@ import numpy as np
 from .dilation import NaimarkDilation, factorize_outcome
 from .errors import (
     DimensionMismatch,
+    InvalidBudget,
     LabelMismatch,
     NotDominated,
     NotPvm,
@@ -262,6 +263,8 @@ def connection_feasible(
     max(constraint residual in spectral norm, PSD defect); convergence is
     declared at gap <= ``feas_eps`` and the iterate returned as certificate.
     """
+    if max_iter < 0:
+        raise InvalidBudget(f"iteration budget must be non-negative, got {max_iter}")
     if p.labels != pprime.labels:
         raise LabelMismatch(f"outcome labels differ: {p.labels} vs {pprime.labels}")
     d, dp = p.dim, pprime.dim

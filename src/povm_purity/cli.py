@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .channels import apply_dual, connection_feasible, preprocess_from_pvm
-from .dilation import build_dilation, dilation_is_unitary, factorize_outcome
+from .dilation import build_dilation, dilation_is_unitary
 from .errors import PovmError, SchemaError
 from .extremality import convex_split, purity_verdict
 from .fixtures import FIXTURE_NAMES, fixture
@@ -136,12 +136,10 @@ def _cmd_split(args, tol):
 def _cmd_dilate(args, tol):
     p, src = _load_povm(args.povm, tol)
     dil = build_dilation(p, tol)
-    blocks = []
-    for lab, eff in p:
-        f = factorize_outcome(eff, tol, label=lab)
-        blocks.append(
-            {"label": lab, "multiplicity": f.multiplicity, "factor": matrix_to_pairs(f.factor)}
-        )
+    blocks = [
+        {"label": lab, "multiplicity": hi - lo, "factor": matrix_to_pairs(dil.block(lab))}
+        for lab, (lo, hi) in dil.block_index.items()
+    ]
     j = dil.isometry
     defect = opnorm(j.conj().T @ j - np.eye(p.dim))
     report = {

@@ -80,6 +80,10 @@ class GridTooCoarse(PovmError):
     pass
 
 
+class InvalidBudget(PovmError):
+    """Raised for a negative iteration budget."""
+
+
 class SchemaError(PovmError):
     """Malformed JSON input; ``path`` is a JSON-pointer-style location."""
 

@@ -6,11 +6,14 @@ to triviality of the kernel of the block perturbation map
 
     D = (D_1, ..., D_k)  |->  sum_i  A_i* D_i A_i,
 
-where E_i = A_i* A_i are the outcome factorizations and each D_i is Hermitian
-of size rank(E_i).  The map is assembled as a real matrix over orthonormal
-Hermitian bases, its kernel read off an SVD; a kernel direction doubles as a
-witness from which an explicit convex split E_i -> A_i*(1 +/- D_i)A_i of the
-measurement is produced.
+where E_i = A_i* A_i are the dilation blocks and each D_i is Hermitian of size
+rank(E_i).  The map preserves Hermiticity, so its Hermitian kernel is the real
+form of its complex kernel: purity holds iff the operators |a_ir><a_is| built
+from the rows of the A_i are linearly independent over C (D'Ariano, Lo Presti,
+Perinotti, J. Phys. A 38, 5979 (2005)).  The map is assembled as a complex
+d^2 x sum_i n_i^2 matrix on vectorized blocks and its kernel read off its
+singular values; the Hermitian part of a kernel direction is a witness from
+which an explicit convex split E_i -> A_i*(1 +/- D_i)A_i is produced.
 """
 
 from __future__ import annotations
@@ -19,16 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import OutcomeFactorization, factorize_outcome
+from .dilation import build_dilation
 from .errors import IsPure, LabelMismatch
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    coords_to_herm,
-    herm_to_coords,
-    numeric_rank,
-    opnorm,
-)
+from .linalg import DEFAULT_TOL, Tolerance, numeric_rank, opnorm
 from .povm import Povm, validate
 
 __all__ = [
@@ -70,76 +66,53 @@ class BlockHermitian:
 
 @dataclass(frozen=True)
 class PerturbationMap:
-    """The real matrix of D |-> sum_i A_i* D_i A_i over Hermitian coordinates.
+    """The complex matrix of D |-> sum_i A_i* D_i A_i on vectorized blocks.
 
-    Domain: the direct sum of Hermitian spaces of the nonzero-effect block
-    sizes (real dimension sum of n_i^2); codomain: Hermitian matrices on C^d
-    (real dimension d^2).  Zero effects contribute no blocks.
+    Column ``r * n_i + s`` of block i is vec(A_i* |r><s| A_i), the operator
+    |a_ir><a_is| on the rows of A_i, and row ``p * dim + q`` is entry (p, q)
+    of the image; so ``matrix @ concat(D_i.ravel())`` is the row-major
+    vectorization of ``apply(D)``.  Domain dimension sum of n_i^2, codomain
+    dimension d^2.  Zero effects contribute no blocks.
     """
 
     dim: int
     labels: tuple[str, ...]
-    block_dims: tuple[int, ...]
-    factors: tuple[OutcomeFactorization, ...]
+    blocks: tuple[np.ndarray, ...]
     matrix: np.ndarray
 
     @property
+    def block_dims(self) -> tuple[int, ...]:
+        return tuple(a.shape[0] for a in self.blocks)
+
+    @property
     def domain_dim(self) -> int:
-        return int(sum(n * n for n in self.block_dims))
+        return self.matrix.shape[1]
 
     @property
     def codomain_dim(self) -> int:
         return self.dim * self.dim
 
-    def coords_from_blocks(self, d: BlockHermitian) -> np.ndarray:
+    def apply(self, d: BlockHermitian) -> np.ndarray:
+        """Evaluate sum_i A_i* D_i A_i directly from the dilation blocks."""
         if d.labels != self.labels:
             raise LabelMismatch(f"witness labels {d.labels} do not match map labels {self.labels}")
-        segs = [herm_to_coords(b) for b in d.blocks]
-        return np.concatenate(segs) if segs else np.zeros(0)
-
-    def blocks_from_coords(self, coords) -> BlockHermitian:
-        c = np.asarray(coords, dtype=np.float64)
-        blocks = []
-        pos = 0
-        for n in self.block_dims:
-            blocks.append(coords_to_herm(c[pos : pos + n * n], n))
-            pos += n * n
-        return BlockHermitian(labels=self.labels, blocks=tuple(blocks))
-
-    def apply(self, d: BlockHermitian) -> np.ndarray:
-        """Evaluate sum_i A_i* D_i A_i directly from the factors."""
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for f, b in zip(self.factors, d.blocks):
-            out += f.factor.conj().T @ b @ f.factor
+        for a, b in zip(self.blocks, d.blocks):
+            out += a.conj().T @ b @ a
         return out
 
 
 def build_perturbation_map(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PerturbationMap:
-    """Factorize each outcome and assemble the perturbation matrix."""
-    labels = []
-    factors = []
-    for lab, eff in p:
-        f = factorize_outcome(eff, tol, label=lab)
-        if f.multiplicity:
-            labels.append(lab)
-            factors.append(f)
+    """Assemble the perturbation matrix from the dilation blocks of ``p``."""
+    dil = build_dilation(p, tol)
     d = p.dim
-    cols = []
-    for f in factors:
-        n = f.multiplicity
-        a = f.factor
-        eye = np.eye(n * n)
-        for b in range(n * n):
-            g = coords_to_herm(eye[b], n)
-            cols.append(herm_to_coords(a.conj().T @ g @ a))
-    matrix = np.stack(cols, axis=1) if cols else np.zeros((d * d, 0))
-    return PerturbationMap(
-        dim=d,
-        labels=tuple(labels),
-        block_dims=tuple(f.multiplicity for f in factors),
-        factors=tuple(factors),
-        matrix=matrix,
-    )
+    labels = tuple(lab for lab, (lo, hi) in dil.block_index.items() if hi > lo)
+    blocks = tuple(dil.block(lab) for lab in labels)
+    cols = [
+        np.einsum("rp,sq->pqrs", a.conj(), a).reshape(d * d, a.shape[0] ** 2) for a in blocks
+    ]
+    matrix = np.hstack(cols) if cols else np.zeros((d * d, 0), dtype=np.complex128)
+    return PerturbationMap(dim=d, labels=labels, blocks=blocks, matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -159,55 +132,65 @@ class PurityVerdict:
     witness: BlockHermitian | None
 
 
-def _fix_sign(coords: np.ndarray) -> np.ndarray:
-    scale = float(np.max(np.abs(coords))) if coords.size else 0.0
-    if scale == 0.0:
-        return coords
-    idx = np.flatnonzero(np.abs(coords) > 1e-8 * scale)
-    if idx.size and coords[idx[0]] < 0.0:
-        return -coords
-    return coords
+def _witness(pmap: PerturbationMap, x: np.ndarray) -> BlockHermitian:
+    """Hermitian witness from a complex kernel vector ``x`` of the map.
+
+    The map commutes with the adjoint, so both the Hermitian part (X + X*)/2
+    and the anti-Hermitian part, as the Hermitian (X - X*)/2i, are kernel
+    directions; the one with the larger sup-norm is kept (the Hermitian one
+    on a tie).  Its sign makes the first significant real scalar positive,
+    scanning blocks in order, each row-major with real before imaginary parts.
+    """
+    herm, anti = [], []
+    pos = 0
+    for n in pmap.block_dims:
+        b = x[pos : pos + n * n].reshape(n, n)
+        pos += n * n
+        herm.append((b + b.conj().T) / 2.0)
+        anti.append(-0.5j * (b - b.conj().T))
+    sups = [max(opnorm(b) for b in part) for part in (herm, anti)]
+    blocks = herm if sups[0] >= sups[1] else anti
+    sup = max(sups)
+    flat = np.concatenate([np.stack([b.real, b.imag], axis=-1).ravel() for b in blocks])
+    lead = flat[np.flatnonzero(np.abs(flat) > 1e-8 * np.max(np.abs(flat)))[0]]
+    scale = sup if lead > 0.0 else -sup
+    # Adding 0.0 turns the -0.0 a negative scale leaves into 0.0 for reports.
+    return BlockHermitian(labels=pmap.labels, blocks=tuple(b / scale + 0.0 for b in blocks))
 
 
 def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
     """Decide purity of a validated POVM via the perturbation-map kernel."""
     pmap = build_perturbation_map(p, tol)
-    dom = pmap.domain_dim
-    # full_matrices so vh is square: its trailing rows span the null space
-    # even when the domain outstrips the codomain.
-    _, s, vh = np.linalg.svd(pmap.matrix, full_matrices=True)
+    m = pmap.matrix
+    dom, cod = pmap.domain_dim, pmap.codomain_dim
+    if dom > cod:
+        # More columns than rows: impure whatever the rank, and only the
+        # singular values are needed, which the square triangular factor of
+        # m* shares with m.  Any cod + 1 columns are dependent, so the leading
+        # ones carry a kernel vector: the last column of the complete unitary
+        # factor of their adjoint is orthogonal to every row of m.
+        s = np.linalg.svd(np.linalg.qr(m.conj().T, mode="r"), compute_uv=False)
+        q, _ = np.linalg.qr(m[:, : cod + 1].conj().T, mode="complete")
+        x = np.zeros(dom, dtype=np.complex128)
+        x[: cod + 1] = q[:, -1]
+    else:
+        _, s, vh = np.linalg.svd(m, full_matrices=False)
+        x = vh[-1].conj() if dom else None
     smax = float(s[0]) if s.size else 0.0
     thr = tol.rank_rel * smax
     rank = int(np.count_nonzero(s > thr)) if smax > 0.0 else 0
     kernel_dim = dom - rank
-    # Effective smallest singular value over the whole domain: the SVD only
-    # returns min(domain, codomain) values, the rest are exact zeros.
-    if dom == 0:
-        smallest = 0.0
-    elif s.size >= dom:
-        smallest = float(s[dom - 1])
-    else:
-        smallest = 0.0
+    # The SVD returns min(dom, cod) values; past the codomain dimension the
+    # smallest singular value over the whole domain is an exact zero.
+    smallest = float(s[dom - 1]) if 0 < dom <= cod else 0.0
     pure = kernel_dim == 0
     marginal = bool(smax > 0.0 and thr / MARGINAL_FACTOR <= smallest <= thr * MARGINAL_FACTOR)
-    witness = None
-    if not pure:
-        coords = _fix_sign(vh[dom - 1].copy())
-        d = pmap.blocks_from_coords(coords)
-        # Hermitian by construction (real coordinates); symmetrize anyway to
-        # scrub float noise, then scale the largest block to unit norm so the
-        # split operators 1 +/- D_i stay positive.
-        blocks = tuple((b + b.conj().T) / 2.0 for b in d.blocks)
-        sup = max((opnorm(b) for b in blocks), default=0.0)
-        if sup > 0.0:
-            blocks = tuple(b / sup for b in blocks)
-        witness = BlockHermitian(labels=d.labels, blocks=blocks)
     return PurityVerdict(
         pure=pure,
         kernel_dim=kernel_dim,
         smallest_singular_value=smallest,
         marginal=marginal,
-        witness=witness,
+        witness=None if pure else _witness(pmap, x),
     )
 
 
@@ -230,18 +213,18 @@ def convex_split(p: Povm, verdict: PurityVerdict, tol: Tolerance = DEFAULT_TOL) 
     if verdict.witness is None:
         raise ValueError("impure verdict lacks a witness")
     w = verdict.witness
+    dil = build_dilation(p, tol)
     plus_outcomes = []
     minus_outcomes = []
-    for lab, eff in p:
+    for lab in p.labels:
         if lab not in w.labels:
             zero = np.zeros((p.dim, p.dim))
             plus_outcomes.append((lab, zero))
             minus_outcomes.append((lab, zero))
             continue
-        f = factorize_outcome(eff, tol, label=lab)
-        a = f.factor
+        a = dil.block(lab)
         d = w.block(lab)
-        eye = np.eye(f.multiplicity)
+        eye = np.eye(a.shape[0])
         plus_outcomes.append((lab, a.conj().T @ (eye + d) @ a))
         minus_outcomes.append((lab, a.conj().T @ (eye - d) @ a))
     return ConvexSplit(

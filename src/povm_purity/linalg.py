@@ -27,9 +27,6 @@ __all__ = [
     "numeric_rank",
     "is_psd",
     "project_psd",
-    "herm_coord_dim",
-    "herm_to_coords",
-    "coords_to_herm",
 ]
 
 # Components smaller than this are ignored when picking the anchor entry for
@@ -186,44 +183,3 @@ def project_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     out = (v * w) @ v.conj().T
     return (out + out.conj().T) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# Real coordinates on the space of Hermitian matrices.
-#
-# Orthonormal basis under <X, Y> = Re tr(X* Y): the diagonal matrix units,
-# then for each pair k < l (row-major) the symmetric (E_kl + E_lk)/sqrt(2)
-# and antisymmetric i(E_kl - E_lk)/sqrt(2) combinations.  A Hermitian matrix
-# and its coordinate vector have equal Frobenius/euclidean norms.
-# ---------------------------------------------------------------------------
-
-
-def herm_coord_dim(n: int) -> int:
-    return n * n
-
-
-def herm_to_coords(h) -> np.ndarray:
-    """Coordinates of a Hermitian matrix in the fixed real basis."""
-    a = _as_square(h)
-    n = a.shape[0]
-    iu = np.triu_indices(n, k=1)
-    coords = np.empty(n * n, dtype=np.float64)
-    coords[:n] = np.real(np.diag(a))
-    off = a[iu]
-    coords[n::2] = np.sqrt(2.0) * np.real(off)
-    coords[n + 1 :: 2] = np.sqrt(2.0) * np.imag(off)
-    return coords
-
-
-def coords_to_herm(coords, n: int) -> np.ndarray:
-    """Inverse of :func:`herm_to_coords`."""
-    c = np.asarray(coords, dtype=np.float64)
-    if c.shape != (n * n,):
-        raise NonSquare(f"expected {n * n} coordinates, got shape {c.shape}")
-    h = np.zeros((n, n), dtype=np.complex128)
-    h[np.diag_indices(n)] = c[:n]
-    iu = np.triu_indices(n, k=1)
-    off = (c[n::2] + 1j * c[n + 1 :: 2]) / np.sqrt(2.0)
-    h[iu] = off
-    h[(iu[1], iu[0])] = np.conj(off)
-    return h

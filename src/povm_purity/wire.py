@@ -55,7 +55,13 @@ def matrix_from_pairs(obj, path: str, rows: int | None = None, cols: int | None 
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
             ):
                 raise SchemaError(f"{path}/{i}/{j}", "expected an [re, im] pair of numbers")
-            parsed.append(complex(pair[0], pair[1]))
+            try:
+                re, im = float(pair[0]), float(pair[1])
+            except OverflowError:  # an integer beyond the double range
+                re = im = math.inf
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise SchemaError(f"{path}/{i}/{j}", "expected finite numbers")
+            parsed.append(complex(re, im))
         out.append(parsed)
     return np.array(out, dtype=np.complex128)
 

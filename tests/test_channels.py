@@ -16,6 +16,7 @@ from povm_purity.channels import (
 from povm_purity.dilation import build_dilation
 from povm_purity.errors import (
     DimensionMismatch,
+    InvalidBudget,
     LabelMismatch,
     NotDominated,
     NotPvm,
@@ -202,6 +203,13 @@ def test_infeasible_coin_to_computational():
     assert res.residual > 1e-3
     assert res.iterations == 500
     assert len(res.residual_history) == 5
+
+
+def test_feasible_rejects_negative_budget():
+    coin, comp = fixture("coin"), fixture("computational-pvm-d2")
+    with pytest.raises(InvalidBudget):
+        connection_feasible(coin, comp, max_iter=-1)
+    assert connection_feasible(coin, comp, max_iter=0).iterations == 0
 
 
 def test_feasible_label_mismatch():

@@ -5,11 +5,12 @@ import pytest
 
 from povm_purity import __version__
 from povm_purity.cli import main
+from povm_purity.dilation import factorize_outcome
 from povm_purity.extremality import purity_verdict
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
 from povm_purity.linalg import opnorm
 from povm_purity.povm import povm_from_dict
-from povm_purity.wire import sha256_hex
+from povm_purity.wire import matrix_to_pairs, sha256_hex
 
 
 def run(capsys, *argv):
@@ -103,6 +104,24 @@ def test_dilate_pvm_is_unitary(capsys):
     assert doc["report"]["total_dim"] == 2
 
 
+def test_dilate_blocks_are_the_outcome_factorizations(capsys, tmp_path):
+    code, doc = run(capsys, "fixtures", "coin")
+    doc["outcomes"].append({"label": "never", "effect": [[[0.0, 0.0]] * 2] * 2})
+    padded = tmp_path / "padded.json"
+    padded.write_text(json.dumps(doc))
+    for arg in (*FIXTURE_NAMES, str(padded)):
+        code, doc = run(capsys, "dilate", arg)
+        assert code == 0
+        p = fixture(arg) if arg in FIXTURE_NAMES else povm_from_dict(json.loads(padded.read_text()))
+        expected = []
+        for lab, eff in p:
+            f = factorize_outcome(eff, label=lab)
+            expected.append(
+                {"label": lab, "multiplicity": f.multiplicity, "factor": matrix_to_pairs(f.factor)}
+            )
+        assert doc["report"]["blocks"] == expected
+
+
 def test_preprocess_report(capsys):
     code, doc = run(capsys, "preprocess-from-pvm", "computational-pvm-d2", "smeared-pvm-d2")
     assert code == 0
@@ -135,6 +154,12 @@ def test_feasible_positive_and_negative(capsys):
     assert rep["max_iter"] == 300
     assert rep["choi"] is None
     assert len(rep["residual_history"]) == 3
+
+
+def test_feasible_negative_budget_is_an_error(capsys):
+    code, doc = run(capsys, "feasible", "coin", "computational-pvm-d2", "--max-iter", "-5")
+    assert code == 1
+    assert doc["error"]["kind"] == "InvalidBudget"
 
 
 def test_feasible_label_mismatch_is_an_error(capsys):
@@ -263,6 +288,19 @@ def test_invalid_json_file(capsys, tmp_path):
     assert code == 1
     assert doc["error"]["kind"] == "SchemaError"
     assert "invalid JSON" in doc["error"]["detail"]
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_nonfinite_entries_are_schema_errors(capsys, tmp_path, bad):
+    code, doc = run(capsys, "fixtures", "coin")
+    text = json.dumps(doc).replace("0.5", bad, 1)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for command in ("validate", "purity"):
+        code, doc = run(capsys, command, str(path))
+        assert code == 1
+        assert doc["error"]["kind"] == "SchemaError"
+        assert doc["error"]["detail"].startswith("/outcomes/0/effect/0/0:")
 
 
 def test_usage_errors_exit_one(capsys):

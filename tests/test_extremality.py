@@ -12,7 +12,7 @@ from povm_purity.extremality import (
     screen_necessary,
 )
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
-from povm_purity.linalg import herm_to_coords, hermitize, opnorm
+from povm_purity.linalg import hermitize, opnorm
 from povm_purity.povm import mix, validate
 from povm_purity.rand import random_povm, random_pvm, random_unitary
 
@@ -25,28 +25,46 @@ def _vec_effect_singular_values(p):
     return np.linalg.svd(cols, compute_uv=False)
 
 
+def _random_blocks(rng, pmap):
+    return BlockHermitian(
+        labels=pmap.labels,
+        blocks=tuple(
+            hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for n in pmap.block_dims
+        ),
+    )
+
+
+def _vec_blocks(d):
+    return np.concatenate([b.ravel() for b in d.blocks])
+
+
 def test_map_shapes_and_apply_consistency(rng):
     p = random_povm(rng, 3, 4)
     pmap = build_perturbation_map(p)
     assert pmap.codomain_dim == 9
+    assert pmap.domain_dim == sum(n * n for n in pmap.block_dims) == 36
     assert pmap.matrix.shape == (pmap.codomain_dim, pmap.domain_dim)
     for _ in range(50):
-        blocks = tuple(
-            hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            for n in pmap.block_dims
-        )
-        d = BlockHermitian(labels=pmap.labels, blocks=blocks)
-        via_matrix = pmap.matrix @ pmap.coords_from_blocks(d)
-        assert np.linalg.norm(via_matrix - herm_to_coords(pmap.apply(d))) <= 1e-10
+        d = _random_blocks(rng, pmap)
+        via_matrix = pmap.matrix @ _vec_blocks(d)
+        assert np.linalg.norm(via_matrix - pmap.apply(d).ravel()) <= 1e-10
 
 
 def test_blocks_coords_roundtrip(rng):
+    """Column r*n+s of block i is vec(A_i* |r><s| A_i); labels are checked."""
     pmap = build_perturbation_map(fixture("trine"))
-    coords = rng.standard_normal(pmap.domain_dim)
-    d = pmap.blocks_from_coords(coords)
-    assert_allclose(pmap.coords_from_blocks(d), coords, atol=1e-12)
+    x = rng.standard_normal(pmap.domain_dim) + 1j * rng.standard_normal(pmap.domain_dim)
+    pos = 0
+    blocks = []
+    for n in pmap.block_dims:
+        blocks.append(x[pos : pos + n * n].reshape(n, n))
+        pos += n * n
+    d = BlockHermitian(labels=pmap.labels, blocks=tuple(blocks))
+    assert_allclose(_vec_blocks(d), x, atol=0)
+    assert_allclose(pmap.matrix @ x, pmap.apply(d).ravel(), atol=1e-12)
     with pytest.raises(LabelMismatch):
-        pmap.coords_from_blocks(BlockHermitian(labels=("x",), blocks=(np.zeros((1, 1)),)))
+        pmap.apply(BlockHermitian(labels=("x",), blocks=(np.zeros((1, 1)),)))
     with pytest.raises(LabelMismatch):
         d.block("nope")
 
@@ -234,3 +252,39 @@ def test_dimension_bound_on_pure_fixtures():
         if purity_verdict(p).pure:
             pmap = build_perturbation_map(p)
             assert pmap.domain_dim <= p.dim**2
+
+
+def _invariance_pool(rng):
+    pool = [fixture(name) for name in FIXTURE_NAMES]
+    pool += [random_povm(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5))) for _ in range(4)]
+    pool += [random_pvm(rng, 4, 2), random_pvm(rng, 3, 3)]
+    pool.append(mix(random_pvm(rng, 4, 2), random_pvm(rng, 4, 2), 0.5))
+    return pool
+
+
+def test_verdict_invariant_under_unitary_permutation_and_zero_outcomes(rng):
+    for p in _invariance_pool(rng):
+        v = purity_verdict(p)
+        u = random_unitary(rng, p.dim)
+        rotated = validate(p.dim, [(lab, u @ e @ u.conj().T) for lab, e in p])
+        order = rng.permutation(len(p))
+        permuted = validate(p.dim, [(p.labels[i], p.effects[i]) for i in order])
+        zero = np.zeros((p.dim, p.dim))
+        padded = validate(p.dim, [*p, ("zero-a", zero), ("zero-b", zero)])
+        for q in (rotated, permuted, padded):
+            w = purity_verdict(q)
+            assert (w.pure, w.kernel_dim) == (v.pure, v.kernel_dim)
+
+
+def test_witness_is_a_hermitian_unit_kernel_direction(rng):
+    pool = [fixture("coin"), fixture("mixed-basis-4")]
+    pool += [random_povm(rng, d, k) for d, k in ((2, 3), (3, 2), (4, 4))]
+    pool += [mix(random_pvm(rng, d, d // 2), random_pvm(rng, d, d // 2), 0.5) for d in (4, 6)]
+    for p in pool:
+        v = purity_verdict(p)
+        assert not v.pure
+        w = v.witness
+        for b in w.blocks:
+            assert np.array_equal(b, b.conj().T)
+        assert w.sup_norm() == pytest.approx(1.0, abs=1e-12)
+        assert opnorm(build_perturbation_map(p).apply(w)) <= 1e-10

@@ -5,19 +5,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from povm_purity.errors import NonHermitian, NonSquare
+from povm_purity.extremality import BlockHermitian, build_perturbation_map
+from povm_purity.fixtures import FIXTURE_NAMES, fixture
 from povm_purity.linalg import (
     DEFAULT_TOL,
     Tolerance,
-    coords_to_herm,
-    herm_coord_dim,
     herm_eig,
-    herm_to_coords,
     hermitize,
     is_psd,
     numeric_rank,
     opnorm,
     project_psd,
 )
+from povm_purity.rand import random_povm, random_pvm
 
 
 def test_tolerance_defaults():
@@ -153,27 +153,77 @@ def test_project_psd_rejects_nonhermitian():
         project_psd([[0.0, 1.0], [0.0, 0.0]])
 
 
+# ---------------------------------------------------------------------------
+# The complex perturbation map against a real Hermitian-coordinate oracle.
+#
+# Test-local orthonormal basis of the Hermitian n x n matrices under
+# <X, Y> = Re tr(X* Y): the diagonal matrix units, then for each pair k < l
+# (row-major) (E_kl + E_lk)/sqrt(2) and i(E_kl - E_lk)/sqrt(2).  A Hermitian
+# basis is also an orthonormal complex basis of all n x n matrices in which a
+# Hermiticity-preserving map has a real matrix, so the map's complex and real
+# singular values coincide.
+# ---------------------------------------------------------------------------
+
+
+def _herm_to_coords(h):
+    n = h.shape[0]
+    iu = np.triu_indices(n, k=1)
+    off = np.sqrt(2.0) * h[iu]
+    return np.concatenate([np.real(np.diag(h)), np.stack([off.real, off.imag], axis=1).ravel()])
+
+
+def _coords_to_herm(c, n):
+    h = np.zeros((n, n), dtype=np.complex128)
+    h[np.diag_indices(n)] = c[:n]
+    iu = np.triu_indices(n, k=1)
+    off = (c[n::2] + 1j * c[n + 1 :: 2]) / np.sqrt(2.0)
+    h[iu] = off
+    h[(iu[1], iu[0])] = np.conj(off)
+    return h
+
+
+def _real_map(pmap):
+    """The map over Hermitian coordinates, one column per basis element."""
+    cols = []
+    for a, n in zip(pmap.blocks, pmap.block_dims):
+        for e in np.eye(n * n):
+            cols.append(_herm_to_coords(a.conj().T @ _coords_to_herm(e, n) @ a))
+    return np.stack(cols, axis=1)
+
+
+def _assert_same_singular_values(p):
+    pmap = build_perturbation_map(p)
+    s_complex = np.linalg.svd(pmap.matrix, compute_uv=False)
+    s_real = np.linalg.svd(_real_map(pmap), compute_uv=False)
+    assert_allclose(s_complex, s_real, atol=1e-10)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])
 def test_herm_coords_roundtrip(rng, dim):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = hermitize(g)
-    c = herm_to_coords(h)
-    assert c.shape == (herm_coord_dim(dim),)
-    assert_allclose(coords_to_herm(c, dim), h, atol=1e-14)
-    # the basis is orthonormal: euclidean norm of coords = Frobenius norm
-    assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(h), abs=1e-12)
+    """Real coordinates in, complex map, real coordinates out: same image."""
+    p = random_povm(rng, dim, 3)
+    pmap = build_perturbation_map(p)
+    real = _real_map(pmap)
+    for _ in range(10):
+        blocks = tuple(
+            hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for n in pmap.block_dims
+        )
+        coords = np.concatenate([_herm_to_coords(b) for b in blocks])
+        image = pmap.apply(BlockHermitian(labels=pmap.labels, blocks=blocks))
+        assert_allclose(_coords_to_herm(real @ coords, dim), image, atol=1e-12)
+        vec = np.concatenate([b.ravel() for b in blocks])
+        assert_allclose(pmap.matrix @ vec, image.ravel(), atol=1e-12)
+    _assert_same_singular_values(p)
 
 
 def test_herm_coords_linear(rng):
-    a = hermitize(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    b = hermitize(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    assert_allclose(
-        herm_to_coords(2.0 * a - 0.5 * b),
-        2.0 * herm_to_coords(a) - 0.5 * herm_to_coords(b),
-        atol=1e-12,
-    )
-
-
-def test_coords_to_herm_shape_check():
-    with pytest.raises(NonSquare):
-        coords_to_herm(np.zeros(5), 2)
+    """Complex and real-coordinate singular values agree on every fixture and
+    on random POVMs and PVMs with d <= 4."""
+    pool = [fixture(name) for name in FIXTURE_NAMES]
+    for _ in range(6):
+        d = int(rng.integers(1, 5))
+        pool.append(random_povm(rng, d, int(rng.integers(1, 5))))
+        pool.append(random_pvm(rng, d, int(rng.integers(1, d + 1))))
+    for p in pool:
+        _assert_same_singular_values(p)

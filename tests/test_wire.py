@@ -30,6 +30,15 @@ def test_matrix_from_pairs_shape_errors():
         matrix_from_pairs([[[True, False]]], "/eff")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400])
+def test_matrix_from_pairs_rejects_nonfinite(bad):
+    for pair, where in (([bad, 0.0], "/eff/1/0"), ([0.0, bad], "/eff/1/0")):
+        rows = [[[1.0, 0.0], [0.0, 0.0]], [pair, [1.0, 0.0]]]
+        with pytest.raises(SchemaError) as exc:
+            matrix_from_pairs(rows, "/eff")
+        assert exc.value.path == where
+
+
 def test_dumps_report_is_valid_json_and_deterministic():
     obj = {"b": 1, "a": [1.5, None, True, "x"], "m": [[0.1]]}
     text = dumps_report(obj)
