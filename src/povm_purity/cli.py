@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("phase-demo", parents=[common],
                         help="Fourier truncation diagnostics for a phase-like family")
     sp.add_argument("--M", type=int, required=True, help="truncation order")
-    sp.add_argument("--grid", type=int, default=4096, help="quadrature grid (default 4096)")
+    sp.add_argument("--grid", type=int, default=4096,
+                    help="validated and echoed; integrals are exact, so it changes no number (default 4096)")
     sp.add_argument("--target", choices=("geometric", "single-mode"), default="geometric")
     sp.add_argument("--members", type=int, default=4, help="family size (default 4)")
     sp.add_argument("--ratio", type=float, default=0.5, help="geometric tail ratio (default 0.5)")

@@ -84,6 +84,10 @@ class InvalidBudget(PovmError):
     """Raised for a negative iteration budget."""
 
 
+class InvalidTolerance(PovmError, ValueError):
+    """Raised for a tolerance that is not a finite number in (0, 1)."""
+
+
 class SchemaError(PovmError):
     """Malformed JSON input; ``path`` is a JSON-pointer-style location."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitian, NonSquare
+from .errors import InvalidTolerance, NonHermitian, NonSquare
 
 __all__ = [
     "Tolerance",
@@ -40,14 +40,15 @@ class Tolerance:
 
     ``abs_eps`` bounds absolute defects (Hermiticity, positivity, residuals);
     ``rank_rel`` is the singular-value cutoff relative to the largest one.
+    Both lie in (0, 1): a cut of 1 or more reads every effect or map as rank 0.
     """
 
     abs_eps: float = 1e-10
     rank_rel: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (self.abs_eps > 0.0 and self.rank_rel > 0.0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0.0 < self.abs_eps < 1.0 and 0.0 < self.rank_rel < 1.0):  # false for NaN too
+            raise InvalidTolerance(f"tolerances must lie in (0, 1), got {self}")
 
 
 DEFAULT_TOL = Tolerance()

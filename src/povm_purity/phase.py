@@ -12,8 +12,9 @@ things live here:
 * :func:`phase_truncation_demo`, which truncates a target family at Fourier
   order M, compares outcome integrals over a dyadic interval family, and
   packages the truncation's Gram vectors v_n^s = vtilde_n^{s-M}
-  (s = 0..2M).  The truncated construction is generally *not* unital — the
-  defect is reported, not hidden.
+  (s = 0..2M).  The integrals are exact (closed-form Toeplitz moments); the
+  grid is only validated and reported.  The truncated construction is
+  generally *not* unital — the defect is reported, not hidden.
 """
 
 from __future__ import annotations
@@ -57,14 +58,6 @@ class FourierFamily:
     @property
     def truncation_order(self) -> int:
         return max((abs(s) for m in self.members for s in m), default=0)
-
-    def values_on(self, theta: np.ndarray) -> np.ndarray:
-        """Member values on a grid, shape (n_members, len(theta))."""
-        out = np.zeros((len(self.members), theta.size), dtype=np.complex128)
-        for n, coeffs in enumerate(self.members):
-            for s, v in coeffs.items():
-                out[n] += v * np.exp(-1j * s * theta)
-        return out
 
 
 def fourier_family(members) -> FourierFamily:
@@ -159,6 +152,7 @@ class PhaseDemoReport:
     the full-circle Gram.  ``sup_error`` is the largest deviation, over the
     whole dyadic interval family and all member pairs, between target and
     truncated outcome integrals.  ``unital_defect`` is ||full-circle Gram - 1||.
+    No field but ``grid`` itself depends on ``grid``.
     """
 
     order: int
@@ -173,21 +167,33 @@ class PhaseDemoReport:
         return self.truncated_gram.sum(axis=0)
 
 
-def _interval_integrals(values_a: np.ndarray, values_b: np.ndarray, grid: int, lo: int, hi: int) -> np.ndarray:
-    """Trapezoid quadrature of conj(a) b over grid slots [lo, hi] against dtheta/(2 pi)."""
-    dens = np.einsum("nj,mj->nmj", values_a[:, lo : hi + 1].conj(), values_b[:, lo : hi + 1])
-    w = np.ones(hi - lo + 1)
-    w[0] = w[-1] = 0.5
-    return np.einsum("nmj,j->nm", dens, w) / grid
+def _dyadic_toeplitz(slots: np.ndarray) -> np.ndarray:
+    """Entry [k, s, t] = (1/2 pi) int_{I_k} e^{i (slots[s] - slots[t]) theta} d theta.
+
+    I_k runs over the dyadic intervals level by level (k = 2^level - 1 + j),
+    so the children of I_k are I_{2k+1} and I_{2k+2}.
+    """
+    counts = 1 << np.arange(MAX_LEVEL + 1)
+    width = np.repeat(2.0 * np.pi / counts, counts)
+    j = np.concatenate([np.arange(c) for c in counts])
+    lo, hi = j * width, (j + 1) * width
+    # only the frequency gaps that occur: a sparse family may span a wide range
+    gaps = np.subtract.outer(slots, slots)
+    g, where = np.unique(gaps, return_inverse=True)
+    safe = np.where(g == 0, 1, g)
+    moments = (np.exp(1j * np.outer(hi, g)) - np.exp(1j * np.outer(lo, g))) / (2j * np.pi * safe)
+    moments[:, g == 0] = width[:, None] / (2.0 * np.pi)
+    return moments[:, where.reshape(gaps.shape)]
 
 
 def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> PhaseDemoReport:
     """Compare a target family against its order-``order`` Fourier truncation.
 
-    ``grid`` uniform quadrature points cover the circle; dyadic interval
-    endpoints must land on grid points, so the grid must be a multiple of
-    2^MAX_LEVEL and at least MIN_GRID (exactness of the periodic trapezoid
-    rule needs the grid well above every frequency in play).
+    Interval integrals are exact: with the coefficients of a family stacked
+    into a matrix V over a common frequency list, the Gram of interval I is
+    V* T(I) V, T(I) the Toeplitz matrix of the closed-form moments of
+    e^{ig theta}.  ``grid`` is validated (a multiple of 2^MAX_LEVEL, at least
+    MIN_GRID) and echoed in the report, but changes no number.
     """
     if order < 0:
         raise IndexOutOfRange(f"truncation order must be >= 0, got {order}")
@@ -195,35 +201,22 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
         raise GridTooCoarse(
             f"grid must be a multiple of {1 << MAX_LEVEL} and at least {MIN_GRID}, got {grid}"
         )
-    truncated = truncate_family(target, order)
-    theta = np.arange(grid + 1) * (2.0 * np.pi / grid)  # wraps: theta[-1] = 2 pi
-    vals_t = target.values_on(theta)
-    vals_m = truncated.values_on(theta)
     n = len(target.members)
+    # a family whose members are all empty still needs one (zero) row
+    slots = np.array(sorted({s for m in target.members for s in m}) or [0])
+    v_target = np.array([[m.get(s, 0.0) for m in target.members] for s in slots.tolist()], dtype=np.complex128)
+    kept = np.abs(slots) <= order
+    v_trunc = np.where(kept[:, None], v_target, 0.0)
 
-    sup_error = 0.0
-    for level in range(MAX_LEVEL + 1):
-        step = grid >> level
-        for j in range(1 << level):
-            lo, hi = j * step, (j + 1) * step
-            gt = _interval_integrals(vals_t, vals_t, grid, lo, hi)
-            gm = _interval_integrals(vals_m, vals_m, grid, lo, hi)
-            dev = float(np.max(np.abs(gt - gm)))
-            sup_error = max(sup_error, dev)
-
-    step = grid >> MAX_LEVEL
-    stack = np.stack(
-        [
-            _interval_integrals(vals_m, vals_m, grid, j * step, (j + 1) * step)
-            for j in range(1 << MAX_LEVEL)
-        ]
-    )
+    toeplitz = _dyadic_toeplitz(slots)
+    grams_target = v_target.conj().T @ toeplitz @ v_target
+    grams_trunc = v_trunc.conj().T @ toeplitz @ v_trunc
+    sup_error = float(np.max(np.abs(grams_target - grams_trunc)))
+    stack = grams_trunc[-(1 << MAX_LEVEL) :]
     unital_defect = opnorm(stack.sum(axis=0) - np.eye(n))
 
     vectors = np.zeros((n, 2 * order + 1, 1), dtype=np.complex128)
-    for i, coeffs in enumerate(truncated.members):
-        for s, v in coeffs.items():
-            vectors[i, s + order, 0] = v
+    vectors[:, slots[kept] + order, 0] = v_target[kept].T
     return PhaseDemoReport(
         order=order,
         grid=grid,

@@ -342,3 +342,15 @@ def test_tolerance_overrides_reach_envelope(capsys):
     code, doc = run(capsys, "validate", "trine", "--tol-abs", "1e-6", "--tol-rank", "1e-5")
     assert code == 0
     assert doc["tolerances"] == {"abs_eps": 1e-6, "rank_rel": 1e-5}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--tol-abs", "inf"), ("--tol-abs", "nan"), ("--tol-abs", "10"), ("--tol-rank", "5")],
+)
+def test_invalid_tolerances_are_typed_errors(capsys, flags):
+    code = main(["purity", "coin", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"]["kind"] == "InvalidTolerance"
+    assert captured.err == ""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povm_purity.errors import NonHermitian, NonSquare
+from povm_purity.errors import InvalidTolerance, NonHermitian, NonSquare
 from povm_purity.extremality import BlockHermitian, build_perturbation_map
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
 from povm_purity.linalg import (
@@ -28,6 +28,16 @@ def test_tolerance_defaults():
 @pytest.mark.parametrize("bad", [dict(abs_eps=0.0), dict(rank_rel=0.0), dict(abs_eps=-1e-3)])
 def test_tolerance_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
+        Tolerance(**bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(abs_eps=float("inf")), dict(abs_eps=float("nan")), dict(abs_eps=10.0), dict(abs_eps=1.0),
+     dict(rank_rel=5.0), dict(rank_rel=float("nan")), dict(rank_rel=float("-inf"))],
+)
+def test_tolerance_rejects_nonfinite_and_out_of_range(bad):
+    with pytest.raises(InvalidTolerance, match=next(iter(bad))):
         Tolerance(**bad)
 
 
