@@ -28,10 +28,8 @@ from .channels import (
 )
 from .dilation import (
     NaimarkDilation,
-    OutcomeFactorization,
     build_dilation,
     dilation_is_unitary,
-    factorize_outcome,
     reconstruct,
 )
 from .errors import PovmError
@@ -74,11 +72,9 @@ from .polycert import (
     product_span_certificate,
 )
 from .povm import (
-    OutcomeWeight,
     Povm,
     is_pvm,
     mix,
-    outcome_weights,
     povm_from_dict,
     povm_to_dict,
     support_dominates,
@@ -98,18 +94,14 @@ __all__ = [
     "project_psd",
     # povm
     "Povm",
-    "OutcomeWeight",
     "validate",
     "is_pvm",
     "mix",
     "support_dominates",
-    "outcome_weights",
     "povm_to_dict",
     "povm_from_dict",
     # dilation
-    "OutcomeFactorization",
     "NaimarkDilation",
-    "factorize_outcome",
     "build_dilation",
     "reconstruct",
     "dilation_is_unitary",

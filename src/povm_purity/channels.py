@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import NaimarkDilation, factorize_outcome
+from .dilation import NaimarkDilation, build_dilation
 from .errors import (
     DimensionMismatch,
     InvalidBudget,
@@ -34,7 +34,7 @@ from .errors import (
     NotPvm,
     NotTracePreserving,
 )
-from .linalg import DEFAULT_TOL, Tolerance, opnorm
+from .linalg import DEFAULT_TOL, Tolerance, opnorm, project_psd
 from .povm import Povm, is_pvm, support_dominates
 
 __all__ = [
@@ -111,24 +111,24 @@ def apply_dual(ch: KrausChannel, b) -> np.ndarray:
 def preprocess_from_pvm(p: Povm, pprime: Povm, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
     """Measure-and-prepare channel pulling a projective P back to any dominated P'.
 
-    For each outcome with E'_i nonzero, factor E'_i = sum_k |d_k><d_k| and
-    pick a deterministic unit vector phi_i in the range of the projection
-    Pi_i (the leading spectral column); the Kraus family is
-    K_{i,k} = |phi_i><d_k|.  Then Phi*(Pi_i) = E'_i exactly.
+    Both measurements are read through their dilations.  For each outcome
+    with E'_i nonzero, the rows <d_k| of its block give E'_i = sum_k
+    |d_k><d_k|, and phi_i, the conjugate of the first row of the PVM's block,
+    is a unit vector in the range of the projection Pi_i; the Kraus family
+    is K_{i,k} = |phi_i><d_k|.  Then Phi*(Pi_i) = E'_i exactly.
     """
     if not is_pvm(p, tol):
         raise NotPvm("source measurement is not projective")
     if not support_dominates(p, pprime, tol):
         raise NotDominated("target has an outcome outside the support of the source")
+    source, target = build_dilation(p, tol), build_dilation(pprime, tol)
     ops = []
-    for (lab, proj), eff in zip(p, pprime.effects):
-        f = factorize_outcome(eff, tol, label=lab)
-        if f.multiplicity == 0:
+    for lab in p.labels:
+        rows = target.block(lab)
+        if rows.shape[0] == 0:
             continue
-        base = factorize_outcome(proj, tol, label=lab)
-        # Rows of a projection factor are unit eigenvectors; take the first.
-        phi = base.factor[0].conj()
-        for row in f.factor:
+        phi = source.block(lab)[0].conj()
+        for row in rows:
             ops.append(np.outer(phi, row))
     return kraus_channel(pprime.dim, p.dim, ops)
 
@@ -286,11 +286,6 @@ def connection_feasible(
         out = c - corr
         return (out + out.conj().T) / 2.0
 
-    def proj_psd(c: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh((c + c.conj().T) / 2.0)
-        w = np.clip(w, 0.0, None)
-        return (v * w) @ v.conj().T
-
     def gap_of(c: np.ndarray) -> float:
         res = max(opnorm(r) for r in (dual_all(c) - targets))
         lam = float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
@@ -303,7 +298,7 @@ def connection_feasible(
     gap = gap_of(x)
     iterations = 0
     for it in range(1, max_iter + 1):
-        y = proj_psd(x + pcorr)
+        y = project_psd(x + pcorr, tol)
         pcorr = x + pcorr - y
         x = proj_affine(y + qcorr)
         qcorr = y + qcorr - x

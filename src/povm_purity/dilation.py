@@ -6,6 +6,10 @@ blocks gives an isometry J into the direct sum of outcome spaces, on which the
 measurement becomes a family of coordinate projections.  The dilation is
 minimal: the block sizes are exactly the effect ranks, and J is unitary
 precisely when the measurement was projective to begin with.
+
+:func:`build_dilation` is the package's only factorization of effects: the
+purity map, the convex split and the pre-processing channel all read its
+blocks A_i.
 """
 
 from __future__ import annotations
@@ -14,42 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPsd, UnknownLabel
+from .errors import InvalidTolerance, NotPsd, UnknownLabel
 from .linalg import DEFAULT_TOL, Tolerance, herm_eig, opnorm
-from .povm import OutcomeWeight, Povm, outcome_weights
+from .povm import Povm
 
 __all__ = [
-    "OutcomeFactorization",
     "NaimarkDilation",
-    "factorize_outcome",
     "build_dilation",
     "reconstruct",
     "dilation_is_unitary",
 ]
 
 UNITARITY_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class OutcomeFactorization:
-    """One effect written as E = factor* @ factor.
-
-    ``factor`` has shape (multiplicity, dim): row k is sqrt(lambda_k) <v_k|,
-    so the rows are orthogonal with squared norms equal to the retained
-    eigenvalues.  The columns are the dilation vectors of the basis states.
-    """
-
-    label: str
-    multiplicity: int
-    factor: np.ndarray
-
-    @property
-    def row_vectors(self) -> np.ndarray:
-        return self.factor
-
-    @property
-    def column_vectors(self) -> np.ndarray:
-        return self.factor.T
 
 
 @dataclass(frozen=True)
@@ -64,7 +44,6 @@ class NaimarkDilation:
     total_dim: int
     isometry: np.ndarray
     block_index: dict[str, tuple[int, int]]
-    weights: OutcomeWeight
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -77,12 +56,13 @@ class NaimarkDilation:
         return self.isometry[lo:hi]
 
 
-def factorize_outcome(effect, tol: Tolerance = DEFAULT_TOL, label: str = "") -> OutcomeFactorization:
-    """Spectral factorization E = A* A of a single PSD effect.
+def _factor_rows(effect, tol: Tolerance, label: str) -> np.ndarray:
+    """Rows sqrt(lambda_k) <v_k| of the spectral factor A of E = A* A.
 
-    The multiplicity is the numeric rank of E; eigenvalues at or below
+    The row count is the numeric rank of E; eigenvalues at or below
     ``tol.abs_eps`` are treated as zero, so a vanishing effect yields an
-    empty (0 x dim) factor.
+    empty (0 x dim) factor.  The rows are orthogonal, with squared norms the
+    retained eigenvalues in descending order.
     """
     eig = herm_eig(effect, tol)
     w = eig.eigenvalues
@@ -95,28 +75,28 @@ def factorize_outcome(effect, tol: Tolerance = DEFAULT_TOL, label: str = "") -> 
     else:
         rank = int(np.count_nonzero(w > tol.rank_rel * wmax))
     rows = np.sqrt(np.clip(w[:rank], 0.0, None))[:, None] * eig.eigenvectors[:, :rank].conj().T
-    return OutcomeFactorization(label=label, multiplicity=rank, factor=rows.reshape(rank, d))
+    return rows.reshape(rank, d)
 
 
 def build_dilation(p: Povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
-    """Stack the per-outcome factors of a validated POVM into an isometry."""
-    blocks = []
+    """Stack the per-outcome factors of a validated POVM into an isometry.
+
+    Raises :class:`InvalidTolerance` when the eigenvalue cut drops so much
+    that the blocks span fewer than ``p.dim`` dimensions: J*J = I is then
+    impossible, and every verdict read off the blocks would be void.
+    """
+    blocks = [_factor_rows(eff, tol, lab) for lab, eff in p]
     index: dict[str, tuple[int, int]] = {}
     start = 0
-    for lab, eff in p:
-        f = factorize_outcome(eff, tol, label=lab)
-        index[lab] = (start, start + f.multiplicity)
-        start += f.multiplicity
-        if f.multiplicity:
-            blocks.append(f.factor)
-    j = np.vstack(blocks) if blocks else np.zeros((0, p.dim), dtype=np.complex128)
-    return NaimarkDilation(
-        dim=p.dim,
-        total_dim=start,
-        isometry=j,
-        block_index=index,
-        weights=outcome_weights(p),
-    )
+    for lab, a in zip(p.labels, blocks):
+        index[lab] = (start, start + a.shape[0])
+        start += a.shape[0]
+    if start < p.dim:
+        raise InvalidTolerance(
+            f"eigenvalue cut (abs_eps {tol.abs_eps:g}, rank_rel {tol.rank_rel:g}) leaves a "
+            f"dilation of total dimension {start} below the dimension {p.dim}"
+        )
+    return NaimarkDilation(dim=p.dim, total_dim=start, isometry=np.vstack(blocks), block_index=index)
 
 
 def reconstruct(dilation: NaimarkDilation, labels) -> np.ndarray:

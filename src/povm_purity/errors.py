@@ -85,7 +85,8 @@ class InvalidBudget(PovmError):
 
 
 class InvalidTolerance(PovmError, ValueError):
-    """Raised for a tolerance that is not a finite number in (0, 1)."""
+    """Raised for a tolerance that is not a finite number in (0, 1), or whose
+    eigenvalue cut leaves a dilation smaller than the space it dilates."""
 
 
 class SchemaError(PovmError):

@@ -13,7 +13,9 @@ from the rows of the A_i are linearly independent over C (D'Ariano, Lo Presti,
 Perinotti, J. Phys. A 38, 5979 (2005)).  The map is assembled as a complex
 d^2 x sum_i n_i^2 matrix on vectorized blocks and its kernel read off its
 singular values; the Hermitian part of a kernel direction is a witness from
-which an explicit convex split E_i -> A_i*(1 +/- D_i)A_i is produced.
+which an explicit convex split E_i -> A_i*(1 +/- D_i)A_i is produced.  The
+dilation is built once per verdict: an impure verdict carries its blocks A_i
+next to the witness, and the split reads them from there.
 """
 
 from __future__ import annotations
@@ -123,6 +125,8 @@ class PurityVerdict:
     domain outstrips the codomain); ``marginal`` flags values within a factor
     of ten of the rank threshold on either side.  ``witness`` is present iff
     the measurement is not pure: a sup-normalized Hermitian kernel direction.
+    ``factors`` holds the dilation blocks A_i of the witness labels, in their
+    order (empty when pure), for :func:`convex_split`.
     """
 
     pure: bool
@@ -130,6 +134,7 @@ class PurityVerdict:
     smallest_singular_value: float
     marginal: bool
     witness: BlockHermitian | None
+    factors: tuple[np.ndarray, ...] = ()
 
 
 def _witness(pmap: PerturbationMap, x: np.ndarray) -> BlockHermitian:
@@ -191,6 +196,7 @@ def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
         smallest_singular_value=smallest,
         marginal=marginal,
         witness=None if pure else _witness(pmap, x),
+        factors=() if pure else pmap.blocks,
     )
 
 
@@ -205,25 +211,28 @@ class ConvexSplit:
 def convex_split(p: Povm, verdict: PurityVerdict, tol: Tolerance = DEFAULT_TOL) -> ConvexSplit:
     """Split an impure POVM along its witness, E_i -> A_i*(1 +/- D_i)A_i.
 
-    Zero effects stay zero on both sides.  Both halves are validated, and
-    their average reproduces the input exactly (the cross terms cancel).
+    The blocks A_i come from ``verdict.factors``; a verdict whose factors do
+    not fit its witness raises ``ValueError``.  Zero effects stay zero on both
+    sides.  Both halves are validated, and their average reproduces the input
+    exactly (the cross terms cancel).
     """
     if verdict.pure:
         raise IsPure("measurement is extremal; no convex split exists")
-    if verdict.witness is None:
-        raise ValueError("impure verdict lacks a witness")
     w = verdict.witness
-    dil = build_dilation(p, tol)
+    if w is None:
+        raise ValueError("impure verdict lacks a witness")
+    if [a.shape for a in verdict.factors] != [(b.shape[0], p.dim) for b in w.blocks]:
+        raise ValueError("verdict factors do not match the witness blocks")
+    factors = dict(zip(w.labels, zip(verdict.factors, w.blocks)))
     plus_outcomes = []
     minus_outcomes = []
     for lab in p.labels:
-        if lab not in w.labels:
+        if lab not in factors:
             zero = np.zeros((p.dim, p.dim))
             plus_outcomes.append((lab, zero))
             minus_outcomes.append((lab, zero))
             continue
-        a = dil.block(lab)
-        d = w.block(lab)
+        a, d = factors[lab]
         eye = np.eye(a.shape[0])
         plus_outcomes.append((lab, a.conj().T @ (eye + d) @ a))
         minus_outcomes.append((lab, a.conj().T @ (eye - d) @ a))

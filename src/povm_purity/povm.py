@@ -30,12 +30,10 @@ __all__ = [
     "NORMALIZATION_EPS",
     "PVM_EPS",
     "Povm",
-    "OutcomeWeight",
     "validate",
     "is_pvm",
     "mix",
     "support_dominates",
-    "outcome_weights",
     "povm_to_dict",
     "povm_from_dict",
 ]
@@ -67,17 +65,6 @@ class Povm:
             return self.effects[self.labels.index(label)]
         except ValueError:
             raise KeyError(label) from None
-
-
-@dataclass(frozen=True)
-class OutcomeWeight:
-    """Normalized outcome weights tr(E_i)/d; they sum to one."""
-
-    labels: tuple[str, ...]
-    weights: tuple[float, ...]
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.labels, self.weights))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -170,15 +157,6 @@ def support_dominates(p: Povm, q: Povm, tol: Tolerance = DEFAULT_TOL) -> bool:
         for e, f in zip(p.effects, q.effects)
         if opnorm(e) <= tol.abs_eps
     )
-
-
-def outcome_weights(p: Povm) -> OutcomeWeight:
-    """Weights tr(E_i)/d.  A weight vanishes iff its effect does (PSD trace)."""
-    w = []
-    for e in p.effects:
-        t = float(np.real(np.trace(e))) / p.dim
-        w.append(0.0 if abs(t) < 1e-15 else t)
-    return OutcomeWeight(labels=p.labels, weights=tuple(w))
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from povm_purity import __version__
+from povm_purity import __version__, dilation
 from povm_purity.cli import main
-from povm_purity.dilation import factorize_outcome
 from povm_purity.extremality import purity_verdict
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
 from povm_purity.linalg import opnorm
 from povm_purity.povm import povm_from_dict
-from povm_purity.wire import matrix_to_pairs, sha256_hex
+from povm_purity.wire import sha256_hex
 
 
 def run(capsys, *argv):
@@ -104,6 +104,14 @@ def test_dilate_pvm_is_unitary(capsys):
     assert doc["report"]["total_dim"] == 2
 
 
+def _eigh_factor_oracle(eff, abs_eps=1e-10, rank_rel=1e-8):
+    """Retained eigenvalues (descending) and eigenvectors of one effect."""
+    w, v = np.linalg.eigh(eff)
+    w, v = w[::-1], v[:, ::-1]
+    keep = (w > abs_eps) & (w > rank_rel * w[0]) if w[0] > abs_eps else np.zeros(w.size, bool)
+    return w[keep], v[:, keep]
+
+
 def test_dilate_blocks_are_the_outcome_factorizations(capsys, tmp_path):
     code, doc = run(capsys, "fixtures", "coin")
     doc["outcomes"].append({"label": "never", "effect": [[[0.0, 0.0]] * 2] * 2})
@@ -113,13 +121,45 @@ def test_dilate_blocks_are_the_outcome_factorizations(capsys, tmp_path):
         code, doc = run(capsys, "dilate", arg)
         assert code == 0
         p = fixture(arg) if arg in FIXTURE_NAMES else povm_from_dict(json.loads(padded.read_text()))
-        expected = []
-        for lab, eff in p:
-            f = factorize_outcome(eff, label=lab)
-            expected.append(
-                {"label": lab, "multiplicity": f.multiplicity, "factor": matrix_to_pairs(f.factor)}
-            )
-        assert doc["report"]["blocks"] == expected
+        blocks = doc["report"]["blocks"]
+        assert [b["label"] for b in blocks] == list(p.labels)
+        for b, eff in zip(blocks, p.effects):
+            w, v = _eigh_factor_oracle(eff)
+            a = np.array([[complex(*z) for z in row] for row in b["factor"]]).reshape(w.size, p.dim)
+            assert b["multiplicity"] == w.size
+            # rows sqrt(w_k) <v_k|: orthogonal, squared norms the eigenvalues,
+            # spanning the oracle's eigenspaces, each with a real positive lead
+            assert_allclose(a @ a.conj().T, np.diag(w), atol=1e-12)
+            assert_allclose(a.conj().T @ a, eff, atol=1e-12)
+            assert_allclose(a @ v @ v.conj().T, a, atol=1e-12)
+            for row in a:
+                lead = row[np.flatnonzero(np.abs(row) > 1e-12)[0]]
+                assert lead.imag == 0.0 and lead.real > 0.0
+
+
+def test_split_factorizes_each_outcome_once(capsys, monkeypatch):
+    calls = []
+    herm_eig = dilation.herm_eig
+    monkeypatch.setattr(dilation, "herm_eig", lambda m, tol: calls.append(1) or herm_eig(m, tol))
+    code, doc = run(capsys, "split", "coin")
+    assert code == 0 and doc["command"] == "split"
+    assert len(calls) == len(fixture("coin"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("purity", "coin"),
+        ("split", "coin"),
+        ("dilate", "coin"),
+        ("preprocess-from-pvm", "computational-pvm-d2", "smeared-pvm-d2"),
+    ],
+)
+def test_cut_that_empties_the_dilation_is_a_typed_error(capsys, argv):
+    code, doc = run(capsys, *argv, "--tol-abs", "0.9")
+    assert code == 1
+    assert doc["error"]["kind"] == "InvalidTolerance"
+    assert "total dimension 0 below the dimension 2" in doc["error"]["detail"]
 
 
 def test_preprocess_report(capsys):

@@ -2,47 +2,51 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povm_purity.dilation import (
-    build_dilation,
-    dilation_is_unitary,
-    factorize_outcome,
-    reconstruct,
-)
-from povm_purity.errors import NotPsd, UnknownLabel
+from povm_purity.dilation import build_dilation, dilation_is_unitary, reconstruct
+from povm_purity.errors import InvalidTolerance, NotPsd, UnknownLabel
+from povm_purity.extremality import purity_verdict
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
-from povm_purity.linalg import numeric_rank, opnorm
-from povm_purity.povm import is_pvm
+from povm_purity.linalg import Tolerance, numeric_rank, opnorm
+from povm_purity.povm import Povm, is_pvm, validate
 from povm_purity.rand import random_povm, random_pvm
 
 
+def _two_outcome(e, label="e"):
+    """The POVM {E, I - E}, so that E's factor is the block ``label``."""
+    e = np.asarray(e, dtype=np.complex128)
+    return validate(e.shape[0], [(label, e), ("rest", np.eye(e.shape[0]) - e)])
+
+
 def test_factorize_rank_one_projector():
-    f = factorize_outcome(np.diag([1.0, 0.0]))
-    assert f.multiplicity == 1
-    assert_allclose(f.factor, [[1.0, 0.0]], atol=1e-14)
+    dil = build_dilation(_two_outcome(np.diag([1.0, 0.0])))
+    assert dil.block_index["e"] == (0, 1)
+    assert_allclose(dil.block("e"), [[1.0, 0.0]], atol=1e-14)
 
 
 def test_factorize_half_identity():
-    f = factorize_outcome(np.eye(2) / 2)
-    assert f.multiplicity == 2
-    assert_allclose(f.factor, np.eye(2) / np.sqrt(2.0), atol=1e-14)
+    dil = build_dilation(_two_outcome(np.eye(2) / 2))
+    assert dil.block_index["e"] == (0, 2)
+    assert_allclose(dil.block("e"), np.eye(2) / np.sqrt(2.0), atol=1e-14)
 
 
 def test_factorize_rank_one_analytic():
     phi = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    f = factorize_outcome((2.0 / 3.0) * np.outer(phi, phi.conj()))
-    assert f.multiplicity == 1
-    assert_allclose(f.factor, [np.sqrt(2.0 / 3.0) * phi], atol=1e-14)
+    dil = build_dilation(_two_outcome((2.0 / 3.0) * np.outer(phi, phi.conj())))
+    assert dil.block("e").shape == (1, 2)
+    assert_allclose(dil.block("e"), [np.sqrt(2.0 / 3.0) * phi], atol=1e-14)
 
 
 def test_factorize_zero_effect():
-    f = factorize_outcome(np.zeros((3, 3)))
-    assert f.multiplicity == 0
-    assert f.factor.shape == (0, 3)
+    dil = build_dilation(_two_outcome(np.zeros((3, 3))))
+    assert dil.block_index["e"] == (0, 0)
+    assert dil.block("e").shape == (0, 3)
 
 
 def test_factorize_rejects_negative():
+    # validate would refuse this effect; a bare Povm reaches the factorization
+    p = Povm(dim=2, labels=("oops", "rest"), effects=(np.diag([1.0, -0.5]), np.diag([0.0, 1.5])))
     with pytest.raises(NotPsd, match="'oops'"):
-        factorize_outcome(np.diag([1.0, -0.5]), label="oops")
+        build_dilation(p)
 
 
 def test_factorize_properties(rng):
@@ -51,16 +55,26 @@ def test_factorize_properties(rng):
         rank = int(rng.integers(0, dim + 1))
         g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
         e = g @ g.conj().T
-        f = factorize_outcome(e)
-        assert f.multiplicity == numeric_rank(e)
-        assert opnorm(f.factor.conj().T @ f.factor - e) <= 1e-10 * (1 + opnorm(e))
+        if rank:
+            e /= 2.0 * opnorm(e)
+        a = build_dilation(_two_outcome(e)).block("e")
+        assert a.shape == (numeric_rank(e), dim)
+        assert opnorm(a.conj().T @ a - e) <= 1e-10 * (1 + opnorm(e))
         # rows orthogonal with squared norms = nonzero eigenvalues, descending
-        overlaps = f.factor @ f.factor.conj().T
+        overlaps = a @ a.conj().T
         norms = np.real(np.diag(overlaps))
         assert_allclose(overlaps, np.diag(norms), atol=1e-10)
         assert np.all(np.diff(norms) <= 1e-10)
-        assert_allclose(f.row_vectors, f.factor, atol=0)
-        assert_allclose(f.column_vectors, f.factor.T, atol=0)
+
+
+def test_coarse_cut_that_empties_the_dilation_is_a_typed_error():
+    coin = fixture("coin")  # every eigenvalue of both effects is 0.5
+    with pytest.raises(InvalidTolerance, match=r"abs_eps 0\.9.*dimension 0 below the dimension 2"):
+        build_dilation(coin, Tolerance(abs_eps=0.9))
+    with pytest.raises(InvalidTolerance):
+        purity_verdict(coin, Tolerance(abs_eps=0.9))
+    # a cut that keeps the dilation whole is still accepted
+    assert build_dilation(coin, Tolerance(abs_eps=0.4)).total_dim == 4
 
 
 def test_dilation_computational_pvm_is_identity():
@@ -129,8 +143,6 @@ def test_unitary_iff_pvm(rng):
 
 
 def test_dilation_with_zero_effect_keeps_labels():
-    from povm_purity.povm import validate
-
     p = validate(
         2,
         [("a", np.diag([1.0, 0.0])), ("b", np.zeros((2, 2))), ("c", np.diag([0.0, 1.0]))],

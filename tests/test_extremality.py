@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from conftest import SEED
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from povm_purity.dilation import build_dilation
 from povm_purity.errors import IsPure, LabelMismatch
 from povm_purity.extremality import (
     BlockHermitian,
@@ -130,22 +134,52 @@ def test_mixed_basis_kernel_and_witness():
     assert v.witness.sup_norm() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_convex_split_spec_witness_on_coin():
-    """Splitting the coin along D = (sigma_z, -sigma_z) yields the two
-    computational PVMs in opposite outcome order."""
+def _coin_spec_verdict(factors):
     coin = fixture("coin")
-    verdict = PurityVerdict(
+    return PurityVerdict(
         pure=False,
         kernel_dim=4,
         smallest_singular_value=0.0,
         marginal=False,
         witness=BlockHermitian(labels=coin.labels, blocks=(SIGMA_Z, -SIGMA_Z)),
+        factors=factors,
     )
-    split = convex_split(coin, verdict)
+
+
+def test_convex_split_spec_witness_on_coin():
+    """Splitting the coin along D = (sigma_z, -sigma_z) yields the two
+    computational PVMs in opposite outcome order."""
+    half = np.eye(2) / np.sqrt(2.0)
+    split = convex_split(fixture("coin"), _coin_spec_verdict((half, half)))
     assert_allclose(split.plus.effect("0"), np.diag([1.0, 0.0]), atol=1e-12)
     assert_allclose(split.plus.effect("1"), np.diag([0.0, 1.0]), atol=1e-12)
     assert_allclose(split.minus.effect("0"), np.diag([0.0, 1.0]), atol=1e-12)
     assert_allclose(split.minus.effect("1"), np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def test_convex_split_needs_factors_that_fit_the_witness():
+    coin = fixture("coin")
+    with pytest.raises(ValueError, match="factors"):
+        convex_split(coin, _coin_spec_verdict(()))
+    with pytest.raises(ValueError, match="factors"):
+        convex_split(coin, _coin_spec_verdict((np.eye(2) / np.sqrt(2.0),)))
+    with pytest.raises(ValueError, match="factors"):
+        convex_split(coin, _coin_spec_verdict((np.eye(2)[:1], np.eye(2)[:1])))
+
+
+def test_verdict_factors_are_the_dilation_blocks(rng):
+    pool = [fixture("coin"), fixture("mixed-basis-4"), fixture("smeared-pvm-d2")]
+    pool += [random_povm(rng, d, k) for d, k in ((2, 3), (3, 2))]
+    zero = np.zeros((2, 2))
+    pool.append(validate(2, [("a", np.eye(2) / 2), ("z", zero), ("b", np.eye(2) / 2)]))
+    for p in pool:
+        v = purity_verdict(p)
+        assert not v.pure
+        dil = build_dilation(p)
+        assert len(v.factors) == len(v.witness.labels)
+        for lab, a in zip(v.witness.labels, v.factors):
+            assert np.array_equal(a, dil.block(lab))
+    assert purity_verdict(fixture("trine")).factors == ()
 
 
 def test_convex_split_mixed_basis_recovers_padded_pvms():
@@ -173,6 +207,32 @@ def test_convex_split_average_is_exact(rng):
     assert max(
         opnorm(ep - em) for ep, em in zip(split.plus.effects, split.minus.effects)
     ) > 1e-6
+
+
+@seed(SEED)
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    draw=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    outcomes=st.integers(2, 6),
+    mixture=st.booleans(),
+)
+def test_split_halves_are_valid_and_average_back(draw, dim, outcomes, mixture):
+    rng = np.random.default_rng(draw)
+    if mixture:
+        k = min(outcomes, dim)
+        assume(k >= 2)
+        weight = float(rng.uniform(0.2, 0.8))
+        p = mix(random_pvm(rng, dim, k), random_pvm(rng, dim, k), weight)
+    else:
+        p = random_povm(rng, dim, outcomes)
+    v = purity_verdict(p)
+    assume(not v.pure)
+    split = convex_split(p, v)
+    for half in (split.plus, split.minus):
+        assert validate(p.dim, list(half)).labels == p.labels
+    for e, ep, em in zip(p.effects, split.plus.effects, split.minus.effects):
+        assert opnorm((ep + em) / 2.0 - e) <= 1e-9
 
 
 def test_convex_split_requires_impurity():

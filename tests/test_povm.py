@@ -15,7 +15,6 @@ from povm_purity.fixtures import fixture
 from povm_purity.povm import (
     is_pvm,
     mix,
-    outcome_weights,
     povm_from_dict,
     povm_to_dict,
     support_dominates,
@@ -124,16 +123,6 @@ def test_support_dominates_transitive_on_fixtures():
     comp, smeared = fixture("computational-pvm-d2"), fixture("smeared-pvm-d2")
     assert support_dominates(comp, smeared)
     assert support_dominates(smeared, comp)
-
-
-def test_outcome_weights():
-    w = outcome_weights(fixture("trine"))
-    assert_allclose(w.weights, [1 / 3] * 3, atol=1e-15)
-    assert sum(w.weights) == pytest.approx(1.0, abs=1e-12)
-    padded = validate(2, [("a", ZERO), ("b", ONE), ("c", np.zeros((2, 2)))])
-    wp = outcome_weights(padded)
-    assert wp.weights[2] == 0.0
-    assert wp.as_dict()["a"] == pytest.approx(0.5)
 
 
 def test_povm_dict_roundtrip():
