@@ -14,16 +14,12 @@ __version__ = "0.1.0"
 from .channels import (
     ChoiMatrix,
     FeasibilityResult,
-    GramVectors,
     KrausChannel,
     apply_dual,
     choi_dual_apply,
     choi_from_kraus,
     connection_feasible,
-    dilated_dual_apply,
-    gram_from_kraus,
     kraus_channel,
-    lift_to_dilation,
     preprocess_from_pvm,
 )
 from .dilation import (
@@ -56,6 +52,7 @@ from .linalg import (
 )
 from .phase import (
     FourierFamily,
+    GramVectors,
     PhaseDemoReport,
     fourier_family,
     fourier_span_certificate,
@@ -117,18 +114,14 @@ __all__ = [
     "screen_necessary",
     # channels
     "KrausChannel",
-    "GramVectors",
     "ChoiMatrix",
     "FeasibilityResult",
     "kraus_channel",
     "apply_dual",
     "preprocess_from_pvm",
-    "gram_from_kraus",
     "choi_from_kraus",
     "choi_dual_apply",
     "connection_feasible",
-    "dilated_dual_apply",
-    "lift_to_dilation",
     # polynomial / trigonometric certificates
     "PolyFamily",
     "PurityCertificate",
@@ -136,6 +129,7 @@ __all__ = [
     "orthonormal_family",
     "product_span_certificate",
     "FourierFamily",
+    "GramVectors",
     "PhaseDemoReport",
     "fourier_family",
     "single_mode_family",

@@ -4,11 +4,10 @@ A channel Phi (Kraus operators A_k mapping states on C^in_dim to states on
 C^out_dim) *connects* P to P' when its dual pulls every effect of P back to
 the corresponding effect of P': Phi*(E_i) = E'_i.  This module provides
 
+* Kraus and Choi containers, each with one dual action (:func:`apply_dual`,
+  :func:`choi_dual_apply`),
 * the explicit measure-and-prepare construction when P is projective
   (:func:`preprocess_from_pvm`),
-* Gram vectors v_n^s characterizing when a connecting channel exists
-  (:func:`gram_from_kraus`) and their lift through a minimal dilation
-  (:func:`lift_to_dilation`),
 * a one-sided feasibility search over Choi matrices by Dykstra alternating
   projections between the PSD cone and the affine constraint set
   (:func:`connection_feasible`): "not found within budget" is *not* an
@@ -16,7 +15,8 @@ the corresponding effect of P': Phi*(E_i) = E'_i.  This module provides
 
 Choi convention: C = sum_k |A_k>><<A_k| with |A>> the row-major vec of the
 (out_dim x in_dim) Kraus block, so C acts on C^out tensor C^in and the dual
-action is Phi*(B) = (tr x id)[(B tensor 1) C].
+action is Phi*(B) = (tr x id)[(B tensor 1) C].  That index convention is
+written once, in ``_choi_duals``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import NaimarkDilation, build_dilation
+from .dilation import build_dilation
 from .errors import (
     DimensionMismatch,
     InvalidBudget,
@@ -39,27 +39,22 @@ from .povm import Povm, is_pvm, support_dominates
 
 __all__ = [
     "KrausChannel",
-    "GramVectors",
     "ChoiMatrix",
     "FeasibilityResult",
     "kraus_channel",
     "apply_dual",
     "preprocess_from_pvm",
-    "gram_from_kraus",
     "choi_from_kraus",
     "choi_dual_apply",
     "connection_feasible",
-    "dilated_dual_apply",
-    "lift_to_dilation",
 ]
 
 TP_EPS = 1e-10
-GRAM_EPS = 1e-9
 FEASIBILITY_EPS = 1e-7
 HISTORY_STRIDE = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A completely positive trace-preserving map in Kraus form.
 
@@ -72,10 +67,7 @@ class KrausChannel:
     kraus: tuple[np.ndarray, ...]
 
     def tp_defect(self) -> float:
-        acc = np.zeros((self.in_dim, self.in_dim), dtype=np.complex128)
-        for a in self.kraus:
-            acc += a.conj().T @ a
-        return opnorm(acc - np.eye(self.in_dim))
+        return opnorm(apply_dual(self, np.eye(self.out_dim)) - np.eye(self.in_dim))
 
 
 def kraus_channel(in_dim: int, out_dim: int, ops) -> KrausChannel:
@@ -134,66 +126,11 @@ def preprocess_from_pvm(p: Povm, pprime: Povm, tol: Tolerance = DEFAULT_TOL) -> 
 
 
 # ---------------------------------------------------------------------------
-# Gram vectors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GramVectors:
-    """Vectors v_n^s in an auxiliary space, indexed by input basis n and output basis s.
-
-    ``vectors[n, s, :]`` holds v_n^s; for a trace-preserving channel the
-    contraction sum_s <v_n^s|v_m^s> is the identity (see
-    :meth:`gram_defect`), while truncated constructions may fall short of it.
-    """
-
-    vectors: np.ndarray
-
-    @property
-    def n_count(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def s_count(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def aux_dim(self) -> int:
-        return self.vectors.shape[2]
-
-    def gram(self) -> np.ndarray:
-        """Matrix of sum_s <v_n^s|v_m^s>."""
-        return np.einsum("nsa,msa->nm", self.vectors.conj(), self.vectors)
-
-    def gram_defect(self) -> float:
-        return opnorm(self.gram() - np.eye(self.n_count))
-
-    def pair_overlaps(self) -> np.ndarray:
-        """All overlaps <v_n^s|v_m^t>, shape (n, s, n, t)."""
-        return np.einsum("nsa,mta->nsmt", self.vectors.conj(), self.vectors)
-
-
-def gram_from_kraus(ch: KrausChannel, aux_dim: int | None = None) -> GramVectors:
-    """Gram vectors of a channel: (v_n^s)_k = <e_s| A_k |e_n>.
-
-    The auxiliary space has one axis per Kraus operator; ``aux_dim`` may pad
-    it with zero components (it is ignored below the Kraus count).
-    """
-    n_kraus = len(ch.kraus)
-    width = max(n_kraus, aux_dim or 0)
-    v = np.zeros((ch.in_dim, ch.out_dim, width), dtype=np.complex128)
-    for k, a in enumerate(ch.kraus):
-        # a[s, n] = <e_s| A_k |e_n>
-        v[:, :, k] = a.T
-    return GramVectors(vectors=v)
-
-
-# ---------------------------------------------------------------------------
 # Choi matrices and feasibility
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Choi matrix on C^out tensor C^in (PSD, partial trace over out = identity)."""
 
@@ -202,8 +139,7 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def tp_defect(self) -> float:
-        c4 = self.matrix.reshape(self.out_dim, self.in_dim, self.out_dim, self.in_dim)
-        return opnorm(np.einsum("mnmN->nN", c4) - np.eye(self.in_dim))
+        return opnorm(choi_dual_apply(self, np.eye(self.out_dim)) - np.eye(self.in_dim))
 
     def min_eigenvalue(self) -> float:
         h = (self.matrix + self.matrix.conj().T) / 2.0
@@ -219,17 +155,24 @@ def choi_from_kraus(ch: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(in_dim=ch.in_dim, out_dim=ch.out_dim, matrix=c)
 
 
+def _choi_duals(stack: np.ndarray, c: np.ndarray, d: int, dp: int) -> np.ndarray:
+    """Phi*(B_k) = (tr x id)[(B_k tensor 1) C] for each B_k of a (k, d, d) stack.
+
+    ``c`` is the Choi matrix on C^d tensor C^dp (d the output dimension).
+    """
+    return np.einsum("kmM,MNmn->knN", stack, c.reshape(d, dp, d, dp))
+
+
 def choi_dual_apply(choi: ChoiMatrix, b) -> np.ndarray:
     """Dual action read off the Choi matrix: Phi*(B) = (tr x id)[(B tensor 1) C]."""
     m = np.asarray(b, dtype=np.complex128)
-    d, dp = choi.out_dim, choi.in_dim
+    d = choi.out_dim
     if m.shape != (d, d):
         raise DimensionMismatch(f"observable has shape {m.shape}, expected ({d}, {d})")
-    c4 = choi.matrix.reshape(d, dp, d, dp)
-    return np.einsum("mM,MNmn->nN", m, c4)
+    return _choi_duals(m[None], choi.matrix, d, choi.in_dim)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityResult:
     """One-sided verdict: ``feasible`` certifies, ``not feasible`` only means
     no certificate was found within the iteration budget."""
@@ -246,7 +189,6 @@ def connection_feasible(
     pprime: Povm,
     max_iter: int = 10000,
     tol: Tolerance = DEFAULT_TOL,
-    feas_eps: float = FEASIBILITY_EPS,
 ) -> FeasibilityResult:
     """Search for a Choi matrix whose dual maps each E_i to E'_i.
 
@@ -261,7 +203,10 @@ def connection_feasible(
 
     The per-iteration gap is measured on the affine-projected iterate as
     max(constraint residual in spectral norm, PSD defect); convergence is
-    declared at gap <= ``feas_eps`` and the iterate returned as certificate.
+    declared at gap <= ``FEASIBILITY_EPS`` and the iterate returned as
+    certificate.  Only the cone step carries a Dykstra correction: for an
+    affine set the correction stays in the range of the adjoint, which the
+    affine projection discards.
     """
     if max_iter < 0:
         raise InvalidBudget(f"iteration budget must be non-negative, got {max_iter}")
@@ -274,43 +219,37 @@ def connection_feasible(
     gram = np.real(np.einsum("iab,jba->ij", effects, effects))
     gram_pinv = np.linalg.pinv(gram, rcond=1e-12)
 
-    def dual_all(c: np.ndarray) -> np.ndarray:
-        c4 = c.reshape(d, dp, d, dp)
-        return np.einsum("kmM,MNmn->knN", effects, c4)
-
     def proj_affine(c: np.ndarray) -> np.ndarray:
-        r = dual_all(c) - targets
+        r = _choi_duals(effects, c, d, dp) - targets
         z = np.einsum("ij,jab->iab", gram_pinv, r)
-        # adjoint of the constraint map: <dual_all(C), Y> = <C, sum_i E_i ox Y_i^T>
+        # adjoint of the constraint map: <(Phi_C*(E_i))_i, Y> = <C, sum_i E_i ox Y_i^T>
         corr = np.einsum("imM,iNn->mnMN", effects, z).reshape(n, n)
         out = c - corr
         return (out + out.conj().T) / 2.0
 
     def gap_of(c: np.ndarray) -> float:
-        res = max(opnorm(r) for r in (dual_all(c) - targets))
+        res = max(opnorm(r) for r in (_choi_duals(effects, c, d, dp) - targets))
         lam = float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
         return max(res, max(0.0, -lam))
 
     x = np.eye(n, dtype=np.complex128) / d
     pcorr = np.zeros((n, n), dtype=np.complex128)
-    qcorr = np.zeros((n, n), dtype=np.complex128)
     history: list[float] = []
     gap = gap_of(x)
     iterations = 0
     for it in range(1, max_iter + 1):
         y = project_psd(x + pcorr, tol)
         pcorr = x + pcorr - y
-        x = proj_affine(y + qcorr)
-        qcorr = y + qcorr - x
+        x = proj_affine(y)
         gap = gap_of(x)
         iterations = it
         if it % HISTORY_STRIDE == 0:
             history.append(gap)
-        if gap <= feas_eps:
+        if gap <= FEASIBILITY_EPS:
             break
     if not history or iterations % HISTORY_STRIDE != 0:
         history.append(gap)
-    feasible = gap <= feas_eps
+    feasible = gap <= FEASIBILITY_EPS
     choi = ChoiMatrix(in_dim=dp, out_dim=d, matrix=x) if feasible else None
     return FeasibilityResult(
         feasible=feasible,
@@ -319,66 +258,3 @@ def connection_feasible(
         iterations=iterations,
         residual_history=tuple(history),
     )
-
-
-# ---------------------------------------------------------------------------
-# Lifting the dual through a minimal dilation
-# ---------------------------------------------------------------------------
-
-
-def dilated_dual_apply(v: GramVectors, dilation: NaimarkDilation, bbar) -> np.ndarray:
-    """Dual of the lifted channel on an observable of the dilation space.
-
-    Phibar*(Bbar) = sum_{n,m,s,t} <v_n^s|v_m^t> (J* Bbar J)_{s,t} |e'_n><e'_m|.
-    """
-    b = np.asarray(bbar, dtype=np.complex128)
-    t = dilation.total_dim
-    if b.shape != (t, t):
-        raise DimensionMismatch(f"observable has shape {b.shape}, expected ({t}, {t})")
-    j = dilation.isometry
-    core = j.conj().T @ b @ j  # (dim, dim), indexed (s, t)
-    if v.s_count != dilation.dim:
-        raise DimensionMismatch(
-            f"Gram vectors cover {v.s_count} output basis states, dilation compresses {dilation.dim}"
-        )
-    return np.einsum("nsa,mta,st->nm", v.vectors.conj(), v.vectors, core)
-
-
-def lift_to_dilation(
-    ch: KrausChannel,
-    dilation: NaimarkDilation,
-    pprime: Povm,
-    trials: int = 100,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Check Phi*(B) = Phibar*(J B J*) and Phibar*(block projections) = E'.
-
-    Returns the maximum deviation over ``trials`` random Hermitian B on the
-    compressed space plus the per-outcome block-projection checks; a channel
-    genuinely connecting the dilated measurement to P' stays at float noise.
-    """
-    if ch.out_dim != dilation.dim:
-        raise DimensionMismatch(f"channel output dim {ch.out_dim} != dilation base dim {dilation.dim}")
-    if ch.in_dim != pprime.dim:
-        raise DimensionMismatch(f"channel input dim {ch.in_dim} != target dim {pprime.dim}")
-    if tuple(dilation.block_index) != pprime.labels:
-        raise LabelMismatch(
-            f"dilation labels {tuple(dilation.block_index)} do not match target labels {pprime.labels}"
-        )
-    if rng is None:
-        rng = np.random.default_rng(0)
-    v = gram_from_kraus(ch)
-    j = dilation.isometry
-    d = dilation.dim
-    dev = 0.0
-    for _ in range(trials):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        b = (g + g.conj().T) / 2.0
-        lifted = dilated_dual_apply(v, dilation, j @ b @ j.conj().T)
-        dev = max(dev, opnorm(apply_dual(ch, b) - lifted))
-    for lab, target in pprime:
-        lo, hi = dilation.block_index[lab]
-        proj = np.zeros((dilation.total_dim, dilation.total_dim), dtype=np.complex128)
-        proj[lo:hi, lo:hi] = np.eye(hi - lo)
-        dev = max(dev, opnorm(dilated_dual_apply(v, dilation, proj) - target))
-    return dev

@@ -4,7 +4,8 @@ Every subcommand reads POVMs in the shared JSON schema (or by built-in
 fixture name), prints a deterministic JSON report to stdout (or ``--out``),
 and exits 0 on success, 2 on a mathematical "no" (not pure, not feasible
 within budget, inconclusive certificate) and 1 on any tool error.  Error
-reports look like {"error": {"kind": ..., "detail": ...}}.
+reports look like {"error": {"kind": ..., "detail": ...}}; when the report
+cannot be written to ``--out``, an ``OSError`` error report goes to stdout.
 
 Reports embed the tool version, the tolerances used and a sha256 digest of
 each input, and identical invocations produce byte-identical output (floats
@@ -327,6 +328,10 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _error(kind: str, exc: Exception) -> dict:
+    return {"error": {"kind": kind, "detail": str(exc)}}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -334,12 +339,17 @@ def main(argv=None) -> int:
         tol = _tolerance(args)
         code, report = args.handler(args, tol)
     except PovmError as exc:
-        _emit(args, dumps_report({"error": {"kind": exc.kind, "detail": str(exc)}}))
-        return EXIT_ERROR
+        code, report = EXIT_ERROR, _error(exc.kind, exc)
     except ValueError as exc:
-        _emit(args, dumps_report({"error": {"kind": "ValueError", "detail": str(exc)}}))
+        code, report = EXIT_ERROR, _error("ValueError", exc)
+    except OSError as exc:
+        code, report = EXIT_ERROR, _error("OSError", exc)
+    try:
+        _emit(args, dumps_report(report))
+    except OSError as exc:
+        # the report could not be written to --out: say so on stdout
+        print(dumps_report(_error("OSError", exc)))
         return EXIT_ERROR
-    _emit(args, dumps_report(report))
     return code
 
 

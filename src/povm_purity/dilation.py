@@ -32,7 +32,7 @@ __all__ = [
 UNITARITY_EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NaimarkDilation:
     """Stacked factorization blocks: an isometry J with J*J = identity.
 

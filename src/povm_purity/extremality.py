@@ -46,7 +46,7 @@ __all__ = [
 MARGINAL_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockHermitian:
     """A Hermitian block per nonzero effect, keyed by outcome label."""
 
@@ -66,7 +66,7 @@ class BlockHermitian:
         return max((opnorm(b) for b in self.blocks), default=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationMap:
     """The complex matrix of D |-> sum_i A_i* D_i A_i on vectorized blocks.
 
@@ -117,7 +117,7 @@ def build_perturbation_map(p: Povm, tol: Tolerance = DEFAULT_TOL) -> Perturbatio
     return PerturbationMap(dim=d, labels=labels, blocks=blocks, matrix=matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PurityVerdict:
     """Outcome of the kernel test.
 
@@ -200,7 +200,7 @@ def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexSplit:
     """Two POVMs averaging back to the original: proof of non-extremality."""
 

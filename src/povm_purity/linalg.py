@@ -82,7 +82,7 @@ def hermitize(m) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenResult:
     """Spectral decomposition with eigenvalues descending.
 
@@ -95,15 +95,14 @@ class EigenResult:
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = np.flatnonzero(np.abs(col) > _PHASE_EPS)
-        if idx.size == 0:
-            continue
-        anchor = col[idx[0]]
-        v[:, k] = col * (np.conj(anchor) / np.abs(anchor))
-    return v
+    """Rotate each column so its first significant component is real positive."""
+    if v.size == 0:  # argmax raises on an empty axis
+        return v.copy()
+    significant = np.abs(v) > _PHASE_EPS
+    anchor = v[np.argmax(significant, axis=0), np.arange(v.shape[1])]
+    # a column with no significant entry keeps its phase
+    anchor = np.where(significant.any(axis=0), anchor, 1.0)
+    return v * (np.conj(anchor) / np.abs(anchor))
 
 
 def _lex_key(col: np.ndarray) -> tuple:

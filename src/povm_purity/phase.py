@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import GramVectors
 from .errors import EmptyFamily, GridTooCoarse, IndexOutOfRange
 from .linalg import DEFAULT_TOL, Tolerance, opnorm
 from .polycert import (
@@ -35,6 +34,7 @@ from .polycert import (
 
 __all__ = [
     "FourierFamily",
+    "GramVectors",
     "PhaseDemoReport",
     "fourier_family",
     "single_mode_family",
@@ -87,6 +87,8 @@ def geometric_tail_family(n_members: int, ratio: float = 0.5, support: int = 32)
         raise EmptyFamily("need at least one member")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
+    if support < 0:
+        raise IndexOutOfRange(f"support must be >= 0, got {support}")
     members = []
     for n in range(1, n_members + 1):
         coeffs = {s: ratio ** abs(s - n) for s in range(-support, support + 1)}
@@ -143,7 +145,22 @@ def fourier_span_certificate(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class GramVectors:
+    """Vectors v_n^s in an auxiliary space, indexed by member n and frequency slot s.
+
+    ``vectors[n, s, :]`` holds v_n^s.  A unital construction contracts to the
+    identity, sum_s <v_n^s|v_m^s> = delta_nm; a truncation may fall short.
+    """
+
+    vectors: np.ndarray
+
+    def gram(self) -> np.ndarray:
+        """Matrix of sum_s <v_n^s|v_m^s>."""
+        return np.einsum("nsa,msa->nm", self.vectors.conj(), self.vectors)
+
+
+@dataclass(frozen=True, eq=False)
 class PhaseDemoReport:
     """Truncation diagnostics for a phase-like family.
 

@@ -60,7 +60,7 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return c[: nz[-1] + 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyFamily:
     """Polynomials as monomial coefficient vectors (low to high, trimmed)."""
 

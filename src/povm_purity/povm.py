@@ -46,7 +46,7 @@ NORMALIZATION_EPS = 1e-9
 PVM_EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Labelled effects on C^dim.  Construct, then :func:`validate`."""
 

@@ -15,10 +15,10 @@ import numpy as np
 
 from povm_purity.channels import (
     apply_dual,
+    choi_dual_apply,
+    choi_from_kraus,
     connection_feasible,
-    gram_from_kraus,
     kraus_channel,
-    lift_to_dilation,
     preprocess_from_pvm,
 )
 from povm_purity.dilation import build_dilation, dilation_is_unitary, reconstruct
@@ -91,7 +91,7 @@ def _kernel_dim_oracle(p) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the ten checks
+# the nine checks
 # ---------------------------------------------------------------------------
 
 
@@ -252,7 +252,7 @@ def test_05_measure_and_prepare_constructor(rng):
     )
 
 
-def test_06_gram_vectors_contract_to_identity(rng):
+def test_06_kraus_and_choi_duals_agree(rng):
     problems = []
     comp, smeared = fixture("computational-pvm-d2"), fixture("smeared-pvm-d2")
     channels = [
@@ -269,11 +269,17 @@ def test_06_gram_vectors_contract_to_identity(rng):
         channels.append(random_channel(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5))))
     worst = 0.0
     for i, ch in enumerate(channels):
-        defect = gram_from_kraus(ch).gram_defect()
-        worst = max(worst, defect)
-        if defect > 1e-9:
-            problems.append(f"channel {i}: Gram defect {defect:.1e}")
-    _verdict(6, f"{len(channels)} channels: Gram vectors contract to identity (<= {worst:.1e})", problems)
+        choi = choi_from_kraus(ch)
+        g = rng.standard_normal((ch.out_dim,) * 2) + 1j * rng.standard_normal((ch.out_dim,) * 2)
+        b = (g + g.conj().T) / 2.0
+        tp = choi.tp_defect()
+        dev = opnorm(choi_dual_apply(choi, b) - apply_dual(ch, b))
+        worst = max(worst, tp, dev)
+        if tp > 1e-9:
+            problems.append(f"channel {i}: Choi trace-preservation defect {tp:.1e}")
+        if dev > 1e-9:
+            problems.append(f"channel {i}: Choi and Kraus duals differ by {dev:.1e}")
+    _verdict(6, f"{len(channels)} channels: Kraus and Choi duals agree (<= {worst:.1e})", problems)
 
 
 def test_07_feasibility_matches_channel_provenance(rng):
@@ -305,31 +311,6 @@ def test_07_feasibility_matches_channel_provenance(rng):
         f"unital obstruction stalls at {res.residual:.2f}",
         problems,
     )
-
-
-def test_08_dual_lifts_through_the_dilation(rng):
-    problems = []
-    comp, coin, smeared = (
-        fixture(n) for n in ("computational-pvm-d2", "coin", "smeared-pvm-d2")
-    )
-    dil = build_dilation(comp)
-    worst = 0.0
-    for target in (smeared, coin, comp):
-        ch = preprocess_from_pvm(comp, target)
-        dev = lift_to_dilation(ch, dil, target, trials=100, rng=rng)
-        worst = max(worst, dev)
-        if dev > 1e-9:
-            problems.append(f"target {target.labels}: lift deviation {dev:.1e}")
-    for i in range(5):
-        d = int(rng.integers(2, 5))
-        p = random_pvm(rng, d, int(rng.integers(1, d + 1)))
-        q = _relabel(random_povm(rng, int(rng.integers(2, 5)), len(p)), p.labels)
-        ch = preprocess_from_pvm(p, q)
-        dev = lift_to_dilation(ch, build_dilation(p), q, trials=100, rng=rng)
-        worst = max(worst, dev)
-        if dev > 1e-9:
-            problems.append(f"random pair {i}: lift deviation {dev:.1e}")
-    _verdict(8, f"dual action survives the dilation lift (max deviation {worst:.1e})", problems)
 
 
 def test_09_polynomial_certificates():

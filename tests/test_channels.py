@@ -7,13 +7,9 @@ from povm_purity.channels import (
     choi_dual_apply,
     choi_from_kraus,
     connection_feasible,
-    dilated_dual_apply,
-    gram_from_kraus,
     kraus_channel,
-    lift_to_dilation,
     preprocess_from_pvm,
 )
-from povm_purity.dilation import build_dilation
 from povm_purity.errors import (
     DimensionMismatch,
     InvalidBudget,
@@ -130,33 +126,6 @@ def test_preprocess_random_pairs(rng):
         assert ch.tp_defect() <= 1e-10
         dev = max(opnorm(apply_dual(ch, e) - f) for e, f in zip(p.effects, q.effects))
         assert dev <= 1e-10
-        assert gram_from_kraus(ch).gram_defect() <= 1e-9
-
-
-def test_gram_vectors_identity_channel():
-    ch = kraus_channel(2, 2, [np.eye(2)])
-    v = gram_from_kraus(ch)
-    assert (v.n_count, v.s_count, v.aux_dim) == (2, 2, 1)
-    expected = np.eye(2).reshape(2, 2, 1)
-    assert_allclose(v.vectors, expected, atol=0)
-    assert v.gram_defect() <= 1e-15
-
-
-def test_gram_vectors_of_random_channels(rng):
-    for _ in range(10):
-        ch = random_channel(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        v = gram_from_kraus(ch)
-        assert v.aux_dim == len(ch.kraus)
-        assert v.gram_defect() <= 1e-9
-        overlaps = v.pair_overlaps()
-        assert overlaps.shape == (v.n_count, v.s_count, v.n_count, v.s_count)
-
-
-def test_gram_vectors_padding():
-    ch = kraus_channel(2, 2, [np.eye(2)])
-    v = gram_from_kraus(ch, aux_dim=5)
-    assert v.aux_dim == 5
-    assert v.gram_defect() <= 1e-15
 
 
 def test_choi_roundtrip(rng):
@@ -230,36 +199,3 @@ def test_feasible_on_pushforward_pairs(rng):
         assert res.feasible, (d, dp, n, res.residual)
         assert res.residual <= 1e-7
 
-
-def test_lift_identities_for_constructor_channels(rng):
-    comp, smeared = fixture("computational-pvm-d2"), fixture("smeared-pvm-d2")
-    ch = preprocess_from_pvm(comp, smeared)
-    dil = build_dilation(comp)
-    # PVM source: the dilation is unitary, so the lift is exact to rounding
-    assert lift_to_dilation(ch, dil, smeared, trials=100, rng=rng) <= 1e-12
-
-
-def test_lift_block_projections_reproduce_targets(rng):
-    p = random_pvm(rng, 4, 3)
-    q = random_povm(rng, 3, 3)
-    q = validate(3, list(zip(p.labels, q.effects)))
-    ch = preprocess_from_pvm(p, q)
-    dil = build_dilation(p)
-    v = gram_from_kraus(ch)
-    for lab, target in q:
-        lo, hi = dil.block_index[lab]
-        proj = np.zeros((dil.total_dim, dil.total_dim), dtype=complex)
-        proj[lo:hi, lo:hi] = np.eye(hi - lo)
-        assert opnorm(dilated_dual_apply(v, dil, proj) - target) <= 1e-9
-    assert lift_to_dilation(ch, dil, q, trials=50, rng=rng) <= 1e-9
-
-
-def test_lift_dimension_checks(rng):
-    comp, smeared = fixture("computational-pvm-d2"), fixture("smeared-pvm-d2")
-    ch = preprocess_from_pvm(comp, smeared)
-    wrong_dil = build_dilation(fixture("trine"))
-    with pytest.raises((DimensionMismatch, LabelMismatch)):
-        lift_to_dilation(ch, wrong_dil, smeared)
-    dil = build_dilation(comp)
-    with pytest.raises(DimensionMismatch):
-        dilated_dual_apply(gram_from_kraus(ch), dil, np.eye(5))

@@ -256,6 +256,12 @@ def test_phase_demo_grid_too_coarse(capsys):
     assert doc["error"]["kind"] == "GridTooCoarse"
 
 
+def test_phase_demo_negative_support_is_an_error(capsys):
+    code, doc = run(capsys, "phase-demo", "--M", "4", "--support", "-5")
+    assert code == 1
+    assert doc["error"]["kind"] == "IndexOutOfRange"
+
+
 # ---------------------------------------------------------------------------
 # fixtures subcommand
 # ---------------------------------------------------------------------------
@@ -376,6 +382,24 @@ def test_out_file_used_for_errors_too(capsys, tmp_path):
     code = main(["split", "trine", "--out", str(target)])
     assert code == 1
     assert json.loads(target.read_text())["error"]["kind"] == "IsPure"
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "file/report.json"])
+def test_unwritable_out_is_an_oserror_report(capsys, tmp_path, where):
+    (tmp_path / "file").write_text("")
+    for argv in (["validate", "trine"], ["split", "trine"]):
+        code = main([*argv, "--out", str(tmp_path / where)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"]["kind"] == "OSError"
+        assert captured.err == ""
+
+
+def test_fixtures_write_onto_a_file_is_an_oserror_report(capsys, tmp_path):
+    (tmp_path / "file").write_text("")
+    code, doc = run(capsys, "fixtures", "--write", str(tmp_path / "file"))
+    assert code == 1
+    assert doc["error"]["kind"] == "OSError"
 
 
 def test_tolerance_overrides_reach_envelope(capsys):

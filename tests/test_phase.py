@@ -7,13 +7,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from povm_purity.channels import GramVectors
 from povm_purity.errors import EmptyFamily, GridTooCoarse, IndexOutOfRange
 from povm_purity.linalg import opnorm
 from povm_purity.phase import (
     MAX_LEVEL,
     MIN_GRID,
     FourierFamily,
+    GramVectors,
     _dyadic_toeplitz,
     fourier_family,
     fourier_span_certificate,
@@ -60,6 +60,9 @@ def test_geometric_tail_family():
         geometric_tail_family(2, ratio=1.5)
     with pytest.raises(EmptyFamily):
         geometric_tail_family(0)
+    with pytest.raises(IndexOutOfRange):
+        geometric_tail_family(2, support=-1)
+    assert geometric_tail_family(1, support=0).members == ({0: (1 + 0j)},)
 
 
 def test_truncate_family():
@@ -193,7 +196,7 @@ def test_demo_gram_vector_layout():
     fam = fourier_family([{-2: 0.5, 1: 0.25}])
     report = phase_truncation_demo(fam, 2, MIN_GRID)
     v = report.gram_vectors
-    assert (v.n_count, v.s_count, v.aux_dim) == (1, 5, 1)
+    assert v.vectors.shape == (1, 5, 1)
     assert v.vectors[0, 0, 0] == 0.5 + 0j  # s = -2 at slot 0
     assert v.vectors[0, 3, 0] == 0.25 + 0j  # s = +1 at slot 3
 
