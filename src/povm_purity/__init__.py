@@ -34,11 +34,9 @@ from .extremality import (
     ConvexSplit,
     PerturbationMap,
     PurityVerdict,
-    ScreeningReport,
     build_perturbation_map,
     convex_split,
     purity_verdict,
-    screen_necessary,
 )
 from .fixtures import FIXTURE_NAMES, fixture
 from .linalg import (
@@ -64,7 +62,6 @@ from .phase import (
 from .polycert import (
     PolyFamily,
     PurityCertificate,
-    hermite_qk_family,
     orthonormal_family,
     product_span_certificate,
 )
@@ -107,11 +104,9 @@ __all__ = [
     "PerturbationMap",
     "PurityVerdict",
     "ConvexSplit",
-    "ScreeningReport",
     "build_perturbation_map",
     "purity_verdict",
     "convex_split",
-    "screen_necessary",
     # channels
     "KrausChannel",
     "ChoiMatrix",
@@ -125,7 +120,6 @@ __all__ = [
     # polynomial / trigonometric certificates
     "PolyFamily",
     "PurityCertificate",
-    "hermite_qk_family",
     "orthonormal_family",
     "product_span_certificate",
     "FourierFamily",

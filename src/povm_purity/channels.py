@@ -109,7 +109,7 @@ def preprocess_from_pvm(p: Povm, pprime: Povm, tol: Tolerance = DEFAULT_TOL) -> 
     is a unit vector in the range of the projection Pi_i; the Kraus family
     is K_{i,k} = |phi_i><d_k|.  Then Phi*(Pi_i) = E'_i exactly.
     """
-    if not is_pvm(p, tol):
+    if not is_pvm(p):
         raise NotPvm("source measurement is not projective")
     if not support_dominates(p, pprime, tol):
         raise NotDominated("target has an outcome outside the support of the source")

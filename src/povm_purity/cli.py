@@ -99,7 +99,7 @@ def _cmd_validate(args, tol):
         "valid": True,
         "dim": p.dim,
         "n_outcomes": len(p),
-        "is_pvm": is_pvm(p, tol),
+        "is_pvm": is_pvm(p),
     }
     return EXIT_OK, _envelope("validate", tol, [src], report)
 
@@ -146,7 +146,7 @@ def _cmd_dilate(args, tol):
     report = {
         "total_dim": dil.total_dim,
         "dim": p.dim,
-        "is_unitary": dilation_is_unitary(dil, tol),
+        "is_unitary": dilation_is_unitary(dil),
         "isometry_defect": defect,
         "blocks": blocks,
     }

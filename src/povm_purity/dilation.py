@@ -112,7 +112,7 @@ def reconstruct(dilation: NaimarkDilation, labels) -> np.ndarray:
     return out
 
 
-def dilation_is_unitary(dilation: NaimarkDilation, tol: Tolerance = DEFAULT_TOL) -> bool:
+def dilation_is_unitary(dilation: NaimarkDilation) -> bool:
     """True iff the dilation adds nothing: square J with JJ* = identity.
 
     Equivalent to the source measurement being projective.

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dilation import build_dilation
 from .errors import IsPure, LabelMismatch
-from .linalg import DEFAULT_TOL, Tolerance, numeric_rank, opnorm
+from .linalg import DEFAULT_TOL, Tolerance, opnorm
 from .povm import Povm, validate
 
 __all__ = [
@@ -34,11 +34,9 @@ __all__ = [
     "PerturbationMap",
     "PurityVerdict",
     "ConvexSplit",
-    "ScreeningReport",
     "build_perturbation_map",
     "purity_verdict",
     "convex_split",
-    "screen_necessary",
 ]
 
 # A smallest singular value within this factor of the rank threshold, on
@@ -171,10 +169,11 @@ def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
     if dom > cod:
         # More columns than rows: impure whatever the rank, and only the
         # singular values are needed, which the square triangular factor of
-        # m* shares with m.  Any cod + 1 columns are dependent, so the leading
-        # ones carry a kernel vector: the last column of the complete unitary
+        # the transpose shares with m (a view, where m* would be a copy the
+        # size of m).  Any cod + 1 columns are dependent, so the leading ones
+        # carry a kernel vector: the last column of the complete unitary
         # factor of their adjoint is orthogonal to every row of m.
-        s = np.linalg.svd(np.linalg.qr(m.conj().T, mode="r"), compute_uv=False)
+        s = np.linalg.svd(np.linalg.qr(m.T, mode="r"), compute_uv=False)
         q, _ = np.linalg.qr(m[:, : cod + 1].conj().T, mode="complete")
         x = np.zeros(dom, dtype=np.complex128)
         x[: cod + 1] = q[:, -1]
@@ -240,36 +239,3 @@ def convex_split(p: Povm, verdict: PurityVerdict, tol: Tolerance = DEFAULT_TOL) 
         plus=validate(p.dim, plus_outcomes, tol),
         minus=validate(p.dim, minus_outcomes, tol),
     )
-
-
-@dataclass(frozen=True)
-class ScreeningReport:
-    """Linear-independence screen over the nonzero effects."""
-
-    effects_independent: bool
-    max_dependent_set: tuple[str, ...] | None
-
-
-def screen_necessary(p: Povm, tol: Tolerance = DEFAULT_TOL) -> ScreeningReport:
-    """Necessary condition for purity: nonzero effects linearly independent.
-
-    When they are not, ``max_dependent_set`` lists the labels whose effects
-    are linear combinations of their predecessors (scanning in outcome
-    order), i.e. the outcomes one could drop without shrinking the span.
-    """
-    labels = [lab for lab, eff in p if opnorm(eff) > tol.abs_eps]
-    vecs = [p.effect(lab).reshape(-1) for lab in labels]
-    if not vecs:
-        return ScreeningReport(effects_independent=True, max_dependent_set=None)
-    stack = np.stack(vecs, axis=1)
-    total = numeric_rank(stack, tol)
-    if total == len(vecs):
-        return ScreeningReport(effects_independent=True, max_dependent_set=None)
-    dependent = []
-    rank = 0
-    for k, lab in enumerate(labels):
-        r = numeric_rank(stack[:, : k + 1], tol)
-        if r == rank:
-            dependent.append(lab)
-        rank = r
-    return ScreeningReport(effects_independent=False, max_dependent_set=tuple(dependent))

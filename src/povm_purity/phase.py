@@ -20,17 +20,13 @@ things live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import EmptyFamily, GridTooCoarse, IndexOutOfRange
 from .linalg import DEFAULT_TOL, Tolerance, opnorm
-from .polycert import (
-    VERDICT_CERTIFIED,
-    VERDICT_INCONCLUSIVE,
-    PurityCertificate,
-    _covered_slots,
-)
+from .polycert import PurityCertificate, span_certificate
 
 __all__ = [
     "FourierFamily",
@@ -93,6 +89,10 @@ def geometric_tail_family(n_members: int, ratio: float = 0.5, support: int = 32)
     for n in range(1, n_members + 1):
         coeffs = {s: ratio ** abs(s - n) for s in range(-support, support + 1)}
         norm = np.sqrt(sum(abs(v) ** 2 for v in coeffs.values()))
+        if norm == 0.0:
+            raise EmptyFamily(
+                f"member {n} has L2 norm 0 in double precision (ratio {ratio:g}, support {support})"
+            )
         members.append({s: v / norm for s, v in coeffs.items()})
     return fourier_family(members)
 
@@ -115,8 +115,8 @@ def fourier_span_certificate(
     The product conj(psi_n) psi_m carries frequency g = s - t with
     coefficient sum over s - t = g of conj(v_n^s) v_m^t.  Frequencies are
     tested from the inside out (0, -1, +1, -2, +2, ...), each slot required
-    to add rank to the restricted coefficient matrix, mirroring the
-    triangular degree ladder of the polynomial test.
+    to add rank to the restricted coefficient matrix, on the same ladder as
+    the polynomial test.
     """
     if not fam.members:
         raise EmptyFamily("family has no members")
@@ -126,23 +126,13 @@ def fourier_span_certificate(
     for g in range(1, check_order + 1):
         slots.extend((-g, g))
     positions = {g: i for i, g in enumerate(slots)}
-    rows = []
-    for a in fam.members:
-        for b in fam.members:
-            row = np.zeros(len(slots), dtype=np.complex128)
-            for s, va in a.items():
-                for t, vb in b.items():
-                    if abs(s - t) <= check_order:
-                        row[positions[s - t]] += np.conj(va) * vb
-            rows.append(row)
-    matrix = np.stack(rows) if rows else np.zeros((0, len(slots)), dtype=np.complex128)
-    covered = _covered_slots(matrix, tol)
-    missing = tuple(sorted(g for g in slots if not covered[positions[g]]))
-    return PurityCertificate(
-        certified_to_degree=check_order,
-        verdict=VERDICT_CERTIFIED if not missing else VERDICT_INCONCLUSIVE,
-        missing_degrees=missing,
-    )
+    rows = np.zeros((len(fam.members) ** 2, len(slots)), dtype=np.complex128)
+    for i, (a, b) in enumerate(product(fam.members, repeat=2)):
+        for s, va in a.items():
+            for t, vb in b.items():
+                if abs(s - t) <= check_order:
+                    rows[i, positions[s - t]] += np.conj(va) * vb
+    return span_certificate(rows, slots, check_order, tol)
 
 
 @dataclass(frozen=True, eq=False)

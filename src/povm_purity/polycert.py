@@ -12,16 +12,21 @@ triangular ladder the span argument needs.  The result is one-sided —
 ``certified`` proves coverage up to the degree, ``inconclusive`` proves
 nothing.
 
-The flagship family: orthonormal Hermite polynomials with one index k
-dropped, modelling a position measurement compressed away from its k-th
-mode.  Dropping k >= 1 leaves the coverage intact (products of the remaining
-members still reach every degree), which is what the certificate shows.
+The flagship family, ``orthonormal_family("hermite", m, exclude=(k,))``:
+orthonormal Hermite polynomials with one index k dropped, modelling a
+position measurement compressed away from its k-th mode.  Dropping k >= 1
+leaves the coverage intact (products of the remaining members still reach
+every degree), which is what the certificate shows.
+
+Both span certificates, this one and the trigonometric one in ``phase``,
+end in :func:`span_certificate` and its one prefix-rank ladder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from numpy.polynomial import hermite as _hermite
@@ -29,13 +34,12 @@ from numpy.polynomial import laguerre as _laguerre
 from numpy.polynomial import legendre as _legendre
 
 from .errors import EmptyFamily, IndexOutOfRange
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, numeric_rank
 
 __all__ = [
     "PolyFamily",
     "PurityCertificate",
     "BASIS_INFO",
-    "hermite_qk_family",
     "orthonormal_family",
     "product_span_certificate",
 ]
@@ -89,9 +93,16 @@ def _family(basis: str, members: list[np.ndarray]) -> PolyFamily:
 def _hermite_member(n: int) -> np.ndarray:
     # physicists' convention: H_{n+1} = 2x H_n - 2n H_{n-1},
     # normalized by c_n = (2^n n! sqrt(pi))^(-1/2) against weight exp(-x^2).
+    try:
+        cn = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+    except OverflowError:  # n! or 2^n alone is past the double range
+        cn = 0.0
+    if cn == 0.0:
+        raise IndexOutOfRange(
+            f"Hermite index {n} is too large: its normalization constant is not a positive double"
+        )
     e = np.zeros(n + 1)
     e[n] = 1.0
-    cn = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
     return cn * _hermite.herm2poly(e)
 
 
@@ -139,13 +150,6 @@ def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
     return _family(basis, members)
 
 
-def hermite_qk_family(k: int, max_index: int) -> PolyFamily:
-    """Orthonormal Hermite members 0..max_index with index ``k`` dropped."""
-    if not 0 <= k <= max_index:
-        raise IndexOutOfRange(f"dropped index {k} outside 0..{max_index}")
-    return orthonormal_family("hermite", max_index, exclude=(k,))
-
-
 @dataclass(frozen=True)
 class PurityCertificate:
     """One-sided coverage certificate.
@@ -176,14 +180,25 @@ def _covered_slots(matrix: np.ndarray, tol: Tolerance) -> list[bool]:
     covered = []
     prev = 0
     for j in range(matrix.shape[1]):
-        if keep.shape[0] == 0:
-            covered.append(False)
-            continue
-        s = np.linalg.svd(keep[:, : j + 1], compute_uv=False)
-        rank = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s[0] > 0.0 else 0
+        rank = numeric_rank(keep[:, : j + 1], tol)
         covered.append(rank > prev)
         prev = max(prev, rank)
     return covered
+
+
+def span_certificate(rows: np.ndarray, slots, check: int, tol: Tolerance) -> PurityCertificate:
+    """Certificate for product rows whose columns are ``slots``, in ladder order.
+
+    A slot is missing when its column adds no rank; the missing slots are
+    reported in ascending order.
+    """
+    covered = _covered_slots(rows, tol)
+    missing = tuple(sorted(s for s, c in zip(slots, covered) if not c))
+    return PurityCertificate(
+        certified_to_degree=check,
+        verdict=VERDICT_CERTIFIED if not missing else VERDICT_INCONCLUSIVE,
+        missing_degrees=missing,
+    )
 
 
 def product_span_certificate(
@@ -202,19 +217,9 @@ def product_span_certificate(
         raise EmptyFamily("family has no members")
     if check_degree < 0:
         raise IndexOutOfRange(f"check_degree must be >= 0, got {check_degree}")
-    width = 2 * fam.max_degree + 1
-    rows = []
-    for a in fam.members:
-        for b in fam.members:
-            prod = np.convolve(np.conj(a), b)
-            padded = np.zeros(width, dtype=np.complex128)
-            padded[: prod.size] = prod
-            rows.append(padded)
-    matrix = np.stack(rows)[:, : check_degree + 1]
-    covered = _covered_slots(matrix, tol)
-    missing = [deg for deg in range(check_degree + 1) if deg >= width or not covered[deg]]
-    return PurityCertificate(
-        certified_to_degree=check_degree,
-        verdict=VERDICT_CERTIFIED if not missing else VERDICT_INCONCLUSIVE,
-        missing_degrees=tuple(missing),
-    )
+    width = check_degree + 1
+    rows = np.zeros((len(fam.members) ** 2, width), dtype=np.complex128)
+    for i, (a, b) in enumerate(product(fam.members, repeat=2)):
+        prod = np.convolve(np.conj(a), b)[:width]
+        rows[i, : prod.size] = prod
+    return span_certificate(rows, range(width), check_degree, tol)

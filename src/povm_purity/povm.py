@@ -10,7 +10,7 @@ instead).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -75,7 +75,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def validate(
     dim: int,
-    outcomes: Iterable[tuple[str, np.ndarray]] | Mapping[str, np.ndarray],
+    outcomes: Iterable[tuple[str, np.ndarray]],
     tol: Tolerance = DEFAULT_TOL,
 ) -> Povm:
     """Check shapes, positivity and normalization; return a frozen Povm.
@@ -91,10 +91,7 @@ def validate(
     NotNormalized
         The effects do not sum to the identity within 1e-9.
     """
-    if isinstance(outcomes, Mapping):
-        pairs = list(outcomes.items())
-    else:
-        pairs = list(outcomes)
+    pairs = list(outcomes)
     if dim < 1:
         raise DimensionMismatch(f"dimension must be positive, got {dim}")
     if not pairs:
@@ -117,7 +114,7 @@ def validate(
     return Povm(dim=dim, labels=labels, effects=tuple(effects))
 
 
-def is_pvm(p: Povm, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_pvm(p: Povm) -> bool:
     """True iff every effect is idempotent, ||E^2 - E|| <= 1e-9.
 
     Idempotence suffices: a POVM of projections automatically has mutually

@@ -262,6 +262,20 @@ def test_phase_demo_negative_support_is_an_error(capsys):
     assert doc["error"]["kind"] == "IndexOutOfRange"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, kind", [
+    (["phase-demo", "--M", "2", "--members", "3", "--support", "0", "--ratio", "1e-200"], "EmptyFamily"),
+    (["polycheck", "--max", "151"], "IndexOutOfRange"),
+    (["polycheck", "--max", "171"], "IndexOutOfRange"),
+])
+def test_families_past_the_double_range_are_typed_errors(capsys, argv, kind):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"]["kind"] == kind
+    assert captured.err == ""
+
+
 # ---------------------------------------------------------------------------
 # fixtures subcommand
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from povm_purity.extremality import (
     build_perturbation_map,
     convex_split,
     purity_verdict,
-    screen_necessary,
 )
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
 from povm_purity.linalg import hermitize, opnorm
@@ -285,25 +284,6 @@ def test_pvms_are_pure(rng):
 def test_mix_of_distinct_fixtures_impure():
     comp, smeared = fixture("computational-pvm-d2"), fixture("smeared-pvm-d2")
     assert not purity_verdict(mix(comp, smeared, 0.5)).pure
-
-
-def test_screen_necessary():
-    assert screen_necessary(fixture("computational-pvm-d2")).effects_independent
-    assert screen_necessary(fixture("trine")).effects_independent
-    report = screen_necessary(fixture("mixed-basis-4"))
-    assert not report.effects_independent
-    assert report.max_dependent_set == ("x-",)
-    # oracle for the dependence: E_z0 + E_z1 - E_x+ - E_x- = 0
-    p = fixture("mixed-basis-4")
-    assert opnorm(p.effects[0] + p.effects[1] - p.effects[2] - p.effects[3]) <= 1e-15
-
-
-def test_screen_never_contradicts_verdict(rng):
-    pool = [fixture(name) for name in FIXTURE_NAMES]
-    pool += [random_povm(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6))) for _ in range(10)]
-    for p in pool:
-        if purity_verdict(p).pure:
-            assert screen_necessary(p).effects_independent
 
 
 def test_dimension_bound_on_pure_fixtures():

@@ -62,6 +62,8 @@ def test_geometric_tail_family():
         geometric_tail_family(0)
     with pytest.raises(IndexOutOfRange):
         geometric_tail_family(2, support=-1)
+    with pytest.raises(EmptyFamily, match="member 1 "):  # ratio^2 underflows: L2 norm 0
+        geometric_tail_family(3, ratio=1e-200, support=0)
     assert geometric_tail_family(1, support=0).members == ({0: (1 + 0j)},)
 
 

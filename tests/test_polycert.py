@@ -11,7 +11,7 @@ from povm_purity.errors import EmptyFamily, IndexOutOfRange
 from povm_purity.polycert import (
     BASIS_INFO,
     PolyFamily,
-    hermite_qk_family,
+    _hermite_member,
     orthonormal_family,
     product_span_certificate,
 )
@@ -103,6 +103,11 @@ def test_member_degrees_and_trimming():
     fam2 = orthonormal_family("legendre", 3)
     assert fam2.max_degree == 3
     assert all(m[-1] != 0 for m in fam2.members)
+    fam3 = orthonormal_family("hermite", 5, exclude=(2,))
+    assert [m.size - 1 for m in fam3.members] == [0, 1, 3, 4, 5]
+    fam4 = orthonormal_family("hermite", 3, exclude=(0,))
+    assert [m.size - 1 for m in fam4.members] == [1, 2, 3]
+    assert orthonormal_family("hermite", 150).max_degree == 150
 
 
 def test_constructor_errors():
@@ -114,19 +119,17 @@ def test_constructor_errors():
         orthonormal_family("hermite", -1)
     with pytest.raises(IndexOutOfRange):
         orthonormal_family("hermite", 3, exclude=(4,))
+    for k in (7, -1):
+        with pytest.raises(IndexOutOfRange):
+            orthonormal_family("hermite", 5, exclude=(k,))
+    # (2^n n! sqrt(pi))^(-1/2) is a positive double up to n = 150 only
+    for top in (151, 171):
+        with pytest.raises(IndexOutOfRange, match="index 151 "):
+            orthonormal_family("hermite", top)
+    with pytest.raises(IndexOutOfRange, match="index 171 "):
+        _hermite_member(171)  # n! alone no longer converts to a double
     with pytest.raises(EmptyFamily):
         orthonormal_family("legendre", 0, exclude=(0,))
-
-
-def test_hermite_qk_family_drops_one_index():
-    fam = hermite_qk_family(2, 5)
-    assert [m.size - 1 for m in fam.members] == [0, 1, 3, 4, 5]
-    fam0 = hermite_qk_family(0, 3)
-    assert [m.size - 1 for m in fam0.members] == [1, 2, 3]
-    with pytest.raises(IndexOutOfRange):
-        hermite_qk_family(7, 5)
-    with pytest.raises(IndexOutOfRange):
-        hermite_qk_family(-1, 5)
 
 
 def test_basis_info_covers_all_builders():
@@ -150,7 +153,7 @@ def test_full_ladders_certify():
 
 def test_dropped_mode_families_certify():
     for k in (1, 2, 5, 12):
-        cert = product_span_certificate(hermite_qk_family(k, 12), 12)
+        cert = product_span_certificate(orthonormal_family("hermite", 12, exclude=(k,)), 12)
         assert cert.certified, (k, cert.missing_degrees)
 
 
@@ -158,7 +161,7 @@ def test_dropped_mode_matches_exact_arithmetic():
     indices = [n for n in range(13) if n != 2]
     covered = _exact_hermite_coverage(indices, 12)
     assert covered == set(range(13))
-    cert = product_span_certificate(hermite_qk_family(2, 12), 12)
+    cert = product_span_certificate(orthonormal_family("hermite", 12, exclude=(2,)), 12)
     assert cert.certified
 
 
@@ -174,7 +177,7 @@ def test_gappy_family_matches_exact_arithmetic():
 def test_wide_window_matches_exact_arithmetic():
     indices = [n for n in range(7) if n != 5]
     covered = _exact_hermite_coverage(indices, 14)
-    cert = product_span_certificate(hermite_qk_family(5, 6), 14)
+    cert = product_span_certificate(orthonormal_family("hermite", 6, exclude=(5,)), 14)
     width = 2 * 6 + 1
     expected_missing = tuple(
         deg for deg in range(15) if deg >= width or deg not in covered
@@ -192,7 +195,7 @@ def test_single_constant_is_inconclusive():
 
 
 def test_certification_is_monotone_in_degree():
-    fam = hermite_qk_family(2, 8)
+    fam = orthonormal_family("hermite", 8, exclude=(2,))
     assert product_span_certificate(fam, 8).certified
     for d in range(8):
         assert product_span_certificate(fam, d).certified
