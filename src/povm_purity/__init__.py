@@ -45,7 +45,6 @@ from .linalg import (
     Tolerance,
     herm_eig,
     is_psd,
-    numeric_rank,
     project_psd,
 )
 from .phase import (
@@ -83,7 +82,6 @@ __all__ = [
     "DEFAULT_TOL",
     "EigenResult",
     "herm_eig",
-    "numeric_rank",
     "is_psd",
     "project_psd",
     # povm

@@ -189,7 +189,7 @@ def _cmd_polycheck(args, tol):
     exclude = () if args.exclude is None else (args.exclude,)
     fam = orthonormal_family(args.basis, args.max, exclude=exclude)
     degree = args.degree if args.degree is not None else args.max
-    cert = product_span_certificate(fam, degree, tol)
+    cert = product_span_certificate(fam, degree)
     weight, interval = BASIS_INFO[args.basis]
     report = {
         "basis": args.basis,

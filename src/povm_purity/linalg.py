@@ -24,7 +24,6 @@ __all__ = [
     "opnorm",
     "hermitize",
     "herm_eig",
-    "numeric_rank",
     "is_psd",
     "project_psd",
 ]
@@ -76,6 +75,16 @@ def opnorm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def _is_hermitian(a: np.ndarray, tol: Tolerance) -> bool:
+    """||a - a*|| <= abs_eps in operator norm.
+
+    The Frobenius norm bounds the operator norm from above, so it settles the
+    common case without the SVD that ``opnorm`` takes.
+    """
+    d = a - a.conj().T
+    return bool(np.linalg.norm(d) <= tol.abs_eps or opnorm(d) <= tol.abs_eps)
+
+
 def hermitize(m) -> np.ndarray:
     """(M + M*)/2 — used to scrub numerical drift before eigensolves."""
     a = _as_square(m)
@@ -124,7 +133,7 @@ def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
     NonSquare, NonHermitian
     """
     a = _as_square(m)
-    if opnorm(a - a.conj().T) > tol.abs_eps:
+    if not _is_hermitian(a, tol):
         raise NonHermitian("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     w = w[::-1].copy()
@@ -143,28 +152,10 @@ def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
     return EigenResult(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
-def numeric_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above ``tol.rank_rel`` times the largest.
-
-    Relative thresholding keeps the answer scale-invariant (a uniformly tiny
-    matrix still has full rank); the exact zero matrix has rank 0.
-    """
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise NonSquare(f"expected a 2-d array, got shape {a.shape}")
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    if smax <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel * smax))
-
-
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``m`` is Hermitian within tolerance with spectrum >= -abs_eps."""
     a = _as_square(m)
-    if opnorm(a - a.conj().T) > tol.abs_eps:
+    if not _is_hermitian(a, tol):
         return False
     w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     return bool(w.size == 0 or float(w[0]) >= -tol.abs_eps)
@@ -177,7 +168,7 @@ def project_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     already PSD, and idempotent.
     """
     a = _as_square(m)
-    if opnorm(a - a.conj().T) > tol.abs_eps:
+    if not _is_hermitian(a, tol):
         raise NonHermitian("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     w = np.clip(w, 0.0, None)

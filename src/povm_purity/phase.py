@@ -7,7 +7,9 @@ things live here:
 * the trigonometric analogue of the polynomial span certificate
   (:func:`fourier_span_certificate`), with pure frequencies in place of
   monomials — for the canonical phase family psi_n = e^{-in theta},
-  n = 1..N, it certifies exactly up to order N - 1;
+  n = 1..N, it certifies exactly up to order N - 1.  It runs on the exact
+  ladder of ``polycert``: coefficients are read exactly as the doubles they
+  hold, and no tolerance enters;
 
 * :func:`phase_truncation_demo`, which truncates a target family at Fourier
   order M, compares outcome integrals over a dyadic interval family, and
@@ -25,8 +27,8 @@ from itertools import product
 import numpy as np
 
 from .errors import EmptyFamily, GridTooCoarse, IndexOutOfRange
-from .linalg import DEFAULT_TOL, Tolerance, opnorm
-from .polycert import PurityCertificate, span_certificate
+from .linalg import opnorm
+from .polycert import ProductRows, PurityCertificate, span_certificate
 
 __all__ = [
     "FourierFamily",
@@ -43,6 +45,9 @@ __all__ = [
 # Dyadic interval family [2 pi j / 2^k, 2 pi (j+1) / 2^k), k = 0..MAX_LEVEL.
 MAX_LEVEL = 6
 MIN_GRID = 1 << 10
+# The demo holds several complex stacks of one matrix per dyadic interval,
+# members by members and frequencies by frequencies; one stack may take this much.
+MAX_STACK_MB = 256
 
 
 @dataclass(frozen=True)
@@ -106,17 +111,16 @@ def truncate_family(fam: FourierFamily, order: int) -> FourierFamily:
     )
 
 
-def fourier_span_certificate(
-    fam: FourierFamily, check_order: int, tol: Tolerance = DEFAULT_TOL
-) -> PurityCertificate:
+def fourier_span_certificate(fam: FourierFamily, check_order: int) -> PurityCertificate:
     """Trigonometric span test: every pure frequency |g| <= check_order must
     lie in the span of the products conj(psi_n) psi_m.
 
     The product conj(psi_n) psi_m carries frequency g = s - t with
     coefficient sum over s - t = g of conj(v_n^s) v_m^t.  Frequencies are
     tested from the inside out (0, -1, +1, -2, +2, ...), each slot required
-    to add rank to the restricted coefficient matrix, on the same ladder as
-    the polynomial test.
+    to add rank to the restricted coefficient matrix, on the same exact
+    ladder as the polynomial test; the coefficients are read exactly as the
+    doubles they hold.
     """
     if not fam.members:
         raise EmptyFamily("family has no members")
@@ -125,14 +129,9 @@ def fourier_span_certificate(
     slots = [0]
     for g in range(1, check_order + 1):
         slots.extend((-g, g))
-    positions = {g: i for i, g in enumerate(slots)}
-    rows = np.zeros((len(fam.members) ** 2, len(slots)), dtype=np.complex128)
-    for i, (a, b) in enumerate(product(fam.members, repeat=2)):
-        for s, va in a.items():
-            for t, vb in b.items():
-                if abs(s - t) <= check_order:
-                    rows[i, positions[s - t]] += np.conj(va) * vb
-    return span_certificate(rows, slots, check_order, tol)
+    n = len(fam.members)
+    rows = ProductRows(fam.members, list(product(range(n), repeat=2)), sign=-1)
+    return span_certificate(rows, slots, check_order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +199,10 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
     into a matrix V over a common frequency list, the Gram of interval I is
     V* T(I) V, T(I) the Toeplitz matrix of the closed-form moments of
     e^{ig theta}.  ``grid`` is validated (a multiple of 2^MAX_LEVEL, at least
-    MIN_GRID) and echoed in the report, but changes no number.
+    MIN_GRID) and echoed in the report, but changes no number.  A family
+    whose stacks of interval matrices (members by members, or frequencies by
+    frequencies) would pass MAX_STACK_MB each is refused with
+    ``IndexOutOfRange`` before anything is allocated.
     """
     if order < 0:
         raise IndexOutOfRange(f"truncation order must be >= 0, got {order}")
@@ -211,6 +213,13 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
     n = len(target.members)
     # a family whose members are all empty still needs one (zero) row
     slots = np.array(sorted({s for m in target.members for s in m}) or [0])
+    intervals, side = (2 << MAX_LEVEL) - 1, max(n, slots.size)
+    stack_mb = intervals * side * side * 16 / 2**20
+    if stack_mb > MAX_STACK_MB:
+        raise IndexOutOfRange(
+            f"{n} members over {slots.size} frequencies need a ({intervals}, {side}, {side}) "
+            f"complex stack of {stack_mb:.0f} MB, over the {MAX_STACK_MB} MB limit"
+        )
     v_target = np.array([[m.get(s, 0.0) for m in target.members] for s in slots.tolist()], dtype=np.complex128)
     kept = np.abs(slots) <= order
     v_trunc = np.where(kept[:, None], v_target, 0.0)

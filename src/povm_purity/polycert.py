@@ -12,6 +12,15 @@ triangular ladder the span argument needs.  The result is one-sided —
 ``certified`` proves coverage up to the degree, ``inconclusive`` proves
 nothing.
 
+The ladder is exact.  Members are read as integers: the orthonormal bases
+keep integer multiples of their members (H_n, n! L_n, 2^n P_n, x^n; scaling
+a member scales rows, which leaves coverage alone), and a family built from
+floats is read exactly as the doubles it holds.  The product rows are
+eliminated modulo the prime PRIME; full rank there proves full rank over Q,
+so a ``certified`` verdict is a proof.  Only when some slot gets no pivot
+modulo PRIME does a fraction-free pass over the integers name the missing
+slots exactly.  No tolerance enters.
+
 The flagship family, ``orthonormal_family("hermite", m, exclude=(k,))``:
 orthonormal Hermite polynomials with one index k dropped, modelling a
 position measurement compressed away from its k-th mode.  Dropping k >= 1
@@ -19,22 +28,17 @@ leaves the coverage intact (products of the remaining members still reach
 every degree), which is what the certificate shows.
 
 Both span certificates, this one and the trigonometric one in ``phase``,
-end in :func:`span_certificate` and its one prefix-rank ladder.
+end in :func:`span_certificate` and its one ladder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
-from numpy.polynomial import hermite as _hermite
-from numpy.polynomial import laguerre as _laguerre
-from numpy.polynomial import legendre as _legendre
 
 from .errors import EmptyFamily, IndexOutOfRange
-from .linalg import DEFAULT_TOL, Tolerance, numeric_rank
 
 __all__ = [
     "PolyFamily",
@@ -46,6 +50,12 @@ __all__ = [
 
 VERDICT_CERTIFIED = "certified"
 VERDICT_INCONCLUSIVE = "inconclusive"
+
+# A prime = 1 (mod 4), so i maps to a square root of -1 modulo it; products
+# of two residues stay below 2^62, inside int64.
+PRIME = 2**31 - 19
+# 2 is a non-residue because PRIME = 5 (mod 8), so 2^((PRIME-1)/4) squares to -1.
+_SQRT_M1 = pow(2, (PRIME - 1) // 4, PRIME)
 
 # basis name -> (weight, interval) for reporting
 BASIS_INFO = {
@@ -66,32 +76,25 @@ def _trim(c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PolyFamily:
-    """Polynomials as monomial coefficient vectors (low to high, trimmed)."""
+    """Polynomials as monomial coefficient vectors (low to high, trimmed).
+
+    ``scaled`` holds integer multiples of the members, coefficient by
+    coefficient; without it the certificate reads ``members`` exactly as the
+    doubles they hold.
+    """
 
     basis: str
     members: tuple[np.ndarray, ...]
     max_degree: int
+    scaled: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.basis not in BASIS_INFO:
             raise ValueError(f"unknown basis {self.basis!r}; one of {sorted(BASIS_INFO)}")
 
 
-def _family(basis: str, members: list[np.ndarray]) -> PolyFamily:
-    trimmed = [_trim(m) for m in members]
-    if any(t.size == 0 for t in trimmed):
-        raise EmptyFamily("family members must be nonzero polynomials")
-    if not trimmed:
-        raise EmptyFamily("family has no members")
-    return PolyFamily(
-        basis=basis,
-        members=tuple(trimmed),
-        max_degree=max(t.size - 1 for t in trimmed),
-    )
-
-
-def _hermite_member(n: int) -> np.ndarray:
-    # physicists' convention: H_{n+1} = 2x H_n - 2n H_{n-1},
+def _hermite_member(n: int) -> tuple[list[int], np.ndarray]:
+    # physicists' convention: H_{n+1} = 2x H_n - 2n H_{n-1}, in closed form,
     # normalized by c_n = (2^n n! sqrt(pi))^(-1/2) against weight exp(-x^2).
     try:
         cn = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
@@ -101,30 +104,33 @@ def _hermite_member(n: int) -> np.ndarray:
         raise IndexOutOfRange(
             f"Hermite index {n} is too large: its normalization constant is not a positive double"
         )
-    e = np.zeros(n + 1)
-    e[n] = 1.0
-    return cn * _hermite.herm2poly(e)
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        m = n - 2 * k  # H_n = sum_k (-1)^k n! / (k! m!) (2x)^m
+        coeffs[m] = (-1) ** k * math.factorial(n) // (math.factorial(k) * math.factorial(m)) * 2**m
+    return coeffs, cn * np.array(coeffs, dtype=float)
 
 
-def _legendre_member(n: int) -> np.ndarray:
-    e = np.zeros(n + 1)
-    e[n] = 1.0
-    return math.sqrt((2.0 * n + 1.0) / 2.0) * _legendre.leg2poly(e)
+def _legendre_member(n: int) -> tuple[list[int], np.ndarray]:
+    # 2^n P_n = sum_k (-1)^k C(n, k) C(2n - 2k, n) x^(n - 2k)
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        coeffs[n - 2 * k] = (-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n)
+    return coeffs, math.sqrt((2.0 * n + 1.0) / 2.0) * np.array([c / 2**n for c in coeffs])
 
 
-def _laguerre_member(n: int) -> np.ndarray:
-    # already orthonormal against exp(-x) on [0, inf)
-    e = np.zeros(n + 1)
-    e[n] = 1.0
-    return _laguerre.lag2poly(e)
+def _laguerre_member(n: int) -> tuple[list[int], np.ndarray]:
+    # n! L_n; L_n is already orthonormal against exp(-x) on [0, inf)
+    coeffs = [(-1) ** k * math.comb(n, k) * math.factorial(n) // math.factorial(k) for k in range(n + 1)]
+    return coeffs, np.array([c / math.factorial(n) for c in coeffs])
 
 
-def _monomial_member(n: int) -> np.ndarray:
-    e = np.zeros(n + 1)
-    e[n] = 1.0
-    return e
+def _monomial_member(n: int) -> tuple[list[int], np.ndarray]:
+    coeffs = [0] * n + [1]
+    return coeffs, np.array(coeffs, dtype=float)
 
 
+# basis -> n -> (integer multiple of the member, low to high; the orthonormal member)
 _MEMBER_BUILDERS = {
     "hermite": _hermite_member,
     "legendre": _legendre_member,
@@ -144,10 +150,15 @@ def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
         if not 0 <= k <= max_degree:
             raise IndexOutOfRange(f"excluded index {k} outside 0..{max_degree}")
     build = _MEMBER_BUILDERS[basis]
-    members = [build(n) for n in range(max_degree + 1) if n not in dropped]
-    if not members:
+    built = [build(n) for n in range(max_degree + 1) if n not in dropped]
+    if not built:
         raise EmptyFamily("every member was excluded")
-    return _family(basis, members)
+    return PolyFamily(
+        basis=basis,
+        members=tuple(_trim(m) for _, m in built),
+        max_degree=max(len(c) - 1 for c, _ in built),
+        scaled=tuple(tuple(c) for c, _ in built),
+    )
 
 
 @dataclass(frozen=True)
@@ -167,33 +178,162 @@ class PurityCertificate:
         return self.verdict == VERDICT_CERTIFIED
 
 
-def _covered_slots(matrix: np.ndarray, tol: Tolerance) -> list[bool]:
-    """Which column slots gain rank as columns enter left to right.
+def _read_exact(member) -> dict[int, tuple[int, int]]:
+    """A map {index: value} times a positive rational, as Gaussian integers (re, im).
 
-    Slot j is covered exactly when some combination of rows vanishes on the
-    columns before j and is nonzero at j, i.e. when the rank of the first
-    j + 1 columns exceeds the rank of the first j.  Rows are normalized so
-    the rank threshold means the same thing for every family.
+    Integers are taken as they are, floats and complex numbers as the doubles
+    they hold (``float.as_integer_ratio``), so the reading is exact.  The
+    common power of two and the content (gcd of every part) are divided out,
+    and zero entries are dropped.
     """
-    norms = np.linalg.norm(matrix, axis=1)
-    keep = matrix[norms > 0.0] / norms[norms > 0.0, None]
+    ratios = {}
+    for k, v in member.items():
+        if isinstance(v, (int, np.integer)):
+            ratios[k] = ((int(v), 1), (0, 1))
+        else:
+            z = complex(v)
+            ratios[k] = (z.real.as_integer_ratio(), z.imag.as_integer_ratio())
+    den = max((d for parts in ratios.values() for _, d in parts), default=1)
+    out = {k: (a * (den // da), b * (den // db)) for k, ((a, da), (b, db)) in ratios.items() if a or b}
+    g = math.gcd(*(x for z in out.values() for x in z))
+    return {k: (a // g, b // g) for k, (a, b) in out.items()} if g > 1 else out
+
+
+def _residues(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return ((re + _SQRT_M1 * im) % PRIME).astype(np.int64)
+
+
+class ProductRows:
+    """The rows of a span certificate: conj(m_i) * m_j for (i, j) in ``pairs``.
+
+    Entry g of a row is the sum of conj(m_i[s]) m_j[t] over s + sign * t = g:
+    sign +1 multiplies polynomials (g a degree), sign -1 multiplies Fourier
+    series (g a frequency).  Members are maps {index: value}, read exactly
+    (integers as they are, doubles as the doubles they hold).  Rows are built
+    on demand over the slots asked for, reduced modulo PRIME or exact; for
+    one left member, its entries against every right member are one matrix
+    product.
+    """
+
+    def __init__(self, members, pairs, sign: int) -> None:
+        exact = [_read_exact(m) for m in members]
+        self._support = sorted(set().union(*exact))
+        self._sign = sign
+        pos = {s: k for k, s in enumerate(self._support)}
+        # real and imaginary parts over the support, plus one zero column for "no term"
+        self._re = np.zeros((len(exact), len(self._support) + 1), dtype=object)
+        self._im = np.zeros_like(self._re)
+        for i, m in enumerate(exact):
+            for s, (a, b) in m.items():
+                self._re[i, pos[s]], self._im[i, pos[s]] = a, b
+        self._pairs = tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+        self.real = not self._im.any()
+
+    def meet(self, slots) -> np.ndarray:
+        """Entry [q, k]: the support position of s with s + sign * t = slots[k], for t
+        the support index at position q; one past the last position where there is none.
+
+        A slot whose column has no such s is zero in every row, exactly.
+        """
+        support = np.array(self._support, dtype=np.int64)
+        target = np.array(slots, dtype=np.int64)[None, :] - self._sign * support[:, None]
+        where = np.searchsorted(support, target)
+        hit = where < support.size
+        hit[hit] = support[where[hit]] == target[hit]
+        return np.where(hit, where, support.size)
+
+    def modular(self, meet: np.ndarray) -> np.ndarray:
+        """Rows over the slots of ``meet``, reduced modulo PRIME (int64)."""
+        left = _residues(self._re, -self._im).astype(float)
+        right = _residues(self._re[:, :-1], self._im[:, :-1])
+        # right residues in ``count`` limbs of ``bits`` bits: a sum of support-many
+        # residue-times-limb products stays below 2^53, so float matrix products are exact
+        bits = 22 - right.shape[1].bit_length()
+        count = -(-31 // bits)
+        mask = (1 << bits) - 1
+        limbs = np.concatenate([(right >> (bits * m)) & mask for m in range(count)]).astype(float)
+        full = np.empty((len(left), len(right), meet.shape[1]), dtype=np.int64)
+        for i, coeffs in enumerate(left):
+            parts = (limbs @ coeffs[meet]).astype(np.int64).reshape(count, *full.shape[1:]) % PRIME
+            acc = parts[-1]
+            for part in parts[-2::-1]:
+                acc = ((acc << bits) + part) % PRIME
+            full[i] = acc
+        return full[self._pairs]
+
+    def exact(self, meet: np.ndarray) -> np.ndarray:
+        """Rows over the slots of ``meet`` as Python ints.
+
+        Complex rows are realified: row r gives (Re r, Im r) and i*r gives
+        (-Im r, Re r), columns interleaved, so slot k gains rank over Q(i)
+        exactly when real column 2k gains rank over Q.
+        """
+        rr, ri = self._re[:, :-1], self._im[:, :-1]
+        re = np.empty((len(rr), len(rr), meet.shape[1]), dtype=object)
+        im = np.empty_like(re)
+        for i in range(len(rr)):
+            a, b = self._re[i][meet], -self._im[i][meet]  # conj(m_i)
+            re[i] = rr @ a if self.real else rr @ a - ri @ b
+            im[i] = 0 if self.real else rr @ b + ri @ a
+        re, im = re[self._pairs], im[self._pairs]
+        if self.real:
+            return re
+        out = np.zeros((2 * re.shape[0], 2 * re.shape[1]), dtype=object)
+        out[: re.shape[0], 0::2], out[: re.shape[0], 1::2] = re, im
+        out[re.shape[0] :, 0::2], out[re.shape[0] :, 1::2] = -im, re
+        return out
+
+
+def _pivot_columns(a: np.ndarray, modulus: int | None = None) -> list[bool]:
+    """Which columns gain rank as columns enter left to right.
+
+    Column j gains rank exactly when some combination of rows vanishes on the
+    columns before j and not at j, i.e. when it gets a pivot in a
+    column-ordered elimination.  int64 residues are eliminated over
+    GF(modulus); Python ints (``modulus`` None) fraction-free over the
+    integers (Bareiss, Math. Comp. 22 (1968)), which decides the same over Q.
+    """
+    a = a.copy()
+    prev = 1
     covered = []
-    prev = 0
-    for j in range(matrix.shape[1]):
-        rank = numeric_rank(keep[:, : j + 1], tol)
-        covered.append(rank > prev)
-        prev = max(prev, rank)
+    for j in range(a.shape[1]):
+        nz = np.flatnonzero(a[:, j])
+        covered.append(nz.size > 0)
+        if nz.size == 0:
+            continue
+        k = nz[0]
+        pivot, tail = a[k, j], a[k, j + 1 :].copy()
+        a[k] = 0  # a pivot row leaves the elimination
+        if modulus is None:
+            # every entry stays a minor of the input, so the division is exact
+            a[:, j + 1 :] = (a[:, j + 1 :] * pivot - a[:, j, None] * tail) // prev
+            prev = pivot
+        else:
+            rest = nz[1:]  # the rows that are nonzero at j
+            tail = tail * pow(int(pivot), -1, modulus) % modulus
+            # residues times residues stay below 2^62, so one reduction suffices
+            a[rest, j + 1 :] = (a[rest, j + 1 :] - a[rest, j, None] * tail) % modulus
     return covered
 
 
-def span_certificate(rows: np.ndarray, slots, check: int, tol: Tolerance) -> PurityCertificate:
+def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
     """Certificate for product rows whose columns are ``slots``, in ladder order.
 
     A slot is missing when its column adds no rank; the missing slots are
-    reported in ascending order.
+    reported in ascending order.  Slots no product reaches are zero columns:
+    missing, and without effect on the rest.  The other slots are decided
+    modulo PRIME, where full rank proves full rank over Q; on a deficit the
+    exact rows decide them all.
     """
-    covered = _covered_slots(rows, tol)
-    missing = tuple(sorted(s for s, c in zip(slots, covered) if not c))
+    slots = list(slots)
+    meet = rows.meet(slots)
+    reached = (meet < meet.shape[0]).any(axis=0)
+    live, meet = [s for s, r in zip(slots, reached) if r], meet[:, reached]
+    covered = _pivot_columns(rows.modular(meet), PRIME)
+    if not all(covered):
+        covered = _pivot_columns(rows.exact(meet))[:: 1 if rows.real else 2]
+    hit = {s for s, c in zip(live, covered) if c}
+    missing = tuple(sorted(s for s in slots if s not in hit))
     return PurityCertificate(
         certified_to_degree=check,
         verdict=VERDICT_CERTIFIED if not missing else VERDICT_INCONCLUSIVE,
@@ -201,9 +341,7 @@ def span_certificate(rows: np.ndarray, slots, check: int, tol: Tolerance) -> Pur
     )
 
 
-def product_span_certificate(
-    fam: PolyFamily, check_degree: int, tol: Tolerance = DEFAULT_TOL
-) -> PurityCertificate:
+def product_span_certificate(fam: PolyFamily, check_degree: int) -> PurityCertificate:
     """Test whether the products conj(psi_n) psi_m reach every monomial of
     degree <= check_degree.
 
@@ -211,15 +349,16 @@ def product_span_certificate(
     degree is covered when its column adds rank, so cancellations between
     products count but coverage is never inferred from high-degree tails.
     Degrees beyond every product's reach simply turn up in
-    ``missing_degrees``.
+    ``missing_degrees``.  Real members make conj(psi_n) psi_m and
+    conj(psi_m) psi_n the same row, so only the pairs n <= m enter.
     """
     if not fam.members:
         raise EmptyFamily("family has no members")
     if check_degree < 0:
         raise IndexOutOfRange(f"check_degree must be >= 0, got {check_degree}")
-    width = check_degree + 1
-    rows = np.zeros((len(fam.members) ** 2, width), dtype=np.complex128)
-    for i, (a, b) in enumerate(product(fam.members, repeat=2)):
-        prod = np.convolve(np.conj(a), b)[:width]
-        rows[i, : prod.size] = prod
-    return span_certificate(rows, range(width), check_degree, tol)
+    members = fam.scaled if fam.scaled is not None else fam.members
+    real = fam.scaled is not None or not any(np.any(m.imag) for m in fam.members)
+    n = len(members)
+    pairs = [(i, j) for i in range(n) for j in range(i if real else 0, n)]
+    rows = ProductRows([dict(enumerate(m)) for m in members], pairs, sign=1)
+    return span_certificate(rows, range(check_degree + 1), check_degree)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
+
+
+def test_cli_import_loads_no_exact_arithmetic_modules():
+    # every CLI run pays for the modules that importing cli loads
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, povm_purity.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +275,35 @@ def test_phase_demo_negative_support_is_an_error(capsys):
     code, doc = run(capsys, "phase-demo", "--M", "4", "--support", "-5")
     assert code == 1
     assert doc["error"]["kind"] == "IndexOutOfRange"
+
+
+def test_polycheck_hermite_28_is_certified(capsys):
+    # the float rank ladder left degrees 27 and 28 uncovered here
+    code, doc = run(capsys, "polycheck", "--max", "28")
+    assert code == 0
+    assert doc["report"]["verdict"] == "certified"
+    assert doc["report"]["missing_degrees"] == []
+
+
+def test_polycheck_ignores_the_rank_tolerance(capsys):
+    base = main(["polycheck", "--max", "20", "--exclude", "3"])
+    plain = json.loads(capsys.readouterr().out)
+    code = main(["polycheck", "--max", "20", "--exclude", "3", "--tol-rank", "0.5"])
+    loose = json.loads(capsys.readouterr().out)
+    assert (base, code) == (0, 0)
+    assert loose["report"] == plain["report"]
+
+
+def test_phase_demo_member_bound_is_a_typed_error(capsys):
+    # 1100 members need a (127, 1100, 1100) complex stack, about 2.3 GB
+    code, doc = run(capsys, "phase-demo", "--M", "4", "--target", "single-mode", "--members", "1100")
+    assert code == 1
+    assert doc["error"]["kind"] == "IndexOutOfRange"
+    assert "1100 members" in doc["error"]["detail"]
+    # with geometric tails the members underflow first
+    code, doc = run(capsys, "phase-demo", "--M", "4", "--members", "1100", "--support", "0")
+    assert code == 1
+    assert doc["error"]["kind"] == "EmptyFamily"
 
 
 @pytest.mark.filterwarnings("error")

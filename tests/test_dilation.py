@@ -6,9 +6,15 @@ from povm_purity.dilation import build_dilation, dilation_is_unitary, reconstruc
 from povm_purity.errors import InvalidTolerance, NotPsd, UnknownLabel
 from povm_purity.extremality import purity_verdict
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
-from povm_purity.linalg import Tolerance, numeric_rank, opnorm
+from povm_purity.linalg import DEFAULT_TOL, Tolerance, opnorm
 from povm_purity.povm import Povm, is_pvm, validate
 from povm_purity.rand import random_povm, random_pvm
+
+
+def _rank(m) -> int:
+    """Numeric rank at the package's relative singular-value cut."""
+    m = np.asarray(m)
+    return int(np.linalg.matrix_rank(m, tol=DEFAULT_TOL.rank_rel * np.linalg.norm(m, 2)))
 
 
 def _two_outcome(e, label="e"):
@@ -58,7 +64,7 @@ def test_factorize_properties(rng):
         if rank:
             e /= 2.0 * opnorm(e)
         a = build_dilation(_two_outcome(e)).block("e")
-        assert a.shape == (numeric_rank(e), dim)
+        assert a.shape == (_rank(e), dim)
         assert opnorm(a.conj().T @ a - e) <= 1e-10 * (1 + opnorm(e))
         # rows orthogonal with squared norms = nonzero eigenvalues, descending
         overlaps = a @ a.conj().T
@@ -127,7 +133,7 @@ def test_dilation_random_povms(rng):
         dil = build_dilation(p)
         j = dil.isometry
         assert opnorm(j.conj().T @ j - np.eye(dim)) <= 1e-10
-        assert dil.total_dim == sum(numeric_rank(e) for e in p.effects)
+        assert dil.total_dim == sum(_rank(e) for e in p.effects)
         for lab, eff in p:
             assert opnorm(reconstruct(dil, [lab]) - eff) <= 1e-9
 

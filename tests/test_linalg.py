@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,7 +11,6 @@ from povm_purity.linalg import (
     herm_eig,
     hermitize,
     is_psd,
-    numeric_rank,
     opnorm,
     project_psd,
 )
@@ -91,49 +88,6 @@ def test_herm_eig_phase_convention_is_deterministic(rng):
         col = a.eigenvectors[:, k]
         anchor = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
         assert anchor.real > 0 and abs(anchor.imag) < 1e-12
-
-
-def test_numeric_rank_basics():
-    assert numeric_rank(np.eye(3)) == 3
-    assert numeric_rank(np.diag([1.0, 0.0])) == 1
-    assert numeric_rank(np.zeros((4, 4))) == 0
-
-
-def test_numeric_rank_scale_invariant():
-    m = 1e-14 * np.eye(5)
-    assert numeric_rank(m) == 5
-
-
-def _mixed_basis_effects():
-    zero = np.array([[1.0, 0.0], [0.0, 0.0]])
-    one = np.array([[0.0, 0.0], [0.0, 1.0]])
-    plus = np.full((2, 2), 0.5)
-    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    return [zero / 2, one / 2, plus / 2, minus / 2]
-
-
-def test_numeric_rank_mixed_basis_vectorized_effects():
-    """Columns = vectorized effects of the four-outcome mixed-basis POVM.
-
-    Oracle: every 3-subset has a nonsingular Gram matrix (so rank >= 3) while
-    the full Gram of all four is singular (so rank < 4).
-    """
-    cols = np.stack([e.reshape(-1) for e in _mixed_basis_effects()], axis=1)
-    for sub in itertools.combinations(range(4), 3):
-        g = cols[:, sub].conj().T @ cols[:, sub]
-        assert abs(np.linalg.det(g)) > 1e-6
-    g4 = cols.conj().T @ cols
-    assert abs(np.linalg.det(g4)) < 1e-12
-    assert numeric_rank(cols) == 3
-
-
-def test_numeric_rank_adjoint_symmetry(rng):
-    for _ in range(200):
-        rows, cols = rng.integers(1, 7, size=2)
-        m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        if rng.random() < 0.3:
-            m[:, cols // 2] = 0.0
-        assert numeric_rank(m) == numeric_rank(m.conj().T)
 
 
 def test_is_psd():

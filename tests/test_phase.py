@@ -11,6 +11,7 @@ from povm_purity.errors import EmptyFamily, GridTooCoarse, IndexOutOfRange
 from povm_purity.linalg import opnorm
 from povm_purity.phase import (
     MAX_LEVEL,
+    MAX_STACK_MB,
     MIN_GRID,
     FourierFamily,
     GramVectors,
@@ -146,6 +147,16 @@ def test_demo_rejects_bad_grids():
         phase_truncation_demo(fam, 4, MIN_GRID + 1)
     with pytest.raises(IndexOutOfRange):
         phase_truncation_demo(fam, -1, MIN_GRID)
+
+
+def test_demo_bounds_its_stacks_before_allocating():
+    # 400 members: a (127, 400, 400) complex stack is about 310 MB
+    assert 127 * 400 * 400 * 16 > MAX_STACK_MB << 20
+    with pytest.raises(IndexOutOfRange, match=r"400 members .*\(127, 400, 400\)"):
+        phase_truncation_demo(single_mode_family(400), 2, MIN_GRID)
+    # so does a wide frequency support: 2001 frequencies for 2 members
+    with pytest.raises(IndexOutOfRange, match="2001 frequencies"):
+        phase_truncation_demo(geometric_tail_family(2, support=1000), 2, MIN_GRID)
 
 
 def test_single_mode_truncation_is_exact():

@@ -1,19 +1,29 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import SEED
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from numpy.polynomial import hermite as herm
 from numpy.polynomial import laguerre as lag
 from numpy.polynomial import legendre as leg
 from numpy.polynomial import polynomial as poly
 
 from povm_purity.errors import EmptyFamily, IndexOutOfRange
+from povm_purity.phase import fourier_family, fourier_span_certificate, geometric_tail_family
+from povm_purity import polycert
 from povm_purity.polycert import (
+    _SQRT_M1,
     BASIS_INFO,
+    PRIME,
     PolyFamily,
+    ProductRows,
     _hermite_member,
     orthonormal_family,
     product_span_certificate,
+    span_certificate,
 )
 
 # ---------------------------------------------------------------------------
@@ -217,3 +227,175 @@ def test_duplicate_members_do_not_inflate_coverage():
     fam = PolyFamily(basis="monomial", members=(m, m, m), max_degree=0)
     cert = product_span_certificate(fam, 1)
     assert cert.missing_degrees == (1,)
+
+
+# ---------------------------------------------------------------------------
+# the exact ladder: modular rank, exact pass, and an independent reference
+# ---------------------------------------------------------------------------
+
+
+def _gaussian(v) -> tuple[Fraction, Fraction]:
+    if isinstance(v, int):
+        return Fraction(v), Fraction(0)
+    return Fraction(complex(v).real), Fraction(complex(v).imag)
+
+
+def _gaussian_pivot_columns(rows, ncols: int) -> set[int]:
+    """Pivot columns over Q(i) of rows of ints and complex numbers, each read exactly.
+
+    Entries become (re, im) pairs of Fractions; the elimination mirrors
+    ``_pivot_columns`` above.
+    """
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def inv(x):
+        n = x[0] * x[0] + x[1] * x[1]
+        return (x[0] / n, -x[1] / n)
+
+    zero = (Fraction(0), Fraction(0))
+    mat = [[_gaussian(v) for v in r] + [zero] * (ncols - len(r)) for r in rows]
+    pivots: set[int] = set()
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != zero), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        lead = mat[rank]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] != zero:
+                f = mul(mat[i][col], inv(lead[col]))
+                mat[i] = [(a[0] - fb[0], a[1] - fb[1]) for a, fb in zip(mat[i], (mul(f, b) for b in lead))]
+        pivots.add(col)
+        rank += 1
+    return pivots
+
+
+def _plain_rows(rows) -> ProductRows:
+    """Product rows equal to conj(rows): each row times the constant member 1."""
+    members = [dict(enumerate(r)) for r in rows] + [{0: 1}]
+    return ProductRows(members, [(k, len(rows)) for k in range(len(rows))], sign=-1)
+
+
+def _conj(v):
+    return v if isinstance(v, int) else complex(v).conjugate()
+
+
+def test_prime_and_square_root_of_minus_one():
+    assert PRIME == 2**31 - 19 and PRIME % 4 == 1
+    assert all(PRIME % d for d in range(2, math.isqrt(PRIME) + 1))
+    assert _SQRT_M1 * _SQRT_M1 % PRIME == PRIME - 1
+
+
+@pytest.mark.parametrize("lead", [PRIME, complex(PRIME, PRIME)])
+def test_multiples_of_the_prime_take_the_exact_pass(lead):
+    rows = _plain_rows([[lead, 1], [0, 1]])
+    # modulo PRIME the first column vanishes, over Q (or Q(i)) it does not
+    assert polycert._pivot_columns(rows.modular(rows.meet(range(2))), PRIME) == [False, True]
+    assert span_certificate(rows, range(2), 1).certified
+    cert = span_certificate(_plain_rows([[lead, 1]]), range(2), 1)
+    assert cert.missing_degrees == (1,)
+
+
+_small = st.integers(-3, 3)
+_multiples = st.sampled_from([PRIME, -PRIME, 2 * PRIME, PRIME + 1, 3 * PRIME - 2])
+_integer_entries = st.one_of(_small, _small, _multiples)
+_gaussian_entries = st.one_of(
+    _integer_entries,
+    st.builds(complex, _small, _small),
+    st.builds(complex, st.sampled_from([float(PRIME), float(-PRIME)]), _small),
+)
+
+
+@seed(SEED)
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_span_certificate_matches_exact_reference(data):
+    ncols = data.draw(st.integers(1, 5), label="ncols")
+    entries = data.draw(st.sampled_from([_integer_entries, _gaussian_entries]), label="kind")
+    rows = data.draw(
+        st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=6), label="rows"
+    )
+    cert = span_certificate(_plain_rows(rows), range(ncols), ncols - 1)
+    covered = _gaussian_pivot_columns([[_conj(v) for v in r] for r in rows], ncols)
+    missing = tuple(c for c in range(ncols) if c not in covered)
+    assert cert.missing_degrees == missing
+    assert cert.certified == (not missing)
+
+
+def test_former_float_ladder_defects_are_certified():
+    # the float SVD ladder called all four inconclusive
+    cases = (("hermite", 28, ()), ("hermite", 28, (5,)), ("laguerre", 20, ()), ("laguerre", 40, ()))
+    for basis, top, exclude in cases:
+        cert = product_span_certificate(orthonormal_family(basis, top, exclude=exclude), top)
+        assert cert.certified, (basis, top, exclude, cert.missing_degrees)
+    assert product_span_certificate(orthonormal_family("hermite", 60), 60).certified
+
+
+def test_geometric_tail_at_order_8_misses_only_8():
+    cert = fourier_span_certificate(geometric_tail_family(8), 8)
+    assert cert.missing_degrees == (8,)
+    # the doubles are dyadic multiples of one constant per member
+    exact = [{s: 2 ** (40 - abs(s - n)) for s in range(-32, 33)} for n in range(1, 9)]
+    assert fourier_span_certificate(fourier_family(exact), 8).missing_degrees == (8,)
+
+
+def _reference_members(basis: str, top: int) -> list[list[Fraction]]:
+    """Basis polynomials 0..top by their three-term recurrences, in exact rationals."""
+    if basis == "monomial":
+        return [[Fraction(0)] * n + [Fraction(1)] for n in range(top + 1)]
+    out = [[Fraction(1)]]
+
+    def add(*terms):
+        width = max(len(t) for t in terms)
+        return [sum((t[i] for t in terms if i < len(t)), Fraction(0)) for i in range(width)]
+
+    def times_x(p):
+        return [Fraction(0)] + p
+
+    def scale(c, p):
+        return [c * v for v in p]
+
+    out.append({"hermite": [0, 2], "legendre": [0, 1], "laguerre": [1, -1]}[basis])
+    for n in range(1, top):
+        p, q = out[n], out[n - 1]
+        if basis == "hermite":  # H_{n+1} = 2x H_n - 2n H_{n-1}
+            nxt = add(scale(2, times_x(p)), scale(-2 * n, q))
+        elif basis == "legendre":  # (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}
+            nxt = scale(Fraction(1, n + 1), add(scale(2 * n + 1, times_x(p)), scale(-n, q)))
+        else:  # (n+1) L_{n+1} = (2n+1-x) L_n - n L_{n-1}
+            nxt = add(scale(2 * n + 1, p), scale(-1, times_x(p)), scale(-n, q))
+            nxt = scale(Fraction(1, n + 1), nxt)
+        out.append(nxt)
+    return out[: top + 1]
+
+
+def _reference_missing(basis: str, top: int, exclude, check: int) -> tuple[int, ...]:
+    members = [m for n, m in enumerate(_reference_members(basis, top)) if n not in exclude]
+    rows = []
+    for k, a in enumerate(members):
+        for b in members[k:]:  # real members: the (b, a) product is the same row
+            row = [Fraction(0)] * (check + 1)
+            for i, u in enumerate(a):
+                for j, v in enumerate(b):
+                    if i + j <= check:
+                        row[i + j] += u * v
+            rows.append(row)
+    covered = _pivot_columns(rows, check + 1)
+    return tuple(d for d in range(check + 1) if d not in covered)
+
+
+@pytest.mark.parametrize("basis", sorted(BASIS_INFO))
+def test_ladder_matches_exact_reference_on_a_sweep(basis):
+    for top in range(0, 13, 3):
+        for exclude in ((), (0,), (top // 2,)):
+            if top == 0 and exclude:
+                continue
+            fam = orthonormal_family(basis, top, exclude=exclude)
+            for check in (0, top, 2 * top + 3):
+                cert = product_span_certificate(fam, check)
+                expected = _reference_missing(basis, top, exclude, check)
+                assert cert.missing_degrees == expected, (top, exclude, check)
+                assert cert.certified == (not cert.missing_degrees)
