@@ -141,10 +141,6 @@ class ChoiMatrix:
     def tp_defect(self) -> float:
         return opnorm(choi_dual_apply(self, np.eye(self.out_dim)) - np.eye(self.in_dim))
 
-    def min_eigenvalue(self) -> float:
-        h = (self.matrix + self.matrix.conj().T) / 2.0
-        return float(np.linalg.eigvalsh(h)[0])
-
 
 def choi_from_kraus(ch: KrausChannel) -> ChoiMatrix:
     n = ch.out_dim * ch.in_dim

@@ -89,6 +89,10 @@ class InvalidTolerance(PovmError, ValueError):
     eigenvalue cut leaves a dilation smaller than the space it dilates."""
 
 
+class InvalidRatio(PovmError, ValueError):
+    """Raised for a geometric tail ratio that is not a number in (0, 1)."""
+
+
 class SchemaError(PovmError):
     """Malformed JSON input; ``path`` is a JSON-pointer-style location."""
 

@@ -21,8 +21,6 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "EigenResult",
-    "opnorm",
-    "hermitize",
     "herm_eig",
     "is_psd",
     "project_psd",

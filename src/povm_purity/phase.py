@@ -12,11 +12,10 @@ things live here:
   hold, and no tolerance enters;
 
 * :func:`phase_truncation_demo`, which truncates a target family at Fourier
-  order M, compares outcome integrals over a dyadic interval family, and
-  packages the truncation's Gram vectors v_n^s = vtilde_n^{s-M}
-  (s = 0..2M).  The integrals are exact (closed-form Toeplitz moments); the
-  grid is only validated and reported.  The truncated construction is
-  generally *not* unital — the defect is reported, not hidden.
+  order M and compares outcome integrals over a dyadic interval family.  The
+  integrals are exact (closed-form Toeplitz moments); the grid is only
+  validated and reported.  The truncated construction is generally *not*
+  unital — the defect is reported, not hidden.
 """
 
 from __future__ import annotations
@@ -26,13 +25,12 @@ from itertools import product
 
 import numpy as np
 
-from .errors import EmptyFamily, GridTooCoarse, IndexOutOfRange
+from .errors import EmptyFamily, GridTooCoarse, IndexOutOfRange, InvalidRatio
 from .linalg import opnorm
-from .polycert import ProductRows, PurityCertificate, span_certificate
+from .polycert import MAX_STACK_MB, ProductRows, PurityCertificate, span_certificate
 
 __all__ = [
     "FourierFamily",
-    "GramVectors",
     "PhaseDemoReport",
     "fourier_family",
     "single_mode_family",
@@ -45,9 +43,6 @@ __all__ = [
 # Dyadic interval family [2 pi j / 2^k, 2 pi (j+1) / 2^k), k = 0..MAX_LEVEL.
 MAX_LEVEL = 6
 MIN_GRID = 1 << 10
-# The demo holds several complex stacks of one matrix per dyadic interval,
-# members by members and frequencies by frequencies; one stack may take this much.
-MAX_STACK_MB = 256
 
 
 @dataclass(frozen=True)
@@ -55,10 +50,6 @@ class FourierFamily:
     """Finitely supported Fourier coefficient maps, one dict {s: coeff} per member."""
 
     members: tuple[dict[int, complex], ...]
-
-    @property
-    def truncation_order(self) -> int:
-        return max((abs(s) for m in self.members for s in m), default=0)
 
 
 def fourier_family(members) -> FourierFamily:
@@ -87,7 +78,7 @@ def geometric_tail_family(n_members: int, ratio: float = 0.5, support: int = 32)
     if n_members < 1:
         raise EmptyFamily("need at least one member")
     if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
+        raise InvalidRatio(f"ratio must lie in (0, 1), got {ratio}")
     if support < 0:
         raise IndexOutOfRange(f"support must be >= 0, got {support}")
     members = []
@@ -135,21 +126,6 @@ def fourier_span_certificate(fam: FourierFamily, check_order: int) -> PurityCert
 
 
 @dataclass(frozen=True, eq=False)
-class GramVectors:
-    """Vectors v_n^s in an auxiliary space, indexed by member n and frequency slot s.
-
-    ``vectors[n, s, :]`` holds v_n^s.  A unital construction contracts to the
-    identity, sum_s <v_n^s|v_m^s> = delta_nm; a truncation may fall short.
-    """
-
-    vectors: np.ndarray
-
-    def gram(self) -> np.ndarray:
-        """Matrix of sum_s <v_n^s|v_m^s>."""
-        return np.einsum("nsa,msa->nm", self.vectors.conj(), self.vectors)
-
-
-@dataclass(frozen=True, eq=False)
 class PhaseDemoReport:
     """Truncation diagnostics for a phase-like family.
 
@@ -157,16 +133,18 @@ class PhaseDemoReport:
     dyadic partition (2^MAX_LEVEL intervals, each an n x n matrix); its sum is
     the full-circle Gram.  ``sup_error`` is the largest deviation, over the
     whole dyadic interval family and all member pairs, between target and
-    truncated outcome integrals.  ``unital_defect`` is ||full-circle Gram - 1||.
-    No field but ``grid`` itself depends on ``grid``.
+    truncated outcome integrals.  ``unital_defect`` is ||full-circle Gram - 1||,
+    and ``gram_consistency_defect`` is ||coefficient Gram - full-circle Gram||,
+    the coefficient Gram being sum_s conj(v_n^s) v_m^s over the kept
+    coefficients (Parseval).  No field but ``grid`` itself depends on ``grid``.
     """
 
     order: int
     grid: int
     truncated_gram: np.ndarray
-    gram_vectors: GramVectors
     sup_error: float
     unital_defect: float
+    gram_consistency_defect: float
 
     @property
     def full_circle_gram(self) -> np.ndarray:
@@ -229,15 +207,12 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
     grams_trunc = v_trunc.conj().T @ toeplitz @ v_trunc
     sup_error = float(np.max(np.abs(grams_target - grams_trunc)))
     stack = grams_trunc[-(1 << MAX_LEVEL) :]
-    unital_defect = opnorm(stack.sum(axis=0) - np.eye(n))
-
-    vectors = np.zeros((n, 2 * order + 1, 1), dtype=np.complex128)
-    vectors[:, slots[kept] + order, 0] = v_target[kept].T
+    full = stack.sum(axis=0)
     return PhaseDemoReport(
         order=order,
         grid=grid,
         truncated_gram=stack,
-        gram_vectors=GramVectors(vectors=vectors),
         sup_error=sup_error,
-        unital_defect=unital_defect,
+        unital_defect=opnorm(full - np.eye(n)),
+        gram_consistency_defect=opnorm(np.einsum("sn,sm->nm", v_trunc.conj(), v_trunc) - full),
     )

@@ -19,7 +19,9 @@ floats is read exactly as the doubles it holds.  The product rows are
 eliminated modulo the prime PRIME; full rank there proves full rank over Q,
 so a ``certified`` verdict is a proof.  Only when some slot gets no pivot
 modulo PRIME does a fraction-free pass over the integers name the missing
-slots exactly.  No tolerance enters.
+slots exactly; it eliminates the slots-by-slots Gram A^T A of the exact rows
+A rather than A itself, since over Q a prefix of columns of A^T A has the
+rank of the same prefix of A.  No tolerance enters.
 
 The flagship family, ``orthonormal_family("hermite", m, exclude=(k,))``:
 orthonormal Hermite polynomials with one index k dropped, modelling a
@@ -43,7 +45,6 @@ from .errors import EmptyFamily, IndexOutOfRange
 __all__ = [
     "PolyFamily",
     "PurityCertificate",
-    "BASIS_INFO",
     "orthonormal_family",
     "product_span_certificate",
 ]
@@ -56,6 +57,10 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 PRIME = 2**31 - 19
 # 2 is a non-residue because PRIME = 5 (mod 8), so 2^((PRIME-1)/4) squares to -1.
 _SQRT_M1 = pow(2, (PRIME - 1) // 4, PRIME)
+
+# Largest block one stack of intermediate rows may take: the modular row block
+# here, the dyadic interval stacks of ``phase``.
+MAX_STACK_MB = 256
 
 # basis name -> (weight, interval) for reporting
 BASIS_INFO = {
@@ -243,7 +248,18 @@ class ProductRows:
         return np.where(hit, where, support.size)
 
     def modular(self, meet: np.ndarray) -> np.ndarray:
-        """Rows over the slots of ``meet``, reduced modulo PRIME (int64)."""
+        """Rows over the slots of ``meet``, reduced modulo PRIME (int64).
+
+        The (members, members, slots) block is refused with
+        ``IndexOutOfRange`` before allocation when it would pass MAX_STACK_MB.
+        """
+        n, slots = len(self._re), meet.shape[1]
+        block_mb = n * n * slots * 8 / 2**20
+        if block_mb > MAX_STACK_MB:
+            raise IndexOutOfRange(
+                f"{n} members over {slots} slots need a ({n}, {n}, {slots}) int64 row block "
+                f"of {block_mb:.0f} MB, over the {MAX_STACK_MB} MB limit"
+            )
         left = _residues(self._re, -self._im).astype(float)
         right = _residues(self._re[:, :-1], self._im[:, :-1])
         # right residues in ``count`` limbs of ``bits`` bits: a sum of support-many
@@ -323,7 +339,9 @@ def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
     reported in ascending order.  Slots no product reaches are zero columns:
     missing, and without effect on the rest.  The other slots are decided
     modulo PRIME, where full rank proves full rank over Q; on a deficit the
-    exact rows decide them all.
+    Gram A^T A of the exact rows A decides them all: A^T A x = 0 exactly when
+    A x = 0 over Q, so each prefix of its columns has the rank of that prefix
+    of A, and realified complex rows are rows over Q as well.
     """
     slots = list(slots)
     meet = rows.meet(slots)
@@ -331,7 +349,8 @@ def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
     live, meet = [s for s, r in zip(slots, reached) if r], meet[:, reached]
     covered = _pivot_columns(rows.modular(meet), PRIME)
     if not all(covered):
-        covered = _pivot_columns(rows.exact(meet))[:: 1 if rows.real else 2]
+        exact = rows.exact(meet)
+        covered = _pivot_columns(exact.T @ exact)[:: 1 if rows.real else 2]
     hit = {s for s, c in zip(live, covered) if c}
     missing = tuple(sorted(s for s in slots if s not in hit))
     return PurityCertificate(

@@ -27,8 +27,6 @@ from .linalg import DEFAULT_TOL, Tolerance, is_psd, opnorm
 from .wire import matrix_from_pairs, matrix_to_pairs
 
 __all__ = [
-    "NORMALIZATION_EPS",
-    "PVM_EPS",
     "Povm",
     "validate",
     "is_pvm",

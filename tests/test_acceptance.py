@@ -25,7 +25,7 @@ from povm_purity.dilation import build_dilation, dilation_is_unitary, reconstruc
 from povm_purity.extremality import convex_split, purity_verdict
 from povm_purity.fixtures import fixture
 from povm_purity.linalg import opnorm
-from povm_purity.phase import fourier_family, phase_truncation_demo, single_mode_family
+from povm_purity.phase import fourier_family, phase_truncation_demo, single_mode_family, truncate_family
 from povm_purity.polycert import orthonormal_family, product_span_certificate
 from povm_purity.povm import is_pvm, mix, validate
 from povm_purity.rand import random_channel, random_povm, random_pvm, random_unitary
@@ -334,7 +334,8 @@ def test_09_polynomial_certificates():
 def test_10_phase_truncation_diagnostics():
     problems = []
     grid = 1 << 12
-    exact = phase_truncation_demo(single_mode_family(3), 4, grid)
+    single = single_mode_family(3)
+    exact = phase_truncation_demo(single, 4, grid)
     if exact.sup_error > 1e-10:
         problems.append(f"single-mode sup error {exact.sup_error:.1e}")
     if exact.unital_defect > 1e-10:
@@ -353,9 +354,14 @@ def test_10_phase_truncation_diagnostics():
             f"truncation error did not shrink: M=8 gives {high.sup_error:.1e}, "
             f"M=4 gives {low.sup_error:.1e}"
         )
-    for rep, name in ((exact, "single-mode"), (low, "tails M=4"), (high, "tails M=8")):
-        defect = opnorm(rep.full_circle_gram - rep.gram_vectors.gram())
-        if defect > 1e-8:
+    cases = ((exact, single, "single-mode"), (low, tails, "tails M=4"), (high, tails, "tails M=8"))
+    for rep, fam, name in cases:
+        kept = truncate_family(fam, rep.order).members
+        parseval = np.array(
+            [[sum(np.conj(v) * b.get(s, 0.0) for s, v in a.items()) for b in kept] for a in kept]
+        )
+        defect = opnorm(rep.full_circle_gram - parseval)
+        if max(defect, rep.gram_consistency_defect) > 1e-8:
             problems.append(f"{name}: interval sum disagrees with coefficient Gram by {defect:.1e}")
     _verdict(
         10,

@@ -133,7 +133,7 @@ def test_choi_roundtrip(rng):
         din, dout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         ch = random_channel(rng, din, dout)
         choi = choi_from_kraus(ch)
-        assert choi.min_eigenvalue() >= -1e-10
+        assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-10
         assert choi.tp_defect() <= 1e-10
         for _ in range(10):
             b = hermitize(
@@ -150,7 +150,7 @@ def test_feasible_identity_pair():
     assert res.feasible
     assert res.residual <= 1e-7
     assert res.choi is not None
-    assert res.choi.min_eigenvalue() >= -1e-7
+    assert np.linalg.eigvalsh(res.choi.matrix)[0] >= -1e-7
 
 
 def test_feasible_computational_to_smeared():

@@ -306,6 +306,30 @@ def test_phase_demo_member_bound_is_a_typed_error(capsys):
     assert doc["error"]["kind"] == "EmptyFamily"
 
 
+def test_phase_demo_order_past_the_support_costs_nothing(capsys):
+    # every member lives on |s| <= 32, so any order from 32 up gives one report
+    code, doc = run(capsys, "phase-demo", "--M", "100000000", "--members", "4")
+    assert code == 0
+    _, at_support = run(capsys, "phase-demo", "--M", "32", "--members", "4")
+    assert doc["report"].pop("order") == 100000000
+    assert at_support["report"].pop("order") == 32
+    assert doc == at_support
+
+
+def test_phase_demo_nan_ratio_is_a_typed_error(capsys):
+    code, doc = run(capsys, "phase-demo", "--M", "4", "--ratio", "nan")
+    assert code == 1
+    assert doc["error"]["kind"] == "InvalidRatio"
+
+
+def test_polycheck_row_block_bound_is_a_typed_error(capsys):
+    # 401 members over 401 slots: a (401, 401, 401) int64 block of about 490 MB
+    code, doc = run(capsys, "polycheck", "--basis", "legendre", "--max", "400")
+    assert code == 1
+    assert doc["error"]["kind"] == "IndexOutOfRange"
+    assert "401 members over 401 slots" in doc["error"]["detail"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, kind", [
     (["phase-demo", "--M", "2", "--members", "3", "--support", "0", "--ratio", "1e-200"], "EmptyFamily"),

@@ -7,14 +7,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from povm_purity.errors import EmptyFamily, GridTooCoarse, IndexOutOfRange
+from povm_purity.errors import EmptyFamily, GridTooCoarse, IndexOutOfRange, InvalidRatio
 from povm_purity.linalg import opnorm
 from povm_purity.phase import (
     MAX_LEVEL,
     MAX_STACK_MB,
     MIN_GRID,
     FourierFamily,
-    GramVectors,
     _dyadic_toeplitz,
     fourier_family,
     fourier_span_certificate,
@@ -32,7 +31,6 @@ from povm_purity.phase import (
 def test_fourier_family_cleanup():
     fam = fourier_family([{1: 1.0, 2: 0.0, -3: 2j}])
     assert fam.members == ({1: (1 + 0j), -3: 2j},)
-    assert fam.truncation_order == 3
     with pytest.raises(EmptyFamily):
         fourier_family([])
 
@@ -57,8 +55,10 @@ def test_geometric_tail_family():
     sharp = geometric_tail_family(2, ratio=1e-9, support=16)
     for n, m in enumerate(sharp.members, start=1):
         assert abs(m[n] - 1.0) <= 1e-12
-    with pytest.raises(ValueError, match="ratio"):
-        geometric_tail_family(2, ratio=1.5)
+    assert issubclass(InvalidRatio, ValueError)
+    for bad in (1.5, 0.0, float("nan")):
+        with pytest.raises(InvalidRatio, match="ratio"):
+            geometric_tail_family(2, ratio=bad)
     with pytest.raises(EmptyFamily):
         geometric_tail_family(0)
     with pytest.raises(IndexOutOfRange):
@@ -74,7 +74,6 @@ def test_truncate_family():
     assert cut.members == ({0: (1 + 0j), 3: (0.5 + 0j)},)
     emptied = truncate_family(single_mode_family(1, start=4), 2)
     assert emptied.members == ({},)
-    assert emptied.truncation_order == 0
     with pytest.raises(IndexOutOfRange):
         truncate_family(fam, -1)
 
@@ -127,6 +126,12 @@ def test_mixed_supports_cover_their_differences():
     assert cert.missing_degrees == (-2, 2)
 
 
+def test_geometric_family_misses_only_its_top_frequency():
+    # a genuine deficit: the exact pass runs on the slot Gram of the rows
+    cert = fourier_span_certificate(geometric_tail_family(16), 16)
+    assert cert.missing_degrees == (16,)
+
+
 def test_certificate_errors():
     with pytest.raises(IndexOutOfRange):
         fourier_span_certificate(single_mode_family(2), -1)
@@ -165,10 +170,7 @@ def test_single_mode_truncation_is_exact():
     assert report.sup_error <= 1e-10
     assert report.unital_defect <= 1e-10
     assert report.truncated_gram.shape == (1 << MAX_LEVEL, 3, 3)
-    assert report.gram_vectors.vectors.shape == (3, 9, 1)
-    # member n sits at frequency n+1, stored at slot (n+1) + order
-    for n in range(3):
-        assert report.gram_vectors.vectors[n, (n + 1) + 4, 0] == 1.0 + 0j
+    assert report.gram_consistency_defect <= 1e-10
     assert_allclose(report.full_circle_gram, np.eye(3), atol=1e-10)
 
 
@@ -202,16 +204,10 @@ def test_full_circle_gram_matches_coefficient_gram():
         for j, b in enumerate(truncated.members):
             parseval[i, j] = sum(np.conj(v) * b.get(s, 0.0) for s, v in a.items())
     assert opnorm(report.full_circle_gram - parseval) <= 1e-8
-    assert opnorm(report.gram_vectors.gram() - parseval) <= 1e-12
-
-
-def test_demo_gram_vector_layout():
-    fam = fourier_family([{-2: 0.5, 1: 0.25}])
-    report = phase_truncation_demo(fam, 2, MIN_GRID)
-    v = report.gram_vectors
-    assert v.vectors.shape == (1, 5, 1)
-    assert v.vectors[0, 0, 0] == 0.5 + 0j  # s = -2 at slot 0
-    assert v.vectors[0, 3, 0] == 0.25 + 0j  # s = +1 at slot 3
+    assert report.gram_consistency_defect <= 1e-8
+    assert report.gram_consistency_defect == pytest.approx(
+        opnorm(parseval - report.full_circle_gram), abs=1e-12
+    )
 
 
 def test_all_zero_members_give_zero_grams():
@@ -220,15 +216,14 @@ def test_all_zero_members_give_zero_grams():
     assert report.unital_defect == 1.0
     assert report.truncated_gram.shape == (1 << MAX_LEVEL, 1, 1)
     assert not report.truncated_gram.any()
-    assert report.gram_vectors.vectors.shape == (1, 5, 1)
-    assert not report.gram_vectors.vectors.any()
+    assert report.gram_consistency_defect == 0.0
 
     report = phase_truncation_demo(fourier_family([{3: 0}, {1: 1.0}]), 2, MIN_GRID)
     assert report.sup_error == 0.0
     assert report.unital_defect == 1.0
     assert report.truncated_gram.shape == (1 << MAX_LEVEL, 2, 2)
     assert_allclose(report.full_circle_gram, np.diag([0.0, 1.0]), atol=1e-15)
-    assert report.gram_vectors.vectors[1, 3, 0] == 1.0 + 0j  # s = +1 at slot 3
+    assert report.gram_consistency_defect <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +264,6 @@ def test_grid_changes_no_number():
         if field.name == "grid":
             continue
         a, b = getattr(coarse, field.name), getattr(fine, field.name)
-        if isinstance(a, GramVectors):
-            a, b = a.vectors, b.vectors
         assert np.array_equal(a, b), field.name
 
 
@@ -319,4 +312,6 @@ def test_full_circle_gram_is_parseval(members, order):
         dtype=np.complex128,
     )
     assert np.max(np.abs(report.full_circle_gram - parseval)) <= 1e-12
+    defect = opnorm(parseval - report.full_circle_gram)
+    assert report.gram_consistency_defect == pytest.approx(defect, abs=1e-12)
     assert phase_truncation_demo(fam, order, 1 << 14).unital_defect == report.unital_defect
