@@ -180,12 +180,7 @@ class FeasibilityResult:
     residual_history: tuple[float, ...]
 
 
-def connection_feasible(
-    p: Povm,
-    pprime: Povm,
-    max_iter: int = 10000,
-    tol: Tolerance = DEFAULT_TOL,
-) -> FeasibilityResult:
+def connection_feasible(p: Povm, pprime: Povm, max_iter: int = 10000) -> FeasibilityResult:
     """Search for a Choi matrix whose dual maps each E_i to E'_i.
 
     Dykstra alternating projections between the PSD cone and the affine set
@@ -234,7 +229,8 @@ def connection_feasible(
     gap = gap_of(x)
     iterations = 0
     for it in range(1, max_iter + 1):
-        y = project_psd(x + pcorr, tol)
+        # exactly Hermitian: every iterate is symmetrized, and so are sums of them
+        y = project_psd(x + pcorr)
         pcorr = x + pcorr - y
         x = proj_affine(y)
         gap = gap_of(x)

@@ -7,11 +7,12 @@ within budget, inconclusive certificate) and 1 on any tool error.  Error
 reports look like {"error": {"kind": ..., "detail": ...}}; when the report
 cannot be written to ``--out``, an ``OSError`` error report goes to stdout.
 
-Reports embed the tool version, the tolerances used and a sha256 digest of
-each input, and identical invocations produce byte-identical output (floats
-are printed with 17 significant digits; nothing time- or path-dependent goes
-in).  POVM_PURITY_SEED seeds the randomized helpers of the test suite; the
-subcommands themselves are deterministic and ignore it.
+Reports embed the tool version, the tolerances used (on the commands that
+take them) and a sha256 digest of each input, and identical invocations
+produce byte-identical output (floats are printed with 17 significant digits;
+nothing time- or path-dependent goes in).  POVM_PURITY_SEED seeds the
+randomized helpers of the test suite; the subcommands themselves are
+deterministic and ignore it.
 """
 
 from __future__ import annotations
@@ -50,17 +51,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(abs_eps=args.tol_abs, rank_rel=args.tol_rank)
-
-
 def _load_povm(arg: str, tol: Tolerance) -> tuple[Povm, dict]:
     path = Path(arg)
     if path.is_file():
         data = path.read_bytes()
         try:
             obj = json.loads(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise SchemaError("", f"invalid JSON in {arg}: {exc}") from None
         return povm_from_dict(obj, tol), {"path": arg, "sha256": sha256_hex(data)}
     name = path.name[: -len(".json")] if path.name.endswith(".json") else path.name
@@ -72,14 +69,11 @@ def _load_povm(arg: str, tol: Tolerance) -> tuple[Povm, dict]:
     raise SchemaError("", f"no such file or fixture: {arg}")
 
 
-def _envelope(command: str, tol: Tolerance, inputs: list[dict], report: dict) -> dict:
-    return {
-        "tool": {"name": TOOL_NAME, "version": __version__},
-        "command": command,
-        "tolerances": {"abs_eps": tol.abs_eps, "rank_rel": tol.rank_rel},
-        "inputs": inputs,
-        "report": report,
-    }
+def _envelope(command: str, tol: Tolerance | None, inputs: list[dict], report: dict) -> dict:
+    env = {"tool": {"name": TOOL_NAME, "version": __version__}, "command": command}
+    if tol is not None:
+        env["tolerances"] = {"abs_eps": tol.abs_eps, "rank_rel": tol.rank_rel}
+    return {**env, "inputs": inputs, "report": report}
 
 
 def _witness_json(witness) -> list | None:
@@ -172,7 +166,7 @@ def _cmd_preprocess(args, tol):
 def _cmd_feasible(args, tol):
     p, src_p = _load_povm(args.source, tol)
     q, src_q = _load_povm(args.target, tol)
-    res = connection_feasible(p, q, max_iter=args.max_iter, tol=tol)
+    res = connection_feasible(p, q, max_iter=args.max_iter)
     report = {
         "feasible": res.feasible,
         "residual": res.residual,
@@ -185,7 +179,7 @@ def _cmd_feasible(args, tol):
     return code, _envelope("feasible", tol, [src_p, src_q], report)
 
 
-def _cmd_polycheck(args, tol):
+def _cmd_polycheck(args):
     exclude = () if args.exclude is None else (args.exclude,)
     fam = orthonormal_family(args.basis, args.max, exclude=exclude)
     degree = args.degree if args.degree is not None else args.max
@@ -203,10 +197,10 @@ def _cmd_polycheck(args, tol):
         "certified_to_degree": cert.certified_to_degree,
         "missing_degrees": list(cert.missing_degrees),
     }
-    return (EXIT_OK if cert.certified else EXIT_NEGATIVE), _envelope("polycheck", tol, [], report)
+    return (EXIT_OK if cert.certified else EXIT_NEGATIVE), _envelope("polycheck", None, [], report)
 
 
-def _cmd_phase_demo(args, tol):
+def _cmd_phase_demo(args):
     if args.target == "geometric":
         fam = geometric_tail_family(args.members, ratio=args.ratio, support=args.support)
     else:
@@ -223,10 +217,10 @@ def _cmd_phase_demo(args, tol):
         "gram_consistency_defect": demo.gram_consistency_defect,
         "full_circle_gram": matrix_to_pairs(gram),
     }
-    return EXIT_OK, _envelope("phase-demo", tol, [], report)
+    return EXIT_OK, _envelope("phase-demo", None, [], report)
 
 
-def _cmd_fixtures(args, tol):
+def _cmd_fixtures(args):
     if args.write is not None:
         outdir = Path(args.write)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -235,12 +229,12 @@ def _cmd_fixtures(args, tol):
             path = outdir / f"{name}.json"
             path.write_text(dumps_report(povm_to_dict(fixture(name))) + "\n")
             written.append(str(path))
-        return EXIT_OK, _envelope("fixtures", tol, [], {"written": written})
+        return EXIT_OK, _envelope("fixtures", None, [], {"written": written})
     if args.name is not None:
         if args.name not in FIXTURE_NAMES:
             raise SchemaError("", f"unknown fixture {args.name!r}; one of {list(FIXTURE_NAMES)}")
         return EXIT_OK, povm_to_dict(fixture(args.name))
-    return EXIT_OK, _envelope("fixtures", tol, [], {"fixtures": list(FIXTURE_NAMES)})
+    return EXIT_OK, _envelope("fixtures", None, [], {"fixtures": list(FIXTURE_NAMES)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,37 +246,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-abs", type=float, default=1e-10, metavar="EPS",
-                        help="absolute tolerance for symmetry/positivity checks (default 1e-10)")
-    common.add_argument("--tol-rank", type=float, default=1e-8, metavar="REL",
-                        help="relative singular-value cutoff for numeric rank (default 1e-8)")
     common.add_argument("--out", metavar="PATH", help="write the JSON report here instead of stdout")
+    tolerant = argparse.ArgumentParser(add_help=False, parents=[common])
+    tolerant.add_argument("--tol-abs", type=float, default=1e-10, metavar="EPS",
+                          help="absolute tolerance for symmetry/positivity checks (default 1e-10)")
+    tolerant.add_argument("--tol-rank", type=float, default=1e-8, metavar="REL",
+                          help="relative singular-value cutoff for numeric rank (default 1e-8)")
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sp = sub.add_parser("validate", parents=[common], help="check a POVM file (or fixture name)")
+    sp = sub.add_parser("validate", parents=[tolerant], help="check a POVM file (or fixture name)")
     sp.add_argument("povm")
     sp.set_defaults(handler=_cmd_validate)
 
-    sp = sub.add_parser("purity", parents=[common], help="extremality verdict with witness")
+    sp = sub.add_parser("purity", parents=[tolerant], help="extremality verdict with witness")
     sp.add_argument("povm")
     sp.set_defaults(handler=_cmd_purity)
 
-    sp = sub.add_parser("split", parents=[common], help="convex split of an impure POVM")
+    sp = sub.add_parser("split", parents=[tolerant], help="convex split of an impure POVM")
     sp.add_argument("povm")
     sp.set_defaults(handler=_cmd_split)
 
-    sp = sub.add_parser("dilate", parents=[common], help="minimal projective dilation")
+    sp = sub.add_parser("dilate", parents=[tolerant], help="minimal projective dilation")
     sp.add_argument("povm")
     sp.set_defaults(handler=_cmd_dilate)
 
-    sp = sub.add_parser("preprocess-from-pvm", parents=[common],
+    sp = sub.add_parser("preprocess-from-pvm", parents=[tolerant],
                         help="measure-and-prepare channel from a PVM to a dominated POVM")
     sp.add_argument("pvm")
     sp.add_argument("povm")
     sp.set_defaults(handler=_cmd_preprocess)
 
-    sp = sub.add_parser("feasible", parents=[common],
+    sp = sub.add_parser("feasible", parents=[tolerant],
                         help="search for a connecting channel (Choi/Dykstra; one-sided)")
     sp.add_argument("source")
     sp.add_argument("target")
@@ -335,8 +330,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = _tolerance(args)
-        code, report = args.handler(args, tol)
+        if "tol_abs" in args:
+            code, report = args.handler(args, Tolerance(abs_eps=args.tol_abs, rank_rel=args.tol_rank))
+        else:
+            code, report = args.handler(args)
     except PovmError as exc:
         code, report = EXIT_ERROR, _error(exc.kind, exc)
     except ValueError as exc:

@@ -25,7 +25,6 @@ from .povm import Povm
 __all__ = [
     "NaimarkDilation",
     "build_dilation",
-    "reconstruct",
     "dilation_is_unitary",
 ]
 
@@ -97,19 +96,6 @@ def build_dilation(p: Povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
             f"dilation of total dimension {start} below the dimension {p.dim}"
         )
     return NaimarkDilation(dim=p.dim, total_dim=start, isometry=np.vstack(blocks), block_index=index)
-
-
-def reconstruct(dilation: NaimarkDilation, labels) -> np.ndarray:
-    """Compress the coordinate projection of an outcome set back to C^dim.
-
-    Returns J* chi_X J = sum over the named blocks of A_i* A_i.  Unknown
-    labels raise; the empty set gives the zero matrix.
-    """
-    out = np.zeros((dilation.dim, dilation.dim), dtype=np.complex128)
-    for lab in labels:
-        a = dilation.block(lab)
-        out += a.conj().T @ a
-    return out
 
 
 def dilation_is_unitary(dilation: NaimarkDilation) -> bool:

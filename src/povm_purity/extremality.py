@@ -108,10 +108,11 @@ def build_perturbation_map(p: Povm, tol: Tolerance = DEFAULT_TOL) -> Perturbatio
     d = p.dim
     labels = tuple(lab for lab, (lo, hi) in dil.block_index.items() if hi > lo)
     blocks = tuple(dil.block(lab) for lab in labels)
-    cols = [
-        np.einsum("rp,sq->pqrs", a.conj(), a).reshape(d * d, a.shape[0] ** 2) for a in blocks
-    ]
-    matrix = np.hstack(cols) if cols else np.zeros((d * d, 0), dtype=np.complex128)
+    # filled in place: block columns joined by hstack would hold the map twice
+    widths = np.cumsum([0] + [a.shape[0] ** 2 for a in blocks])
+    matrix = np.empty((d * d, widths[-1]), dtype=np.complex128)
+    for a, lo, hi in zip(blocks, widths[:-1], widths[1:]):
+        matrix[:, lo:hi] = np.einsum("rp,sq->pqrs", a.conj(), a).reshape(d * d, hi - lo)
     return PerturbationMap(dim=d, labels=labels, blocks=blocks, matrix=matrix)
 
 

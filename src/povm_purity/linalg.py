@@ -4,9 +4,9 @@ Everything is plain double-precision numpy at desk scale (dimensions up to a
 few dozen).  The two knobs that matter live in :class:`Tolerance`: an absolute
 epsilon for symmetry/positivity checks and a relative threshold for numeric
 rank.  Eigendecompositions come back in a *fixed* convention — eigenvalues
-descending, each eigenvector's first significant component made real and
-positive, ties ordered lexicographically — so that downstream factorizations
-are reproducible run to run.
+descending (a stable sort, so equal eigenvalues keep the solver's order), each
+eigenvector's first significant component made real and positive — so that
+downstream factorizations are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -83,12 +83,6 @@ def _is_hermitian(a: np.ndarray, tol: Tolerance) -> bool:
     return bool(np.linalg.norm(d) <= tol.abs_eps or opnorm(d) <= tol.abs_eps)
 
 
-def hermitize(m) -> np.ndarray:
-    """(M + M*)/2 — used to scrub numerical drift before eigensolves."""
-    a = _as_square(m)
-    return (a + a.conj().T) / 2.0
-
-
 @dataclass(frozen=True, eq=False)
 class EigenResult:
     """Spectral decomposition with eigenvalues descending.
@@ -112,10 +106,6 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(anchor) / np.abs(anchor))
 
 
-def _lex_key(col: np.ndarray) -> tuple:
-    return tuple((round(float(z.real), 12), round(float(z.imag), 12)) for z in col)
-
-
 def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
     """Eigendecomposition of a Hermitian matrix in the package convention.
 
@@ -134,20 +124,8 @@ def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
     if not _is_hermitian(a, tol):
         raise NonHermitian("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    w = w[::-1].copy()
-    v = _fix_column_phases(v[:, ::-1])
-    # Deterministic order inside (near-)degenerate eigenvalue groups.
-    tie_eps = 1e-12 * max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    order = list(range(w.size))
-    i = 0
-    while i < w.size:
-        j = i + 1
-        while j < w.size and abs(w[j] - w[i]) <= tie_eps:
-            j += 1
-        if j - i > 1:
-            order[i:j] = sorted(order[i:j], key=lambda k: _lex_key(v[:, k]), reverse=True)
-        i = j
-    return EigenResult(eigenvalues=w[order], eigenvectors=v[:, order])
+    order = np.argsort(-w, kind="stable")
+    return EigenResult(eigenvalues=w[order], eigenvectors=_fix_column_phases(v[:, order]))
 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:

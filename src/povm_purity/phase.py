@@ -20,6 +20,7 @@ things live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -35,7 +36,6 @@ __all__ = [
     "fourier_family",
     "single_mode_family",
     "geometric_tail_family",
-    "truncate_family",
     "fourier_span_certificate",
     "phase_truncation_demo",
 ]
@@ -43,6 +43,9 @@ __all__ = [
 # Dyadic interval family [2 pi j / 2^k, 2 pi (j+1) / 2^k), k = 0..MAX_LEVEL.
 MAX_LEVEL = 6
 MIN_GRID = 1 << 10
+# Past this many members even the (n, n) int64 block of a span certificate
+# passes MAX_STACK_MB, so a family builder refuses before building anything.
+MAX_MEMBERS = math.isqrt(MAX_STACK_MB * 2**20 // 8)
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,19 @@ def fourier_family(members) -> FourierFamily:
     return FourierFamily(members=tuple(cleaned))
 
 
-def single_mode_family(n_members: int, start: int = 1) -> FourierFamily:
-    """psi_n = e^{-in theta} for n = start..start+n_members-1."""
+def _check_size(n_members: int) -> None:
     if n_members < 1:
         raise EmptyFamily("need at least one member")
+    if n_members > MAX_MEMBERS:
+        raise IndexOutOfRange(
+            f"{n_members} members need an ({n_members}, {n_members}) int64 block, over the "
+            f"{MAX_STACK_MB} MB limit (at most {MAX_MEMBERS} members)"
+        )
+
+
+def single_mode_family(n_members: int, start: int = 1) -> FourierFamily:
+    """psi_n = e^{-in theta} for n = start..start+n_members-1."""
+    _check_size(n_members)
     return fourier_family([{start + n: 1.0} for n in range(n_members)])
 
 
@@ -74,16 +86,21 @@ def geometric_tail_family(n_members: int, ratio: float = 0.5, support: int = 32)
 
     Member n carries coefficients ratio^|s - n| for |s| <= support,
     normalized in L2; ratio -> 0 recovers :func:`single_mode_family`.
+    Coefficients that underflow to 0 are never built, so a huge support costs
+    no more than the underflow distance unless the ratio is close to 1.
     """
-    if n_members < 1:
-        raise EmptyFamily("need at least one member")
+    _check_size(n_members)
     if not 0.0 < ratio < 1.0:
         raise InvalidRatio(f"ratio must lie in (0, 1), got {ratio}")
     if support < 0:
         raise IndexOutOfRange(f"support must be >= 0, got {support}")
+    # ratio^k stays 0.0 from its first underflow on; fourier_family drops zeros
+    far = support + n_members + 1
+    reach = next((k for k in range(far) if ratio**k == 0.0), far)
     members = []
     for n in range(1, n_members + 1):
-        coeffs = {s: ratio ** abs(s - n) for s in range(-support, support + 1)}
+        span = range(max(-support, n - reach + 1), min(support, n + reach - 1) + 1)
+        coeffs = {s: ratio ** abs(s - n) for s in span}
         norm = np.sqrt(sum(abs(v) ** 2 for v in coeffs.values()))
         if norm == 0.0:
             raise EmptyFamily(
@@ -91,15 +108,6 @@ def geometric_tail_family(n_members: int, ratio: float = 0.5, support: int = 32)
             )
         members.append({s: v / norm for s, v in coeffs.items()})
     return fourier_family(members)
-
-
-def truncate_family(fam: FourierFamily, order: int) -> FourierFamily:
-    """Drop every coefficient with |s| > order (members may become empty)."""
-    if order < 0:
-        raise IndexOutOfRange(f"truncation order must be >= 0, got {order}")
-    return FourierFamily(
-        members=tuple({s: v for s, v in m.items() if abs(s) <= order} for m in fam.members)
-    )
 
 
 def fourier_span_certificate(fam: FourierFamily, check_order: int) -> PurityCertificate:

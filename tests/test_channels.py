@@ -19,9 +19,9 @@ from povm_purity.errors import (
     NotTracePreserving,
 )
 from povm_purity.fixtures import fixture
-from povm_purity.linalg import hermitize, is_psd, opnorm
+from povm_purity.linalg import is_psd, opnorm
 from povm_purity.povm import validate
-from povm_purity.rand import random_channel, random_povm, random_pvm
+from povm_purity.rand import random_channel, random_hermitian, random_povm, random_pvm
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 
@@ -39,7 +39,7 @@ def test_kraus_channel_validation():
 
 def test_apply_dual_identity_channel(rng):
     ch = kraus_channel(3, 3, [np.eye(3)])
-    b = hermitize(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    b = random_hermitian(rng, 3)
     assert_allclose(apply_dual(ch, b), b, atol=0)
     with pytest.raises(DimensionMismatch):
         apply_dual(ch, np.eye(2))
@@ -136,9 +136,7 @@ def test_choi_roundtrip(rng):
         assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-10
         assert choi.tp_defect() <= 1e-10
         for _ in range(10):
-            b = hermitize(
-                rng.standard_normal((dout, dout)) + 1j * rng.standard_normal((dout, dout))
-            )
+            b = random_hermitian(rng, dout)
             assert opnorm(choi_dual_apply(choi, b) - apply_dual(ch, b)) <= 1e-9
     with pytest.raises(DimensionMismatch):
         choi_dual_apply(choi_from_kraus(kraus_channel(2, 2, [np.eye(2)])), np.eye(3))

@@ -285,13 +285,30 @@ def test_polycheck_hermite_28_is_certified(capsys):
     assert doc["report"]["missing_degrees"] == []
 
 
-def test_polycheck_ignores_the_rank_tolerance(capsys):
-    base = main(["polycheck", "--max", "20", "--exclude", "3"])
-    plain = json.loads(capsys.readouterr().out)
-    code = main(["polycheck", "--max", "20", "--exclude", "3", "--tol-rank", "0.5"])
-    loose = json.loads(capsys.readouterr().out)
-    assert (base, code) == (0, 0)
-    assert loose["report"] == plain["report"]
+# commands that read no tolerance: their envelopes echo none, and the flags are usage errors
+UNTOLERANT = [
+    ("polycheck", "--max", "5"),
+    ("phase-demo", "--M", "2"),
+    ("fixtures",),
+]
+
+
+@pytest.mark.parametrize("argv", UNTOLERANT)
+def test_untolerant_envelopes_have_no_tolerances(capsys, argv):
+    code, doc = run(capsys, *argv)
+    assert code == 0
+    assert list(doc) == ["tool", "command", "inputs", "report"]
+
+
+@pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rank"])
+@pytest.mark.parametrize("argv", UNTOLERANT)
+def test_untolerant_commands_reject_tolerance_flags(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "1e-6"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_phase_demo_member_bound_is_a_typed_error(capsys):
@@ -304,6 +321,16 @@ def test_phase_demo_member_bound_is_a_typed_error(capsys):
     code, doc = run(capsys, "phase-demo", "--M", "4", "--members", "1100", "--support", "0")
     assert code == 1
     assert doc["error"]["kind"] == "EmptyFamily"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--target", "single-mode", "--members", "3000000"),
+    ("--support", "1000000"),
+])
+def test_phase_demo_refuses_huge_families_before_building_them(capsys, argv):
+    code, doc = run(capsys, "phase-demo", "--M", "4", *argv)
+    assert code == 1
+    assert doc["error"]["kind"] == "IndexOutOfRange"
 
 
 def test_phase_demo_order_past_the_support_costs_nothing(capsys):
@@ -418,6 +445,18 @@ def test_invalid_json_file(capsys, tmp_path):
     assert "invalid JSON" in doc["error"]["detail"]
 
 
+def test_deeply_nested_json_is_a_schema_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    code = main(["validate", str(deep)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "SchemaError"
+    assert error["detail"].startswith(": invalid JSON")
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_nonfinite_entries_are_schema_errors(capsys, tmp_path, bad):
     code, doc = run(capsys, "fixtures", "coin")
@@ -488,6 +527,7 @@ def test_tolerance_overrides_reach_envelope(capsys):
     code, doc = run(capsys, "validate", "trine", "--tol-abs", "1e-6", "--tol-rank", "1e-5")
     assert code == 0
     assert doc["tolerances"] == {"abs_eps": 1e-6, "rank_rel": 1e-5}
+    assert list(doc) == ["tool", "command", "tolerances", "inputs", "report"]
 
 
 @pytest.mark.parametrize(

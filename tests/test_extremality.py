@@ -15,9 +15,9 @@ from povm_purity.extremality import (
     purity_verdict,
 )
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
-from povm_purity.linalg import hermitize, opnorm
+from povm_purity.linalg import opnorm
 from povm_purity.povm import mix, validate
-from povm_purity.rand import random_povm, random_pvm, random_unitary
+from povm_purity.rand import random_hermitian, random_povm, random_pvm, random_unitary
 
 SIGMA_Z = np.diag([1.0, -1.0])
 
@@ -31,10 +31,7 @@ def _vec_effect_singular_values(p):
 def _random_blocks(rng, pmap):
     return BlockHermitian(
         labels=pmap.labels,
-        blocks=tuple(
-            hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            for n in pmap.block_dims
-        ),
+        blocks=tuple(random_hermitian(rng, n) for n in pmap.block_dims),
     )
 
 
@@ -259,11 +256,8 @@ def test_pure_map_bounded_below(rng):
         assert v.pure
         pmap = build_perturbation_map(p)
         for _ in range(100):
-            blocks = []
-            for n in pmap.block_dims:
-                g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                blocks.append(hermitize(g))
-            d = BlockHermitian(labels=pmap.labels, blocks=tuple(blocks))
+            blocks = tuple(random_hermitian(rng, n) for n in pmap.block_dims)
+            d = BlockHermitian(labels=pmap.labels, blocks=blocks)
             sup = d.sup_norm()
             if sup == 0.0:
                 continue

@@ -9,12 +9,11 @@ from povm_purity.linalg import (
     DEFAULT_TOL,
     Tolerance,
     herm_eig,
-    hermitize,
     is_psd,
     opnorm,
     project_psd,
 )
-from povm_purity.rand import random_povm, random_pvm
+from povm_purity.rand import random_hermitian, random_povm, random_pvm
 
 
 def test_tolerance_defaults():
@@ -66,8 +65,7 @@ def test_herm_eig_rejects_nonsquare_and_nonhermitian():
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 16])
 def test_herm_eig_reconstructs(rng, dim):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = hermitize(g)
+    m = random_hermitian(rng, dim)
     res = herm_eig(m)
     recon = (res.eigenvectors * res.eigenvalues) @ res.eigenvectors.conj().T
     assert opnorm(m - recon) <= 1e-10 * (1.0 + opnorm(m))
@@ -78,8 +76,7 @@ def test_herm_eig_reconstructs(rng, dim):
 
 
 def test_herm_eig_phase_convention_is_deterministic(rng):
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = hermitize(g)
+    m = random_hermitian(rng, 4)
     a = herm_eig(m)
     b = herm_eig(m * np.complex128(1.0))
     assert_allclose(a.eigenvectors, b.eigenvectors, atol=0)
@@ -88,6 +85,18 @@ def test_herm_eig_phase_convention_is_deterministic(rng):
         col = a.eigenvectors[:, k]
         anchor = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
         assert anchor.real > 0 and abs(anchor.imag) < 1e-12
+
+
+def test_herm_eig_keeps_the_solver_order_inside_a_tie():
+    m = np.diag([2.0, 1.0, 2.0, 1.0, 0.0])
+    w, v = np.linalg.eigh(m)
+    order = np.argsort(-w, kind="stable")
+    res = herm_eig(m)
+    assert res.eigenvalues.tolist() == [2.0, 2.0, 1.0, 1.0, 0.0]
+    assert_allclose(res.eigenvalues, w[order], atol=0)
+    # the same columns, up to the phase convention
+    overlaps = np.abs(np.sum(res.eigenvectors.conj() * v[:, order], axis=0))
+    assert_allclose(overlaps, np.ones(5), atol=1e-14)
 
 
 def test_is_psd():
@@ -106,7 +115,7 @@ def test_project_psd_fixed_point_and_idempotent(rng):
     g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     psd = g @ g.conj().T
     assert opnorm(project_psd(psd) - psd) <= 1e-12 * (1 + opnorm(psd))
-    m = hermitize(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    m = random_hermitian(rng, 5)
     once = project_psd(m)
     assert opnorm(project_psd(once) - once) <= 1e-12
     assert is_psd(once)
@@ -169,10 +178,7 @@ def test_herm_coords_roundtrip(rng, dim):
     pmap = build_perturbation_map(p)
     real = _real_map(pmap)
     for _ in range(10):
-        blocks = tuple(
-            hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            for n in pmap.block_dims
-        )
+        blocks = tuple(random_hermitian(rng, n) for n in pmap.block_dims)
         coords = np.concatenate([_herm_to_coords(b) for b in blocks])
         image = pmap.apply(BlockHermitian(labels=pmap.labels, blocks=blocks))
         assert_allclose(_coords_to_herm(real @ coords, dim), image, atol=1e-12)

@@ -11,6 +11,7 @@ from povm_purity.errors import EmptyFamily, GridTooCoarse, IndexOutOfRange, Inva
 from povm_purity.linalg import opnorm
 from povm_purity.phase import (
     MAX_LEVEL,
+    MAX_MEMBERS,
     MAX_STACK_MB,
     MIN_GRID,
     FourierFamily,
@@ -20,8 +21,12 @@ from povm_purity.phase import (
     geometric_tail_family,
     phase_truncation_demo,
     single_mode_family,
-    truncate_family,
 )
+
+
+def _kept(fam, order):
+    """The members' coefficients with |s| <= order (members may become empty)."""
+    return [{s: v for s, v in m.items() if abs(s) <= order} for m in fam.members]
 
 # ---------------------------------------------------------------------------
 # families
@@ -68,14 +73,25 @@ def test_geometric_tail_family():
     assert geometric_tail_family(1, support=0).members == ({0: (1 + 0j)},)
 
 
-def test_truncate_family():
-    fam = fourier_family([{0: 1.0, 3: 0.5, -5: 0.25}])
-    cut = truncate_family(fam, 3)
-    assert cut.members == ({0: (1 + 0j), 3: (0.5 + 0j)},)
-    emptied = truncate_family(single_mode_family(1, start=4), 2)
-    assert emptied.members == ({},)
-    with pytest.raises(IndexOutOfRange):
-        truncate_family(fam, -1)
+def test_geometric_members_stop_where_the_tail_underflows():
+    # 0.5^1075 is 0.0: past that distance from the peak nothing is built
+    near = geometric_tail_family(4, support=1100)
+    assert geometric_tail_family(4, support=10**6).members == near.members
+    for n, m in enumerate(near.members, start=1):
+        full = {s: 0.5 ** abs(s - n) for s in range(-1100, 1101)}
+        norm = np.sqrt(sum(abs(v) ** 2 for v in full.values()))
+        assert m == {s: complex(v / norm) for s, v in full.items() if v != 0}
+
+
+def test_family_size_is_bounded_before_building():
+    # an (n, n) int64 block passes MAX_STACK_MB from MAX_MEMBERS + 1 members on
+    assert MAX_MEMBERS**2 * 8 <= MAX_STACK_MB * 2**20 < (MAX_MEMBERS + 1) ** 2 * 8
+    assert len(single_mode_family(MAX_MEMBERS).members) == MAX_MEMBERS
+    for build in (single_mode_family, geometric_tail_family):
+        with pytest.raises(IndexOutOfRange, match=f"{MAX_MEMBERS + 1} members"):
+            build(MAX_MEMBERS + 1)
+        with pytest.raises(IndexOutOfRange, match="3000000 members"):
+            build(3_000_000)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +213,11 @@ def test_full_circle_gram_matches_coefficient_gram():
     """Summed interval integrals must reproduce the Parseval Gram."""
     fam = geometric_tail_family(3, ratio=0.6, support=24)
     report = phase_truncation_demo(fam, 8, 1 << 12)
-    truncated = truncate_family(fam, 8)
-    n = len(truncated.members)
+    truncated = _kept(fam, 8)
+    n = len(truncated)
     parseval = np.zeros((n, n), dtype=np.complex128)
-    for i, a in enumerate(truncated.members):
-        for j, b in enumerate(truncated.members):
+    for i, a in enumerate(truncated):
+        for j, b in enumerate(truncated):
             parseval[i, j] = sum(np.conj(v) * b.get(s, 0.0) for s, v in a.items())
     assert opnorm(report.full_circle_gram - parseval) <= 1e-8
     assert report.gram_consistency_defect <= 1e-8
@@ -276,7 +292,7 @@ def test_truncated_gram_matches_trapezoid():
     fam = geometric_tail_family(3, ratio=0.6, support=24)
     order, grid = 6, 1 << 14
     report = phase_truncation_demo(fam, order, grid)
-    members = truncate_family(fam, order).members
+    members = _kept(fam, order)
     theta = np.arange(grid + 1) * (2.0 * np.pi / grid)
     values = np.array(
         [sum(v * np.exp(-1j * s * theta) for s, v in m.items()) for m in members]
@@ -306,7 +322,7 @@ _coefficients = st.dictionaries(
 def test_full_circle_gram_is_parseval(members, order):
     fam = fourier_family(members)
     report = phase_truncation_demo(fam, order, MIN_GRID)
-    truncated = truncate_family(fam, order).members
+    truncated = _kept(fam, order)
     parseval = np.array(
         [[sum(np.conj(v) * b.get(s, 0.0) for s, v in a.items()) for b in truncated] for a in truncated],
         dtype=np.complex128,
