@@ -31,7 +31,7 @@ from .errors import PovmError, SchemaError
 from .extremality import convex_split, purity_verdict
 from .fixtures import FIXTURE_NAMES, fixture
 from .linalg import Tolerance, opnorm
-from .phase import geometric_tail_family, phase_truncation_demo, single_mode_family
+from .phase import _check_demo, _frequency_count, geometric_tail_family, phase_truncation_demo, single_mode_family
 from .polycert import BASIS_INFO, orthonormal_family, product_span_certificate
 from .povm import Povm, is_pvm, povm_from_dict, povm_to_dict
 from .wire import dumps_report, matrix_to_pairs, sha256_hex
@@ -201,7 +201,13 @@ def _cmd_polycheck(args):
 
 
 def _cmd_phase_demo(args):
-    if args.target == "geometric":
+    geometric = args.target == "geometric"
+    # where the arguments fix the family's size, an oversized demo is refused
+    # before the family is built, with the error the demo itself would raise
+    n_frequencies = _frequency_count(args.members, args.ratio if geometric else None, args.support)
+    if n_frequencies is not None:
+        _check_demo(args.members, n_frequencies, args.M, args.grid)
+    if geometric:
         fam = geometric_tail_family(args.members, ratio=args.ratio, support=args.support)
     else:
         fam = single_mode_family(args.members)

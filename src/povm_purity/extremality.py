@@ -13,9 +13,13 @@ from the rows of the A_i are linearly independent over C (D'Ariano, Lo Presti,
 Perinotti, J. Phys. A 38, 5979 (2005)).  The map is assembled as a complex
 d^2 x sum_i n_i^2 matrix on vectorized blocks and its kernel read off its
 singular values; the Hermitian part of a kernel direction is a witness from
-which an explicit convex split E_i -> A_i*(1 +/- D_i)A_i is produced.  The
-dilation is built once per verdict: an impure verdict carries its blocks A_i
-next to the witness, and the split reads them from there.
+which an explicit convex split E_i -> A_i*(1 +/- D_i)A_i is produced.  A map
+with sum_i n_i^2 > d^2 is impure whatever its rank, and its kernel dimension
+is decided by a verified Cholesky proof that it is onto, run on its d^2 x d^2
+Gram matrix sum_i F_i (x) conj(F_i), F_i = A_i* A_i; only a map the proof
+cannot settle pays for the singular values.  The dilation is built once per
+verdict: an impure verdict carries its blocks A_i next to the witness, and the
+split reads them from there.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .dilation import build_dilation
 from .errors import IsPure, LabelMismatch
-from .linalg import DEFAULT_TOL, Tolerance, opnorm
+from .linalg import DEFAULT_TOL, SUBNORMAL_MIN, UNIT_ROUNDOFF, Tolerance, certify_min_eigenvalue, gamma, opnorm
 from .povm import Povm, validate
 
 __all__ = [
@@ -91,6 +95,17 @@ class PerturbationMap:
     @property
     def codomain_dim(self) -> int:
         return self.dim * self.dim
+
+    def gram(self) -> np.ndarray:
+        """matrix @ matrix*, as sum_i F_i (x) conj(F_i) with F_i = A_i* A_i.
+
+        Entry ((p, q), (p', q')) is sum_i F_i[p, p'] conj(F_i[q, q']), in the
+        map's row-major (p, q) order: d^2 x d^2 whatever the domain is.
+        """
+        d, k = self.dim, len(self.blocks)
+        f = np.stack([a.conj().T @ a for a in self.blocks]).reshape(k, d * d)
+        g = (f.T @ f.conj()).reshape(d, d, d, d)
+        return g.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
     def apply(self, d: BlockHermitian) -> np.ndarray:
         """Evaluate sum_i A_i* D_i A_i directly from the dilation blocks."""
@@ -162,32 +177,77 @@ def _witness(pmap: PerturbationMap, x: np.ndarray) -> BlockHermitian:
     return BlockHermitian(labels=pmap.labels, blocks=tuple(b / scale + 0.0 for b in blocks))
 
 
+def _onto_with_margin(pmap: PerturbationMap, rank_rel: float) -> bool:
+    """True only if the exact map of the stored blocks is onto, with every
+    singular value above MARGINAL_FACTOR * rank_rel * s_max.
+
+    For G = m m* (exact) that is lambda_min(G) > tau = (MARGINAL_FACTOR
+    rank_rel)^2 tr G, as tr G = sum_i ||A_i||_F^4 >= s_max^2.  The Gram matrix
+    is formed by two complex inner products, F_i = A_i* A_i over n_i <= n rows
+    and G over the k blocks.  A length-l one is off by at most gamma_{3l+2}
+    times the same sum over moduli (Higham, 2nd ed., Sec. 3.5-3.6, any order,
+    complex products or real FMA chains per component), plus 3l 2^-1074 for
+    underflow.  Entrywise, then, |fl(G) - G| <= gamma_{6n+3k+6} sum_i P_i (x)
+    P_i + k (7 n p + 4) 2^-1074, with P_i = |A_i|^T |A_i| and p = max_i
+    ||A_i||_F^2 >= every entry of P_i; the bound is symmetric, so it also holds
+    for the Hermitian matrix read from the lower triangle of fl(G).  As
+    ||sum_i P_i (x) P_i||_2 <= sum_i ||A_i||_F^4 = tr G, ||fl(G) - G||_2 is
+    at most form = gamma_{6n+3k+6} tr G + d^2 k (7 n p + 4) 2^-1074.
+    :func:`certify_min_eigenvalue` proves lambda_min(fl(G)) above tau plus
+    twice that (rounded up, for the rounding of its own evaluation), and
+    Weyl's inequality gives lambda_min(G) > tau.
+    """
+    blocks, d = pmap.blocks, pmap.dim
+    frob = np.array([np.vdot(a, a).real for a in blocks])
+    trace = float(np.sum(frob**2))
+    n, k = max(pmap.block_dims), len(blocks)
+    form = gamma(6 * n + 3 * k + 6) * trace + d * d * k * (7 * n * float(frob.max()) + 4) * SUBNORMAL_MIN
+    tau = (MARGINAL_FACTOR * rank_rel) ** 2 * trace
+    return certify_min_eigenvalue(pmap.gram(), (tau + 2.0 * form) * (1.0 + 2.0 * UNIT_ROUNDOFF))
+
+
+def _rank(s: np.ndarray, rank_rel: float) -> int:
+    smax = float(s[0]) if s.size else 0.0
+    return int(np.count_nonzero(s > rank_rel * smax)) if smax > 0.0 else 0
+
+
 def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
     """Decide purity of a validated POVM via the perturbation-map kernel."""
     pmap = build_perturbation_map(p, tol)
     m = pmap.matrix
     dom, cod = pmap.domain_dim, pmap.codomain_dim
     if dom > cod:
-        # More columns than rows: impure whatever the rank, and only the
-        # singular values are needed, which the square triangular factor of
-        # the transpose shares with m (a view, where m* would be a copy the
-        # size of m).  Any cod + 1 columns are dependent, so the leading ones
-        # carry a kernel vector: the last column of the complete unitary
-        # factor of their adjoint is orthogonal to every row of m.
-        s = np.linalg.svd(np.linalg.qr(m.T, mode="r"), compute_uv=False)
+        # More columns than rows: impure whatever the rank, and the smallest
+        # singular value over the whole domain is an exact zero.  Any cod + 1
+        # columns are dependent, so the leading ones carry a kernel vector:
+        # the last column of the complete unitary factor of their adjoint is
+        # orthogonal to every row of m.
         q, _ = np.linalg.qr(m[:, : cod + 1].conj().T, mode="complete")
         x = np.zeros(dom, dtype=np.complex128)
         x[: cod + 1] = q[:, -1]
-    else:
-        _, s, vh = np.linalg.svd(m, full_matrices=False)
-        x = vh[-1].conj() if dom else None
+        # The kernel dimension is dom - rank.  A verified Cholesky proof that
+        # m is onto with every singular value MARGINAL_FACTOR above the rank
+        # threshold settles rank = cod from the d^2 x d^2 Gram matrix.  Only a
+        # map the proof cannot settle pays for the singular values, which the
+        # square triangular factor of the transpose shares with m (a view,
+        # where m* would be a copy the size of m).
+        if _onto_with_margin(pmap, tol.rank_rel):
+            rank = cod
+        else:
+            rank = _rank(np.linalg.svd(np.linalg.qr(m.T, mode="r"), compute_uv=False), tol.rank_rel)
+        return PurityVerdict(
+            pure=False,
+            kernel_dim=dom - rank,
+            smallest_singular_value=0.0,
+            marginal=False,
+            witness=_witness(pmap, x),
+            factors=pmap.blocks,
+        )
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
     smax = float(s[0]) if s.size else 0.0
     thr = tol.rank_rel * smax
-    rank = int(np.count_nonzero(s > thr)) if smax > 0.0 else 0
-    kernel_dim = dom - rank
-    # The SVD returns min(dom, cod) values; past the codomain dimension the
-    # smallest singular value over the whole domain is an exact zero.
-    smallest = float(s[dom - 1]) if 0 < dom <= cod else 0.0
+    kernel_dim = dom - _rank(s, tol.rank_rel)
+    smallest = float(s[dom - 1]) if dom else 0.0
     pure = kernel_dim == 0
     marginal = bool(smax > 0.0 and thr / MARGINAL_FACTOR <= smallest <= thr * MARGINAL_FACTOR)
     return PurityVerdict(
@@ -195,7 +255,7 @@ def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
         kernel_dim=kernel_dim,
         smallest_singular_value=smallest,
         marginal=marginal,
-        witness=None if pure else _witness(pmap, x),
+        witness=None if pure else _witness(pmap, vh[-1].conj()),
         factors=() if pure else pmap.blocks,
     )
 

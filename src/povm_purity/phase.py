@@ -178,6 +178,43 @@ def _dyadic_toeplitz(slots: np.ndarray) -> np.ndarray:
     return moments[:, where.reshape(gaps.shape)]
 
 
+def _frequency_count(n_members: int, ratio: float | None = None, support: int = 0) -> int | None:
+    """How many frequencies :func:`single_mode_family` (``ratio`` None) or
+    :func:`geometric_tail_family` would give, read from the arguments alone.
+
+    None when building the family would raise, or when a coefficient is small
+    enough that only building tells whether it survives normalization.  While
+    ratio^(support + n_members) >= 2^-500, every coefficient of every member
+    is at least that, so no member stops early and each covers |s| <= support.
+    """
+    if not 1 <= n_members <= MAX_MEMBERS:
+        return None
+    if ratio is None:
+        return n_members
+    if not (0.0 < ratio < 1.0 and support >= 0) or ratio ** (support + n_members) < 2.0**-500:
+        return None
+    return 2 * support + 1
+
+
+def _check_demo(n_members: int, n_frequencies: int, order: int, grid: int) -> None:
+    """Refuse a demo before anything is allocated: a negative order, a grid
+    off the dyadic lattice, or stacks of interval matrices (members by members,
+    or frequencies by frequencies) past MAX_STACK_MB each."""
+    if order < 0:
+        raise IndexOutOfRange(f"truncation order must be >= 0, got {order}")
+    if grid < MIN_GRID or grid % (1 << MAX_LEVEL) != 0:
+        raise GridTooCoarse(
+            f"grid must be a multiple of {1 << MAX_LEVEL} and at least {MIN_GRID}, got {grid}"
+        )
+    intervals, side = (2 << MAX_LEVEL) - 1, max(n_members, n_frequencies)
+    stack_mb = intervals * side * side * 16 / 2**20
+    if stack_mb > MAX_STACK_MB:
+        raise IndexOutOfRange(
+            f"{n_members} members over {n_frequencies} frequencies need a ({intervals}, {side}, {side}) "
+            f"complex stack of {stack_mb:.0f} MB, over the {MAX_STACK_MB} MB limit"
+        )
+
+
 def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> PhaseDemoReport:
     """Compare a target family against its order-``order`` Fourier truncation.
 
@@ -190,22 +227,10 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
     frequencies) would pass MAX_STACK_MB each is refused with
     ``IndexOutOfRange`` before anything is allocated.
     """
-    if order < 0:
-        raise IndexOutOfRange(f"truncation order must be >= 0, got {order}")
-    if grid < MIN_GRID or grid % (1 << MAX_LEVEL) != 0:
-        raise GridTooCoarse(
-            f"grid must be a multiple of {1 << MAX_LEVEL} and at least {MIN_GRID}, got {grid}"
-        )
     n = len(target.members)
     # a family whose members are all empty still needs one (zero) row
     slots = np.array(sorted({s for m in target.members for s in m}) or [0])
-    intervals, side = (2 << MAX_LEVEL) - 1, max(n, slots.size)
-    stack_mb = intervals * side * side * 16 / 2**20
-    if stack_mb > MAX_STACK_MB:
-        raise IndexOutOfRange(
-            f"{n} members over {slots.size} frequencies need a ({intervals}, {side}, {side}) "
-            f"complex stack of {stack_mb:.0f} MB, over the {MAX_STACK_MB} MB limit"
-        )
+    _check_demo(n, slots.size, order, grid)
     v_target = np.array([[m.get(s, 0.0) for m in target.members] for s in slots.tolist()], dtype=np.complex128)
     kept = np.abs(slots) <= order
     v_trunc = np.where(kept[:, None], v_target, 0.0)

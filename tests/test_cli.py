@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povm_purity import __version__, dilation
+from povm_purity import __version__, cli, dilation
 from povm_purity.cli import main
 from povm_purity.extremality import purity_verdict
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
@@ -331,6 +332,41 @@ def test_phase_demo_refuses_huge_families_before_building_them(capsys, argv):
     code, doc = run(capsys, "phase-demo", "--M", "4", *argv)
     assert code == 1
     assert doc["error"]["kind"] == "IndexOutOfRange"
+
+
+WIDE_SUPPORT_DETAIL = (
+    "2 members over 600001 frequencies need a (127, 600001, 600001) complex stack of "
+    "697634161 MB, over the 256 MB limit"
+)
+
+
+def test_phase_demo_refuses_a_wide_support_before_building_the_family(capsys):
+    # building these two 600001-coefficient members alone took about 1.5 s
+    start = time.perf_counter()
+    code, doc = run(capsys, "phase-demo", "--M", "4", "--members", "2", "--ratio", "0.999999",
+                    "--support", "300000")
+    assert time.perf_counter() - start < 0.2
+    assert code == 1
+    assert doc == {"error": {"kind": "IndexOutOfRange", "detail": WIDE_SUPPORT_DETAIL}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--members", "2", "--ratio", "0.999", "--support", "1000"),
+    ("--members", "2", "--ratio", "0.999", "--support", "1000", "--M", "-1"),
+    ("--members", "2", "--ratio", "0.999", "--support", "1000", "--grid", "8"),
+    ("--target", "single-mode", "--members", "400"),
+    ("--target", "single-mode", "--members", "400", "--grid", "100"),
+    ("--members", "1100", "--support", "0"),
+    ("--members", "3", "--ratio", "0.5", "--support", "1000000"),
+])
+def test_phase_demo_early_refusal_has_the_demos_bytes(capsys, monkeypatch, argv):
+    """The refusal before building prints what the demo prints on the built family."""
+    argv = ["phase-demo", "--M", "4", *argv]
+    code = main(argv)
+    early = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_frequency_count", lambda *args: None)
+    assert main(argv) == code == 1
+    assert capsys.readouterr().out == early
 
 
 def test_phase_demo_order_past_the_support_costs_nothing(capsys):

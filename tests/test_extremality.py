@@ -10,14 +10,15 @@ from povm_purity.errors import IsPure, LabelMismatch
 from povm_purity.extremality import (
     BlockHermitian,
     PurityVerdict,
+    _onto_with_margin,
     build_perturbation_map,
     convex_split,
     purity_verdict,
 )
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
-from povm_purity.linalg import opnorm
+from povm_purity.linalg import DEFAULT_TOL, opnorm
 from povm_purity.povm import mix, validate
-from povm_purity.rand import random_hermitian, random_povm, random_pvm, random_unitary
+from povm_purity.rand import random_hermitian, random_povm, random_psd, random_pvm, random_unitary
 
 SIGMA_Z = np.diag([1.0, -1.0])
 
@@ -288,6 +289,123 @@ def test_dimension_bound_on_pure_fixtures():
             assert pmap.domain_dim <= p.dim**2
 
 
+def test_gram_is_the_map_times_its_adjoint(rng):
+    """sum_i F_i (x) conj(F_i), F_i = A_i* A_i, is m m* on fixtures and random POVMs."""
+    pool = [fixture(name) for name in FIXTURE_NAMES]
+    pool += [random_povm(rng, d, k) for d, k in ((1, 2), (2, 5), (3, 3), (5, 2), (8, 4))]
+    pool += [random_pvm(rng, 6, 3), mix(random_pvm(rng, 4, 2), random_pvm(rng, 4, 2), 0.5)]
+    for p in pool:
+        pmap = build_perturbation_map(p)
+        m = pmap.matrix
+        assert np.max(np.abs(pmap.gram() - m @ m.conj().T)) <= 1e-12
+
+
+def _normalized(dim, lumps):
+    """The POVM S^(-1/2) G_i S^(-1/2), S = sum_i G_i, of PSD lumps G_i."""
+    w, v = np.linalg.eigh(sum(lumps))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    return validate(dim, [(f"o{i}", inv_sqrt @ g @ inv_sqrt) for i, g in enumerate(lumps)])
+
+
+def _rank_one(dim, vectors):
+    return _normalized(dim, [np.outer(v, v.conj()) for v in vectors])
+
+
+def _wide_case(kind, rng, dim):
+    """A POVM whose map has more columns than rows, and whether the map is
+    rank deficient by construction (random mixed ranks may be deficient too:
+    two effects summing to I commute)."""
+    if kind == "mixed-ranks":
+        lumps = []
+        while sum(np.linalg.matrix_rank(g) ** 2 for g in lumps) <= dim * dim:
+            lumps.append(random_psd(rng, dim, int(rng.integers(1, dim + 1))))
+        return _normalized(dim, lumps), False
+    if kind == "rank-one":
+        k = dim * dim + int(rng.integers(1, 4))
+        return _rank_one(dim, rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))), False
+    if kind == "classical":
+        # k > d^2 rank-one diagonal effects: the image is the diagonal matrices
+        k = dim * dim + int(rng.integers(1, 4))
+        w = rng.uniform(0.1, 1.0, k)
+        w[:dim] += 1.0  # every basis vector is covered
+        slots = np.concatenate([np.arange(dim), rng.integers(0, dim, k - dim)])
+        total = np.bincount(slots, weights=w, minlength=dim)
+        effects = [np.diag(np.eye(dim)[s] * wi / total[s]).astype(complex) for s, wi in zip(slots, w)]
+        return validate(dim, [(f"o{i}", e) for i, e in enumerate(effects)]), True
+    # "direct-sum": random full-rank POVMs on C^d1 and C^d2, each outcome on one
+    # summand, so the off-diagonal blocks lie outside the image
+    d1 = int(rng.integers(1, dim))
+    d2 = dim - d1
+    k1, k2 = (max(2, -(-dim * dim // (n * n))) for n in (d1, d2))
+    a, b = random_povm(rng, d1, k1), random_povm(rng, d2, k2)
+    effects = [np.pad(e, ((0, d2), (0, d2))) for e in a.effects]
+    effects += [np.pad(e, ((d1, 0), (d1, 0))) for e in b.effects]
+    return validate(dim, [(f"o{i}", e) for i, e in enumerate(effects)]), True
+
+
+def _near_threshold(rng, dim, target):
+    """Rank-one POVM from k > d^2 real vectors with small phases phi * theta.
+
+    Real vectors span only the real symmetric matrices; the phases reach the
+    rest at a scale linear in phi, tuned so that s_min / s_max ~ target.
+    """
+    k = dim * dim + 2
+    real = rng.standard_normal((k, dim))
+    theta = rng.standard_normal((k, dim))
+
+    def ratio(p):
+        s = np.linalg.svd(build_perturbation_map(p).matrix, compute_uv=False)
+        return s[-1] / s[0]
+
+    probe = _rank_one(dim, real * np.exp(1e-6j * theta))
+    phi = 1e-6 * target / ratio(probe)
+    p = _rank_one(dim, real * np.exp(1j * phi * theta))
+    assert 0.5 * target < ratio(p) < 2.0 * target
+    return p
+
+
+def _independent_kernel_dim(pmap):
+    s = np.linalg.svd(pmap.matrix, compute_uv=False)
+    return pmap.domain_dim - int(np.count_nonzero(s > DEFAULT_TOL.rank_rel * s[0]))
+
+
+@seed(SEED)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    draw=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["mixed-ranks", "rank-one", "classical", "direct-sum", "near-threshold"]),
+    dim=st.integers(2, 5),
+    exponent=st.floats(-9.0, -7.0),
+)
+def test_wide_map_kernel_dimension_matches_the_singular_values(draw, kind, dim, exponent):
+    """Every wide map is impure; the Cholesky proof settles only the maps that
+    are onto with margin, and the kernel dimension is the independent count
+    of singular values above the rank threshold either way."""
+    rng = np.random.default_rng(draw)
+    if kind == "near-threshold":
+        assume(abs(exponent + 8.0) > 0.05)  # keep clear of the rank threshold itself
+        p, deficient = _near_threshold(rng, dim, 10.0**exponent), False
+    else:
+        p, deficient = _wide_case(kind, rng, dim)
+    pmap = build_perturbation_map(p)
+    assert pmap.domain_dim > pmap.codomain_dim
+    v = purity_verdict(p)
+    assert not v.pure and not v.marginal and v.smallest_singular_value == 0.0
+    kernel_dim = _independent_kernel_dim(pmap)
+    assert v.kernel_dim == kernel_dim
+    excess = pmap.domain_dim - pmap.codomain_dim
+    proven = _onto_with_margin(pmap, DEFAULT_TOL.rank_rel)
+    if deficient:
+        assert kernel_dim > excess
+    if deficient or kind == "near-threshold":
+        assert not proven
+    if kind == "rank-one":  # generic, so onto with room to spare
+        assert proven
+    if proven:
+        assert kernel_dim == excess
+    assert opnorm(pmap.apply(v.witness)) <= 1e-10
+
+
 def _invariance_pool(rng):
     pool = [fixture(name) for name in FIXTURE_NAMES]
     pool += [random_povm(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5))) for _ in range(4)]
@@ -322,3 +440,76 @@ def test_witness_is_a_hermitian_unit_kernel_direction(rng):
             assert np.array_equal(b, b.conj().T)
         assert w.sup_norm() == pytest.approx(1.0, abs=1e-12)
         assert opnorm(build_perturbation_map(p).apply(w)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The complex perturbation map against a real Hermitian-coordinate oracle.
+#
+# Test-local orthonormal basis of the Hermitian n x n matrices under
+# <X, Y> = Re tr(X* Y): the diagonal matrix units, then for each pair k < l
+# (row-major) (E_kl + E_lk)/sqrt(2) and i(E_kl - E_lk)/sqrt(2).  A Hermitian
+# basis is also an orthonormal complex basis of all n x n matrices in which a
+# Hermiticity-preserving map has a real matrix, so the map's complex and real
+# singular values coincide.
+# ---------------------------------------------------------------------------
+
+
+def _herm_to_coords(h):
+    n = h.shape[0]
+    iu = np.triu_indices(n, k=1)
+    off = np.sqrt(2.0) * h[iu]
+    return np.concatenate([np.real(np.diag(h)), np.stack([off.real, off.imag], axis=1).ravel()])
+
+
+def _coords_to_herm(c, n):
+    h = np.zeros((n, n), dtype=np.complex128)
+    h[np.diag_indices(n)] = c[:n]
+    iu = np.triu_indices(n, k=1)
+    off = (c[n::2] + 1j * c[n + 1 :: 2]) / np.sqrt(2.0)
+    h[iu] = off
+    h[(iu[1], iu[0])] = np.conj(off)
+    return h
+
+
+def _real_map(pmap):
+    """The map over Hermitian coordinates, one column per basis element."""
+    cols = []
+    for a, n in zip(pmap.blocks, pmap.block_dims):
+        for e in np.eye(n * n):
+            cols.append(_herm_to_coords(a.conj().T @ _coords_to_herm(e, n) @ a))
+    return np.stack(cols, axis=1)
+
+
+def _assert_same_singular_values(p):
+    pmap = build_perturbation_map(p)
+    s_complex = np.linalg.svd(pmap.matrix, compute_uv=False)
+    s_real = np.linalg.svd(_real_map(pmap), compute_uv=False)
+    assert_allclose(s_complex, s_real, atol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_map_agrees_with_hermitian_coordinate_oracle(rng, dim):
+    """Real coordinates in, complex map, real coordinates out: same image."""
+    p = random_povm(rng, dim, 3)
+    pmap = build_perturbation_map(p)
+    real = _real_map(pmap)
+    for _ in range(10):
+        blocks = tuple(random_hermitian(rng, n) for n in pmap.block_dims)
+        coords = np.concatenate([_herm_to_coords(b) for b in blocks])
+        image = pmap.apply(BlockHermitian(labels=pmap.labels, blocks=blocks))
+        assert_allclose(_coords_to_herm(real @ coords, dim), image, atol=1e-12)
+        vec = np.concatenate([b.ravel() for b in blocks])
+        assert_allclose(pmap.matrix @ vec, image.ravel(), atol=1e-12)
+    _assert_same_singular_values(p)
+
+
+def test_map_singular_values_match_hermitian_coordinates(rng):
+    """Complex and real-coordinate singular values agree on every fixture and
+    on random POVMs and PVMs with d <= 4."""
+    pool = [fixture(name) for name in FIXTURE_NAMES]
+    for _ in range(6):
+        d = int(rng.integers(1, 5))
+        pool.append(random_povm(rng, d, int(rng.integers(1, 5))))
+        pool.append(random_pvm(rng, d, int(rng.integers(1, d + 1))))
+    for p in pool:
+        _assert_same_singular_values(p)

@@ -3,17 +3,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from povm_purity.errors import InvalidTolerance, NonHermitian, NonSquare
-from povm_purity.extremality import BlockHermitian, build_perturbation_map
-from povm_purity.fixtures import FIXTURE_NAMES, fixture
 from povm_purity.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    certify_min_eigenvalue,
     herm_eig,
     is_psd,
     opnorm,
     project_psd,
 )
-from povm_purity.rand import random_hermitian, random_povm, random_pvm
+from povm_purity.rand import random_hermitian, random_unitary
 
 
 def test_tolerance_defaults():
@@ -126,74 +125,56 @@ def test_project_psd_rejects_nonhermitian():
         project_psd([[0.0, 1.0], [0.0, 0.0]])
 
 
-# ---------------------------------------------------------------------------
-# The complex perturbation map against a real Hermitian-coordinate oracle.
-#
-# Test-local orthonormal basis of the Hermitian n x n matrices under
-# <X, Y> = Re tr(X* Y): the diagonal matrix units, then for each pair k < l
-# (row-major) (E_kl + E_lk)/sqrt(2) and i(E_kl - E_lk)/sqrt(2).  A Hermitian
-# basis is also an orthonormal complex basis of all n x n matrices in which a
-# Hermiticity-preserving map has a real matrix, so the map's complex and real
-# singular values coincide.
-# ---------------------------------------------------------------------------
+def _hermitian_with_spectrum(rng, w, complex_=True):
+    u = random_unitary(rng, len(w)) if complex_ else np.linalg.qr(rng.standard_normal((len(w),) * 2))[0]
+    return (u * np.asarray(w, dtype=float)) @ u.conj().T
 
 
-def _herm_to_coords(h):
-    n = h.shape[0]
-    iu = np.triu_indices(n, k=1)
-    off = np.sqrt(2.0) * h[iu]
-    return np.concatenate([np.real(np.diag(h)), np.stack([off.real, off.imag], axis=1).ravel()])
+@pytest.mark.parametrize("complex_", [True, False])
+@pytest.mark.parametrize("n", [1, 3, 16, 64])
+def test_certify_accepts_a_spectrum_well_above_its_shift(rng, n, complex_):
+    w = np.linspace(0.5, 2.0, n)
+    h = _hermitian_with_spectrum(rng, w, complex_)
+    assert certify_min_eigenvalue(h, 0.0)
+    assert certify_min_eigenvalue(h, 0.25)
+    assert not certify_min_eigenvalue(h, 1.0)
 
 
-def _coords_to_herm(c, n):
-    h = np.zeros((n, n), dtype=np.complex128)
-    h[np.diag_indices(n)] = c[:n]
-    iu = np.triu_indices(n, k=1)
-    off = (c[n::2] + 1j * c[n + 1 :: 2]) / np.sqrt(2.0)
-    h[iu] = off
-    h[(iu[1], iu[0])] = np.conj(off)
-    return h
+@pytest.mark.parametrize("rank", [0, 1, 3])
+def test_certify_refuses_an_exactly_singular_psd_gram(rng, rank):
+    """kron(f, conj f) of a rank-deficient PSD f: singular, however it rounds."""
+    v = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    f = v @ v.conj().T
+    g = np.kron(f, f.conj())
+    assert not certify_min_eigenvalue(g, 0.0)
+    # the same f made definite passes
+    g = np.kron(f + np.eye(4), (f + np.eye(4)).conj())
+    assert certify_min_eigenvalue(g, 0.5)
 
 
-def _real_map(pmap):
-    """The map over Hermitian coordinates, one column per basis element."""
-    cols = []
-    for a, n in zip(pmap.blocks, pmap.block_dims):
-        for e in np.eye(n * n):
-            cols.append(_herm_to_coords(a.conj().T @ _coords_to_herm(e, n) @ a))
-    return np.stack(cols, axis=1)
+@pytest.mark.parametrize("complex_", [True, False])
+def test_certify_refuses_a_smallest_eigenvalue_just_below_tau(rng, complex_):
+    tau = 0.1
+    for lam, proven in ((tau * (1.0 - 1e-6), False), (tau, False), (tau * (1.0 + 1e-6), True)):
+        w = np.concatenate([[lam], rng.uniform(0.5, 2.0, 24)])
+        h = _hermitian_with_spectrum(rng, w, complex_)
+        assert np.linalg.eigvalsh(h)[0] == pytest.approx(lam, abs=1e-13)
+        assert certify_min_eigenvalue(h, tau) is proven
 
 
-def _assert_same_singular_values(p):
-    pmap = build_perturbation_map(p)
-    s_complex = np.linalg.svd(pmap.matrix, compute_uv=False)
-    s_real = np.linalg.svd(_real_map(pmap), compute_uv=False)
-    assert_allclose(s_complex, s_real, atol=1e-10)
+def test_certify_reads_only_the_lower_triangle(rng):
+    h = _hermitian_with_spectrum(rng, np.linspace(1.0, 2.0, 8))
+    garbage = h + np.triu(rng.standard_normal((8, 8)) * 1e3, 1) + 1j * np.diag(rng.standard_normal(8))
+    assert certify_min_eigenvalue(garbage, 0.9)
+    assert not certify_min_eigenvalue(garbage, 1.0)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 6])
-def test_herm_coords_roundtrip(rng, dim):
-    """Real coordinates in, complex map, real coordinates out: same image."""
-    p = random_povm(rng, dim, 3)
-    pmap = build_perturbation_map(p)
-    real = _real_map(pmap)
-    for _ in range(10):
-        blocks = tuple(random_hermitian(rng, n) for n in pmap.block_dims)
-        coords = np.concatenate([_herm_to_coords(b) for b in blocks])
-        image = pmap.apply(BlockHermitian(labels=pmap.labels, blocks=blocks))
-        assert_allclose(_coords_to_herm(real @ coords, dim), image, atol=1e-12)
-        vec = np.concatenate([b.ravel() for b in blocks])
-        assert_allclose(pmap.matrix @ vec, image.ravel(), atol=1e-12)
-    _assert_same_singular_values(p)
-
-
-def test_herm_coords_linear(rng):
-    """Complex and real-coordinate singular values agree on every fixture and
-    on random POVMs and PVMs with d <= 4."""
-    pool = [fixture(name) for name in FIXTURE_NAMES]
-    for _ in range(6):
-        d = int(rng.integers(1, 5))
-        pool.append(random_povm(rng, d, int(rng.integers(1, 5))))
-        pool.append(random_pvm(rng, d, int(rng.integers(1, d + 1))))
-    for p in pool:
-        _assert_same_singular_values(p)
+def test_certify_input_checks():
+    assert not certify_min_eigenvalue(np.array([[1.0, np.nan], [np.nan, 1.0]]), 0.0)
+    assert not certify_min_eigenvalue(np.diag([np.inf, 1.0]), 0.0)
+    assert not certify_min_eigenvalue(-np.eye(3), 0.0)
+    for bad in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau"):
+            certify_min_eigenvalue(np.eye(2), bad)
+    with pytest.raises(NonSquare):
+        certify_min_eigenvalue(np.ones((2, 3)), 0.0)
