@@ -219,7 +219,7 @@ def connection_feasible(p: Povm, pprime: Povm, max_iter: int = 10000) -> Feasibi
         return (out + out.conj().T) / 2.0
 
     def gap_of(c: np.ndarray) -> float:
-        res = max(opnorm(r) for r in (_choi_duals(effects, c, d, dp) - targets))
+        res = float(opnorm(_choi_duals(effects, c, d, dp) - targets).max())
         lam = float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
         return max(res, max(0.0, -lam))
 

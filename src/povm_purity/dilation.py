@@ -55,16 +55,15 @@ class NaimarkDilation:
         return self.isometry[lo:hi]
 
 
-def _factor_rows(effect, tol: Tolerance, label: str) -> np.ndarray:
-    """Rows sqrt(lambda_k) <v_k| of the spectral factor A of E = A* A.
+def _factor_rows(w: np.ndarray, v: np.ndarray, tol: Tolerance, label: str) -> np.ndarray:
+    """Rows sqrt(lambda_k) <v_k| of the spectral factor A of E = A* A, from
+    E's eigenvalues ``w`` (descending) and eigenvectors ``v``.
 
     The row count is the numeric rank of E; eigenvalues at or below
     ``tol.abs_eps`` are treated as zero, so a vanishing effect yields an
     empty (0 x dim) factor.  The rows are orthogonal, with squared norms the
     retained eigenvalues in descending order.
     """
-    eig = herm_eig(effect, tol)
-    w = eig.eigenvalues
     d = w.shape[0]
     if w.size and float(w[-1]) < -tol.abs_eps:
         raise NotPsd(f"effect {label!r} has negative eigenvalue {float(w[-1]):.3e}")
@@ -73,18 +72,21 @@ def _factor_rows(effect, tol: Tolerance, label: str) -> np.ndarray:
         rank = 0
     else:
         rank = int(np.count_nonzero(w > tol.rank_rel * wmax))
-    rows = np.sqrt(np.clip(w[:rank], 0.0, None))[:, None] * eig.eigenvectors[:, :rank].conj().T
+    rows = np.sqrt(np.clip(w[:rank], 0.0, None))[:, None] * v[:, :rank].conj().T
     return rows.reshape(rank, d)
 
 
 def build_dilation(p: Povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
     """Stack the per-outcome factors of a validated POVM into an isometry.
 
-    Raises :class:`InvalidTolerance` when the eigenvalue cut drops so much
-    that the blocks span fewer than ``p.dim`` dimensions: J*J = I is then
-    impossible, and every verdict read off the blocks would be void.
+    Every effect is factorized by one batched eigendecomposition of the
+    effect stack.  Raises :class:`InvalidTolerance` when the eigenvalue cut
+    drops so much that the blocks span fewer than ``p.dim`` dimensions: J*J
+    = I is then impossible, and every verdict read off the blocks would be
+    void.
     """
-    blocks = [_factor_rows(eff, tol, lab) for lab, eff in p]
+    eig = herm_eig(np.stack(p.effects), tol)
+    blocks = [_factor_rows(w, v, tol, lab) for lab, w, v in zip(p.labels, eig.eigenvalues, eig.eigenvectors)]
     index: dict[str, tuple[int, int]] = {}
     start = 0
     for lab, a in zip(p.labels, blocks):

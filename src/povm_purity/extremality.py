@@ -14,12 +14,14 @@ Perinotti, J. Phys. A 38, 5979 (2005)).  The map is assembled as a complex
 d^2 x sum_i n_i^2 matrix on vectorized blocks and its kernel read off its
 singular values; the Hermitian part of a kernel direction is a witness from
 which an explicit convex split E_i -> A_i*(1 +/- D_i)A_i is produced.  A map
-with sum_i n_i^2 > d^2 is impure whatever its rank, and its kernel dimension
-is decided by a verified Cholesky proof that it is onto, run on its d^2 x d^2
-Gram matrix sum_i F_i (x) conj(F_i), F_i = A_i* A_i; only a map the proof
-cannot settle pays for the singular values.  The dilation is built once per
-verdict: an impure verdict carries its blocks A_i next to the witness, and the
-split reads them from there.
+with sum_i n_i^2 > d^2 is impure whatever its rank: its verdict reads only
+the d^2 + 1 leading columns, whose complete QR gives the kernel vector, and
+the d^2 x d^2 Gram matrix sum_i F_i (x) conj(F_i), F_i = A_i* A_i, on which a
+verified Cholesky proof that the map is onto settles the kernel dimension.
+Only a map the proof cannot settle has its whole matrix built, for the
+singular values.  The dilation is built once per verdict: an impure verdict
+carries its blocks A_i next to the witness, and the split reads them from
+there.
 """
 
 from __future__ import annotations
@@ -65,7 +67,14 @@ class BlockHermitian:
             raise LabelMismatch(f"no block for label {label!r}") from None
 
     def sup_norm(self) -> float:
-        return max((opnorm(b) for b in self.blocks), default=0.0)
+        return _sup_norm(self.blocks)
+
+
+def _sup_norm(blocks) -> float:
+    """Largest spectral norm over ``blocks``: one batched SVD per block shape."""
+    shapes = dict.fromkeys(b.shape for b in blocks)
+    stacks = (np.stack([b for b in blocks if b.shape == s]) for s in shapes)
+    return max((float(opnorm(stack).max()) for stack in stacks), default=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,13 +85,13 @@ class PerturbationMap:
     |a_ir><a_is| on the rows of A_i, and row ``p * dim + q`` is entry (p, q)
     of the image; so ``matrix @ concat(D_i.ravel())`` is the row-major
     vectorization of ``apply(D)``.  Domain dimension sum of n_i^2, codomain
-    dimension d^2.  Zero effects contribute no blocks.
+    dimension d^2.  Zero effects contribute no blocks.  Only the blocks are
+    stored: :meth:`columns` and ``matrix`` build the matrix on request.
     """
 
     dim: int
     labels: tuple[str, ...]
     blocks: tuple[np.ndarray, ...]
-    matrix: np.ndarray
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -90,11 +99,38 @@ class PerturbationMap:
 
     @property
     def domain_dim(self) -> int:
-        return self.matrix.shape[1]
+        return sum(n * n for n in self.block_dims)
 
     @property
     def codomain_dim(self) -> int:
         return self.dim * self.dim
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The whole d^2 x sum_i n_i^2 matrix, built anew on each access."""
+        return self.columns(self.domain_dim)
+
+    def columns(self, stop: int) -> np.ndarray:
+        """The leading ``stop`` columns of the matrix.
+
+        Each block is written once, by an einsum straight into a (d, d, n, n)
+        view of its column slice; a block that ``stop`` cuts is written up to
+        the end of its last row r, and the surplus sliced off.
+        """
+        d = self.dim
+        parts, width = [], 0
+        for a in self.blocks:
+            if width >= stop:
+                break
+            n = a.shape[0]
+            rows = min(n, -(-(stop - width) // n))
+            parts.append((a, width, rows))
+            width += rows * n
+        out = np.empty((d * d, width), dtype=np.complex128)
+        for a, lo, rows in parts:
+            n = a.shape[0]
+            np.einsum("rp,sq->pqrs", a[:rows].conj(), a, out=out[:, lo : lo + rows * n].reshape(d, d, rows, n))
+        return out[:, :stop]
 
     def gram(self) -> np.ndarray:
         """matrix @ matrix*, as sum_i F_i (x) conj(F_i) with F_i = A_i* A_i.
@@ -118,17 +154,10 @@ class PerturbationMap:
 
 
 def build_perturbation_map(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PerturbationMap:
-    """Assemble the perturbation matrix from the dilation blocks of ``p``."""
+    """The perturbation map on the dilation blocks of ``p`` (its matrix unbuilt)."""
     dil = build_dilation(p, tol)
-    d = p.dim
     labels = tuple(lab for lab, (lo, hi) in dil.block_index.items() if hi > lo)
-    blocks = tuple(dil.block(lab) for lab in labels)
-    # filled in place: block columns joined by hstack would hold the map twice
-    widths = np.cumsum([0] + [a.shape[0] ** 2 for a in blocks])
-    matrix = np.empty((d * d, widths[-1]), dtype=np.complex128)
-    for a, lo, hi in zip(blocks, widths[:-1], widths[1:]):
-        matrix[:, lo:hi] = np.einsum("rp,sq->pqrs", a.conj(), a).reshape(d * d, hi - lo)
-    return PerturbationMap(dim=d, labels=labels, blocks=blocks, matrix=matrix)
+    return PerturbationMap(dim=p.dim, labels=labels, blocks=tuple(dil.block(lab) for lab in labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +196,7 @@ def _witness(pmap: PerturbationMap, x: np.ndarray) -> BlockHermitian:
         pos += n * n
         herm.append((b + b.conj().T) / 2.0)
         anti.append(-0.5j * (b - b.conj().T))
-    sups = [max(opnorm(b) for b in part) for part in (herm, anti)]
+    sups = [_sup_norm(part) for part in (herm, anti)]
     blocks = herm if sups[0] >= sups[1] else anti
     sup = max(sups)
     flat = np.concatenate([np.stack([b.real, b.imag], axis=-1).ravel() for b in blocks])
@@ -214,26 +243,26 @@ def _rank(s: np.ndarray, rank_rel: float) -> int:
 def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
     """Decide purity of a validated POVM via the perturbation-map kernel."""
     pmap = build_perturbation_map(p, tol)
-    m = pmap.matrix
     dom, cod = pmap.domain_dim, pmap.codomain_dim
     if dom > cod:
         # More columns than rows: impure whatever the rank, and the smallest
         # singular value over the whole domain is an exact zero.  Any cod + 1
         # columns are dependent, so the leading ones carry a kernel vector:
         # the last column of the complete unitary factor of their adjoint is
-        # orthogonal to every row of m.
-        q, _ = np.linalg.qr(m[:, : cod + 1].conj().T, mode="complete")
+        # orthogonal to every row of the map.  Only those columns are built.
+        q, _ = np.linalg.qr(pmap.columns(cod + 1).conj().T, mode="complete")
         x = np.zeros(dom, dtype=np.complex128)
         x[: cod + 1] = q[:, -1]
         # The kernel dimension is dom - rank.  A verified Cholesky proof that
         # m is onto with every singular value MARGINAL_FACTOR above the rank
         # threshold settles rank = cod from the d^2 x d^2 Gram matrix.  Only a
-        # map the proof cannot settle pays for the singular values, which the
-        # square triangular factor of the transpose shares with m (a view,
-        # where m* would be a copy the size of m).
+        # map the proof cannot settle builds the whole matrix m and pays for
+        # the singular values, which the square triangular factor of the
+        # transpose shares with m (a view, where m* would be a copy of m).
         if _onto_with_margin(pmap, tol.rank_rel):
             rank = cod
         else:
+            m = pmap.matrix
             rank = _rank(np.linalg.svd(np.linalg.qr(m.T, mode="r"), compute_uv=False), tol.rank_rel)
         return PurityVerdict(
             pure=False,
@@ -243,7 +272,7 @@ def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
             witness=_witness(pmap, x),
             factors=pmap.blocks,
         )
-    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    _, s, vh = np.linalg.svd(pmap.matrix, full_matrices=False)
     smax = float(s[0]) if s.size else 0.0
     thr = tol.rank_rel * smax
     kernel_dim = dom - _rank(s, tol.rank_rel)

@@ -58,18 +58,18 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _as_matrix(m) -> np.ndarray:
+def _as_square(m, stack: bool = False) -> np.ndarray:
+    """``m`` as a complex square matrix; with ``stack``, a (k, n, n) stack too."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim == 3):
         raise NonSquare(f"expected a 2-d array, got shape {a.shape}")
-    return a
-
-
-def _as_square(m) -> np.ndarray:
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise NonSquare(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _hermitize(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def gamma(k: int) -> float:
@@ -78,30 +78,39 @@ def gamma(k: int) -> float:
     return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
-def opnorm(m) -> float:
-    """Spectral norm (largest singular value)."""
+def opnorm(m):
+    """Spectral norm (largest singular value); for a (k, m, n) stack, an array
+    of the k norms from one batched SVD."""
     a = np.asarray(m, dtype=np.complex128)
+    if a.ndim == 3:
+        return np.linalg.norm(a, 2, axis=(-2, -1)) if a.size else np.zeros(a.shape[0])
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
 
 
-def _is_hermitian(a: np.ndarray, tol: Tolerance) -> bool:
-    """||a - a*|| <= abs_eps in operator norm.
+def _hermitian_mask(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """||a_j - a_j*|| <= abs_eps in operator norm, one entry per matrix of the
+    square matrix or (k, n, n) stack ``a``.
 
     The Frobenius norm bounds the operator norm from above, so it settles the
-    common case without the SVD that ``opnorm`` takes.
+    common case; one batched SVD settles the rest.
     """
-    d = a - a.conj().T
-    return bool(np.linalg.norm(d) <= tol.abs_eps or opnorm(d) <= tol.abs_eps)
+    d = a if a.ndim == 3 else a[None]
+    d = d - d.conj().swapaxes(-1, -2)
+    ok = np.linalg.norm(d, axis=(-2, -1)) <= tol.abs_eps
+    if not ok.all():
+        ok[~ok] = opnorm(d[~ok]) <= tol.abs_eps
+    return ok
 
 
 @dataclass(frozen=True, eq=False)
 class EigenResult:
     """Spectral decomposition with eigenvalues descending.
 
-    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``; columns are
-    orthonormal and phase-fixed (first significant component real positive).
+    ``eigenvectors[..., :, k]`` belongs to ``eigenvalues[..., k]``, with a
+    leading stack axis when a stack was decomposed; columns are orthonormal
+    and phase-fixed (first significant component real positive).
     """
 
     eigenvalues: np.ndarray
@@ -113,9 +122,9 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     if v.size == 0:  # argmax raises on an empty axis
         return v.copy()
     significant = np.abs(v) > _PHASE_EPS
-    anchor = v[np.argmax(significant, axis=0), np.arange(v.shape[1])]
+    anchor = np.take_along_axis(v, np.argmax(significant, axis=-2)[..., None, :], axis=-2)
     # a column with no significant entry keeps its phase
-    anchor = np.where(significant.any(axis=0), anchor, 1.0)
+    anchor = np.where(significant.any(axis=-2, keepdims=True), anchor, 1.0)
     return v * (np.conj(anchor) / np.abs(anchor))
 
 
@@ -125,7 +134,8 @@ def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
     Parameters
     ----------
     m : array_like
-        Square matrix with ``||m - m*|| <= tol.abs_eps``.
+        Square matrix with ``||m - m*|| <= tol.abs_eps``, or a (k, n, n)
+        stack of them, decomposed by one batched ``eigh``.
     tol : Tolerance
         Hermiticity threshold.
 
@@ -133,21 +143,28 @@ def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
     ------
     NonSquare, NonHermitian
     """
-    a = _as_square(m)
-    if not _is_hermitian(a, tol):
+    a = _as_square(m, stack=True)
+    if not _hermitian_mask(a, tol).all():
         raise NonHermitian("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    order = np.argsort(-w, kind="stable")
-    return EigenResult(eigenvalues=w[order], eigenvectors=_fix_column_phases(v[:, order]))
+    w, v = np.linalg.eigh(_hermitize(a))
+    order = np.argsort(-w, axis=-1, kind="stable")
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    return EigenResult(eigenvalues=np.take_along_axis(w, order, axis=-1), eigenvectors=_fix_column_phases(v))
+
+
+def psd_mask(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Per matrix of a square matrix or (k, n, n) stack: Hermitian within
+    tolerance with spectrum >= -abs_eps, from one batched ``eigvalsh``."""
+    a = _as_square(m, stack=True)
+    a = a if a.ndim == 3 else a[None]
+    hermitian = _hermitian_mask(a, tol)
+    low = np.linalg.eigvalsh(_hermitize(a))[:, 0] if a.shape[-1] else np.zeros(a.shape[0])
+    return hermitian & (low >= -tol.abs_eps)
 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``m`` is Hermitian within tolerance with spectrum >= -abs_eps."""
-    a = _as_square(m)
-    if not _is_hermitian(a, tol):
-        return False
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    return bool(w.size == 0 or float(w[0]) >= -tol.abs_eps)
+    return bool(psd_mask(_as_square(m), tol)[0])
 
 
 def project_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -157,9 +174,9 @@ def project_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     already PSD, and idempotent.
     """
     a = _as_square(m)
-    if not _is_hermitian(a, tol):
+    if not _hermitian_mask(a, tol)[0]:
         raise NonHermitian("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    w, v = np.linalg.eigh(_hermitize(a))
     w = np.clip(w, 0.0, None)
     out = (v * w) @ v.conj().T
     return (out + out.conj().T) / 2.0

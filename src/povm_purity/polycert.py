@@ -250,14 +250,16 @@ class ProductRows:
     def modular(self, meet: np.ndarray) -> np.ndarray:
         """Rows over the slots of ``meet``, reduced modulo PRIME (int64).
 
-        The (members, members, slots) block is refused with
-        ``IndexOutOfRange`` before allocation when it would pass MAX_STACK_MB.
+        Each left member gets only the rows of its own pairs.  The (pairs,
+        slots) block is refused with ``IndexOutOfRange`` before allocation
+        when it would pass MAX_STACK_MB.
         """
-        n, slots = len(self._re), meet.shape[1]
-        block_mb = n * n * slots * 8 / 2**20
+        lefts, rights = self._pairs
+        n, slots = lefts.size, meet.shape[1]
+        block_mb = n * slots * 8 / 2**20
         if block_mb > MAX_STACK_MB:
             raise IndexOutOfRange(
-                f"{n} members over {slots} slots need a ({n}, {n}, {slots}) int64 row block "
+                f"{n} product rows over {slots} slots need an ({n}, {slots}) int64 row block "
                 f"of {block_mb:.0f} MB, over the {MAX_STACK_MB} MB limit"
             )
         left = _residues(self._re, -self._im).astype(float)
@@ -267,15 +269,17 @@ class ProductRows:
         bits = 22 - right.shape[1].bit_length()
         count = -(-31 // bits)
         mask = (1 << bits) - 1
-        limbs = np.concatenate([(right >> (bits * m)) & mask for m in range(count)]).astype(float)
-        full = np.empty((len(left), len(right), meet.shape[1]), dtype=np.int64)
-        for i, coeffs in enumerate(left):
-            parts = (limbs @ coeffs[meet]).astype(np.int64).reshape(count, *full.shape[1:]) % PRIME
+        limbs = np.stack([(right >> (bits * m)) & mask for m in range(count)]).astype(float)
+        out = np.empty((n, slots), dtype=np.int64)
+        order = np.argsort(lefts, kind="stable")
+        members, starts = np.unique(lefts[order], return_index=True)
+        for i, at in zip(members, np.split(order, starts[1:])):
+            parts = (limbs[:, rights[at]] @ left[i][meet]).astype(np.int64) % PRIME
             acc = parts[-1]
             for part in parts[-2::-1]:
                 acc = ((acc << bits) + part) % PRIME
-            full[i] = acc
-        return full[self._pairs]
+            out[at] = acc
+        return out
 
     def exact(self, meet: np.ndarray) -> np.ndarray:
         """Rows over the slots of ``meet`` as Python ints.
@@ -308,8 +312,8 @@ def _pivot_columns(a: np.ndarray, modulus: int | None = None) -> list[bool]:
     column-ordered elimination.  int64 residues are eliminated over
     GF(modulus); Python ints (``modulus`` None) fraction-free over the
     integers (Bareiss, Math. Comp. 22 (1968)), which decides the same over Q.
+    The elimination overwrites ``a``.
     """
-    a = a.copy()
     prev = 1
     covered = []
     for j in range(a.shape[1]):

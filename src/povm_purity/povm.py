@@ -23,7 +23,7 @@ from .errors import (
     NotPsd,
     SchemaError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, is_psd, opnorm
+from .linalg import DEFAULT_TOL, Tolerance, opnorm, psd_mask
 from .wire import matrix_from_pairs, matrix_to_pairs
 
 __all__ = [
@@ -65,12 +65,6 @@ class Povm:
             raise KeyError(label) from None
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
-
-
 def validate(
     dim: int,
     outcomes: Iterable[tuple[str, np.ndarray]],
@@ -98,18 +92,28 @@ def validate(
     if len(set(labels)) != len(labels):
         dupes = sorted({lab for lab in labels if labels.count(lab) > 1})
         raise DuplicateLabel(f"duplicate outcome labels: {dupes}")
-    effects = []
+    # Effects are checked in order, shape before positivity; the positivity
+    # of every effect before the first misshapen one comes from one stack.
+    arrays, misshapen = [], None
     for lab, eff in pairs:
         a = np.asarray(eff, dtype=np.complex128)
         if a.shape != (dim, dim):
-            raise DimensionMismatch(f"effect {lab!r} has shape {a.shape}, expected ({dim}, {dim})")
-        if not is_psd(a, tol):
-            raise NotPsd(f"effect {lab!r} is not positive semidefinite within tolerance")
-        effects.append(_freeze(a))
+            misshapen = DimensionMismatch(f"effect {lab!r} has shape {a.shape}, expected ({dim}, {dim})")
+            break
+        arrays.append(a)
+    if arrays:
+        stack = np.stack(arrays)
+        psd = psd_mask(stack, tol)
+        if not psd.all():
+            raise NotPsd(f"effect {pairs[int(np.argmin(psd))][0]!r} is not positive semidefinite within tolerance")
+    if misshapen is not None:
+        raise misshapen
+    stack.setflags(write=False)
+    effects = tuple(stack)
     residual = opnorm(sum(effects) - np.eye(dim))
     if residual > NORMALIZATION_EPS:
         raise NotNormalized(f"effects sum to identity with residual {residual:.3e} > {NORMALIZATION_EPS:g}")
-    return Povm(dim=dim, labels=labels, effects=tuple(effects))
+    return Povm(dim=dim, labels=labels, effects=effects)
 
 
 def is_pvm(p: Povm) -> bool:

@@ -156,10 +156,11 @@ def test_dilate_blocks_are_the_outcome_factorizations(capsys, tmp_path):
 def test_split_factorizes_each_outcome_once(capsys, monkeypatch):
     calls = []
     herm_eig = dilation.herm_eig
-    monkeypatch.setattr(dilation, "herm_eig", lambda m, tol: calls.append(1) or herm_eig(m, tol))
+    monkeypatch.setattr(dilation, "herm_eig", lambda m, tol: calls.append(np.shape(m)) or herm_eig(m, tol))
     code, doc = run(capsys, "split", "coin")
     assert code == 0 and doc["command"] == "split"
-    assert len(calls) == len(fixture("coin"))
+    # one batched eigendecomposition of the whole effect stack
+    assert calls == [(len(fixture("coin")), 2, 2)]
 
 
 @pytest.mark.parametrize(
@@ -386,11 +387,12 @@ def test_phase_demo_nan_ratio_is_a_typed_error(capsys):
 
 
 def test_polycheck_row_block_bound_is_a_typed_error(capsys):
-    # 401 members over 401 slots: a (401, 401, 401) int64 block of about 490 MB
-    code, doc = run(capsys, "polycheck", "--basis", "legendre", "--max", "400")
+    # 407 real members give 407 * 408 / 2 product rows over 407 slots: an
+    # int64 block of about 258 MiB, the first past the 256 MiB limit
+    code, doc = run(capsys, "polycheck", "--basis", "legendre", "--max", "406")
     assert code == 1
     assert doc["error"]["kind"] == "IndexOutOfRange"
-    assert "401 members over 401 slots" in doc["error"]["detail"]
+    assert "83028 product rows over 407 slots" in doc["error"]["detail"]
 
 
 @pytest.mark.filterwarnings("error")

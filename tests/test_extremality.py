@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import SEED
@@ -11,6 +13,7 @@ from povm_purity.extremality import (
     BlockHermitian,
     PurityVerdict,
     _onto_with_margin,
+    _witness,
     build_perturbation_map,
     convex_split,
     purity_verdict,
@@ -513,3 +516,54 @@ def test_map_singular_values_match_hermitian_coordinates(rng):
         pool.append(random_pvm(rng, d, int(rng.integers(1, d + 1))))
     for p in pool:
         _assert_same_singular_values(p)
+
+
+# ---------------------------------------------------------------------------
+# the map is built on request, and the wide verdict builds only its witness columns
+# ---------------------------------------------------------------------------
+
+
+def test_matrix_columns_are_the_outer_products_of_the_block_rows(rng):
+    """Column r*n_i+s of block i is vec(|a_ir><a_is|), entry (p, q) being
+    conj(A_i[r, p]) A_i[s, q] (to the rounding of one complex product), and
+    every prefix of columns is the same bytes as the whole matrix."""
+    pool = [fixture(name) for name in FIXTURE_NAMES]
+    pool += [random_povm(rng, 3, 4), random_pvm(rng, 4, 2), _rank_one(2, rng.standard_normal((6, 2)) + 0j)]
+    for p in pool:
+        pmap = build_perturbation_map(p)
+        m = pmap.matrix
+        cols = [np.outer(a[r].conj(), a[s]).ravel() for a in pmap.blocks for r in range(len(a)) for s in range(len(a))]
+        assert_allclose(m, np.stack(cols, axis=1), rtol=0, atol=1e-15)
+        for stop in range(pmap.domain_dim + 1):
+            assert np.array_equal(pmap.columns(stop), m[:, :stop])
+
+
+def test_wide_witness_is_the_complete_qr_of_the_leading_columns(rng):
+    pool = [random_povm(rng, 4, 4), random_povm(rng, 3, 6), fixture("coin")]
+    pool.append(_rank_one(3, rng.standard_normal((11, 3)) + 1j * rng.standard_normal((11, 3))))
+    for p in pool:
+        pmap = build_perturbation_map(p)
+        dom, cod = pmap.domain_dim, pmap.codomain_dim
+        assert dom > cod
+        q, _ = np.linalg.qr(pmap.matrix[:, : cod + 1].conj().T, mode="complete")
+        x = np.zeros(dom, dtype=np.complex128)
+        x[: cod + 1] = q[:, -1]
+        expected = _witness(pmap, x)
+        w = purity_verdict(p).witness
+        assert w.labels == expected.labels
+        assert all(np.array_equal(b, e) for b, e in zip(w.blocks, expected.blocks))
+
+
+def test_wide_verdict_never_holds_the_full_map(rng):
+    p = random_povm(rng, 16, 16)
+    pmap = build_perturbation_map(p)
+    full_bytes = pmap.codomain_dim * pmap.domain_dim * 16
+    assert full_bytes == 256 * 4096 * 16  # 16.8 MB
+    tracemalloc.start()
+    try:
+        v = purity_verdict(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.kernel_dim == pmap.domain_dim - pmap.codomain_dim
+    assert peak < full_bytes / 2

@@ -11,6 +11,7 @@ from povm_purity.linalg import (
     is_psd,
     opnorm,
     project_psd,
+    psd_mask,
 )
 from povm_purity.rand import random_hermitian, random_unitary
 
@@ -178,3 +179,46 @@ def test_certify_input_checks():
             certify_min_eigenvalue(np.eye(2), bad)
     with pytest.raises(NonSquare):
         certify_min_eigenvalue(np.ones((2, 3)), 0.0)
+
+
+def _stack_members(rng):
+    """Zero, repeated-eigenvalue, random Hermitian and PSD, and not-PSD members of one size."""
+    u = random_unitary(rng, 4)
+    return [
+        np.zeros((4, 4)),
+        _hermitian_with_spectrum(rng, [0.5, 0.5, 0.5, 0.0]),
+        (u * np.array([2.0, 2.0, 1.0, 1.0])) @ u.conj().T,
+        random_hermitian(rng, 4),
+        _hermitian_with_spectrum(rng, [1.0, 0.3, 1e-12, 0.0]),
+        np.diag([1.0, 1.0, -1e-3, 0.0]),
+    ]
+
+
+def test_stacked_herm_eig_equals_the_per_matrix_calls(rng):
+    members = _stack_members(rng)
+    stacked = herm_eig(np.stack(members))
+    assert stacked.eigenvalues.shape == (6, 4) and stacked.eigenvectors.shape == (6, 4, 4)
+    for j, m in enumerate(members):
+        one = herm_eig(m)
+        assert np.array_equal(stacked.eigenvalues[j], one.eigenvalues)
+        assert np.array_equal(stacked.eigenvectors[j], one.eigenvectors)
+    skew = np.stack(members + [np.triu(np.ones((4, 4)))])
+    with pytest.raises(NonHermitian):
+        herm_eig(skew)
+    with pytest.raises(NonSquare):
+        herm_eig(np.zeros((2, 3, 4)))
+    with pytest.raises(NonSquare):
+        herm_eig(np.zeros((2, 2, 2, 2)))
+
+
+def test_stacked_opnorm_and_psd_mask_equal_the_per_matrix_calls(rng):
+    members = _stack_members(rng) + [np.triu(np.ones((4, 4))), rng.standard_normal((4, 4))]
+    stack = np.stack(members)
+    norms = opnorm(stack)
+    assert norms.shape == (8,)
+    assert np.array_equal(norms, [opnorm(m) for m in members])
+    mask = psd_mask(stack)
+    assert mask.tolist() == [is_psd(m) for m in members]
+    assert mask.tolist() == [True, True, True, False, True, False, False, False]
+    assert np.array_equal(opnorm(np.zeros((3, 0, 0))), np.zeros(3))
+    assert psd_mask(np.zeros((2, 0, 0))).tolist() == [True, True]

@@ -171,3 +171,20 @@ def test_povm_from_dict_revalidates():
     obj["outcomes"][0]["effect"][0][0] = [2.0, 0.0]  # breaks normalization
     with pytest.raises(NotNormalized):
         povm_from_dict(obj)
+
+
+def test_validate_checks_each_effect_in_order_shape_before_positivity():
+    """A stacked positivity check keeps the order of the per-effect checks."""
+    negative, misshapen = np.diag([1.5, -0.5]), np.eye(3)
+    with pytest.raises(NotPsd) as exc:
+        validate(2, [("a", negative), ("b", misshapen)])
+    assert str(exc.value) == "effect 'a' is not positive semidefinite within tolerance"
+    with pytest.raises(DimensionMismatch) as exc:
+        validate(2, [("a", misshapen), ("b", negative)])
+    assert str(exc.value) == "effect 'a' has shape (3, 3), expected (2, 2)"
+    with pytest.raises(NotPsd) as exc:
+        validate(2, [("a", ZERO), ("b", [[0.0, 1.0], [0.0, 1.0]]), ("c", negative)])
+    assert str(exc.value) == "effect 'b' is not positive semidefinite within tolerance"
+    with pytest.raises(DimensionMismatch) as exc:
+        validate(2, [(0, ZERO), (1, ONE), (2, misshapen)])
+    assert str(exc.value) == "effect 2 has shape (3, 3), expected (2, 2)"
