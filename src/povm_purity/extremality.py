@@ -15,13 +15,15 @@ d^2 x sum_i n_i^2 matrix on vectorized blocks and its kernel read off its
 singular values; the Hermitian part of a kernel direction is a witness from
 which an explicit convex split E_i -> A_i*(1 +/- D_i)A_i is produced.  A map
 with sum_i n_i^2 > d^2 is impure whatever its rank: its verdict reads only
-the d^2 + 1 leading columns, whose complete QR gives the kernel vector, and
-the d^2 x d^2 Gram matrix sum_i F_i (x) conj(F_i), F_i = A_i* A_i, on which a
-verified Cholesky proof that the map is onto settles the kernel dimension.
-Only a map the proof cannot settle has its whole matrix built, for the
-singular values.  The dilation is built once per verdict: an impure verdict
-carries its blocks A_i next to the witness, and the split reads them from
-there.
+the d^2 + 1 leading columns, whose Householder reflectors give the kernel
+vector without forming the unitary factor.  The kernel dimension follows
+from a verified Cholesky proof that the map is onto: its Gram matrix
+G = sum_i F_i (x) conj(F_i), F_i = A_i* A_i, has lambda_min(G) >=
+max_i lambda_min(F_i)^2, so the d x d block F_i of one full-rank effect can
+settle it, and the d^2 x d^2 matrix G is built only when no block does.  Only
+a map neither proof can settle has its whole matrix built, for the singular
+values.  The dilation is built once per verdict: an impure verdict carries
+its blocks A_i next to the witness, and the split reads them from there.
 """
 
 from __future__ import annotations
@@ -206,17 +208,42 @@ def _witness(pmap: PerturbationMap, x: np.ndarray) -> BlockHermitian:
     return BlockHermitian(labels=pmap.labels, blocks=tuple(b / scale + 0.0 for b in blocks))
 
 
+def _kernel_vector(c: np.ndarray) -> np.ndarray:
+    """A unit vector x with c x = 0, for ``c`` with one more column than rows.
+
+    It is the last column of the unitary factor Q = H_1 ... H_n of the QR
+    of c*, got by applying the Householder reflectors H_j = I - tau_j v_j
+    v_j* to the last unit vector, j = n down to 1.  Row j of the raw factor
+    holds v_j after its (j, j) entry, where v_j has an implicit leading 1.
+    """
+    h, tau = np.linalg.qr(c.conj().T, mode="raw")
+    x = np.zeros(c.shape[1], dtype=np.complex128)
+    x[-1] = 1.0
+    for j in range(len(tau) - 1, -1, -1):
+        v = h[j, j:]
+        v[0] = 1.0  # the entry of R there is not needed again
+        x[j:] -= v * (tau[j] * np.vdot(v, x[j:]))
+    return x
+
+
 def _onto_with_margin(pmap: PerturbationMap, rank_rel: float) -> bool:
     """True only if the exact map of the stored blocks is onto, with every
     singular value above MARGINAL_FACTOR * rank_rel * s_max.
 
     For G = m m* (exact) that is lambda_min(G) > tau = (MARGINAL_FACTOR
-    rank_rel)^2 tr G, as tr G = sum_i ||A_i||_F^4 >= s_max^2.  The Gram matrix
-    is formed by two complex inner products, F_i = A_i* A_i over n_i <= n rows
-    and G over the k blocks.  A length-l one is off by at most gamma_{3l+2}
-    times the same sum over moduli (Higham, 2nd ed., Sec. 3.5-3.6, any order,
-    complex products or real FMA chains per component), plus 3l 2^-1074 for
-    underflow.  Entrywise, then, |fl(G) - G| <= gamma_{6n+3k+6} sum_i P_i (x)
+    rank_rel)^2 tr G, as tr G = sum_i ||A_i||_F^4 >= s_max^2.  G is sum_i F_i
+    (x) conj(F_i) with F_i = A_i* A_i, a sum of positive semidefinite terms
+    with lambda_min(F_i (x) conj(F_i)) = lambda_min(F_i)^2, so by Weyl's
+    inequality lambda_min(G) >= max_i lambda_min(F_i)^2: a d x d block with
+    lambda_min(F_i) > sqrt(tau) proves the claim (:func:`_block_proof`).
+    Only when no block does is G formed and proven directly.
+
+    Both proofs bound their forming error the same way.  A complex inner
+    product of length l is off by at most gamma_{3l+2} times the same sum
+    over moduli (Higham, 2nd ed., Sec. 3.5-3.6, any order, complex products
+    or real FMA chains per component), plus 3l 2^-1074 for underflow.  G is
+    formed by two of them, F_i = A_i* A_i over n_i <= n rows and G over the
+    k blocks.  Entrywise, then, |fl(G) - G| <= gamma_{6n+3k+6} sum_i P_i (x)
     P_i + k (7 n p + 4) 2^-1074, with P_i = |A_i|^T |A_i| and p = max_i
     ||A_i||_F^2 >= every entry of P_i; the bound is symmetric, so it also holds
     for the Hermitian matrix read from the lower triangle of fl(G).  As
@@ -229,10 +256,35 @@ def _onto_with_margin(pmap: PerturbationMap, rank_rel: float) -> bool:
     blocks, d = pmap.blocks, pmap.dim
     frob = np.array([np.vdot(a, a).real for a in blocks])
     trace = float(np.sum(frob**2))
+    tau = (MARGINAL_FACTOR * rank_rel) ** 2 * trace
+    if _block_proof(pmap, tau):
+        return True
     n, k = max(pmap.block_dims), len(blocks)
     form = gamma(6 * n + 3 * k + 6) * trace + d * d * k * (7 * n * float(frob.max()) + 4) * SUBNORMAL_MIN
-    tau = (MARGINAL_FACTOR * rank_rel) ** 2 * trace
     return certify_min_eigenvalue(pmap.gram(), (tau + 2.0 * form) * (1.0 + 2.0 * UNIT_ROUNDOFF))
+
+
+def _block_proof(pmap: PerturbationMap, tau: float) -> bool:
+    """True only if some d x d block has lambda_min(A_i* A_i) > sqrt(tau)
+    (exact), which makes lambda_min(G) > tau.
+
+    fl(F_i) = fl(A_i* A_i) is one length-d inner product per entry, so by the
+    inner-product bound of :func:`_onto_with_margin`, entrywise |fl(F_i) -
+    F_i| <= gamma_{3d+2} P_i + 3d 2^-1074, and ||fl(F_i) - F_i||_2 <= form_i
+    = gamma_{3d+2} ||A_i||_F^2 + 3d^2 2^-1074; the bound is symmetric, so it
+    holds for the lower triangle that is read.  sqrt(tau) is rounded up, and
+    :func:`certify_min_eigenvalue` proves lambda_min(fl(F_i)) above it plus
+    twice form_i (rounded up), so Weyl's inequality gives lambda_min(F_i) >
+    sqrt(tau).
+    """
+    d = pmap.dim
+    root = float(np.sqrt(tau)) * (1.0 + 4.0 * UNIT_ROUNDOFF)
+    for a in pmap.blocks:
+        if a.shape[0] == d:
+            form = gamma(3 * d + 2) * float(np.vdot(a, a).real) + 3 * d * d * SUBNORMAL_MIN
+            if certify_min_eigenvalue(a.conj().T @ a, (root + 2.0 * form) * (1.0 + 2.0 * UNIT_ROUNDOFF)):
+                return True
+    return False
 
 
 def _rank(s: np.ndarray, rank_rel: float) -> int:
@@ -248,17 +300,18 @@ def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
         # More columns than rows: impure whatever the rank, and the smallest
         # singular value over the whole domain is an exact zero.  Any cod + 1
         # columns are dependent, so the leading ones carry a kernel vector:
-        # the last column of the complete unitary factor of their adjoint is
-        # orthogonal to every row of the map.  Only those columns are built.
-        q, _ = np.linalg.qr(pmap.columns(cod + 1).conj().T, mode="complete")
+        # the last column of the unitary factor of the QR of their adjoint is
+        # orthogonal to every row of the map.  Only those columns are built,
+        # and that column is read from the reflectors, Q never formed.
         x = np.zeros(dom, dtype=np.complex128)
-        x[: cod + 1] = q[:, -1]
+        x[: cod + 1] = _kernel_vector(pmap.columns(cod + 1))
         # The kernel dimension is dom - rank.  A verified Cholesky proof that
         # m is onto with every singular value MARGINAL_FACTOR above the rank
-        # threshold settles rank = cod from the d^2 x d^2 Gram matrix.  Only a
-        # map the proof cannot settle builds the whole matrix m and pays for
-        # the singular values, which the square triangular factor of the
-        # transpose shares with m (a view, where m* would be a copy of m).
+        # threshold settles rank = cod, from one full-rank effect's d x d
+        # block or else from the d^2 x d^2 Gram matrix.  Only a map neither
+        # proof settles builds the whole matrix m and pays for the singular
+        # values, which the square triangular factor of the transpose shares
+        # with m (a view, where m* would be a copy of m).
         if _onto_with_margin(pmap, tol.rank_rel):
             rank = cod
         else:

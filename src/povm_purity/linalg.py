@@ -233,8 +233,7 @@ def certify_min_eigenvalue(g, tau: float) -> bool:
         return False
     n = a.shape[0]
     diag = a.diagonal().real
-    lower = np.tril(a, -1)
-    h = lower + lower.conj().T
+    h = a.copy()  # cholesky reads only the lower triangle and the diagonal
     top = float(np.max(diag, initial=0.0))
     e = 2.0 * (n + 2 + top) * SUBNORMAL_MIN
     g_n = gamma(3 * n + 2)

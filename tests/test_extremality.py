@@ -10,8 +10,11 @@ from numpy.testing import assert_allclose
 from povm_purity.dilation import build_dilation
 from povm_purity.errors import IsPure, LabelMismatch
 from povm_purity.extremality import (
+    MARGINAL_FACTOR,
     BlockHermitian,
+    PerturbationMap,
     PurityVerdict,
+    _block_proof,
     _onto_with_margin,
     _witness,
     build_perturbation_map,
@@ -539,6 +542,9 @@ def test_matrix_columns_are_the_outer_products_of_the_block_rows(rng):
 
 
 def test_wide_witness_is_the_complete_qr_of_the_leading_columns(rng):
+    """The kernel vector read from the reflectors is the last column of the
+    complete QR of the leading columns' adjoint, to rounding: the two apply
+    the same reflectors in different orders."""
     pool = [random_povm(rng, 4, 4), random_povm(rng, 3, 6), fixture("coin")]
     pool.append(_rank_one(3, rng.standard_normal((11, 3)) + 1j * rng.standard_normal((11, 3))))
     for p in pool:
@@ -551,7 +557,9 @@ def test_wide_witness_is_the_complete_qr_of_the_leading_columns(rng):
         expected = _witness(pmap, x)
         w = purity_verdict(p).witness
         assert w.labels == expected.labels
-        assert all(np.array_equal(b, e) for b, e in zip(w.blocks, expected.blocks))
+        for b, e in zip(w.blocks, expected.blocks):
+            assert_allclose(b, e, rtol=0, atol=1e-13)
+        assert opnorm(pmap.apply(w)) <= 1e-10
 
 
 def test_wide_verdict_never_holds_the_full_map(rng):
@@ -567,3 +575,110 @@ def test_wide_verdict_never_holds_the_full_map(rng):
         tracemalloc.stop()
     assert v.kernel_dim == pmap.domain_dim - pmap.codomain_dim
     assert peak < full_bytes / 2
+
+
+# ---------------------------------------------------------------------------
+# a full-rank effect's d x d block proves a wide map onto without the Gram matrix
+# ---------------------------------------------------------------------------
+
+
+def _tau(pmap):
+    """The threshold of the onto proof: (MARGINAL_FACTOR rank_rel)^2 tr G."""
+    return (MARGINAL_FACTOR * DEFAULT_TOL.rank_rel) ** 2 * sum(np.vdot(a, a).real ** 2 for a in pmap.blocks)
+
+
+@seed(SEED)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    draw=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["full-rank", "mixed-ranks", "direct-sum"]),
+    dim=st.integers(2, 6),
+)
+def test_block_proof_implies_the_gram_bound(draw, kind, dim):
+    rng = np.random.default_rng(draw)
+    p = random_povm(rng, dim, int(rng.integers(2, 5))) if kind == "full-rank" else _wide_case(kind, rng, dim)[0]
+    pmap = build_perturbation_map(p)
+    tau = _tau(pmap)
+    proven = _block_proof(pmap, tau)
+    if kind == "full-rank":  # effects with spectra far above sqrt(tau)
+        assert proven
+    if kind == "direct-sum":  # no block has full rank
+        assert not proven
+    if proven:
+        assert np.linalg.eigvalsh(pmap.gram())[0] > tau
+
+
+def _two_outcome(rng, dim, factor):
+    """{X, I - X} with both smallest eigenvalues at sqrt(tau) * factor.
+
+    X has eigenvalues t, 1 - t and dim - 2 draws from (0.2, 0.8), so tr X,
+    and with it tau, does not depend on t.
+    """
+    middle = rng.uniform(0.2, 0.8, dim - 2)
+    tr = 1.0 + float(np.sum(middle))
+    tau = (MARGINAL_FACTOR * DEFAULT_TOL.rank_rel) ** 2 * (tr**2 + (dim - tr) ** 2)
+    t = np.sqrt(tau) * factor
+    u = random_unitary(rng, dim)
+    x = (u * np.concatenate([[t], middle, [1.0 - t]])) @ u.conj().T
+    x = (x + x.conj().T) / 2.0
+    return validate(dim, [("x", x), ("rest", np.eye(dim) - x)]), t
+
+
+def _count_gram_calls(monkeypatch):
+    calls = []
+    gram = PerturbationMap.gram
+
+    def counted(self):
+        calls.append(self.dim)
+        return gram(self)
+
+    monkeypatch.setattr(PerturbationMap, "gram", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 4, 7])
+@pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_block_proof_at_its_threshold(rng, monkeypatch, dim, factor):
+    """Just below sqrt(tau) the block proof fails and the Gram proof settles
+    the map; just above, the block proof settles it alone."""
+    p, t = _two_outcome(rng, dim, factor)
+    pmap = build_perturbation_map(p)
+    assert pmap.block_dims == (dim, dim)
+    assert all(np.linalg.eigvalsh(a.conj().T @ a)[0] == pytest.approx(t, rel=1e-8) for a in pmap.blocks)
+    tau = _tau(pmap)
+    assert t == pytest.approx(np.sqrt(tau) * factor, rel=1e-12)
+    assert _block_proof(pmap, tau) is (factor > 1.0)
+    calls = _count_gram_calls(monkeypatch)
+    v = purity_verdict(p)
+    assert len(calls) == (0 if factor > 1.0 else 1)
+    assert v.kernel_dim == _independent_kernel_dim(pmap) == dim * dim
+    assert opnorm(pmap.apply(v.witness)) <= 1e-10
+
+
+def test_rank_deficient_effects_still_reach_the_gram_proof(rng, monkeypatch):
+    """Rank-one POVMs with k > d^2 and PVM mixtures have no d x d block, so
+    their verdicts take the Gram proof, with the independent kernel dimension."""
+    pool = [_rank_one(d, rng.standard_normal((d * d + 2, d, 2)) @ [1.0, 1j]) for d in (2, 3, 4)]
+    pool.append(mix(random_pvm(rng, 3, 3), random_pvm(rng, 3, 3), 0.5))
+    pool.append(mix(mix(random_pvm(rng, 4, 4), random_pvm(rng, 4, 4), 0.5), random_pvm(rng, 4, 4), 1.0 / 3.0))
+    calls = _count_gram_calls(monkeypatch)
+    for p in pool:
+        pmap = build_perturbation_map(p)
+        assert pmap.domain_dim > pmap.codomain_dim
+        assert max(pmap.block_dims) < pmap.dim
+        calls.clear()
+        v = purity_verdict(p)
+        assert calls == [pmap.dim]
+        assert v.kernel_dim == _independent_kernel_dim(pmap)
+
+
+def test_full_rank_wide_verdict_never_builds_the_gram_matrix(rng, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the Gram matrix was built")
+
+    monkeypatch.setattr(PerturbationMap, "gram", refuse)
+    p = random_povm(rng, 16, 8)
+    pmap = build_perturbation_map(p)
+    v = purity_verdict(p)
+    assert not v.pure and v.kernel_dim == pmap.domain_dim - pmap.codomain_dim
+    assert opnorm(pmap.apply(v.witness)) <= 1e-10
