@@ -202,8 +202,8 @@ def _cmd_polycheck(args):
 
 def _cmd_phase_demo(args):
     geometric = args.target == "geometric"
-    # where the arguments fix the family's size, an oversized demo is refused
-    # before the family is built, with the error the demo itself would raise
+    # a lower bound on the family's size from the arguments refuses an oversized
+    # demo before the family is built (with the demo's own error where exact)
     n_frequencies = _frequency_count(args.members, args.ratio if geometric else None, args.support)
     if n_frequencies is not None:
         _check_demo(args.members, n_frequencies, args.M, args.grid)

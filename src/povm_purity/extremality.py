@@ -14,16 +14,11 @@ Perinotti, J. Phys. A 38, 5979 (2005)).  The map is assembled as a complex
 d^2 x sum_i n_i^2 matrix on vectorized blocks and its kernel read off its
 singular values; the Hermitian part of a kernel direction is a witness from
 which an explicit convex split E_i -> A_i*(1 +/- D_i)A_i is produced.  A map
-with sum_i n_i^2 > d^2 is impure whatever its rank: its verdict reads only
-the d^2 + 1 leading columns, whose Householder reflectors give the kernel
-vector without forming the unitary factor.  The kernel dimension follows
-from a verified Cholesky proof that the map is onto: its Gram matrix
-G = sum_i F_i (x) conj(F_i), F_i = A_i* A_i, has lambda_min(G) >=
-max_i lambda_min(F_i)^2, so the d x d block F_i of one full-rank effect can
-settle it, and the d^2 x d^2 matrix G is built only when no block does.  Only
-a map neither proof can settle has its whole matrix built, for the singular
-values.  The dilation is built once per verdict: an impure verdict carries
-its blocks A_i next to the witness, and the split reads them from there.
+with sum_i n_i^2 > d^2 is impure whatever its rank.  If a verified Cholesky
+proof on one full-rank effect's d x d block shows it onto, that effect lends
+a rank-one piece of its weight to another outcome, a kernel vector from one
+d x d solve; any other wide map takes one QR of the whole map.  An impure
+verdict carries the dilation blocks A_i, and the split reads them there.
 """
 
 from __future__ import annotations
@@ -88,7 +83,7 @@ class PerturbationMap:
     of the image; so ``matrix @ concat(D_i.ravel())`` is the row-major
     vectorization of ``apply(D)``.  Domain dimension sum of n_i^2, codomain
     dimension d^2.  Zero effects contribute no blocks.  Only the blocks are
-    stored: :meth:`columns` and ``matrix`` build the matrix on request.
+    stored: ``matrix`` builds the matrix on request.
     """
 
     dim: int
@@ -109,41 +104,16 @@ class PerturbationMap:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The whole d^2 x sum_i n_i^2 matrix, built anew on each access."""
-        return self.columns(self.domain_dim)
-
-    def columns(self, stop: int) -> np.ndarray:
-        """The leading ``stop`` columns of the matrix.
-
-        Each block is written once, by an einsum straight into a (d, d, n, n)
-        view of its column slice; a block that ``stop`` cuts is written up to
-        the end of its last row r, and the surplus sliced off.
-        """
+        """The whole d^2 x sum_i n_i^2 matrix, built anew on each access: each
+        block is written once, by an einsum into a view of its column slice."""
         d = self.dim
-        parts, width = [], 0
+        out = np.empty((d * d, self.domain_dim), dtype=np.complex128)
+        lo = 0
         for a in self.blocks:
-            if width >= stop:
-                break
             n = a.shape[0]
-            rows = min(n, -(-(stop - width) // n))
-            parts.append((a, width, rows))
-            width += rows * n
-        out = np.empty((d * d, width), dtype=np.complex128)
-        for a, lo, rows in parts:
-            n = a.shape[0]
-            np.einsum("rp,sq->pqrs", a[:rows].conj(), a, out=out[:, lo : lo + rows * n].reshape(d, d, rows, n))
-        return out[:, :stop]
-
-    def gram(self) -> np.ndarray:
-        """matrix @ matrix*, as sum_i F_i (x) conj(F_i) with F_i = A_i* A_i.
-
-        Entry ((p, q), (p', q')) is sum_i F_i[p, p'] conj(F_i[q, q']), in the
-        map's row-major (p, q) order: d^2 x d^2 whatever the domain is.
-        """
-        d, k = self.dim, len(self.blocks)
-        f = np.stack([a.conj().T @ a for a in self.blocks]).reshape(k, d * d)
-        g = (f.T @ f.conj()).reshape(d, d, d, d)
-        return g.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+            np.einsum("rp,sq->pqrs", a.conj(), a, out=out[:, lo : lo + n * n].reshape(d, d, n, n))
+            lo += n * n
+        return out
 
     def apply(self, d: BlockHermitian) -> np.ndarray:
         """Evaluate sum_i A_i* D_i A_i directly from the dilation blocks."""
@@ -208,83 +178,70 @@ def _witness(pmap: PerturbationMap, x: np.ndarray) -> BlockHermitian:
     return BlockHermitian(labels=pmap.labels, blocks=tuple(b / scale + 0.0 for b in blocks))
 
 
-def _kernel_vector(c: np.ndarray) -> np.ndarray:
-    """A unit vector x with c x = 0, for ``c`` with one more column than rows.
+def _certified_block(pmap: PerturbationMap, rank_rel: float) -> int | None:
+    """Index of the first d x d block with lambda_min(F_i) > sqrt(tau) (exact),
+    F_i = A_i* A_i, tau = (MARGINAL_FACTOR rank_rel)^2 tr G; else None.
 
-    It is the last column of the unitary factor Q = H_1 ... H_n of the QR
-    of c*, got by applying the Householder reflectors H_j = I - tau_j v_j
-    v_j* to the last unit vector, j = n down to 1.  Row j of the raw factor
-    holds v_j after its (j, j) entry, where v_j has an implicit leading 1.
+    G = m m* = sum_i F_i (x) conj(F_i) is a sum of positive semidefinite
+    terms, with lambda_min(F_i (x) conj(F_i)) = lambda_min(F_i)^2, so by
+    Weyl's inequality lambda_min(G) > tau and, as tr G = sum_i ||A_i||_F^4 >=
+    s_max^2, the exact map is onto with every singular value above
+    MARGINAL_FACTOR * rank_rel * s_max.  fl(F_i) is one complex inner product
+    of length d per entry, off by at most gamma_{3d+2} times the sum over
+    moduli plus 3d 2^-1074 (Higham, 2nd ed., Sec. 3.5-3.6, any order), so
+    ||fl(F_i) - F_i||_2 <= form_i = gamma_{3d+2} ||A_i||_F^2 + 3d^2 2^-1074,
+    also for the lower triangle read.  :func:`certify_min_eigenvalue` proves
+    lambda_min(fl(F_i)) above sqrt(tau) plus twice form_i, both rounded up.
     """
-    h, tau = np.linalg.qr(c.conj().T, mode="raw")
-    x = np.zeros(c.shape[1], dtype=np.complex128)
-    x[-1] = 1.0
-    for j in range(len(tau) - 1, -1, -1):
-        v = h[j, j:]
-        v[0] = 1.0  # the entry of R there is not needed again
-        x[j:] -= v * (tau[j] * np.vdot(v, x[j:]))
+    d = pmap.dim
+    frob = np.array([np.vdot(a, a).real for a in pmap.blocks])
+    tau = (MARGINAL_FACTOR * rank_rel) ** 2 * float(np.sum(frob**2))
+    root = float(np.sqrt(tau)) * (1.0 + 4.0 * UNIT_ROUNDOFF)
+    for i, a in enumerate(pmap.blocks):
+        if a.shape[0] == d:
+            form = gamma(3 * d + 2) * float(frob[i]) + 3 * d * d * SUBNORMAL_MIN
+            if certify_min_eigenvalue(a.conj().T @ a, (root + 2.0 * form) * (1.0 + 2.0 * UNIT_ROUNDOFF)):
+                return i
+    return None
+
+
+def _lent_row(pmap: PerturbationMap, i: int) -> np.ndarray:
+    """Kernel vector in which the certified block i lends the leading row a
+    of another block j, the largest leading row (rows descend in norm).
+
+    With y A_i = a, X_i = -conj(y) y^T and X_j = |0><0| map to -a* a and a* a.
+    The split halves differ by 2 ||a||^2 / max(1, ||y||^2) >= 2 min(||a||^2,
+    lambda_min(F_i)), as ||y||^2 <= ||a||^2 / lambda_min(F_i), and
+    lambda_min(F_i) > sqrt(tau) is certified.
+    """
+    lead = [-1.0 if j == i else np.vdot(a[0], a[0]).real for j, a in enumerate(pmap.blocks)]
+    j = int(np.argmax(lead))
+    a = pmap.blocks[j][0]
+    y = np.linalg.solve(pmap.blocks[i].T, a)
+    starts = np.cumsum([0, *(n * n for n in pmap.block_dims)])
+    x = np.zeros(pmap.domain_dim, dtype=np.complex128)
+    x[starts[i] : starts[i + 1]] = -np.outer(y.conj(), y).ravel()
+    x[starts[j]] = 1.0
     return x
 
 
-def _onto_with_margin(pmap: PerturbationMap, rank_rel: float) -> bool:
-    """True only if the exact map of the stored blocks is onto, with every
-    singular value above MARGINAL_FACTOR * rank_rel * s_max.
-
-    For G = m m* (exact) that is lambda_min(G) > tau = (MARGINAL_FACTOR
-    rank_rel)^2 tr G, as tr G = sum_i ||A_i||_F^4 >= s_max^2.  G is sum_i F_i
-    (x) conj(F_i) with F_i = A_i* A_i, a sum of positive semidefinite terms
-    with lambda_min(F_i (x) conj(F_i)) = lambda_min(F_i)^2, so by Weyl's
-    inequality lambda_min(G) >= max_i lambda_min(F_i)^2: a d x d block with
-    lambda_min(F_i) > sqrt(tau) proves the claim (:func:`_block_proof`).
-    Only when no block does is G formed and proven directly.
-
-    Both proofs bound their forming error the same way.  A complex inner
-    product of length l is off by at most gamma_{3l+2} times the same sum
-    over moduli (Higham, 2nd ed., Sec. 3.5-3.6, any order, complex products
-    or real FMA chains per component), plus 3l 2^-1074 for underflow.  G is
-    formed by two of them, F_i = A_i* A_i over n_i <= n rows and G over the
-    k blocks.  Entrywise, then, |fl(G) - G| <= gamma_{6n+3k+6} sum_i P_i (x)
-    P_i + k (7 n p + 4) 2^-1074, with P_i = |A_i|^T |A_i| and p = max_i
-    ||A_i||_F^2 >= every entry of P_i; the bound is symmetric, so it also holds
-    for the Hermitian matrix read from the lower triangle of fl(G).  As
-    ||sum_i P_i (x) P_i||_2 <= sum_i ||A_i||_F^4 = tr G, ||fl(G) - G||_2 is
-    at most form = gamma_{6n+3k+6} tr G + d^2 k (7 n p + 4) 2^-1074.
-    :func:`certify_min_eigenvalue` proves lambda_min(fl(G)) above tau plus
-    twice that (rounded up, for the rounding of its own evaluation), and
-    Weyl's inequality gives lambda_min(G) > tau.
+def _qr_kernel(pmap: PerturbationMap, rank_rel: float) -> tuple[np.ndarray, int]:
+    """A unit kernel vector and the kernel dimension of a wide map, from one
+    raw QR of m*: the rank from the triangular factor R (read first, as the
+    loop overwrites its diagonal), and the last column of Q = H_1 ... H_{d^2}
+    from the reflectors H_j = I - tau_j v_j v_j* applied to the last unit
+    vector.  Row j of the raw factor holds v_j after its implicit leading 1.
     """
-    blocks, d = pmap.blocks, pmap.dim
-    frob = np.array([np.vdot(a, a).real for a in blocks])
-    trace = float(np.sum(frob**2))
-    tau = (MARGINAL_FACTOR * rank_rel) ** 2 * trace
-    if _block_proof(pmap, tau):
-        return True
-    n, k = max(pmap.block_dims), len(blocks)
-    form = gamma(6 * n + 3 * k + 6) * trace + d * d * k * (7 * n * float(frob.max()) + 4) * SUBNORMAL_MIN
-    return certify_min_eigenvalue(pmap.gram(), (tau + 2.0 * form) * (1.0 + 2.0 * UNIT_ROUNDOFF))
-
-
-def _block_proof(pmap: PerturbationMap, tau: float) -> bool:
-    """True only if some d x d block has lambda_min(A_i* A_i) > sqrt(tau)
-    (exact), which makes lambda_min(G) > tau.
-
-    fl(F_i) = fl(A_i* A_i) is one length-d inner product per entry, so by the
-    inner-product bound of :func:`_onto_with_margin`, entrywise |fl(F_i) -
-    F_i| <= gamma_{3d+2} P_i + 3d 2^-1074, and ||fl(F_i) - F_i||_2 <= form_i
-    = gamma_{3d+2} ||A_i||_F^2 + 3d^2 2^-1074; the bound is symmetric, so it
-    holds for the lower triangle that is read.  sqrt(tau) is rounded up, and
-    :func:`certify_min_eigenvalue` proves lambda_min(fl(F_i)) above it plus
-    twice form_i (rounded up), so Weyl's inequality gives lambda_min(F_i) >
-    sqrt(tau).
-    """
-    d = pmap.dim
-    root = float(np.sqrt(tau)) * (1.0 + 4.0 * UNIT_ROUNDOFF)
-    for a in pmap.blocks:
-        if a.shape[0] == d:
-            form = gamma(3 * d + 2) * float(np.vdot(a, a).real) + 3 * d * d * SUBNORMAL_MIN
-            if certify_min_eigenvalue(a.conj().T @ a, (root + 2.0 * form) * (1.0 + 2.0 * UNIT_ROUNDOFF)):
-                return True
-    return False
+    dom, cod = pmap.domain_dim, pmap.codomain_dim
+    h, tau = np.linalg.qr(pmap.matrix.conj().T, mode="raw")
+    rank = _rank(np.linalg.svd(np.triu(h.T[:cod]), compute_uv=False), rank_rel)
+    x = np.zeros(dom, dtype=np.complex128)
+    x[-1] = 1.0
+    for j in range(cod - 1, -1, -1):
+        v = h[j, j:]
+        v[0] = 1.0
+        x[j:] -= v * (tau[j] * np.vdot(v, x[j:]))
+    return x, dom - rank
 
 
 def _rank(s: np.ndarray, rank_rel: float) -> int:
@@ -297,29 +254,16 @@ def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
     pmap = build_perturbation_map(p, tol)
     dom, cod = pmap.domain_dim, pmap.codomain_dim
     if dom > cod:
-        # More columns than rows: impure whatever the rank, and the smallest
-        # singular value over the whole domain is an exact zero.  Any cod + 1
-        # columns are dependent, so the leading ones carry a kernel vector:
-        # the last column of the unitary factor of the QR of their adjoint is
-        # orthogonal to every row of the map.  Only those columns are built,
-        # and that column is read from the reflectors, Q never formed.
-        x = np.zeros(dom, dtype=np.complex128)
-        x[: cod + 1] = _kernel_vector(pmap.columns(cod + 1))
-        # The kernel dimension is dom - rank.  A verified Cholesky proof that
-        # m is onto with every singular value MARGINAL_FACTOR above the rank
-        # threshold settles rank = cod, from one full-rank effect's d x d
-        # block or else from the d^2 x d^2 Gram matrix.  Only a map neither
-        # proof settles builds the whole matrix m and pays for the singular
-        # values, which the square triangular factor of the transpose shares
-        # with m (a view, where m* would be a copy of m).
-        if _onto_with_margin(pmap, tol.rank_rel):
-            rank = cod
+        # impure whatever the rank, and the smallest singular value over the
+        # whole domain is an exact zero
+        i = _certified_block(pmap, tol.rank_rel)
+        if i is None:
+            x, kernel_dim = _qr_kernel(pmap, tol.rank_rel)
         else:
-            m = pmap.matrix
-            rank = _rank(np.linalg.svd(np.linalg.qr(m.T, mode="r"), compute_uv=False), tol.rank_rel)
+            x, kernel_dim = _lent_row(pmap, i), dom - cod
         return PurityVerdict(
             pure=False,
-            kernel_dim=dom - rank,
+            kernel_dim=kernel_dim,
             smallest_singular_value=0.0,
             marginal=False,
             witness=_witness(pmap, x),
@@ -366,19 +310,12 @@ def convex_split(p: Povm, verdict: PurityVerdict, tol: Tolerance = DEFAULT_TOL) 
     if [a.shape for a in verdict.factors] != [(b.shape[0], p.dim) for b in w.blocks]:
         raise ValueError("verdict factors do not match the witness blocks")
     factors = dict(zip(w.labels, zip(verdict.factors, w.blocks)))
-    plus_outcomes = []
-    minus_outcomes = []
-    for lab in p.labels:
+
+    def effect(lab: str, sign: float) -> np.ndarray:
         if lab not in factors:
-            zero = np.zeros((p.dim, p.dim))
-            plus_outcomes.append((lab, zero))
-            minus_outcomes.append((lab, zero))
-            continue
+            return np.zeros((p.dim, p.dim))
         a, d = factors[lab]
-        eye = np.eye(a.shape[0])
-        plus_outcomes.append((lab, a.conj().T @ (eye + d) @ a))
-        minus_outcomes.append((lab, a.conj().T @ (eye - d) @ a))
-    return ConvexSplit(
-        plus=validate(p.dim, plus_outcomes, tol),
-        minus=validate(p.dim, minus_outcomes, tol),
-    )
+        return a.conj().T @ (np.eye(a.shape[0]) + sign * d) @ a
+
+    plus, minus = (validate(p.dim, [(lab, effect(lab, sign)) for lab in p.labels], tol) for sign in (1.0, -1.0))
+    return ConvexSplit(plus=plus, minus=minus)

@@ -94,9 +94,7 @@ def geometric_tail_family(n_members: int, ratio: float = 0.5, support: int = 32)
         raise InvalidRatio(f"ratio must lie in (0, 1), got {ratio}")
     if support < 0:
         raise IndexOutOfRange(f"support must be >= 0, got {support}")
-    # ratio^k stays 0.0 from its first underflow on; fourier_family drops zeros
-    far = support + n_members + 1
-    reach = next((k for k in range(far) if ratio**k == 0.0), far)
+    reach = _reach(ratio, support + n_members + 1)
     members = []
     for n in range(1, n_members + 1):
         span = range(max(-support, n - reach + 1), min(support, n + reach - 1) + 1)
@@ -108,6 +106,11 @@ def geometric_tail_family(n_members: int, ratio: float = 0.5, support: int = 32)
             )
         members.append({s: v / norm for s, v in coeffs.items()})
     return fourier_family(members)
+
+
+def _reach(ratio: float, far: int) -> int:
+    """The first k < far with ratio^k == 0.0 (as from then on), else far."""
+    return next((k for k in range(far) if ratio**k == 0.0), far)
 
 
 def fourier_span_certificate(fam: FourierFamily, check_order: int) -> PurityCertificate:
@@ -179,21 +182,30 @@ def _dyadic_toeplitz(slots: np.ndarray) -> np.ndarray:
 
 
 def _frequency_count(n_members: int, ratio: float | None = None, support: int = 0) -> int | None:
-    """How many frequencies :func:`single_mode_family` (``ratio`` None) or
-    :func:`geometric_tail_family` would give, read from the arguments alone.
-
-    None when building the family would raise, or when a coefficient is small
-    enough that only building tells whether it survives normalization.  While
-    ratio^(support + n_members) >= 2^-500, every coefficient of every member
-    is at least that, so no member stops early and each covers |s| <= support.
+    """A lower bound on the frequency count of :func:`single_mode_family`
+    (``ratio`` None) or :func:`geometric_tail_family`, from the arguments;
+    None when building might raise.  A member's L2 norm is at most N_max =
+    sqrt((1 + r^2) / (1 - r^2)), so every r^k >= N_max 2^-1000 survives the
+    normalization, and when N_max < 2 every nonzero r^k does (the quotient
+    passes 2^-1075, rounding up); the 1e-9 factors cover rounding.  So the
+    members keep [1 - K, n_members + K] within the support, K the largest
+    such k.  A member peaked outside the support keeps a nonzero norm while
+    r^(n_members - support) >= 2^-500.
     """
     if not 1 <= n_members <= MAX_MEMBERS:
         return None
     if ratio is None:
         return n_members
-    if not (0.0 < ratio < 1.0 and support >= 0) or ratio ** (support + n_members) < 2.0**-500:
+    if not (0.0 < ratio < 1.0 and support >= 0):
         return None
-    return 2 * support + 1
+    if n_members > support and ratio ** (n_members - support) < 2.0**-500:
+        return None
+    peak = math.sqrt((1.0 + ratio**2) / (1.0 - ratio**2))
+    if peak * (1.0 + 1e-9) < 2.0:
+        k = _reach(ratio, support + n_members + 1) - 1
+    else:
+        k = int(math.log(peak * 2.0**-1000) / math.log(ratio) * (1.0 - 1e-9))
+    return min(support, n_members + k) - max(-support, 1 - k) + 1
 
 
 def _check_demo(n_members: int, n_frequencies: int, order: int, grid: int) -> None:

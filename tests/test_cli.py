@@ -351,6 +351,19 @@ def test_phase_demo_refuses_a_wide_support_before_building_the_family(capsys):
     assert doc == {"error": {"kind": "IndexOutOfRange", "detail": WIDE_SUPPORT_DETAIL}}
 
 
+def test_phase_demo_refuses_a_long_tail_before_building_the_family(capsys):
+    # ratio^(support + members) is below 2^-500, yet every coefficient survives
+    # normalization: building the 800001-coefficient member took about 1 s
+    start = time.perf_counter()
+    code, doc = run(capsys, "phase-demo", "--M", "4", "--members", "1", "--ratio", "0.999",
+                    "--support", "400000")
+    assert time.perf_counter() - start < 0.2
+    assert code == 1
+    assert doc == {"error": {"kind": "IndexOutOfRange", "detail": (
+        "1 members over 800001 frequencies need a (127, 800001, 800001) complex stack of "
+        "1240237476 MB, over the 256 MB limit")}}
+
+
 @pytest.mark.parametrize("argv", [
     ("--members", "2", "--ratio", "0.999", "--support", "1000"),
     ("--members", "2", "--ratio", "0.999", "--support", "1000", "--M", "-1"),

@@ -14,8 +14,7 @@ from povm_purity.extremality import (
     BlockHermitian,
     PerturbationMap,
     PurityVerdict,
-    _block_proof,
-    _onto_with_margin,
+    _certified_block,
     _witness,
     build_perturbation_map,
     convex_split,
@@ -295,17 +294,6 @@ def test_dimension_bound_on_pure_fixtures():
             assert pmap.domain_dim <= p.dim**2
 
 
-def test_gram_is_the_map_times_its_adjoint(rng):
-    """sum_i F_i (x) conj(F_i), F_i = A_i* A_i, is m m* on fixtures and random POVMs."""
-    pool = [fixture(name) for name in FIXTURE_NAMES]
-    pool += [random_povm(rng, d, k) for d, k in ((1, 2), (2, 5), (3, 3), (5, 2), (8, 4))]
-    pool += [random_pvm(rng, 6, 3), mix(random_pvm(rng, 4, 2), random_pvm(rng, 4, 2), 0.5)]
-    for p in pool:
-        pmap = build_perturbation_map(p)
-        m = pmap.matrix
-        assert np.max(np.abs(pmap.gram() - m @ m.conj().T)) <= 1e-12
-
-
 def _normalized(dim, lumps):
     """The POVM S^(-1/2) G_i S^(-1/2), S = sum_i G_i, of PSD lumps G_i."""
     w, v = np.linalg.eigh(sum(lumps))
@@ -384,9 +372,10 @@ def _independent_kernel_dim(pmap):
     exponent=st.floats(-9.0, -7.0),
 )
 def test_wide_map_kernel_dimension_matches_the_singular_values(draw, kind, dim, exponent):
-    """Every wide map is impure; the Cholesky proof settles only the maps that
-    are onto with margin, and the kernel dimension is the independent count
-    of singular values above the rank threshold either way."""
+    """Every wide map is impure; a certified block settles only maps with a
+    full-rank effect that are onto with margin, and the kernel dimension is
+    the independent count of singular values above the rank threshold either
+    way."""
     rng = np.random.default_rng(draw)
     if kind == "near-threshold":
         assume(abs(exponent + 8.0) > 0.05)  # keep clear of the rank threshold itself
@@ -400,38 +389,54 @@ def test_wide_map_kernel_dimension_matches_the_singular_values(draw, kind, dim, 
     kernel_dim = _independent_kernel_dim(pmap)
     assert v.kernel_dim == kernel_dim
     excess = pmap.domain_dim - pmap.codomain_dim
-    proven = _onto_with_margin(pmap, DEFAULT_TOL.rank_rel)
+    certified = _certified_block(pmap, DEFAULT_TOL.rank_rel) is not None
     if deficient:
         assert kernel_dim > excess
-    if deficient or kind == "near-threshold":
-        assert not proven
+    if deficient or kind in ("rank-one", "near-threshold"):  # no full-rank effect
+        assert not certified
     if kind == "rank-one":  # generic, so onto with room to spare
-        assert proven
-    if proven:
+        assert kernel_dim == excess
+    if certified:
         assert kernel_dim == excess
     assert opnorm(pmap.apply(v.witness)) <= 1e-10
 
 
-def _invariance_pool(rng):
-    pool = [fixture(name) for name in FIXTURE_NAMES]
-    pool += [random_povm(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5))) for _ in range(4)]
-    pool += [random_pvm(rng, 4, 2), random_pvm(rng, 3, 3)]
-    pool.append(mix(random_pvm(rng, 4, 2), random_pvm(rng, 4, 2), 0.5))
-    return pool
-
-
-def test_verdict_invariant_under_unitary_permutation_and_zero_outcomes(rng):
-    for p in _invariance_pool(rng):
-        v = purity_verdict(p)
-        u = random_unitary(rng, p.dim)
-        rotated = validate(p.dim, [(lab, u @ e @ u.conj().T) for lab, e in p])
-        order = rng.permutation(len(p))
-        permuted = validate(p.dim, [(p.labels[i], p.effects[i]) for i in order])
-        zero = np.zeros((p.dim, p.dim))
-        padded = validate(p.dim, [*p, ("zero-a", zero), ("zero-b", zero)])
-        for q in (rotated, permuted, padded):
-            w = purity_verdict(q)
-            assert (w.pure, w.kernel_dim) == (v.pure, v.kernel_dim)
+@seed(SEED)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    draw=st.integers(0, 2**32 - 1),
+    source=st.sampled_from([*FIXTURE_NAMES, "povm", "pvm", "pvm-mixture"]),
+    dim=st.integers(2, 4),
+    outcomes=st.integers(2, 4),
+)
+def test_verdict_invariant_under_unitary_permutation_and_zero_outcomes(draw, source, dim, outcomes):
+    """A unitary conjugation, a permutation of the outcomes and zero outcomes
+    leave pure and kernel_dim alone.  Which block is certified and which row
+    it lends depend on the outcome order, so each impure witness is checked
+    on its own: it lies in the kernel and its split validates."""
+    rng = np.random.default_rng(draw)
+    if source == "povm":
+        p = random_povm(rng, dim, outcomes)
+    elif source == "pvm":
+        p = random_pvm(rng, dim, min(dim, outcomes))
+    elif source == "pvm-mixture":
+        p = mix(random_pvm(rng, 4, 2), random_pvm(rng, 4, 2), 0.5)
+    else:
+        p = fixture(source)
+    u = random_unitary(rng, p.dim)
+    rotated = validate(p.dim, [(lab, u @ e @ u.conj().T) for lab, e in p])
+    order = rng.permutation(len(p))
+    permuted = validate(p.dim, [(p.labels[i], p.effects[i]) for i in order])
+    zero = np.zeros((p.dim, p.dim))
+    padded = validate(p.dim, [*p, ("zero-a", zero), ("zero-b", zero)])
+    v = purity_verdict(p)
+    for q in (p, rotated, permuted, padded):
+        w = purity_verdict(q)
+        assert (w.pure, w.kernel_dim) == (v.pure, v.kernel_dim)
+        if not w.pure:
+            assert opnorm(build_perturbation_map(q).apply(w.witness)) <= 1e-10
+            split = convex_split(q, w)
+            assert split.plus.labels == split.minus.labels == q.labels
 
 
 def test_witness_is_a_hermitian_unit_kernel_direction(rng):
@@ -522,14 +527,14 @@ def test_map_singular_values_match_hermitian_coordinates(rng):
 
 
 # ---------------------------------------------------------------------------
-# the map is built on request, and the wide verdict builds only its witness columns
+# the map is built on request, and a wide map without a certified block is
+# factored by one QR
 # ---------------------------------------------------------------------------
 
 
 def test_matrix_columns_are_the_outer_products_of_the_block_rows(rng):
     """Column r*n_i+s of block i is vec(|a_ir><a_is|), entry (p, q) being
-    conj(A_i[r, p]) A_i[s, q] (to the rounding of one complex product), and
-    every prefix of columns is the same bytes as the whole matrix."""
+    conj(A_i[r, p]) A_i[s, q] (to the rounding of one complex product)."""
     pool = [fixture(name) for name in FIXTURE_NAMES]
     pool += [random_povm(rng, 3, 4), random_pvm(rng, 4, 2), _rank_one(2, rng.standard_normal((6, 2)) + 0j)]
     for p in pool:
@@ -537,24 +542,21 @@ def test_matrix_columns_are_the_outer_products_of_the_block_rows(rng):
         m = pmap.matrix
         cols = [np.outer(a[r].conj(), a[s]).ravel() for a in pmap.blocks for r in range(len(a)) for s in range(len(a))]
         assert_allclose(m, np.stack(cols, axis=1), rtol=0, atol=1e-15)
-        for stop in range(pmap.domain_dim + 1):
-            assert np.array_equal(pmap.columns(stop), m[:, :stop])
 
 
-def test_wide_witness_is_the_complete_qr_of_the_leading_columns(rng):
-    """The kernel vector read from the reflectors is the last column of the
-    complete QR of the leading columns' adjoint, to rounding: the two apply
-    the same reflectors in different orders."""
-    pool = [random_povm(rng, 4, 4), random_povm(rng, 3, 6), fixture("coin")]
-    pool.append(_rank_one(3, rng.standard_normal((11, 3)) + 1j * rng.standard_normal((11, 3))))
+def test_uncertified_wide_witness_is_the_complete_qr_of_the_map(rng):
+    """Without a certified block, the kernel vector read from the reflectors
+    is the last column of the complete QR of the whole map's adjoint, to
+    rounding: the two apply the same reflectors in different orders."""
+    pool = [_rank_one(3, rng.standard_normal((11, 3)) + 1j * rng.standard_normal((11, 3)))]
+    pool += [_wide_case(kind, rng, 4)[0] for kind in ("classical", "direct-sum")]
+    pool.append(mix(random_pvm(rng, 3, 3), random_pvm(rng, 3, 3), 0.5))
     for p in pool:
         pmap = build_perturbation_map(p)
-        dom, cod = pmap.domain_dim, pmap.codomain_dim
-        assert dom > cod
-        q, _ = np.linalg.qr(pmap.matrix[:, : cod + 1].conj().T, mode="complete")
-        x = np.zeros(dom, dtype=np.complex128)
-        x[: cod + 1] = q[:, -1]
-        expected = _witness(pmap, x)
+        assert pmap.domain_dim > pmap.codomain_dim
+        assert _certified_block(pmap, DEFAULT_TOL.rank_rel) is None
+        q, _ = np.linalg.qr(pmap.matrix.conj().T, mode="complete")
+        expected = _witness(pmap, q[:, -1])
         w = purity_verdict(p).witness
         assert w.labels == expected.labels
         for b, e in zip(w.blocks, expected.blocks):
@@ -578,7 +580,7 @@ def test_wide_verdict_never_holds_the_full_map(rng):
 
 
 # ---------------------------------------------------------------------------
-# a full-rank effect's d x d block proves a wide map onto without the Gram matrix
+# a full-rank effect's d x d block proves a wide map onto and lends a row
 # ---------------------------------------------------------------------------
 
 
@@ -599,13 +601,16 @@ def test_block_proof_implies_the_gram_bound(draw, kind, dim):
     p = random_povm(rng, dim, int(rng.integers(2, 5))) if kind == "full-rank" else _wide_case(kind, rng, dim)[0]
     pmap = build_perturbation_map(p)
     tau = _tau(pmap)
-    proven = _block_proof(pmap, tau)
+    i = _certified_block(pmap, DEFAULT_TOL.rank_rel)
     if kind == "full-rank":  # effects with spectra far above sqrt(tau)
-        assert proven
+        assert i == 0
     if kind == "direct-sum":  # no block has full rank
-        assert not proven
-    if proven:
-        assert np.linalg.eigvalsh(pmap.gram())[0] > tau
+        assert i is None
+    if i is not None:
+        a = pmap.blocks[i]
+        assert np.linalg.eigvalsh(a.conj().T @ a)[0] > np.sqrt(tau)
+        m = pmap.matrix
+        assert np.linalg.eigvalsh(m @ m.conj().T)[0] > tau
 
 
 def _two_outcome(rng, dim, factor):
@@ -624,61 +629,104 @@ def _two_outcome(rng, dim, factor):
     return validate(dim, [("x", x), ("rest", np.eye(dim) - x)]), t
 
 
-def _count_gram_calls(monkeypatch):
+def _count_calls(monkeypatch, *names):
+    """Record each call of the named ``np.linalg`` functions by name."""
     calls = []
-    gram = PerturbationMap.gram
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
 
-    def counted(self):
-        calls.append(self.dim)
-        return gram(self)
-
-    monkeypatch.setattr(PerturbationMap, "gram", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("dim", [2, 4, 7])
 @pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])
 def test_block_proof_at_its_threshold(rng, monkeypatch, dim, factor):
-    """Just below sqrt(tau) the block proof fails and the Gram proof settles
-    the map; just above, the block proof settles it alone."""
+    """Just below sqrt(tau) no block is certified and the verdict takes one
+    QR of the map; just above, the block settles it with no QR or SVD."""
     p, t = _two_outcome(rng, dim, factor)
     pmap = build_perturbation_map(p)
     assert pmap.block_dims == (dim, dim)
     assert all(np.linalg.eigvalsh(a.conj().T @ a)[0] == pytest.approx(t, rel=1e-8) for a in pmap.blocks)
-    tau = _tau(pmap)
-    assert t == pytest.approx(np.sqrt(tau) * factor, rel=1e-12)
-    assert _block_proof(pmap, tau) is (factor > 1.0)
-    calls = _count_gram_calls(monkeypatch)
+    assert t == pytest.approx(np.sqrt(_tau(pmap)) * factor, rel=1e-12)
+    assert _certified_block(pmap, DEFAULT_TOL.rank_rel) == (0 if factor > 1.0 else None)
+    kernel_dim = _independent_kernel_dim(pmap)
+    calls = _count_calls(monkeypatch, "qr", "svd")
     v = purity_verdict(p)
-    assert len(calls) == (0 if factor > 1.0 else 1)
-    assert v.kernel_dim == _independent_kernel_dim(pmap) == dim * dim
+    assert calls == ([] if factor > 1.0 else ["qr", "svd"])
+    assert v.kernel_dim == kernel_dim == dim * dim
     assert opnorm(pmap.apply(v.witness)) <= 1e-10
 
 
-def test_rank_deficient_effects_still_reach_the_gram_proof(rng, monkeypatch):
+def test_rank_deficient_effects_take_the_qr_path(rng, monkeypatch):
     """Rank-one POVMs with k > d^2 and PVM mixtures have no d x d block, so
-    their verdicts take the Gram proof, with the independent kernel dimension."""
+    their verdicts take one QR of the map, with the independent kernel
+    dimension."""
     pool = [_rank_one(d, rng.standard_normal((d * d + 2, d, 2)) @ [1.0, 1j]) for d in (2, 3, 4)]
     pool.append(mix(random_pvm(rng, 3, 3), random_pvm(rng, 3, 3), 0.5))
     pool.append(mix(mix(random_pvm(rng, 4, 4), random_pvm(rng, 4, 4), 0.5), random_pvm(rng, 4, 4), 1.0 / 3.0))
-    calls = _count_gram_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "qr")
     for p in pool:
         pmap = build_perturbation_map(p)
         assert pmap.domain_dim > pmap.codomain_dim
         assert max(pmap.block_dims) < pmap.dim
         calls.clear()
         v = purity_verdict(p)
-        assert calls == [pmap.dim]
+        assert calls == ["qr"]
         assert v.kernel_dim == _independent_kernel_dim(pmap)
 
 
 def test_full_rank_wide_verdict_never_builds_the_gram_matrix(rng, monkeypatch):
-    def refuse(self):
-        raise AssertionError("the Gram matrix was built")
+    """A certified block settles the verdict without the map, a QR or an SVD."""
+    povms = [random_povm(rng, d, 8) for d in (16, 32)]
+    pmaps = [build_perturbation_map(p) for p in povms]
 
-    monkeypatch.setattr(PerturbationMap, "gram", refuse)
-    p = random_povm(rng, 16, 8)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a d^2-sized factorization was asked for")
+
+    monkeypatch.setattr(PerturbationMap, "matrix", property(refuse))
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for p, pmap in zip(povms, pmaps):
+        v = purity_verdict(p)
+        assert not v.pure and v.kernel_dim == pmap.domain_dim - pmap.codomain_dim
+        assert opnorm(pmap.apply(v.witness)) <= 1e-10
+
+
+@seed(SEED)
+@settings(max_examples=40, deadline=None, database=None)
+@given(draw=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), outcomes=st.integers(2, 5))
+def test_lent_row_is_a_rank_one_kernel_direction(draw, dim, outcomes):
+    """The closed-form witness has exactly two nonzero blocks: -y y* on the
+    certified block i and |0><0| on the outcome j whose leading row a it
+    lends, both over max(1, ||y||^2) up to sign.  Its residual vanishes, and
+    the split halves differ in outcome j by 2 ||a||^2 / max(1, ||y||^2) >=
+    2 min(||a||^2, lambda_min(F_i))."""
+    rng = np.random.default_rng(draw)
+    p = random_povm(rng, dim, outcomes)
     pmap = build_perturbation_map(p)
+    i = _certified_block(pmap, DEFAULT_TOL.rank_rel)
+    assert i is not None
     v = purity_verdict(p)
-    assert not v.pure and v.kernel_dim == pmap.domain_dim - pmap.codomain_dim
+    nonzero = [j for j, b in enumerate(v.witness.blocks) if np.any(b != 0.0)]
+    assert len(nonzero) == 2 and i in nonzero
+    j = nonzero[1 - nonzero.index(i)]
+    a = pmap.blocks[j][0]
+    assert all(np.vdot(b[0], b[0]).real <= np.vdot(a, a).real for k, b in enumerate(pmap.blocks) if k != i)
+    y = np.linalg.solve(pmap.blocks[i].T, a)
+    scale = max(1.0, float(np.vdot(y, y).real))
+    sign = 1.0 if v.witness.blocks[j][0, 0].real > 0.0 else -1.0
+    dj = np.zeros_like(v.witness.blocks[j])
+    dj[0, 0] = sign / scale
+    assert_allclose(v.witness.blocks[j], dj, rtol=0, atol=1e-15)
+    assert_allclose(v.witness.blocks[i], -sign * np.outer(y.conj(), y) / scale, rtol=0, atol=1e-12)
     assert opnorm(pmap.apply(v.witness)) <= 1e-10
+    split = convex_split(p, v)
+    lab = pmap.labels[j]
+    gap = opnorm(split.plus.effect(lab) - split.minus.effect(lab))
+    norm_a = float(np.vdot(a, a).real)
+    assert gap == pytest.approx(2.0 * norm_a / scale, rel=1e-9)
+    fi = pmap.blocks[i].conj().T @ pmap.blocks[i]
+    assert gap >= 2.0 * min(norm_a, np.linalg.eigvalsh(fi)[0]) * (1.0 - 1e-9)

@@ -16,6 +16,7 @@ from povm_purity.phase import (
     MIN_GRID,
     FourierFamily,
     _dyadic_toeplitz,
+    _frequency_count,
     fourier_family,
     fourier_span_certificate,
     geometric_tail_family,
@@ -92,6 +93,41 @@ def test_family_size_is_bounded_before_building():
             build(MAX_MEMBERS + 1)
         with pytest.raises(IndexOutOfRange, match="3000000 members"):
             build(3_000_000)
+
+
+@seed(SEED)
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    members=st.integers(1, 6),
+    ratio=st.sampled_from([1e-200, 0.1, 0.5, 0.75, 0.78, 0.9, 0.99]) | st.floats(0.01, 0.99),
+    support=st.integers(0, 3000),
+)
+def test_frequency_count_is_a_lower_bound_on_the_built_family(members, ratio, support):
+    """The count read from the arguments never exceeds the built family's,
+    and matches it for N_max < 2, where every nonzero coefficient survives."""
+    bound = _frequency_count(members, ratio, support)
+    try:
+        fam = geometric_tail_family(members, ratio, support)
+    except EmptyFamily:
+        assert bound is None
+        return
+    count = len({s for m in fam.members for s in m})
+    if bound is None:
+        assert members > support
+        return
+    assert 1 <= bound <= count <= 2 * support + 1
+    if np.sqrt((1.0 + ratio**2) / (1.0 - ratio**2)) < 1.9:  # N_max < 2: exact
+        assert bound == count
+
+
+def test_frequency_count_reads_long_tails_from_the_arguments():
+    # every coefficient of 0.999^|s - 1| on |s| <= 400000 is above N_max 2^-1000
+    assert _frequency_count(1, 0.999, 400_000) == 800_001
+    # 0.9^k stays above N_max 2^-1000 up to k = 6568; the built family reaches further
+    assert _frequency_count(1, 0.9, 100_000) == 2 * 6568 + 1
+    assert _frequency_count(3, 0.5, 10**6) == 2151
+    assert _frequency_count(1100, 0.5, 0) is None
+    assert _frequency_count(4) == 4
 
 
 # ---------------------------------------------------------------------------
