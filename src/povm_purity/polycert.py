@@ -15,13 +15,31 @@ nothing.
 The ladder is exact.  Members are read as integers: the orthonormal bases
 keep integer multiples of their members (H_n, n! L_n, 2^n P_n, x^n; scaling
 a member scales rows, which leaves coverage alone), and a family built from
-floats is read exactly as the doubles it holds.  The product rows are
-eliminated modulo the prime PRIME; full rank there proves full rank over Q,
-so a ``certified`` verdict is a proof.  Only when some slot gets no pivot
-modulo PRIME does a fraction-free pass over the integers name the missing
-slots exactly; it eliminates the slots-by-slots Gram A^T A of the exact rows
-A rather than A itself, since over Q a prefix of columns of A^T A has the
-rank of the same prefix of A.  No tolerance enters.
+floats is read exactly as the doubles it holds.  Every verdict is a proof,
+reached by the first of three routes that decides it, all modulo the prime
+PRIME, where a nonzero minor is a nonzero integer, so rank there is at most
+rank over Q:
+
+* compressed block: a block A of N product rows over S slots with more than
+  (S + 8) S nonzeros is compressed to C = R A by a fixed-seed random R of
+  S + 8 rows (random compression for rank; Cheung, Kwok and Lau, J. ACM
+  60(5) (2013)).  rank(C) <= rank(A) for every R, so a full-rank C proves
+  every slot covered.  Randomness only picks the route: a short C falls
+  through to the next one;
+* modular ladder: A itself is eliminated column by column; full rank proves
+  full rank over Q;
+* lifted deficit: when some slot gets no pivot modulo PRIME, the exact rows
+  (complex ones realified) are laddered modulo PRIME, and each column that
+  gains no rank there has its coordinates on the earlier pivot columns
+  lifted to small rationals (Wang, Guy and Davenport, SIGSAM Bull. 16(2)
+  (1982)) and checked on every row in Python integers.  Each prefix has at
+  least its modular rank over Q, and a verified dependency adds none, so
+  the modular ladder is then the exact one.  Should any lift fail, a
+  fraction-free pass over the integers (Bareiss) on the slots-by-slots Gram
+  A^T A of the exact rows names the missing slots: over Q a prefix of
+  columns of A^T A has the rank of the same prefix of A.
+
+No tolerance enters.
 
 The flagship family, ``orthonormal_family("hermite", m, exclude=(k,))``:
 orthonormal Hermite polynomials with one index k dropped, modelling a
@@ -36,6 +54,7 @@ end in :func:`span_certificate` and its one ladder.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +76,15 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 PRIME = 2**31 - 19
 # 2 is a non-residue because PRIME = 5 (mod 8), so 2^((PRIME-1)/4) squares to -1.
 _SQRT_M1 = pow(2, (PRIME - 1) // 4, PRIME)
+
+# The compressed route (``_compressed_full_rank``): rows of A per float
+# product (at most 2^21, so sums of terms below 2^32 stay below 2^53) and the
+# seed of its random R.
+_COMPRESS_CHUNK = 2048
+_COMPRESS_SEED = 20130901
+# The lifted route (``_lifted``): numerators and denominators up to
+# floor(sqrt(PRIME / 2)), so a residue has at most one such fraction.
+_LIFT_BOUND = math.isqrt(PRIME // 2)
 
 # Largest block one stack of intermediate rows may take: the modular row block
 # here, the dyadic interval stacks of ``phase``.
@@ -304,7 +332,7 @@ class ProductRows:
         return out
 
 
-def _pivot_columns(a: np.ndarray, modulus: int | None = None) -> list[bool]:
+def _pivot_columns(a: np.ndarray, modulus: int | None = None, echelon: list | None = None) -> list[bool]:
     """Which columns gain rank as columns enter left to right.
 
     Column j gains rank exactly when some combination of rows vanishes on the
@@ -312,6 +340,8 @@ def _pivot_columns(a: np.ndarray, modulus: int | None = None) -> list[bool]:
     column-ordered elimination.  int64 residues are eliminated over
     GF(modulus); Python ints (``modulus`` None) fraction-free over the
     integers (Bareiss, Math. Comp. 22 (1968)), which decides the same over Q.
+    Given a list ``echelon``, the modular branch appends each pivot row as
+    (j, its entries past j over the pivot): a row echelon form of ``a``.
     The elimination overwrites ``a``.
     """
     prev = 1
@@ -331,9 +361,90 @@ def _pivot_columns(a: np.ndarray, modulus: int | None = None) -> list[bool]:
         else:
             rest = nz[1:]  # the rows that are nonzero at j
             tail = tail * pow(int(pivot), -1, modulus) % modulus
+            if echelon is not None:
+                echelon.append((j, tail))
             # residues times residues stay below 2^62, so one reduction suffices
             a[rest, j + 1 :] = (a[rest, j + 1 :] - a[rest, j, None] * tail) % modulus
     return covered
+
+
+def _compressed_full_rank(a: np.ndarray) -> bool:
+    """Whether C = R A has full column rank modulo PRIME, for the int64 residues
+    A (N rows, S columns) and a fixed-seed random R of S + 8 rows, which
+    proves that A has full column rank over Q: every column gains rank.
+
+    The proof holds for any R: rank(R A) <= rank(A) modulo PRIME, and rank
+    modulo PRIME is at most rank over Q.  So randomness only picks the route:
+    a short C, of an unlucky R or of a real deficit, proves nothing and the
+    caller eliminates A itself.  Only blocks with more than (S + 8) S nonzeros
+    are compressed; sparser ones eliminate faster as they are.  C is exact:
+    R has entries below 2^16 and A is split into 16-bit limbs, so each float
+    product over a chunk of _COMPRESS_CHUNK rows sums terms below 2^32 to less
+    than _COMPRESS_CHUNK 2^32 < 2^53.  Each chunk of R is drawn from one
+    generator seeded with _COMPRESS_SEED, so R never exists whole.  It is the
+    standard library's: importing numpy.random would cost the first
+    certificate of a process more than most certificates take.
+    """
+    n, s = a.shape
+    if np.count_nonzero(a) <= (s + 8) * s:
+        return False
+    rng = random.Random(_COMPRESS_SEED)
+    c = np.zeros((s + 8, 2 * s), dtype=np.int64)
+    for start in range(0, n, _COMPRESS_CHUNK):
+        chunk = a[start : start + _COMPRESS_CHUNK]
+        r = np.frombuffer(rng.randbytes(2 * (s + 8) * len(chunk)), dtype="<u2").reshape(s + 8, -1).astype(float)
+        limbs = np.concatenate([chunk & 0xFFFF, chunk >> 16], axis=1).astype(float)
+        c = (c + (r @ limbs).astype(np.int64)) % PRIME
+    return all(_pivot_columns((c[:, :s] + (c[:, s:] << 16)) % PRIME, PRIME))
+
+
+def _rational(r: int) -> tuple[int, int] | None:
+    """The fraction n/d = r (mod PRIME) with |n| and d at most _LIFT_BOUND, else None.
+
+    The half-extended Euclid of Wang, Guy and Davenport, SIGSAM Bull. 16(2)
+    (1982): each remainder r_i keeps r_i = s_i r (mod PRIME).
+    """
+    r0, r1, s0, s1 = PRIME, r, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > _LIFT_BOUND:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _lifted(exact: np.ndarray, echelon: list) -> bool:
+    """Whether every column of the integer rows ``exact`` that gains no rank
+    modulo PRIME is, exactly, a rational combination of the pivot columns
+    before it; then the modular ladder of ``exact`` is its ladder over Q.
+
+    Each prefix of columns has at least its modular rank over Q.  A column
+    shown to lie in the span of the earlier pivot columns adds no rank over
+    Q, so each prefix has at most as much rank as it has pivot columns: the
+    two ladders agree.  The coordinates are solved modulo PRIME from
+    ``echelon``, the pivot rows :func:`_pivot_columns` gave for ``exact``
+    modulo PRIME (row operations away from it, the other rows having gone
+    to zero, so its columns obey the same dependencies); they are lifted by
+    :func:`_rational` and checked on every row in Python ints.
+    """
+    pivots = [j for j, _ in echelon]
+    free = sorted(set(range(exact.shape[1])) - set(pivots))
+    u = np.zeros((len(pivots), exact.shape[1]), dtype=np.int64)
+    for k, (j, tail) in enumerate(echelon):
+        u[k, j], u[k, j + 1 :] = 1, tail
+    # back substitution through the unit upper triangle u[:, pivots]
+    x = u[:, free]
+    for k in range(len(pivots) - 1, 0, -1):
+        x[:k] = (x[:k] - u[:k, pivots[k], None] * x[k]) % PRIME
+    num = np.empty(x.shape, dtype=object)
+    den = np.empty(len(free), dtype=object)
+    for f in range(len(free)):
+        fractions = [_rational(int(v)) for v in x[:, f]]
+        if None in fractions:
+            return False
+        den[f] = math.lcm(*(d for _, d in fractions))
+        num[:, f] = [n * (den[f] // d) for n, d in fractions]
+    return bool((exact[:, pivots] @ num == exact[:, free] * den).all())
 
 
 def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
@@ -341,20 +452,39 @@ def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
 
     A slot is missing when its column adds no rank; the missing slots are
     reported in ascending order.  Slots no product reaches are zero columns:
-    missing, and without effect on the rest.  The other slots are decided
-    modulo PRIME, where full rank proves full rank over Q; on a deficit the
-    Gram A^T A of the exact rows A decides them all: A^T A x = 0 exactly when
-    A x = 0 over Q, so each prefix of its columns has the rank of that prefix
-    of A, and realified complex rows are rows over Q as well.
+    missing, and without effect on the rest.  The other slots take the
+    first route that decides them, each a proof:
+
+    * compressed block: a random compression of the modular rows with full
+      column rank proves every slot covered (:func:`_compressed_full_rank`);
+    * modular ladder: the modular rows themselves, where full rank proves
+      full rank over Q;
+    * lifted deficit: on a deficit, the ladder of the exact rows A modulo
+      PRIME, once each column that gains no rank there is shown an exact
+      rational combination of the pivot columns before it (:func:`_lifted`);
+      should a lift fail, the Gram A^T A decides them all: A^T A x = 0
+      exactly when A x = 0 over Q, so each prefix of its columns has the
+      rank of that prefix of A.
+
+    Complex rows enter the exact routes realified, as rows over Q.
     """
     slots = list(slots)
     meet = rows.meet(slots)
     reached = (meet < meet.shape[0]).any(axis=0)
     live, meet = [s for s, r in zip(slots, reached) if r], meet[:, reached]
-    covered = _pivot_columns(rows.modular(meet), PRIME)
+    block = rows.modular(meet)
+    echelon = []
+    covered = [True] * len(live) if _compressed_full_rank(block) else _pivot_columns(block, PRIME, echelon)
     if not all(covered):
         exact = rows.exact(meet)
-        covered = _pivot_columns(exact.T @ exact)[:: 1 if rows.real else 2]
+        # real rows: the modular block is the exact rows modulo PRIME, and its
+        # echelon form serves; complex ones are laddered again, realified
+        if not rows.real:
+            echelon = []
+            covered = _pivot_columns((exact % PRIME).astype(np.int64), PRIME, echelon)
+        if not _lifted(exact, echelon):
+            covered = _pivot_columns(exact.T @ exact)
+        covered = covered[:: 1 if rows.real else 2]
     hit = {s for s, c in zip(live, covered) if c}
     missing = tuple(sorted(s for s in slots if s not in hit))
     return PurityCertificate(

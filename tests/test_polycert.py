@@ -325,6 +325,106 @@ def test_span_certificate_matches_exact_reference(data):
     assert cert.certified == (not missing)
 
 
+@seed(SEED)
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_compressed_route_matches_exact_reference(data):
+    # more rows than the S + 8 of the compression, mostly dense enough to take it
+    ncols = data.draw(st.integers(1, 4), label="ncols")
+    entries = data.draw(st.sampled_from([_integer_entries, _gaussian_entries]), label="kind")
+    height = ncols + 8
+    rows = data.draw(
+        st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=2 * height, max_size=3 * height),
+        label="rows",
+    )
+    cert = span_certificate(_plain_rows(rows), range(ncols), ncols - 1)
+    covered = _gaussian_pivot_columns([[_conj(v) for v in r] for r in rows], ncols)
+    assert cert.missing_degrees == tuple(c for c in range(ncols) if c not in covered)
+
+
+def _spy_pivot_columns(monkeypatch, refuse=lambda a: False) -> list:
+    """Record the (shape, dtype kind) of every elimination; raise on the refused ones."""
+    seen = []
+    eliminate = polycert._pivot_columns
+
+    def spy(a, *args):
+        if refuse(a):
+            raise AssertionError(f"eliminated a {a.dtype} block of shape {a.shape}")
+        seen.append((a.shape, a.dtype.kind))
+        return eliminate(a, *args)
+
+    monkeypatch.setattr(polycert, "_pivot_columns", spy)
+    return seen
+
+
+@pytest.mark.parametrize("kind", [int, complex])
+def test_dense_blocks_take_the_compressed_route(monkeypatch, kind):
+    rng = np.random.default_rng(SEED)
+    rows = [[kind(v) for v in r] for r in rng.integers(1, 9, size=(40, 5)).tolist()]
+    seen = _spy_pivot_columns(monkeypatch)
+    assert span_certificate(_plain_rows(rows), range(5), 4).certified
+    assert seen == [((13, 5), "i")]  # only the (S + 8) x S compression
+    # a column of multiples of PRIME vanishes modulo PRIME: the compression falls
+    # back to the block, then to the exact rows, where the column gains rank
+    for i, r in enumerate(rows):
+        r[2] = kind(PRIME * (1 + i % 3))
+    seen.clear()
+    assert span_certificate(_plain_rows(rows), range(5), 4).certified
+    assert seen[:2] == [((13, 5), "i"), ((40, 5), "i")] and seen[-1][1] == "O"
+
+
+@pytest.mark.parametrize("basis, top", [("laguerre", 40), ("legendre", 24)])
+def test_dense_bases_certify_without_eliminating_the_row_block(monkeypatch, basis, top):
+    _spy_pivot_columns(monkeypatch, refuse=lambda a: a.shape[0] > a.shape[1] + 8)
+    assert product_span_certificate(orthonormal_family(basis, top), top).certified
+
+
+def test_geometric_deficit_is_lifted_without_bareiss(monkeypatch):
+    _spy_pivot_columns(monkeypatch, refuse=lambda a: a.dtype == object)
+    assert fourier_span_certificate(geometric_tail_family(8), 8).missing_degrees == (8,)
+    exact = [{s: 2 ** (40 - abs(s - n)) for s in range(-32, 33)} for n in range(1, 9)]
+    assert fourier_span_certificate(fourier_family(exact), 8).missing_degrees == (8,)
+
+
+def test_rational_reconstruction():
+    assert polycert._rational(0) == (0, 1)
+    assert polycert._rational(-3 * pow(7, -1, PRIME) % PRIME) == (-3, 7)
+    bound = polycert._LIFT_BOUND
+    assert bound == 32767 and 2 * bound * bound < PRIME < 2 * (bound + 1) ** 2
+    assert polycert._rational(bound * pow(bound, -1, PRIME) % PRIME) == (1, 1)
+    # 3/65537 has a denominator past the bound and no small fraction shares its residue
+    assert polycert._rational(3 * pow(65537, -1, PRIME) % PRIME) is None
+
+
+_SMALL_DEPENDENCY = [[1, 2, 5], [3, -1, 1], [0, 4, 8], [2, 2, 6]]  # column 2 = column 0 + 2 column 1
+_LARGE_DEPENDENCY = [[65537, 3, 1], [131074, 6, 0], [-65537, -3, 2]]  # column 1 = 3/65537 column 0
+
+
+@pytest.mark.parametrize(
+    "rows, bareiss",
+    [
+        (_SMALL_DEPENDENCY, False),
+        (_LARGE_DEPENDENCY, True),
+        # complex rows, realified: (2 + i) and (3 + 65537 i)/65537 = 3/65537 + i times column 0
+        ([[complex(1, 1), complex(1, 3), 2], [2, complex(4, 2), 1j], [3j, complex(-3, 6), 0]], False),
+        ([[65537 * z, (3 + 65537j) * z, w] for z, w in ((1 + 1j, 1), (2, 1j), (3j, 0))], True),
+    ],
+)
+def test_deficits_stay_exact_on_both_deficit_routes(monkeypatch, rows, bareiss):
+    seen = _spy_pivot_columns(monkeypatch)
+    cert = span_certificate(_plain_rows(rows), range(3), 2)
+    covered = _gaussian_pivot_columns([[_conj(v) for v in r] for r in rows], 3)
+    assert cert.missing_degrees == tuple(c for c in range(3) if c not in covered) != ()
+    assert any(kind == "O" for _, kind in seen) == bareiss
+
+
+def test_a_lift_holds_on_every_row_or_falls_back(monkeypatch):
+    # column 1 is twice column 0 modulo PRIME, and exactly on every row but the last
+    seen = _spy_pivot_columns(monkeypatch)
+    assert span_certificate(_plain_rows([[1, 2], [3, 6], [1, 2 + PRIME]]), range(2), 1).certified
+    assert seen[-1][1] == "O"
+
+
 def test_former_float_ladder_defects_are_certified():
     # the float SVD ladder called all four inconclusive
     cases = (("hermite", 28, ()), ("hermite", 28, (5,)), ("laguerre", 20, ()), ("laguerre", 40, ()))
