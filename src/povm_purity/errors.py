@@ -93,6 +93,15 @@ class InvalidRatio(PovmError, ValueError):
     """Raised for a geometric tail ratio that is not a number in (0, 1)."""
 
 
+class NonFinite(PovmError, ValueError):
+    """Raised for a NaN or infinite entry of an input, or for finite inputs
+    whose results pass the double range."""
+
+
+class NonIntegerIndex(PovmError, ValueError):
+    """Raised for a frequency key that is not an integer."""
+
+
 class SchemaError(PovmError):
     """Malformed JSON input; ``path`` is a JSON-pointer-style location."""
 

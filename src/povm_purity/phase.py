@@ -13,9 +13,10 @@ things live here:
 
 * :func:`phase_truncation_demo`, which truncates a target family at Fourier
   order M and compares outcome integrals over a dyadic interval family.  The
-  integrals are exact (closed-form Toeplitz moments); the grid is only
-  validated and reported.  The truncated construction is generally *not*
-  unital — the defect is reported, not hidden.
+  integrals are exact: each is the difference of a closed-form antiderivative
+  of the Gram density at two of the 2^MAX_LEVEL + 1 dyadic endpoints; the
+  grid is only validated and reported.  The truncated construction is
+  generally *not* unital — the defect is reported, not hidden.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import EmptyFamily, GridTooCoarse, IndexOutOfRange, InvalidRatio
+from .errors import EmptyFamily, GridTooCoarse, IndexOutOfRange, InvalidRatio, NonFinite, NonIntegerIndex
 from .linalg import opnorm
 from .polycert import MAX_STACK_MB, ProductRows, PurityCertificate, span_certificate
 
@@ -56,9 +57,27 @@ class FourierFamily:
 
 
 def fourier_family(members) -> FourierFamily:
+    """A family from maps {frequency: coefficient}, zero coefficients dropped.
+
+    Every key must be an integer (an integral float is read as one) and every
+    coefficient a finite number; ``NonIntegerIndex`` and ``NonFinite`` refuse
+    the others, naming the member, before anything is built.
+    """
     cleaned = []
-    for m in members:
-        entries = {int(s): complex(v) for s, v in m.items() if v != 0}
+    for n, m in enumerate(members):
+        entries = {}
+        for s, v in m.items():
+            try:
+                g = int(s)
+            except (TypeError, ValueError, OverflowError):
+                g = None
+            if g is None or g != s:
+                raise NonIntegerIndex(f"member {n}: frequency {s!r} is not an integer")
+            z = complex(v)
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise NonFinite(f"member {n}: coefficient {v!r} at frequency {g} is not a finite number")
+            if z != 0:
+                entries[g] = z
         cleaned.append(entries)
     if not cleaned:
         raise EmptyFamily("family has no members")
@@ -141,10 +160,11 @@ class PhaseDemoReport:
     """Truncation diagnostics for a phase-like family.
 
     ``truncated_gram`` stacks the truncated outcome integrals over the finest
-    dyadic partition (2^MAX_LEVEL intervals, each an n x n matrix); its sum is
-    the full-circle Gram.  ``sup_error`` is the largest deviation, over the
-    whole dyadic interval family and all member pairs, between target and
-    truncated outcome integrals.  ``unital_defect`` is ||full-circle Gram - 1||,
+    dyadic partition (2^MAX_LEVEL intervals, each an n x n matrix, each the
+    difference of the antiderivative at its two endpoints); its sum is the
+    full-circle Gram.  ``sup_error`` is the largest deviation, over the whole
+    dyadic interval family (every level) and all member pairs, between target
+    and truncated outcome integrals.  ``unital_defect`` is ||full-circle Gram - 1||,
     and ``gram_consistency_defect`` is ||coefficient Gram - full-circle Gram||,
     the coefficient Gram being sum_s conj(v_n^s) v_m^s over the kept
     coefficients (Parseval).  No field but ``grid`` itself depends on ``grid``.
@@ -162,23 +182,22 @@ class PhaseDemoReport:
         return self.truncated_gram.sum(axis=0)
 
 
-def _dyadic_toeplitz(slots: np.ndarray) -> np.ndarray:
-    """Entry [k, s, t] = (1/2 pi) int_{I_k} e^{i (slots[s] - slots[t]) theta} d theta.
+def _antiderivatives(u: np.ndarray, hilbert: np.ndarray) -> np.ndarray:
+    """Entry [j] = F(x_j) = U(x_j)* K0 U(x_j) + (x_j / 2 pi) V*V at the endpoints
+    x_j = 2 pi j / 2^MAX_LEVEL of the finest dyadic partition.
 
-    I_k runs over the dyadic intervals level by level (k = 2^level - 1 + j),
-    so the children of I_k are I_{2k+1} and I_{2k+2}.
+    ``u[s, j]`` is row s of U(x_j) = diag(e^{-i s x_j}) V, and K0 = -i
+    ``hilbert``, hilbert[s, t] = 1 / (2 pi (s - t)) off the diagonal, 0 on it:
+    F is an antiderivative of conj(psi_n) psi_m / (2 pi), so the Gram of
+    [x_a, x_b) is F(x_b) - F(x_a).  K0 U at every endpoint is one real GEMM,
+    and as U(x)* U(x) = V*V the linear term joins it: F(x) = U(x)* (K0 +
+    x / 2 pi) U(x).
     """
-    counts = 1 << np.arange(MAX_LEVEL + 1)
-    width = np.repeat(2.0 * np.pi / counts, counts)
-    j = np.concatenate([np.arange(c) for c in counts])
-    lo, hi = j * width, (j + 1) * width
-    # only the frequency gaps that occur: a sparse family may span a wide range
-    gaps = np.subtract.outer(slots, slots)
-    g, where = np.unique(gaps, return_inverse=True)
-    safe = np.where(g == 0, 1, g)
-    moments = (np.exp(1j * np.outer(hi, g)) - np.exp(1j * np.outer(lo, g))) / (2j * np.pi * safe)
-    moments[:, g == 0] = width[:, None] / (2.0 * np.pi)
-    return moments[:, where.reshape(gaps.shape)]
+    rows, ends, cols = u.shape
+    ku = (hilbert @ u.reshape(rows, ends * cols).view(np.float64)).view(np.complex128).reshape(u.shape)
+    ku *= -1j
+    ku += (np.arange(ends) / (ends - 1))[:, None] * u
+    return u.transpose(1, 2, 0).conj() @ ku.transpose(1, 0, 2)
 
 
 def _frequency_count(n_members: int, ratio: float | None = None, support: int = 0) -> int | None:
@@ -211,7 +230,8 @@ def _frequency_count(n_members: int, ratio: float | None = None, support: int = 
 def _check_demo(n_members: int, n_frequencies: int, order: int, grid: int) -> None:
     """Refuse a demo before anything is allocated: a negative order, a grid
     off the dyadic lattice, or stacks of interval matrices (members by members,
-    or frequencies by frequencies) past MAX_STACK_MB each."""
+    or frequencies by frequencies) past MAX_STACK_MB each.  The demo's own
+    arrays, at most endpoints by frequencies by members, stay inside that bound."""
     if order < 0:
         raise IndexOutOfRange(f"truncation order must be >= 0, got {order}")
     if grid < MIN_GRID or grid % (1 << MAX_LEVEL) != 0:
@@ -231,33 +251,52 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
     """Compare a target family against its order-``order`` Fourier truncation.
 
     Interval integrals are exact: with the coefficients of a family stacked
-    into a matrix V over a common frequency list, the Gram of interval I is
-    V* T(I) V, T(I) the Toeplitz matrix of the closed-form moments of
-    e^{ig theta}.  ``grid`` is validated (a multiple of 2^MAX_LEVEL, at least
-    MIN_GRID) and echoed in the report, but changes no number.  A family
-    whose stacks of interval matrices (members by members, or frequencies by
-    frequencies) would pass MAX_STACK_MB each is refused with
-    ``IndexOutOfRange`` before anything is allocated.
+    into a matrix V over its frequency list, F(x) = U(x)* K0 U(x) + (x / 2 pi)
+    V*V is an antiderivative of the Gram density, U(x) = diag(e^{-isx}) V and
+    K0[s, t] = 1 / (2 pi i (s - t)) off the diagonal, 0 on it (see
+    :func:`_antiderivatives`).  F is evaluated at the 2^MAX_LEVEL + 1 dyadic
+    endpoints, once for the target and once for the kept rows of V, and every
+    interval Gram is a difference of two of them.  ``grid`` is validated (a
+    multiple of 2^MAX_LEVEL, at least MIN_GRID) and echoed in the report, but
+    changes no number.  A family whose stacks of interval matrices (members by
+    members, or frequencies by frequencies) would pass MAX_STACK_MB each is
+    refused with ``IndexOutOfRange`` before anything is allocated; one whose
+    Grams pass the double range, with ``NonFinite``.
     """
     n = len(target.members)
     # a family whose members are all empty still needs one (zero) row
     slots = np.array(sorted({s for m in target.members for s in m}) or [0])
     _check_demo(n, slots.size, order, grid)
-    v_target = np.array([[m.get(s, 0.0) for m in target.members] for s in slots.tolist()], dtype=np.complex128)
-    kept = np.abs(slots) <= order
-    v_trunc = np.where(kept[:, None], v_target, 0.0)
-
-    toeplitz = _dyadic_toeplitz(slots)
-    grams_target = v_target.conj().T @ toeplitz @ v_target
-    grams_trunc = v_trunc.conj().T @ toeplitz @ v_trunc
-    sup_error = float(np.max(np.abs(grams_target - grams_trunc)))
-    stack = grams_trunc[-(1 << MAX_LEVEL) :]
-    full = stack.sum(axis=0)
+    v = np.array([[m.get(s, 0.0) for m in target.members] for s in slots.tolist()], dtype=np.complex128)
+    cells = 1 << MAX_LEVEL
+    # e^{-i s x_j} is the root of unity of s j modulo 2^MAX_LEVEL, reduced exactly
+    roots = np.exp(-2j * np.pi / cells * np.arange(cells))
+    phases = roots[(slots % cells)[:, None] * np.arange(cells + 1) % cells]
+    gaps = np.subtract.outer(slots, slots).astype(float)
+    hilbert = np.divide(1.0, 2.0 * np.pi * gaps, out=np.zeros_like(gaps), where=gaps != 0)
+    # the kept frequencies |s| <= order are one run of the sorted slots
+    lo, hi = np.searchsorted(slots, -order), np.searchsorted(slots, order, side="right")
+    kept = slice(lo, hi)
+    # finite coefficients may still overflow a Gram: the checks below refuse that
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = phases[:, :, None] * v[:, None, :]
+        f_target = _antiderivatives(u, hilbert)
+        f_trunc = f_target if (lo, hi) == (0, slots.size) else _antiderivatives(u[kept], hilbert[kept, kept])
+        # interval j of level k runs from endpoint j h to endpoint (j + 1) h, h = 2^(MAX_LEVEL - k)
+        error = f_target - f_trunc
+        steps = [cells >> k for k in range(MAX_LEVEL + 1)]
+        sup_error = max(float(np.max(np.abs(error[h::h] - error[:-h:h]))) for h in steps)
+        stack = f_trunc[1:] - f_trunc[:-1]
+        full = stack.sum(axis=0)
+        consistency = v[kept].conj().T @ v[kept] - full
+    # an inf or nan anywhere in the stack reaches its sum, so two checks cover every field
+    if not (math.isfinite(sup_error) and np.isfinite(consistency).all()):
+        raise NonFinite("the family's interval Grams pass the double range")
     return PhaseDemoReport(
         order=order,
         grid=grid,
         truncated_gram=stack,
         sup_error=sup_error,
         unital_defect=opnorm(full - np.eye(n)),
-        gram_consistency_defect=opnorm(np.einsum("sn,sm->nm", v_trunc.conj(), v_trunc) - full),
+        gram_consistency_defect=opnorm(consistency),
     )

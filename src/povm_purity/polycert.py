@@ -28,16 +28,20 @@ rank over Q:
   through to the next one;
 * modular ladder: A itself is eliminated column by column; full rank proves
   full rank over Q;
-* lifted deficit: when some slot gets no pivot modulo PRIME, the exact rows
-  (complex ones realified) are laddered modulo PRIME, and each column that
-  gains no rank there has its coordinates on the earlier pivot columns
-  lifted to small rationals (Wang, Guy and Davenport, SIGSAM Bull. 16(2)
-  (1982)) and checked on every row in Python integers.  Each prefix has at
-  least its modular rank over Q, and a verified dependency adds none, so
-  the modular ladder is then the exact one.  Should any lift fail, a
-  fraction-free pass over the integers (Bareiss) on the slots-by-slots Gram
-  A^T A of the exact rows names the missing slots: over Q a prefix of
-  columns of A^T A has the rank of the same prefix of A.
+* lifted deficit: when some slot gets no pivot modulo PRIME, the ladder
+  modulo PRIME of the exact rows (the modular block itself for real rows;
+  complex ones are realified and laddered again) gives each column that
+  gains no rank its coordinates on the earlier pivot columns, lifted to
+  small rationals (Wang, Guy and Davenport, SIGSAM Bull. 16(2) (1982)).
+  Each dependency sum_k w_k col_k = 0 is checked in Python integers as the
+  bilinear form conj(m_i)^T W m_j of the members on every listed pair, W
+  the Hankel (polynomial) or Toeplitz (Fourier) matrix of the weights, so
+  a real family builds no exact row.  Each prefix has at least its modular
+  rank over Q, and a verified dependency adds none, so the modular ladder
+  is then the exact one.  Should any lift fail, a fraction-free pass over
+  the integers (Bareiss) on the slots-by-slots Gram A^T A of the exact rows
+  names the missing slots: over Q a prefix of columns of A^T A has the
+  rank of the same prefix of A.
 
 No tolerance enters.
 
@@ -309,6 +313,27 @@ class ProductRows:
             out[at] = acc
         return out
 
+    def annihilate(self, meet: np.ndarray, weights: np.ndarray) -> bool:
+        """Whether sum_k weights[k, f] row[k] = 0 on every pair, for each column f
+        of the Python-int ``weights`` over the slots of ``meet``.
+
+        Row (i, j) against weights w is the bilinear form conj(m_i)^T W m_j,
+        W[s, t] = w_k where s + sign * t = slots[k] (Hankel for sign +1,
+        Toeplitz for -1), so it is evaluated on the members, never multiplying
+        out the rows: conj(m_i)^T W for every member, then its product with
+        m_j on each pair.  Weights over the realified columns of complex rows
+        (see :meth:`exact`) pair up as z_k = w_2k - i w_2k+1, as z . r = 0 is
+        both realified rows of r vanishing.
+        """
+        lefts, rights = self._pairs
+        complex_rows = not self.real
+        z = (weights[0::2], -weights[1::2]) if complex_rows else (weights, None)
+        conj = (self._re[:, meet], -self._im[:, meet] if complex_rows else None)
+        form = _gaussian_matmul(conj, z)  # [i, t, f]: (conj(m_i)^T W_f)[t]
+        left = tuple(None if part is None else part[lefts].transpose(0, 2, 1) for part in form)
+        right = (self._re[rights, :-1, None], self._im[rights, :-1, None] if complex_rows else None)
+        return not any(part is not None and part.any() for part in _gaussian_matmul(left, right))
+
     def exact(self, meet: np.ndarray) -> np.ndarray:
         """Rows over the slots of ``meet`` as Python ints.
 
@@ -330,6 +355,14 @@ class ProductRows:
         out[: re.shape[0], 0::2], out[: re.shape[0], 1::2] = re, im
         out[re.shape[0] :, 0::2], out[re.shape[0] :, 1::2] = -im, re
         return out
+
+
+def _gaussian_matmul(a: tuple, b: tuple) -> tuple:
+    """(re, im) @ (re, im) over Q(i); an imaginary part None is zero."""
+    (ar, ai), (br, bi) = a, b
+    re = ar @ br if ai is None or bi is None else ar @ br - ai @ bi
+    im = [x @ y for x, y in ((ar, bi), (ai, br)) if x is not None and y is not None]
+    return re, sum(im[1:], im[0]) if im else None
 
 
 def _pivot_columns(a: np.ndarray, modulus: int | None = None, echelon: list | None = None) -> list[bool]:
@@ -413,38 +446,42 @@ def _rational(r: int) -> tuple[int, int] | None:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _lifted(exact: np.ndarray, echelon: list) -> bool:
-    """Whether every column of the integer rows ``exact`` that gains no rank
-    modulo PRIME is, exactly, a rational combination of the pivot columns
-    before it; then the modular ladder of ``exact`` is its ladder over Q.
+def _lifted(rows: ProductRows, meet: np.ndarray, echelon: list) -> bool:
+    """Whether every column of the exact rows over the slots of ``meet`` (complex
+    rows realified) that gains no rank modulo PRIME is, exactly, a rational
+    combination of the pivot columns before it; then the modular ladder of the
+    exact rows is their ladder over Q.
 
     Each prefix of columns has at least its modular rank over Q.  A column
     shown to lie in the span of the earlier pivot columns adds no rank over
     Q, so each prefix has at most as much rank as it has pivot columns: the
     two ladders agree.  The coordinates are solved modulo PRIME from
-    ``echelon``, the pivot rows :func:`_pivot_columns` gave for ``exact``
-    modulo PRIME (row operations away from it, the other rows having gone
-    to zero, so its columns obey the same dependencies); they are lifted by
-    :func:`_rational` and checked on every row in Python ints.
+    ``echelon``, the pivot rows :func:`_pivot_columns` gave for the exact
+    rows modulo PRIME (row operations away from them, the other rows having
+    gone to zero, so its columns obey the same dependencies); they are
+    lifted by :func:`_rational`, and each dependency, sum_k w_k col_k = 0
+    with w_free = -den, is checked on every listed pair in Python ints by
+    :meth:`ProductRows.annihilate`, on the members rather than on the rows.
     """
+    ncols = meet.shape[1] * (1 if rows.real else 2)
     pivots = [j for j, _ in echelon]
-    free = sorted(set(range(exact.shape[1])) - set(pivots))
-    u = np.zeros((len(pivots), exact.shape[1]), dtype=np.int64)
+    free = sorted(set(range(ncols)) - set(pivots))
+    u = np.zeros((len(pivots), ncols), dtype=np.int64)
     for k, (j, tail) in enumerate(echelon):
         u[k, j], u[k, j + 1 :] = 1, tail
     # back substitution through the unit upper triangle u[:, pivots]
     x = u[:, free]
     for k in range(len(pivots) - 1, 0, -1):
         x[:k] = (x[:k] - u[:k, pivots[k], None] * x[k]) % PRIME
-    num = np.empty(x.shape, dtype=object)
-    den = np.empty(len(free), dtype=object)
-    for f in range(len(free)):
+    weights = np.zeros((ncols, len(free)), dtype=object)
+    for f, column in enumerate(free):
         fractions = [_rational(int(v)) for v in x[:, f]]
         if None in fractions:
             return False
-        den[f] = math.lcm(*(d for _, d in fractions))
-        num[:, f] = [n * (den[f] // d) for n, d in fractions]
-    return bool((exact[:, pivots] @ num == exact[:, free] * den).all())
+        den = math.lcm(*(d for _, d in fractions))
+        weights[pivots, f] = [n * (den // d) for n, d in fractions]
+        weights[column, f] = -den
+    return rows.annihilate(meet, weights)
 
 
 def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
@@ -461,12 +498,13 @@ def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
       full rank over Q;
     * lifted deficit: on a deficit, the ladder of the exact rows A modulo
       PRIME, once each column that gains no rank there is shown an exact
-      rational combination of the pivot columns before it (:func:`_lifted`);
-      should a lift fail, the Gram A^T A decides them all: A^T A x = 0
-      exactly when A x = 0 over Q, so each prefix of its columns has the
-      rank of that prefix of A.
+      rational combination of the pivot columns before it, checked on the
+      members (:func:`_lifted`); should a lift fail, the Gram A^T A decides
+      them all: A^T A x = 0 exactly when A x = 0 over Q, so each prefix of
+      its columns has the rank of that prefix of A.
 
-    Complex rows enter the exact routes realified, as rows over Q.
+    Complex rows enter the exact routes realified, as rows over Q; their
+    lifted dependencies are checked over Q(i).
     """
     slots = list(slots)
     meet = rows.meet(slots)
@@ -476,13 +514,15 @@ def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
     echelon = []
     covered = [True] * len(live) if _compressed_full_rank(block) else _pivot_columns(block, PRIME, echelon)
     if not all(covered):
-        exact = rows.exact(meet)
         # real rows: the modular block is the exact rows modulo PRIME, and its
-        # echelon form serves; complex ones are laddered again, realified
+        # echelon form serves; complex ones are laddered again, realified.  The
+        # exact rows are built for that and for Bareiss only.
+        exact = None
         if not rows.real:
-            echelon = []
+            exact, echelon = rows.exact(meet), []
             covered = _pivot_columns((exact % PRIME).astype(np.int64), PRIME, echelon)
-        if not _lifted(exact, echelon):
+        if not _lifted(rows, meet, echelon):
+            exact = rows.exact(meet) if exact is None else exact
             covered = _pivot_columns(exact.T @ exact)
         covered = covered[:: 1 if rows.real else 2]
     hit = {s for s, c in zip(live, covered) if c}

@@ -19,6 +19,7 @@ from .errors import (
     DuplicateLabel,
     InvalidMixWeight,
     LabelMismatch,
+    NonFinite,
     NotNormalized,
     NotPsd,
     SchemaError,
@@ -78,6 +79,8 @@ def validate(
         An effect is not dim x dim.
     DuplicateLabel
         Two outcomes share a label.
+    NonFinite
+        An effect has a NaN or infinite entry (message names the label).
     NotPsd
         An effect fails the positivity check (message names the label).
     NotNormalized
@@ -103,6 +106,9 @@ def validate(
         arrays.append(a)
     if arrays:
         stack = np.stack(arrays)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            raise NonFinite(f"effect {pairs[int(np.argmin(finite))][0]!r} has a NaN or infinite entry")
         psd = psd_mask(stack, tol)
         if not psd.all():
             raise NotPsd(f"effect {pairs[int(np.argmin(psd))][0]!r} is not positive semidefinite within tolerance")

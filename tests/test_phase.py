@@ -7,7 +7,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from povm_purity.errors import EmptyFamily, GridTooCoarse, IndexOutOfRange, InvalidRatio
+from povm_purity.errors import (
+    EmptyFamily,
+    GridTooCoarse,
+    IndexOutOfRange,
+    InvalidRatio,
+    NonFinite,
+    NonIntegerIndex,
+)
 from povm_purity.linalg import opnorm
 from povm_purity.phase import (
     MAX_LEVEL,
@@ -15,7 +22,6 @@ from povm_purity.phase import (
     MAX_STACK_MB,
     MIN_GRID,
     FourierFamily,
-    _dyadic_toeplitz,
     _frequency_count,
     fourier_family,
     fourier_span_certificate,
@@ -37,8 +43,25 @@ def _kept(fam, order):
 def test_fourier_family_cleanup():
     fam = fourier_family([{1: 1.0, 2: 0.0, -3: 2j}])
     assert fam.members == ({1: (1 + 0j), -3: 2j},)
+    assert fourier_family([{2.0: 1, np.int64(-1): 0.5}]).members == ({2: (1 + 0j), -1: (0.5 + 0j)},)
     with pytest.raises(EmptyFamily):
         fourier_family([])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(np.inf, 0.0)])
+def test_fourier_family_refuses_non_finite_coefficients(bad):
+    with pytest.raises(NonFinite, match="member 1: coefficient .* at frequency 2 "):
+        fourier_family([{0: 1.0}, {1: 1.0, 2: bad}])
+    assert issubclass(NonFinite, ValueError)
+
+
+@pytest.mark.parametrize("key", [1.5, -0.25, np.nan, np.inf, "1", None])
+def test_fourier_family_refuses_non_integer_frequencies(key):
+    # int() would silently truncate 1.5 to frequency 1
+    with pytest.raises(NonIntegerIndex, match="member 0: frequency .* is not an integer"):
+        fourier_family([{key: 1.0}])
+    with pytest.raises(NonIntegerIndex):  # a zero coefficient is no excuse
+        fourier_family([{0: 1.0}, {key: 0.0}])
 
 
 def test_single_mode_family():
@@ -262,6 +285,18 @@ def test_full_circle_gram_matches_coefficient_gram():
     )
 
 
+@pytest.mark.filterwarnings("error")
+def test_demo_refuses_grams_past_the_double_range():
+    # finite coefficients whose Grams overflow: a typed error, not an SVD failure
+    fam = fourier_family([{0: 1.0, 1: 1e308}, {1: 1e308}])
+    for order in (0, 1, 4):
+        with pytest.raises(NonFinite, match="double range"):
+            phase_truncation_demo(fam, order, MIN_GRID)
+    # large but representable Grams go through
+    report = phase_truncation_demo(fourier_family([{0: 1e150, 1: 1e150}, {1: 1e150}]), 1, MIN_GRID)
+    assert report.sup_error == 0.0 and np.isfinite(report.truncated_gram).all()
+
+
 def test_all_zero_members_give_zero_grams():
     report = phase_truncation_demo(fourier_family([{3: 0}]), 2, MIN_GRID)
     assert report.sup_error == 0.0
@@ -279,15 +314,54 @@ def test_all_zero_members_give_zero_grams():
 
 
 # ---------------------------------------------------------------------------
-# closed-form interval integrals against independent values
+# closed-form interval integrals against an independent reference
 # ---------------------------------------------------------------------------
 
 
-def _interval_grams(fam: FourierFamily) -> np.ndarray:
-    """V* T V over every dyadic interval, from the module's Toeplitz stack."""
-    slots = np.array(sorted({s for m in fam.members for s in m}))
+def _dyadic_toeplitz(slots: np.ndarray) -> np.ndarray:
+    """Entry [k, s, t] = (1/2 pi) int_{I_k} e^{i (slots[s] - slots[t]) theta} d theta.
+
+    I_k runs over the dyadic intervals level by level (k = 2^level - 1 + j),
+    so the children of I_k are I_{2k+1} and I_{2k+2}.
+    """
+    counts = 1 << np.arange(MAX_LEVEL + 1)
+    width = np.repeat(2.0 * np.pi / counts, counts)
+    j = np.concatenate([np.arange(c) for c in counts])
+    lo, hi = j * width, (j + 1) * width
+    gaps = np.subtract.outer(slots, slots)
+    g, where = np.unique(gaps, return_inverse=True)
+    safe = np.where(g == 0, 1, g)
+    moments = (np.exp(1j * np.outer(hi, g)) - np.exp(1j * np.outer(lo, g))) / (2j * np.pi * safe)
+    moments[:, g == 0] = width[:, None] / (2.0 * np.pi)
+    return moments[:, where.reshape(gaps.shape)]
+
+
+def _interval_grams(fam: FourierFamily, order: int | None = None) -> np.ndarray:
+    """V* T V over every dyadic interval from the (127, S, S) Toeplitz stack,
+    with the rows of frequencies |s| > ``order`` zeroed (None keeps them all)."""
+    slots = np.array(sorted({s for m in fam.members for s in m}) or [0])
     v = np.array([[m.get(int(s), 0.0) for m in fam.members] for s in slots], dtype=np.complex128)
+    if order is not None:
+        v[np.abs(slots) > order] = 0.0
     return v.conj().T @ _dyadic_toeplitz(slots) @ v
+
+
+def _reference_demo(fam: FourierFamily, order: int) -> dict:
+    """Every float field of the demo, from the Toeplitz stacks."""
+    target, trunc = _interval_grams(fam), _interval_grams(fam, order)
+    stack = trunc[-(1 << MAX_LEVEL) :]
+    full = stack.sum(axis=0)
+    kept = _kept(fam, order)
+    parseval = np.array(
+        [[sum(np.conj(v) * b.get(s, 0.0) for s, v in a.items()) for b in kept] for a in kept],
+        dtype=np.complex128,
+    ).reshape(full.shape)
+    return {
+        "truncated_gram": stack,
+        "sup_error": float(np.max(np.abs(target - trunc))),
+        "unital_defect": opnorm(full - np.eye(len(kept))),
+        "gram_consistency_defect": opnorm(parseval - full),
+    }
 
 
 def test_half_circle_gram_is_analytic():
@@ -301,10 +375,73 @@ def test_half_circle_gram_is_analytic():
 
 
 def test_dyadic_grams_are_additive():
-    grams = _interval_grams(geometric_tail_family(3, ratio=0.6, support=24))
+    fam = geometric_tail_family(3, ratio=0.6, support=24)
+    grams = _interval_grams(fam)
     assert grams.shape == ((2 << MAX_LEVEL) - 1, 3, 3)
     for k in range((1 << MAX_LEVEL) - 1):
         assert np.max(np.abs(grams[k] - grams[2 * k + 1] - grams[2 * k + 2])) <= 1e-14
+    # every coarser interval of the reference is a run of the demo's finest ones
+    finest = phase_truncation_demo(fam, 24, MIN_GRID).truncated_gram
+    for level in range(MAX_LEVEL + 1):
+        width = 1 << (MAX_LEVEL - level)
+        for j in range(1 << level):
+            run = finest[j * width : (j + 1) * width].sum(axis=0)
+            assert np.max(np.abs(grams[(1 << level) - 1 + j] - run)) <= 1e-14
+
+
+_coefficient = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+_dense = st.dictionaries(st.integers(-8, 8), _coefficient, max_size=17)
+# a few frequencies far apart: gaps up to 2000 in the moments
+_sparse = st.dictionaries(st.integers(-1000, 1000), _coefficient, max_size=4)
+_real = st.dictionaries(st.integers(-12, 12), st.floats(-1.0, 1.0), max_size=8)
+
+
+@seed(SEED)
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_demo_agrees_with_the_toeplitz_reference(data):
+    """Every field within 1e-13 of the (127, S, S) Toeplitz stacks, with the
+    truncation keeping no frequency, all of them, or some."""
+    coefficients = data.draw(st.sampled_from([_dense, _sparse, _real]))
+    members = data.draw(st.lists(coefficients, min_size=1, max_size=4))
+    fam = fourier_family(members)
+    reach = [abs(s) for m in fam.members for s in m] or [0]
+    keep = data.draw(st.sampled_from(["none", "all", "some"]))
+    if keep == "none":
+        order = max(min(reach) - 1, 0)
+    elif keep == "all":
+        order = max(reach) + data.draw(st.integers(0, 3))
+    else:
+        order = data.draw(st.integers(0, max(reach)))
+    report = phase_truncation_demo(fam, order, MIN_GRID)
+    expect = _reference_demo(fam, order)
+    assert (report.order, report.grid) == (order, MIN_GRID)
+    assert report.truncated_gram.shape == expect["truncated_gram"].shape
+    assert np.max(np.abs(report.truncated_gram - expect["truncated_gram"])) <= 1e-13
+    for field in ("sup_error", "unital_defect", "gram_consistency_defect"):
+        assert abs(getattr(report, field) - expect[field]) <= 1e-13, field
+    if order >= max(reach):
+        assert report.sup_error == 0.0
+
+
+def test_sup_error_reaches_the_finest_intervals():
+    # the cross term of frequencies 0 and 32 (a quarter turn apart) integrates
+    # to 0 over every dyadic interval but the finest, where it outweighs the
+    # dropped mode's own weight
+    fam = fourier_family([{0: 1.0, 32: 0.01j}])
+    report = phase_truncation_demo(fam, 0, MIN_GRID)
+    gaps = np.abs(_interval_grams(fam) - _interval_grams(fam, 0))
+    coarse, finest = gaps[: (1 << MAX_LEVEL) - 1].max(), gaps[(1 << MAX_LEVEL) - 1 :].max()
+    assert finest > 1.5 * coarse
+    assert abs(report.sup_error - finest) <= 1e-15
+
+
+def test_keeping_every_frequency_has_no_error_at_all():
+    for fam in (single_mode_family(5), geometric_tail_family(3, ratio=0.6, support=24),
+                fourier_family([{-700: 0.5j, 3: 1.0}, {1000: 0.25}])):
+        top = max(abs(s) for m in fam.members for s in m)
+        for order in (top, top + 1, 10**6):
+            assert phase_truncation_demo(fam, order, MIN_GRID).sup_error == 0.0
 
 
 def test_grid_changes_no_number():

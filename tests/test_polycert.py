@@ -379,11 +379,20 @@ def test_dense_bases_certify_without_eliminating_the_row_block(monkeypatch, basi
     assert product_span_certificate(orthonormal_family(basis, top), top).certified
 
 
+def _dyadic_geometric(n: int) -> list[dict]:
+    """The members of ``geometric_tail_family(n)`` up to one constant each: dyadic integers."""
+    return [{s: 2 ** (40 - abs(s - k)) for s in range(-32, 33)} for k in range(1, n + 1)]
+
+
 def test_geometric_deficit_is_lifted_without_bareiss(monkeypatch):
+    # a real family's lift is checked on its members: no exact row, no Bareiss
+    def refuse(self, meet):
+        raise AssertionError(f"built exact rows over {meet.shape[1]} slots")
+
+    monkeypatch.setattr(ProductRows, "exact", refuse)
     _spy_pivot_columns(monkeypatch, refuse=lambda a: a.dtype == object)
-    assert fourier_span_certificate(geometric_tail_family(8), 8).missing_degrees == (8,)
-    exact = [{s: 2 ** (40 - abs(s - n)) for s in range(-32, 33)} for n in range(1, 9)]
-    assert fourier_span_certificate(fourier_family(exact), 8).missing_degrees == (8,)
+    for family in (geometric_tail_family(8), fourier_family(_dyadic_geometric(8))):
+        assert fourier_span_certificate(family, 8).missing_degrees == (8,)
 
 
 def test_rational_reconstruction():
@@ -419,10 +428,16 @@ def test_deficits_stay_exact_on_both_deficit_routes(monkeypatch, rows, bareiss):
 
 
 def test_a_lift_holds_on_every_row_or_falls_back(monkeypatch):
-    # column 1 is twice column 0 modulo PRIME, and exactly on every row but the last
+    # column 1 is twice column 0 modulo PRIME, and exactly on every listed pair
+    # but one, wherever it sits, for real and for complex rows
     seen = _spy_pivot_columns(monkeypatch)
-    assert span_certificate(_plain_rows([[1, 2], [3, 6], [1, 2 + PRIME]]), range(2), 1).certified
-    assert seen[-1][1] == "O"
+    for scale in (1, 1 + 2j):
+        for breaking in range(3):
+            rows = [[1, 2], [3, 6], [-2, -4]]
+            rows[breaking][1] += PRIME
+            seen.clear()
+            assert span_certificate(_plain_rows([[v * scale for v in r] for r in rows]), range(2), 1).certified
+            assert seen[-1][1] == "O", (scale, breaking)
 
 
 def test_former_float_ladder_defects_are_certified():
@@ -438,8 +453,7 @@ def test_geometric_tail_at_order_8_misses_only_8():
     cert = fourier_span_certificate(geometric_tail_family(8), 8)
     assert cert.missing_degrees == (8,)
     # the doubles are dyadic multiples of one constant per member
-    exact = [{s: 2 ** (40 - abs(s - n)) for s in range(-32, 33)} for n in range(1, 9)]
-    assert fourier_span_certificate(fourier_family(exact), 8).missing_degrees == (8,)
+    assert fourier_span_certificate(fourier_family(_dyadic_geometric(8)), 8).missing_degrees == (8,)
 
 
 def _reference_members(basis: str, top: int) -> list[list[Fraction]]:

@@ -7,6 +7,7 @@ from povm_purity.errors import (
     DuplicateLabel,
     InvalidMixWeight,
     LabelMismatch,
+    NonFinite,
     NotNormalized,
     NotPsd,
     SchemaError,
@@ -64,6 +65,16 @@ def test_validate_rejects_shape_and_duplicates():
         validate(2, [])
     with pytest.raises(DimensionMismatch):
         validate(0, [("a", np.zeros((0, 0)))])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_validate_names_a_non_finite_effect(bad):
+    # a NaN or infinity would reach the eigensolver, which raises LinAlgError on it
+    effect = ONE.astype(complex)
+    effect[0, 1] = bad
+    with pytest.raises(NonFinite, match="'1'"):
+        validate(2, [("0", ZERO), ("1", effect)])
+    assert issubclass(NonFinite, ValueError)
 
 
 def test_effects_are_frozen():
