@@ -199,8 +199,8 @@ def connection_feasible(p: Povm, pprime: Povm, max_iter: int = 10000) -> Feasibi
     affine set the correction stays in the range of the adjoint, which the
     affine projection discards.
     """
-    if max_iter < 0:
-        raise InvalidBudget(f"iteration budget must be non-negative, got {max_iter}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise InvalidBudget(f"iteration budget must be a non-negative integer, got {max_iter!r}")
     if p.labels != pprime.labels:
         raise LabelMismatch(f"outcome labels differ: {p.labels} vs {pprime.labels}")
     d, dp = p.dim, pprime.dim

@@ -81,7 +81,7 @@ class GridTooCoarse(PovmError):
 
 
 class InvalidBudget(PovmError):
-    """Raised for a negative iteration budget."""
+    """Raised for an iteration budget that is not a non-negative integer."""
 
 
 class InvalidTolerance(PovmError, ValueError):
@@ -99,7 +99,7 @@ class NonFinite(PovmError, ValueError):
 
 
 class NonIntegerIndex(PovmError, ValueError):
-    """Raised for a frequency key that is not an integer."""
+    """Raised for a frequency key or an excluded index that is not an integer."""
 
 
 class SchemaError(PovmError):

@@ -17,7 +17,7 @@ which an explicit convex split E_i -> A_i*(1 +/- D_i)A_i is produced.  A map
 with sum_i n_i^2 > d^2 is impure whatever its rank.  If a verified Cholesky
 proof on one full-rank effect's d x d block shows it onto, that effect lends
 a rank-one piece of its weight to another outcome, a kernel vector from one
-d x d solve; any other wide map takes one QR of the whole map.  An impure
+d x d solve; any other map takes one thin SVD of the whole map.  An impure
 verdict carries the dilation blocks A_i, and the split reads them there.
 """
 
@@ -225,63 +225,39 @@ def _lent_row(pmap: PerturbationMap, i: int) -> np.ndarray:
     return x
 
 
-def _qr_kernel(pmap: PerturbationMap, rank_rel: float) -> tuple[np.ndarray, int]:
-    """A unit kernel vector and the kernel dimension of a wide map, from one
-    raw QR of m*: the rank from the triangular factor R (read first, as the
-    loop overwrites its diagonal), and the last column of Q = H_1 ... H_{d^2}
-    from the reflectors H_j = I - tau_j v_j v_j* applied to the last unit
-    vector.  Row j of the raw factor holds v_j after its implicit leading 1.
-    """
-    dom, cod = pmap.domain_dim, pmap.codomain_dim
-    h, tau = np.linalg.qr(pmap.matrix.conj().T, mode="raw")
-    rank = _rank(np.linalg.svd(np.triu(h.T[:cod]), compute_uv=False), rank_rel)
-    x = np.zeros(dom, dtype=np.complex128)
-    x[-1] = 1.0
-    for j in range(cod - 1, -1, -1):
-        v = h[j, j:]
-        v[0] = 1.0
-        x[j:] -= v * (tau[j] * np.vdot(v, x[j:]))
-    return x, dom - rank
-
-
-def _rank(s: np.ndarray, rank_rel: float) -> int:
-    smax = float(s[0]) if s.size else 0.0
-    return int(np.count_nonzero(s > rank_rel * smax)) if smax > 0.0 else 0
-
-
 def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
-    """Decide purity of a validated POVM via the perturbation-map kernel."""
+    """Decide purity of a validated POVM via the perturbation-map kernel.
+
+    A wide map with a certified block takes the :func:`_lent_row` witness.
+    Any other map takes one thin SVD m = U S Vh; a wide one's witness is
+    x = e_j - Vh* Vh e_j over all d^2 rows of Vh, so orthogonal to the whole
+    row space, j the column of least leverage (largest ||x||).
+    """
     pmap = build_perturbation_map(p, tol)
     dom, cod = pmap.domain_dim, pmap.codomain_dim
-    if dom > cod:
-        # impure whatever the rank, and the smallest singular value over the
-        # whole domain is an exact zero
-        i = _certified_block(pmap, tol.rank_rel)
-        if i is None:
-            x, kernel_dim = _qr_kernel(pmap, tol.rank_rel)
+    i = _certified_block(pmap, tol.rank_rel) if dom > cod else None
+    if i is not None:
+        kernel_dim, smallest, marginal, x = dom - cod, 0.0, False, _lent_row(pmap, i)
+    else:
+        _, s, vh = np.linalg.svd(pmap.matrix, full_matrices=False)
+        # the dilation spans at least d dimensions, so s holds a positive s[0]
+        thr = tol.rank_rel * float(s[0])
+        kernel_dim = dom - int(np.count_nonzero(s > thr))
+        if dom <= cod:
+            smallest = float(s[-1])
+            marginal = bool(thr / MARGINAL_FACTOR <= smallest <= thr * MARGINAL_FACTOR)
+            x = vh[-1].conj()
         else:
-            x, kernel_dim = _lent_row(pmap, i), dom - cod
-        return PurityVerdict(
-            pure=False,
-            kernel_dim=kernel_dim,
-            smallest_singular_value=0.0,
-            marginal=False,
-            witness=_witness(pmap, x),
-            factors=pmap.blocks,
-        )
-    _, s, vh = np.linalg.svd(pmap.matrix, full_matrices=False)
-    smax = float(s[0]) if s.size else 0.0
-    thr = tol.rank_rel * smax
-    kernel_dim = dom - _rank(s, tol.rank_rel)
-    smallest = float(s[dom - 1]) if dom else 0.0
+            j = int(np.argmin(np.einsum("ij,ij->j", vh.conj(), vh).real))
+            smallest, marginal, x = 0.0, False, -(vh.conj().T @ vh[:, j])
+            x[j] += 1.0
     pure = kernel_dim == 0
-    marginal = bool(smax > 0.0 and thr / MARGINAL_FACTOR <= smallest <= thr * MARGINAL_FACTOR)
     return PurityVerdict(
         pure=pure,
         kernel_dim=kernel_dim,
         smallest_singular_value=smallest,
         marginal=marginal,
-        witness=None if pure else _witness(pmap, vh[-1].conj()),
+        witness=None if pure else _witness(pmap, x),
         factors=() if pure else pmap.blocks,
     )
 

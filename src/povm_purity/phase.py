@@ -59,8 +59,9 @@ class FourierFamily:
 def fourier_family(members) -> FourierFamily:
     """A family from maps {frequency: coefficient}, zero coefficients dropped.
 
-    Every key must be an integer (an integral float is read as one) and every
-    coefficient a finite number; ``NonIntegerIndex`` and ``NonFinite`` refuse
+    Every key must be an integer (an integral float is read as one) of
+    magnitude at most 2^53 and every coefficient a finite number (not a
+    string); ``NonIntegerIndex``, ``IndexOutOfRange`` and ``NonFinite`` refuse
     the others, naming the member, before anything is built.
     """
     cleaned = []
@@ -73,7 +74,9 @@ def fourier_family(members) -> FourierFamily:
                 g = None
             if g is None or g != s:
                 raise NonIntegerIndex(f"member {n}: frequency {s!r} is not an integer")
-            z = complex(v)
+            if abs(g) > 2**53:
+                raise IndexOutOfRange(f"member {n}: frequency {g} is past 2^53 in magnitude")
+            z = complex(v) if isinstance(v, (int, float, complex, np.number)) else complex("nan")
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise NonFinite(f"member {n}: coefficient {v!r} at frequency {g} is not a finite number")
             if z != 0:
@@ -147,11 +150,10 @@ def fourier_span_certificate(fam: FourierFamily, check_order: int) -> PurityCert
         raise EmptyFamily("family has no members")
     if check_order < 0:
         raise IndexOutOfRange(f"check_order must be >= 0, got {check_order}")
-    slots = [0]
-    for g in range(1, check_order + 1):
-        slots.extend((-g, g))
     n = len(fam.members)
     rows = ProductRows(fam.members, list(product(range(n), repeat=2)), sign=-1)
+    rows.check_slots(2 * check_order + 1)
+    slots = [0, *(s * g for g in range(1, check_order + 1) for s in (-1, 1))]
     return span_certificate(rows, slots, check_order)
 
 

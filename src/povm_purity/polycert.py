@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFamily, IndexOutOfRange
+from .errors import EmptyFamily, IndexOutOfRange, NonIntegerIndex
 
 __all__ = [
     "PolyFamily",
@@ -182,6 +182,9 @@ def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
         raise ValueError(f"unknown basis {basis!r}; one of {sorted(BASIS_INFO)}")
     if max_degree < 0:
         raise IndexOutOfRange(f"max_degree must be >= 0, got {max_degree}")
+    exclude = tuple(exclude)
+    if not all(isinstance(k, (int, np.integer)) for k in exclude):
+        raise NonIntegerIndex(f"excluded indices must be integers, got {exclude!r}")
     dropped = set(int(k) for k in exclude)
     for k in dropped:
         if not 0 <= k <= max_degree:
@@ -249,10 +252,14 @@ class ProductRows:
     (integers as they are, doubles as the doubles they hold).  Rows are built
     on demand over the slots asked for, reduced modulo PRIME or exact; for
     one left member, its entries against every right member are one matrix
-    product.
+    product.  Members over 2^21 or more indices are refused with
+    ``IndexOutOfRange`` before any coefficient is read.
     """
 
     def __init__(self, members, pairs, sign: int) -> None:
+        indices = len(set().union(*members))
+        if indices >= 2**21:  # the limbs of :meth:`modular` would have no bits
+            raise IndexOutOfRange(f"members over {indices} indices; product rows take at most 2^21 - 1")
         exact = [_read_exact(m) for m in members]
         self._support = sorted(set().union(*exact))
         self._sign = sign
@@ -265,6 +272,16 @@ class ProductRows:
                 self._re[i, pos[s]], self._im[i, pos[s]] = a, b
         self._pairs = tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
         self.real = not self._im.any()
+
+    def check_slots(self, n_slots: int) -> None:
+        """Refuse with ``IndexOutOfRange`` when the (support, slots) int64
+        :meth:`meet` array over ``n_slots`` slots, counted with at least one
+        row as the slot list is as long, would pass MAX_STACK_MB."""
+        mb = max(len(self._support), 1) * n_slots * 8 / 2**20
+        if mb > MAX_STACK_MB:
+            raise IndexOutOfRange(
+                f"{n_slots} slots over {len(self._support)} indices: a {mb:.0f} MB meet array, over {MAX_STACK_MB} MB"
+            )
 
     def meet(self, slots) -> np.ndarray:
         """Entry [q, k]: the support position of s with s + sign * t = slots[k], for t
@@ -554,4 +571,5 @@ def product_span_certificate(fam: PolyFamily, check_degree: int) -> PurityCertif
     n = len(members)
     pairs = [(i, j) for i in range(n) for j in range(i if real else 0, n)]
     rows = ProductRows([dict(enumerate(m)) for m in members], pairs, sign=1)
+    rows.check_slots(check_degree + 1)
     return span_certificate(rows, range(check_degree + 1), check_degree)

@@ -179,6 +179,13 @@ def test_feasible_rejects_negative_budget():
     assert connection_feasible(coin, comp, max_iter=0).iterations == 0
 
 
+@pytest.mark.parametrize("budget", [2.5, 10.0, "10", None])
+def test_feasible_rejects_non_integer_budgets(budget):
+    coin, comp = fixture("coin"), fixture("computational-pvm-d2")
+    with pytest.raises(InvalidBudget, match="non-negative integer"):
+        connection_feasible(coin, comp, max_iter=budget)
+
+
 def test_feasible_label_mismatch():
     with pytest.raises(LabelMismatch):
         connection_feasible(fixture("trine"), fixture("computational-pvm-d2"))

@@ -254,6 +254,13 @@ def test_polycheck_bad_exclude(capsys):
     assert doc["error"]["kind"] == "IndexOutOfRange"
 
 
+def test_polycheck_refuses_a_huge_degree_before_listing_slots(capsys):
+    code, doc = run(capsys, "polycheck", "--max", "3", "--degree", "1000000000")
+    assert code == 1
+    assert doc["error"]["kind"] == "IndexOutOfRange"
+    assert "1000000001 slots over 4 indices" in doc["error"]["detail"]
+
+
 def test_phase_demo_single_mode(capsys):
     code, doc = run(
         capsys, "phase-demo", "--M", "4", "--target", "single-mode", "--members", "3",

@@ -544,24 +544,35 @@ def test_matrix_columns_are_the_outer_products_of_the_block_rows(rng):
         assert_allclose(m, np.stack(cols, axis=1), rtol=0, atol=1e-15)
 
 
-def test_uncertified_wide_witness_is_the_complete_qr_of_the_map(rng):
-    """Without a certified block, the kernel vector read from the reflectors
-    is the last column of the complete QR of the whole map's adjoint, to
-    rounding: the two apply the same reflectors in different orders."""
+def _full_svd_witness(pmap):
+    """Independent reference for a wide witness: from a full SVD m = U S Vh,
+    the projection of e_j onto the span of the trailing dom - d^2 rows of Vh,
+    j the column whose leading d^2 rows have the least weight."""
+    cod = pmap.codomain_dim
+    vh = np.linalg.svd(pmap.matrix, full_matrices=True)[2]
+    j = int(np.argmin(np.sum(np.abs(vh[:cod]) ** 2, axis=0)))
+    return _witness(pmap, vh[cod:].conj().T @ vh[cod:, j])
+
+
+def test_uncertified_wide_witness_is_the_full_svd_projection(rng):
+    """Without a certified block, the witness is e_j projected off all d^2
+    rows of the thin SVD's Vh, which is the projection onto the trailing rows
+    of the full SVD's Vh, to rounding."""
     pool = [_rank_one(3, rng.standard_normal((11, 3)) + 1j * rng.standard_normal((11, 3)))]
     pool += [_wide_case(kind, rng, 4)[0] for kind in ("classical", "direct-sum")]
     pool.append(mix(random_pvm(rng, 3, 3), random_pvm(rng, 3, 3), 0.5))
+    pool.append(_near_threshold(rng, 3, 1e-9))
     for p in pool:
         pmap = build_perturbation_map(p)
         assert pmap.domain_dim > pmap.codomain_dim
         assert _certified_block(pmap, DEFAULT_TOL.rank_rel) is None
-        q, _ = np.linalg.qr(pmap.matrix.conj().T, mode="complete")
-        expected = _witness(pmap, q[:, -1])
-        w = purity_verdict(p).witness
-        assert w.labels == expected.labels
-        for b, e in zip(w.blocks, expected.blocks):
-            assert_allclose(b, e, rtol=0, atol=1e-13)
-        assert opnorm(pmap.apply(w)) <= 1e-10
+        expected = _full_svd_witness(pmap)
+        v = purity_verdict(p)
+        assert v.kernel_dim == _independent_kernel_dim(pmap)
+        assert v.witness.labels == expected.labels
+        for b, e in zip(v.witness.blocks, expected.blocks):
+            assert_allclose(b, e, rtol=0, atol=1e-12)
+        assert opnorm(pmap.apply(v.witness)) <= 1e-10
 
 
 def test_wide_verdict_never_holds_the_full_map(rng):
@@ -645,7 +656,7 @@ def _count_calls(monkeypatch, *names):
 @pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])
 def test_block_proof_at_its_threshold(rng, monkeypatch, dim, factor):
     """Just below sqrt(tau) no block is certified and the verdict takes one
-    QR of the map; just above, the block settles it with no QR or SVD."""
+    SVD of the map; just above, the block settles it with no QR or SVD."""
     p, t = _two_outcome(rng, dim, factor)
     pmap = build_perturbation_map(p)
     assert pmap.block_dims == (dim, dim)
@@ -655,27 +666,35 @@ def test_block_proof_at_its_threshold(rng, monkeypatch, dim, factor):
     kernel_dim = _independent_kernel_dim(pmap)
     calls = _count_calls(monkeypatch, "qr", "svd")
     v = purity_verdict(p)
-    assert calls == ([] if factor > 1.0 else ["qr", "svd"])
+    assert calls == ([] if factor > 1.0 else ["svd"])
     assert v.kernel_dim == kernel_dim == dim * dim
     assert opnorm(pmap.apply(v.witness)) <= 1e-10
+    if factor < 1.0:
+        expected = _full_svd_witness(pmap)
+        for b, e in zip(v.witness.blocks, expected.blocks):
+            assert_allclose(b, e, rtol=0, atol=1e-12)
 
 
-def test_rank_deficient_effects_take_the_qr_path(rng, monkeypatch):
+def test_rank_deficient_effects_take_one_svd(rng, monkeypatch):
     """Rank-one POVMs with k > d^2 and PVM mixtures have no d x d block, so
-    their verdicts take one QR of the map, with the independent kernel
-    dimension."""
+    their verdicts take one thin SVD of the map, with the independent kernel
+    dimension and the full-SVD witness."""
     pool = [_rank_one(d, rng.standard_normal((d * d + 2, d, 2)) @ [1.0, 1j]) for d in (2, 3, 4)]
     pool.append(mix(random_pvm(rng, 3, 3), random_pvm(rng, 3, 3), 0.5))
     pool.append(mix(mix(random_pvm(rng, 4, 4), random_pvm(rng, 4, 4), 0.5), random_pvm(rng, 4, 4), 1.0 / 3.0))
-    calls = _count_calls(monkeypatch, "qr")
     for p in pool:
         pmap = build_perturbation_map(p)
         assert pmap.domain_dim > pmap.codomain_dim
         assert max(pmap.block_dims) < pmap.dim
-        calls.clear()
+        kernel_dim, expected = _independent_kernel_dim(pmap), _full_svd_witness(pmap)
+        calls = _count_calls(monkeypatch, "qr", "svd")
         v = purity_verdict(p)
-        assert calls == ["qr"]
-        assert v.kernel_dim == _independent_kernel_dim(pmap)
+        monkeypatch.undo()
+        assert calls == ["svd"]
+        assert v.kernel_dim == kernel_dim
+        for b, e in zip(v.witness.blocks, expected.blocks):
+            assert_allclose(b, e, rtol=0, atol=1e-12)
+        assert opnorm(pmap.apply(v.witness)) <= 1e-10
 
 
 def test_full_rank_wide_verdict_never_builds_the_gram_matrix(rng, monkeypatch):

@@ -15,6 +15,7 @@ from povm_purity.errors import (
     NonFinite,
     NonIntegerIndex,
 )
+from povm_purity import polycert
 from povm_purity.linalg import opnorm
 from povm_purity.phase import (
     MAX_LEVEL,
@@ -62,6 +63,46 @@ def test_fourier_family_refuses_non_integer_frequencies(key):
         fourier_family([{key: 1.0}])
     with pytest.raises(NonIntegerIndex):  # a zero coefficient is no excuse
         fourier_family([{0: 1.0}, {key: 0.0}])
+
+
+def test_fourier_family_bounds_frequencies_at_2_53():
+    assert fourier_family([{2**53: 1.0}, {-(2**53): 1.0}]).members == ({2**53: 1 + 0j}, {-(2**53): 1 + 0j})
+    for key in (2**53 + 1, -(10**20), 2.0**60):
+        with pytest.raises(IndexOutOfRange, match="member 1: frequency .* past 2\\^53"):
+            fourier_family([{0: 1.0}, {key: 1.0}])
+
+
+@pytest.mark.parametrize("bad", ["1", "x", None, [1.0]])
+def test_fourier_family_refuses_non_numeric_coefficients(bad):
+    with pytest.raises(NonFinite, match="member 0: coefficient .* at frequency 3 is not a finite number"):
+        fourier_family([{3: bad}])
+
+
+def test_fourier_span_certificate_refuses_a_huge_slot_plan():
+    # 2 * 10^20 + 1 slots over a support of 3: refused before any slot is listed
+    with pytest.raises(IndexOutOfRange, match="200000000000000000001 slots over 3 indices"):
+        fourier_span_certificate(single_mode_family(3), 10**20)
+    with pytest.raises(IndexOutOfRange, match="over 0 indices"):  # the slot list alone is too long
+        fourier_span_certificate(fourier_family([{0: 0.0}]), 10**20)
+
+
+def test_product_rows_refuse_a_support_of_2_21_before_reading(monkeypatch):
+    """The limbs of the modular rows have 22 - bit_length(support) bits, none
+    from 2^21 indices on: such members are refused before a coefficient is
+    read, and 2^21 - 1 indices go on to the reading."""
+
+    class Read(Exception):
+        pass
+
+    def read(member):
+        raise Read
+
+    monkeypatch.setattr(polycert, "_read_exact", read)
+    wide = FourierFamily(members=(dict.fromkeys(range(2**21), 1.0), {0: 1.0}))
+    with pytest.raises(IndexOutOfRange, match="over 2097152 indices; product rows take at most 2\\^21 - 1"):
+        fourier_span_certificate(wide, 0)
+    with pytest.raises(Read):
+        fourier_span_certificate(FourierFamily(members=(dict.fromkeys(range(2**21 - 1), 1.0),)), 0)
 
 
 def test_single_mode_family():

@@ -11,7 +11,7 @@ from numpy.polynomial import laguerre as lag
 from numpy.polynomial import legendre as leg
 from numpy.polynomial import polynomial as poly
 
-from povm_purity.errors import EmptyFamily, IndexOutOfRange
+from povm_purity.errors import EmptyFamily, IndexOutOfRange, NonIntegerIndex
 from povm_purity.phase import fourier_family, fourier_span_certificate, geometric_tail_family
 from povm_purity import polycert
 from povm_purity.polycert import (
@@ -140,6 +140,26 @@ def test_constructor_errors():
         _hermite_member(171)  # n! alone no longer converts to a double
     with pytest.raises(EmptyFamily):
         orthonormal_family("legendre", 0, exclude=(0,))
+
+
+def test_excluded_indices_must_be_integers():
+    # int() would silently turn 1.5 into index 1
+    for bad in (1.5, 2.0, "1", None):
+        with pytest.raises(NonIntegerIndex, match="excluded indices must be integers"):
+            orthonormal_family("hermite", 3, exclude=(0, bad))
+    kept = orthonormal_family("hermite", 3, exclude=(np.int64(1),))
+    assert kept.scaled == orthonormal_family("hermite", 3, exclude=(1,)).scaled
+
+
+def test_span_certificate_refuses_a_huge_slot_plan():
+    # a (4, 10^9 + 1) int64 meet array is 30518 MB: refused before any slot is listed
+    with pytest.raises(IndexOutOfRange, match="1000000001 slots over 4 indices: a 30518 MB meet array"):
+        product_span_certificate(orthonormal_family("hermite", 3), 10**9)
+    rows = ProductRows([dict(enumerate(m)) for m in orthonormal_family("hermite", 3).scaled], [(0, 0)], sign=1)
+    limit = polycert.MAX_STACK_MB * 2**20 // (4 * 8)
+    rows.check_slots(limit)
+    with pytest.raises(IndexOutOfRange):
+        rows.check_slots(limit + 1)
 
 
 def test_basis_info_covers_all_builders():
