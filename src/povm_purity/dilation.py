@@ -7,9 +7,9 @@ measurement becomes a family of coordinate projections.  The dilation is
 minimal: the block sizes are exactly the effect ranks, and J is unitary
 precisely when the measurement was projective to begin with.
 
-:func:`build_dilation` is the package's only factorization of effects: the
-purity map, the convex split and the pre-processing channel all read its
-blocks A_i.
+:func:`build_dilation` solves no eigenproblem: it reads the spectrum that
+:func:`validate` kept on the :class:`Povm`.  The purity map, the convex split
+and the pre-processing channel all read its blocks A_i.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTolerance, NotPsd, UnknownLabel
-from .linalg import DEFAULT_TOL, Tolerance, herm_eig, opnorm
+from .errors import InvalidTolerance, UnknownLabel
+from .linalg import DEFAULT_TOL, Tolerance, opnorm
 from .povm import Povm
 
 __all__ = [
@@ -55,48 +55,37 @@ class NaimarkDilation:
         return self.isometry[lo:hi]
 
 
-def _factor_rows(w: np.ndarray, v: np.ndarray, tol: Tolerance, label: str) -> np.ndarray:
+def _factor_rows(w: np.ndarray, v: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Rows sqrt(lambda_k) <v_k| of the spectral factor A of E = A* A, from
     E's eigenvalues ``w`` (descending) and eigenvectors ``v``.
 
-    The row count is the numeric rank of E; eigenvalues at or below
-    ``tol.abs_eps`` are treated as zero, so a vanishing effect yields an
-    empty (0 x dim) factor.  The rows are orthogonal, with squared norms the
-    retained eigenvalues in descending order.
+    The rows keep the eigenvalues above ``tol.rank_rel`` times the largest,
+    none when that is at most ``tol.abs_eps`` (an empty 0 x dim factor); they
+    are orthogonal, with squared norms the kept eigenvalues, descending.
     """
-    d = w.shape[0]
-    if w.size and float(w[-1]) < -tol.abs_eps:
-        raise NotPsd(f"effect {label!r} has negative eigenvalue {float(w[-1]):.3e}")
-    wmax = float(w[0]) if w.size else 0.0
-    if wmax <= tol.abs_eps:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(w > tol.rank_rel * wmax))
-    rows = np.sqrt(np.clip(w[:rank], 0.0, None))[:, None] * v[:, :rank].conj().T
-    return rows.reshape(rank, d)
+    wmax = float(w[0])
+    rank = 0 if wmax <= tol.abs_eps else int(np.count_nonzero(w > tol.rank_rel * wmax))
+    return np.sqrt(w[:rank])[:, None] * v[:, :rank].conj().T
 
 
 def build_dilation(p: Povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
     """Stack the per-outcome factors of a validated POVM into an isometry.
 
-    Every effect is factorized by one batched eigendecomposition of the
-    effect stack.  Raises :class:`InvalidTolerance` when the eigenvalue cut
-    drops so much that the blocks span fewer than ``p.dim`` dimensions: J*J
-    = I is then impossible, and every verdict read off the blocks would be
-    void.
+    Every effect is factorized from ``p.spectrum``, the one batched
+    eigendecomposition of the effect stack that :func:`validate` took.
+    Raises :class:`InvalidTolerance` when the eigenvalue cut drops so much
+    that the blocks span fewer than ``p.dim`` dimensions: J*J = I is then
+    impossible, and every verdict read off the blocks would be void.
     """
-    eig = herm_eig(np.stack(p.effects), tol)
-    blocks = [_factor_rows(w, v, tol, lab) for lab, w, v in zip(p.labels, eig.eigenvalues, eig.eigenvectors)]
-    index: dict[str, tuple[int, int]] = {}
-    start = 0
-    for lab, a in zip(p.labels, blocks):
-        index[lab] = (start, start + a.shape[0])
-        start += a.shape[0]
+    blocks = [_factor_rows(w, v, tol) for w, v in zip(p.spectrum.eigenvalues, p.spectrum.eigenvectors)]
+    ends = np.cumsum([0] + [a.shape[0] for a in blocks]).tolist()
+    start = ends[-1]
     if start < p.dim:
         raise InvalidTolerance(
             f"eigenvalue cut (abs_eps {tol.abs_eps:g}, rank_rel {tol.rank_rel:g}) leaves a "
             f"dilation of total dimension {start} below the dimension {p.dim}"
         )
+    index = {lab: (lo, hi) for lab, lo, hi in zip(p.labels, ends, ends[1:])}
     return NaimarkDilation(dim=p.dim, total_dim=start, isometry=np.vstack(blocks), block_index=index)
 
 

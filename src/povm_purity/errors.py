@@ -94,12 +94,12 @@ class InvalidRatio(PovmError, ValueError):
 
 
 class NonFinite(PovmError, ValueError):
-    """Raised for a NaN or infinite entry of an input, or for finite inputs
-    whose results pass the double range."""
+    """Raised for a NaN, infinite or out-of-range entry of an input, or for
+    finite inputs whose results pass the double range."""
 
 
 class NonIntegerIndex(PovmError, ValueError):
-    """Raised for a frequency key or an excluded index that is not an integer."""
+    """Raised for a frequency key, excluded index, size or order that is not an integer."""
 
 
 class SchemaError(PovmError):

@@ -6,10 +6,11 @@ epsilon for symmetry/positivity checks and a relative threshold for numeric
 rank.  Eigendecompositions come back in a *fixed* convention — eigenvalues
 descending (a stable sort, so equal eigenvalues keep the solver's order), each
 eigenvector's first significant component made real and positive — so that
-downstream factorizations are reproducible run to run.  One routine is a
-proof rather than an estimate: :func:`certify_min_eigenvalue` bounds the
-smallest eigenvalue from below by a floating-point Cholesky factorization
-with a shift that covers every rounding error.
+downstream factorizations are reproducible run to run; :func:`validate` keeps
+the one such solve of a POVM's effect stack.  One routine is a proof rather
+than an estimate: :func:`certify_min_eigenvalue` bounds the smallest
+eigenvalue from below by a floating-point Cholesky factorization with a
+shift that covers every rounding error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "DEFAULT_TOL",
     "EigenResult",
     "herm_eig",
-    "is_psd",
     "project_psd",
     "certify_min_eigenvalue",
 ]
@@ -128,6 +128,14 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(anchor) / np.abs(anchor))
 
 
+def _sorted_eig(a: np.ndarray) -> EigenResult:
+    """``eigh`` of the Hermitian part of a matrix or stack, in the package convention."""
+    w, v = np.linalg.eigh(_hermitize(a))
+    order = np.argsort(-w, axis=-1, kind="stable")
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    return EigenResult(eigenvalues=np.take_along_axis(w, order, axis=-1), eigenvectors=_fix_column_phases(v))
+
+
 def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
     """Eigendecomposition of a Hermitian matrix in the package convention.
 
@@ -146,25 +154,7 @@ def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
     a = _as_square(m, stack=True)
     if not _hermitian_mask(a, tol).all():
         raise NonHermitian("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(_hermitize(a))
-    order = np.argsort(-w, axis=-1, kind="stable")
-    v = np.take_along_axis(v, order[..., None, :], axis=-1)
-    return EigenResult(eigenvalues=np.take_along_axis(w, order, axis=-1), eigenvectors=_fix_column_phases(v))
-
-
-def psd_mask(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Per matrix of a square matrix or (k, n, n) stack: Hermitian within
-    tolerance with spectrum >= -abs_eps, from one batched ``eigvalsh``."""
-    a = _as_square(m, stack=True)
-    a = a if a.ndim == 3 else a[None]
-    hermitian = _hermitian_mask(a, tol)
-    low = np.linalg.eigvalsh(_hermitize(a))[:, 0] if a.shape[-1] else np.zeros(a.shape[0])
-    return hermitian & (low >= -tol.abs_eps)
-
-
-def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``m`` is Hermitian within tolerance with spectrum >= -abs_eps."""
-    return bool(psd_mask(_as_square(m), tol)[0])
+    return _sorted_eig(a)
 
 
 def project_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmptyFamily, GridTooCoarse, IndexOutOfRange, InvalidRatio, NonFinite, NonIntegerIndex
 from .linalg import opnorm
-from .polycert import MAX_STACK_MB, ProductRows, PurityCertificate, span_certificate
+from .polycert import MAX_STACK_MB, ProductRows, PurityCertificate, _require_integers, span_certificate
 
 __all__ = [
     "FourierFamily",
@@ -61,8 +61,9 @@ def fourier_family(members) -> FourierFamily:
 
     Every key must be an integer (an integral float is read as one) of
     magnitude at most 2^53 and every coefficient a finite number (not a
-    string); ``NonIntegerIndex``, ``IndexOutOfRange`` and ``NonFinite`` refuse
-    the others, naming the member, before anything is built.
+    string, nor an integer past the double range); ``NonIntegerIndex``,
+    ``IndexOutOfRange`` and ``NonFinite`` refuse the others, naming the
+    member, before anything is built.
     """
     cleaned = []
     for n, m in enumerate(members):
@@ -76,7 +77,10 @@ def fourier_family(members) -> FourierFamily:
                 raise NonIntegerIndex(f"member {n}: frequency {s!r} is not an integer")
             if abs(g) > 2**53:
                 raise IndexOutOfRange(f"member {n}: frequency {g} is past 2^53 in magnitude")
-            z = complex(v) if isinstance(v, (int, float, complex, np.number)) else complex("nan")
+            try:
+                z = complex(v) if isinstance(v, (int, float, complex, np.number)) else complex("nan")
+            except OverflowError:  # its repr may be too long to print
+                raise NonFinite(f"member {n}: coefficient at frequency {g} is an integer past the double range") from None
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise NonFinite(f"member {n}: coefficient {v!r} at frequency {g} is not a finite number")
             if z != 0:
@@ -88,6 +92,7 @@ def fourier_family(members) -> FourierFamily:
 
 
 def _check_size(n_members: int) -> None:
+    _require_integers(n_members=n_members)
     if n_members < 1:
         raise EmptyFamily("need at least one member")
     if n_members > MAX_MEMBERS:
@@ -114,6 +119,7 @@ def geometric_tail_family(n_members: int, ratio: float = 0.5, support: int = 32)
     _check_size(n_members)
     if not 0.0 < ratio < 1.0:
         raise InvalidRatio(f"ratio must lie in (0, 1), got {ratio}")
+    _require_integers(support=support)
     if support < 0:
         raise IndexOutOfRange(f"support must be >= 0, got {support}")
     reach = _reach(ratio, support + n_members + 1)
@@ -148,6 +154,7 @@ def fourier_span_certificate(fam: FourierFamily, check_order: int) -> PurityCert
     """
     if not fam.members:
         raise EmptyFamily("family has no members")
+    _require_integers(check_order=check_order)
     if check_order < 0:
         raise IndexOutOfRange(f"check_order must be >= 0, got {check_order}")
     n = len(fam.members)
@@ -230,10 +237,12 @@ def _frequency_count(n_members: int, ratio: float | None = None, support: int = 
 
 
 def _check_demo(n_members: int, n_frequencies: int, order: int, grid: int) -> None:
-    """Refuse a demo before anything is allocated: a negative order, a grid
-    off the dyadic lattice, or stacks of interval matrices (members by members,
-    or frequencies by frequencies) past MAX_STACK_MB each.  The demo's own
-    arrays, at most endpoints by frequencies by members, stay inside that bound."""
+    """Refuse a demo before anything is allocated: an order or grid that is
+    not an integer, a negative order, a grid off the dyadic lattice, or stacks
+    of interval matrices (members by members, or frequencies by frequencies)
+    past MAX_STACK_MB each.  The demo's own arrays, at most endpoints by
+    frequencies by members, stay inside that bound."""
+    _require_integers(order=order, grid=grid)
     if order < 0:
         raise IndexOutOfRange(f"truncation order must be >= 0, got {order}")
     if grid < MIN_GRID or grid % (1 << MAX_LEVEL) != 0:

@@ -176,10 +176,18 @@ _MEMBER_BUILDERS = {
 }
 
 
+def _require_integers(**values) -> None:
+    """Refuse each named size or order that is not an integer, before anything is built."""
+    for name, v in values.items():
+        if not isinstance(v, (int, np.integer)):
+            raise NonIntegerIndex(f"{name} must be an integer, got {v!r}")
+
+
 def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
     """Members of the named basis up to ``max_degree``, minus excluded indices."""
     if basis not in _MEMBER_BUILDERS:
         raise ValueError(f"unknown basis {basis!r}; one of {sorted(BASIS_INFO)}")
+    _require_integers(max_degree=max_degree)
     if max_degree < 0:
         raise IndexOutOfRange(f"max_degree must be >= 0, got {max_degree}")
     exclude = tuple(exclude)
@@ -564,6 +572,7 @@ def product_span_certificate(fam: PolyFamily, check_degree: int) -> PurityCertif
     """
     if not fam.members:
         raise EmptyFamily("family has no members")
+    _require_integers(check_degree=check_degree)
     if check_degree < 0:
         raise IndexOutOfRange(f"check_degree must be >= 0, got {check_degree}")
     members = fam.scaled if fam.scaled is not None else fam.members

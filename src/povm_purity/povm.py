@@ -4,7 +4,8 @@ A measurement is a labelled sequence of positive semidefinite effects summing
 to the identity.  :func:`validate` is the single gatekeeper: everything else
 in the package assumes its input went through it (ops are cheap at desk scale
 but re-validating on every call would dominate, so the contract is explicit
-instead).
+instead).  Its positivity check is the package's one eigendecomposition of
+the effects; the :class:`Povm` keeps it, and everything downstream reads it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     NotPsd,
     SchemaError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, opnorm, psd_mask
+from .linalg import DEFAULT_TOL, EigenResult, Tolerance, _hermitian_mask, _sorted_eig, opnorm
 from .wire import matrix_from_pairs, matrix_to_pairs
 
 __all__ = [
@@ -41,17 +42,18 @@ __all__ = [
 # accumulates over outcomes.
 NORMALIZATION_EPS = 1e-9
 
-# Idempotence threshold for the sharpness test ||E^2 - E||.
+# Idempotence threshold for the sharpness test max |lambda^2 - lambda|.
 PVM_EPS = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Labelled effects on C^dim.  Construct, then :func:`validate`."""
+    """Labelled effects on C^dim with their stacked ``spectrum``, built by :func:`validate`."""
 
     dim: int
     labels: tuple[str, ...]
     effects: tuple[np.ndarray, ...] = field(repr=False)
+    spectrum: EigenResult = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -82,7 +84,8 @@ def validate(
     NonFinite
         An effect has a NaN or infinite entry (message names the label).
     NotPsd
-        An effect fails the positivity check (message names the label).
+        An effect is not Hermitian within abs_eps, or its smallest eigenvalue
+        in ``spectrum`` is below -abs_eps (message names the label).
     NotNormalized
         The effects do not sum to the identity within 1e-9.
     """
@@ -109,26 +112,28 @@ def validate(
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             raise NonFinite(f"effect {pairs[int(np.argmin(finite))][0]!r} has a NaN or infinite entry")
-        psd = psd_mask(stack, tol)
+        spectrum = _sorted_eig(stack)
+        psd = _hermitian_mask(stack, tol) & (spectrum.eigenvalues[:, -1] >= -tol.abs_eps)
         if not psd.all():
             raise NotPsd(f"effect {pairs[int(np.argmin(psd))][0]!r} is not positive semidefinite within tolerance")
     if misshapen is not None:
         raise misshapen
-    stack.setflags(write=False)
+    for a in (stack, spectrum.eigenvalues, spectrum.eigenvectors):
+        a.setflags(write=False)
     effects = tuple(stack)
     residual = opnorm(sum(effects) - np.eye(dim))
     if residual > NORMALIZATION_EPS:
         raise NotNormalized(f"effects sum to identity with residual {residual:.3e} > {NORMALIZATION_EPS:g}")
-    return Povm(dim=dim, labels=labels, effects=effects)
+    return Povm(dim=dim, labels=labels, effects=effects, spectrum=spectrum)
 
 
 def is_pvm(p: Povm) -> bool:
-    """True iff every effect is idempotent, ||E^2 - E|| <= 1e-9.
+    """True iff every effect is idempotent, ||E^2 - E|| = max |lambda^2 - lambda| <= 1e-9.
 
     Idempotence suffices: a POVM of projections automatically has mutually
     orthogonal effects, so no pairwise check is needed.
     """
-    return all(opnorm(e @ e - e) <= PVM_EPS for e in p.effects)
+    return bool(np.abs(p.spectrum.eigenvalues**2 - p.spectrum.eigenvalues).max() <= PVM_EPS)
 
 
 def _require_same_labels(p: Povm, q: Povm) -> None:
@@ -152,16 +157,13 @@ def mix(p: Povm, q: Povm, a: float, tol: Tolerance = DEFAULT_TOL) -> Povm:
 
 
 def support_dominates(p: Povm, q: Povm, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff every vanishing effect of ``p`` also vanishes in ``q``.
+    """True iff every vanishing effect (||E|| <= abs_eps) of ``p`` also vanishes in ``q``.
 
     Dimensions may differ; the label sequences must match.
     """
     _require_same_labels(p, q)
-    return all(
-        opnorm(f) <= tol.abs_eps
-        for e, f in zip(p.effects, q.effects)
-        if opnorm(e) <= tol.abs_eps
-    )
+    p_zero, q_zero = (np.abs(r.spectrum.eigenvalues).max(axis=1) <= tol.abs_eps for r in (p, q))
+    return bool(q_zero[p_zero].all())
 
 
 # ---------------------------------------------------------------------------

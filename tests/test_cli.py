@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povm_purity import __version__, cli, dilation
+from povm_purity import __version__, cli
 from povm_purity.cli import main
 from povm_purity.extremality import purity_verdict
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
 from povm_purity.linalg import opnorm
-from povm_purity.povm import povm_from_dict
+from povm_purity.povm import povm_from_dict, povm_to_dict
 from povm_purity.wire import sha256_hex
 
 
@@ -153,14 +153,34 @@ def test_dilate_blocks_are_the_outcome_factorizations(capsys, tmp_path):
                 assert lead.imag == 0.0 and lead.real > 0.0
 
 
-def test_split_factorizes_each_outcome_once(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv, stacks",
+    [
+        (("purity", "trine"), [(3, 2, 2)]),
+        (("dilate", "coin"), [(2, 2, 2)]),
+        # the input and the two halves, each validated once
+        (("split", "coin"), [(2, 2, 2)] * 3),
+        (("preprocess-from-pvm", "computational-pvm-d2", "smeared-pvm-d2"), [(2, 2, 2)] * 2),
+    ],
+    ids=["purity", "dilate", "split", "preprocess"],
+)
+def test_each_validated_povm_is_factorized_once(capsys, monkeypatch, tmp_path, argv, stacks):
+    """validate's one batched eigh of the effect stack is the only eigensolve:
+    the dilation, the sharpness test and support domination read it."""
+    files = []
+    for name in argv[1:]:  # from files, so that loading a fixture solves nothing
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(povm_to_dict(fixture(name))))
     calls = []
-    herm_eig = dilation.herm_eig
-    monkeypatch.setattr(dilation, "herm_eig", lambda m, tol: calls.append(np.shape(m)) or herm_eig(m, tol))
-    code, doc = run(capsys, "split", "coin")
-    assert code == 0 and doc["command"] == "split"
-    # one batched eigendecomposition of the whole effect stack
-    assert calls == [(len(fixture("coin")), 2, 2)]
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _f(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    code, doc = run(capsys, argv[0], *map(str, files))
+    assert code == 0 and doc["command"] == argv[0]
+    assert calls == [("eigh", shape) for shape in stacks]
 
 
 @pytest.mark.parametrize(

@@ -58,10 +58,13 @@ def test_factorize_zero_effect():
 
 
 def test_factorize_rejects_negative():
-    # validate would refuse this effect; a bare Povm reaches the factorization
-    p = Povm(dim=2, labels=("oops", "rest"), effects=(np.diag([1.0, -0.5]), np.diag([0.0, 1.5])))
+    # the factorization is validate's: a negative effect never becomes a
+    # Povm, and no Povm is built without the spectrum validate keeps
+    effects = (np.diag([1.0, -0.5]), np.diag([0.0, 1.5]))
     with pytest.raises(NotPsd, match="'oops'"):
-        build_dilation(p)
+        validate(2, [("oops", effects[0]), ("rest", effects[1])])
+    with pytest.raises(TypeError, match="spectrum"):
+        Povm(dim=2, labels=("oops", "rest"), effects=effects)
 
 
 def test_factorize_properties(rng):

@@ -72,6 +72,48 @@ def test_fourier_family_bounds_frequencies_at_2_53():
             fourier_family([{0: 1.0}, {key: 1.0}])
 
 
+@pytest.mark.parametrize("big", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"])
+def test_fourier_family_refuses_integers_past_the_double_range(big):
+    # complex() overflows on them; 10**5000 has no repr within the default digit limit
+    with pytest.raises(NonFinite, match="member 1: coefficient at frequency 2 is an integer past the double range"):
+        fourier_family([{0: 1.0}, {2: big}])
+    assert fourier_family([{0: 2**1023}]).members == ({0: complex(2.0**1023)},)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: polycert.orthonormal_family("hermite", 2.5),
+        lambda: polycert.orthonormal_family("legendre", -1.5),
+        lambda: polycert.product_span_certificate(polycert.orthonormal_family("hermite", 3), 2.5),
+        lambda: fourier_span_certificate(single_mode_family(3), 2.5),
+        lambda: single_mode_family(2.5),
+        lambda: single_mode_family(3.0),
+        lambda: geometric_tail_family(3.0),
+        lambda: geometric_tail_family(3, 0.5, 8.5),
+        lambda: phase_truncation_demo(single_mode_family(3), 2.5, 1024),
+        lambda: phase_truncation_demo(single_mode_family(3), 2, 1024.0),
+    ],
+    ids=[
+        "family-degree", "family-negative-degree", "product-order", "fourier-order", "single-members",
+        "single-integral-float", "geometric-members", "geometric-support", "demo-order", "demo-grid",
+    ],
+)
+def test_non_integer_sizes_and_orders_are_refused(call):
+    # range() would raise a bare TypeError on them, and the demo would echo order 2.5
+    with pytest.raises(NonIntegerIndex, match="must be an integer, got"):
+        call()
+
+
+def test_numpy_integer_sizes_and_orders_are_accepted():
+    three = np.int64(3)
+    assert len(single_mode_family(three).members) == 3
+    assert len(geometric_tail_family(three, 0.5, np.int64(4)).members) == 3
+    assert fourier_span_certificate(single_mode_family(3), three).certified_to_degree == 3
+    assert len(polycert.orthonormal_family("hermite", three).members) == 4
+    assert phase_truncation_demo(single_mode_family(3), three, np.int64(1024)).order == 3
+
+
 @pytest.mark.parametrize("bad", ["1", "x", None, [1.0]])
 def test_fourier_family_refuses_non_numeric_coefficients(bad):
     with pytest.raises(NonFinite, match="member 0: coefficient .* at frequency 3 is not a finite number"):

@@ -12,8 +12,10 @@ from povm_purity.errors import (
     NotPsd,
     SchemaError,
 )
-from povm_purity.fixtures import fixture
+from povm_purity.fixtures import FIXTURE_NAMES, fixture
+from povm_purity.linalg import DEFAULT_TOL, herm_eig, opnorm
 from povm_purity.povm import (
+    PVM_EPS,
     is_pvm,
     mix,
     povm_from_dict,
@@ -21,6 +23,7 @@ from povm_purity.povm import (
     support_dominates,
     validate,
 )
+from povm_purity.rand import random_hermitian, random_povm, random_psd, random_pvm
 
 ZERO = np.array([[1.0, 0.0], [0.0, 0.0]])
 ONE = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -199,3 +202,111 @@ def test_validate_checks_each_effect_in_order_shape_before_positivity():
     with pytest.raises(DimensionMismatch) as exc:
         validate(2, [(0, ZERO), (1, ONE), (2, misshapen)])
     assert str(exc.value) == "effect 2 has shape (3, 3), expected (2, 2)"
+
+
+EPS = DEFAULT_TOL.abs_eps
+
+
+def _positive(m) -> bool:
+    """The positivity oracle, one effect at a time: Hermitian within abs_eps
+    with smallest eigenvalue >= -abs_eps."""
+    m = np.asarray(m, dtype=complex)
+    return opnorm(m - m.conj().T) <= EPS and np.linalg.eigvalsh((m + m.conj().T) / 2)[0] >= -EPS
+
+
+def test_validate_refuses_non_hermitian_and_negative_effects():
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    accepted = [
+        [("1", np.eye(2))],
+        [("0", np.zeros((3, 3))), ("1", np.eye(3))],
+        [("a", np.diag([1.0 + 0.5 * EPS, 0.5])), ("b", np.diag([-0.5 * EPS, 0.5]))],
+        [("a", PLUS + 0.4 * EPS * skew), ("b", MINUS - 0.4 * EPS * skew)],
+    ]
+    for outcomes in accepted:
+        p = validate(len(outcomes[0][1]), outcomes)
+        assert p.spectrum.eigenvalues[:, -1].min() >= -EPS
+    assert not validate(3, accepted[1]).spectrum.eigenvalues[0].any()
+    refused = [
+        ("b", [("a", np.diag([1.0 + 2 * EPS, 0.5])), ("b", np.diag([-2 * EPS, 0.5]))]),
+        # a PSD Hermitian part, [[0.5, 0.25], [0.25, 0.5]], does not excuse the skew part
+        ("a", [("a", 0.5 * np.eye(2) + 0.5 * skew), ("b", 0.5 * np.eye(2) - 0.5 * skew)]),
+        ("a", [("a", PLUS + 2 * EPS * skew), ("b", MINUS - 2 * EPS * skew)]),
+    ]
+    for label, outcomes in refused:
+        with pytest.raises(NotPsd, match=f"'{label}'"):
+            validate(2, outcomes)
+
+
+def test_stacked_positivity_is_the_per_effect_check(rng):
+    """validate's one eigendecomposition of the stack refuses the first effect
+    that fails the per-effect check, and keeps the stack's herm_eig."""
+    members = [
+        np.zeros((4, 4)),
+        np.diag([0.5, 0.5, 0.5, 0.0]),
+        random_psd(rng, 4, rank=2),
+        random_hermitian(rng, 4),
+        np.diag([1.0, 0.3, -0.5 * EPS, 0.0]),
+        np.diag([1.0, 0.3, -2 * EPS, 0.0]),
+        np.diag([1.0, 1.0, -1e-3, 0.0]),
+        np.triu(np.ones((4, 4))),
+        rng.standard_normal((4, 4)),
+    ]
+    verdicts = [_positive(m) for m in members]
+    assert verdicts == [True, True, True, False, True, False, False, False, False]
+    for m, ok in zip(members, verdicts):
+        with pytest.raises(NotNormalized if ok else NotPsd):
+            validate(4, [("m", m)])
+    for _ in range(10):
+        order = rng.permutation(len(members))
+        first = next(int(j) for j in order if not verdicts[j])
+        with pytest.raises(NotPsd, match=f"effect '{first}'"):
+            validate(4, [(str(j), members[j]) for j in order])
+        with pytest.raises(NotNormalized):
+            validate(4, [(str(j), members[j]) for j in order if verdicts[j]])
+    p = random_povm(rng, 4, 5)
+    stacked = herm_eig(np.stack(p.effects))
+    assert np.array_equal(p.spectrum.eigenvalues, stacked.eigenvalues)
+    assert np.array_equal(p.spectrum.eigenvectors, stacked.eigenvectors)
+    with pytest.raises(ValueError):
+        p.spectrum.eigenvalues[0, 0] = 5.0
+
+
+def _padded(p, zeros, n):
+    """``p`` with zero effects at the positions ``zeros``, labelled o0 .. o{n-1}."""
+    rest = iter(p.effects)
+    return validate(p.dim, [(f"o{i}", np.zeros((p.dim,) * 2) if i in zeros else next(rest)) for i in range(n)])
+
+
+def _far_from(values, threshold):
+    return all(v <= threshold / 10 or v >= threshold * 10 for v in values)
+
+
+def test_is_pvm_and_support_dominates_agree_with_the_operator_norms(rng):
+    """The spectral tests read the kept eigenvalues; away from the thresholds
+    they decide as ||E^2 - E|| <= PVM_EPS and ||E|| <= abs_eps did."""
+    pool = [fixture(name) for name in FIXTURE_NAMES]
+    # every effect's largest eigenvalue is 1, yet neither is a projection
+    pool.append(validate(3, [("o0", np.diag([1.0, 0.5, 0.0])), ("o1", np.diag([0.0, 0.5, 1.0]))]))
+    for _ in range(30):
+        d, k = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        pvm = random_pvm(rng, d, min(k, d))
+        pool += [random_povm(rng, d, k), pvm, mix(pvm, random_pvm(rng, d, len(pvm)), rng.uniform(0.2, 0.8))]
+    for _ in range(30):
+        d, k, n = int(rng.integers(1, 5)), int(rng.integers(1, 4)), 5
+        for source in (random_pvm(rng, d, min(k, d)), random_povm(rng, d, k)):
+            zeros = set(rng.choice(n, size=n - len(source), replace=False).tolist())
+            pool.append(_padded(source, zeros, n))
+    sharp = [is_pvm(p) for p in pool]
+    for p, verdict in zip(pool, sharp):
+        defects = [opnorm(e @ e - e) for e in p.effects]
+        assert _far_from(defects, PVM_EPS)
+        assert verdict == all(x <= PVM_EPS for x in defects)
+    assert True in sharp and False in sharp
+    padded = [p for p in pool if len(p) == 5]
+    dominated = []
+    for p, q in zip(padded, padded[1:] + padded[:1]):
+        norms_p, norms_q = [opnorm(e) for e in p.effects], [opnorm(f) for f in q.effects]
+        assert _far_from(norms_p + norms_q, EPS)
+        dominated.append(support_dominates(p, q))
+        assert dominated[-1] == all(g <= EPS for f, g in zip(norms_p, norms_q) if f <= EPS)
+    assert True in dominated and False in dominated

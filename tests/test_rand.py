@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povm_purity.linalg import is_psd, opnorm
+from povm_purity.linalg import opnorm
 from povm_purity.povm import is_pvm
 from povm_purity.rand import (
     random_channel,
@@ -25,7 +25,8 @@ def test_random_unitary(rng, dim):
 def test_random_hermitian_and_psd(rng):
     h = random_hermitian(rng, 4)
     assert opnorm(h - h.conj().T) <= 1e-15
-    assert is_psd(random_psd(rng, 4))
+    m = random_psd(rng, 4)
+    assert opnorm(m - m.conj().T) <= 1e-14 and np.linalg.eigvalsh(m)[0] >= -1e-10
     assert np.linalg.matrix_rank(random_psd(rng, 5, rank=2)) == 2
 
 
