@@ -18,7 +18,11 @@ with sum_i n_i^2 > d^2 is impure whatever its rank.  If a verified Cholesky
 proof on one full-rank effect's d x d block shows it onto, that effect lends
 a rank-one piece of its weight to another outcome, a kernel vector from one
 d x d solve; any other map takes one thin SVD of the whole map.  An impure
-verdict carries the dilation blocks A_i, and the split reads them there.
+verdict carries the dilation blocks A_i, and the split reads them there.  The
+split and the witness cost grow with the outcomes the witness moves, two on
+the lent-row route: an outcome whose witness block is zero takes no SVD for
+the sup-norm, and keeps the input's effect and its row of the input's
+spectrum in both halves.
 """
 
 from __future__ import annotations
@@ -29,8 +33,18 @@ import numpy as np
 
 from .dilation import build_dilation
 from .errors import IsPure, LabelMismatch
-from .linalg import DEFAULT_TOL, SUBNORMAL_MIN, UNIT_ROUNDOFF, Tolerance, certify_min_eigenvalue, gamma, opnorm
-from .povm import Povm, validate
+from .linalg import (
+    DEFAULT_TOL,
+    SUBNORMAL_MIN,
+    UNIT_ROUNDOFF,
+    EigenResult,
+    Tolerance,
+    _sorted_eig,
+    certify_min_eigenvalue,
+    gamma,
+    opnorm,
+)
+from .povm import Povm, _validate
 
 __all__ = [
     "BlockHermitian",
@@ -63,12 +77,11 @@ class BlockHermitian:
         except ValueError:
             raise LabelMismatch(f"no block for label {label!r}") from None
 
-    def sup_norm(self) -> float:
-        return _sup_norm(self.blocks)
-
 
 def _sup_norm(blocks) -> float:
-    """Largest spectral norm over ``blocks``: one batched SVD per block shape."""
+    """Largest spectral norm over ``blocks``: one batched SVD per block shape.
+    Blocks that are exactly zero, of norm exactly 0, take no SVD."""
+    blocks = [b for b in blocks if b.any()]
     shapes = dict.fromkeys(b.shape for b in blocks)
     stacks = (np.stack([b for b in blocks if b.shape == s]) for s in shapes)
     return max((float(opnorm(stack).max()) for stack in stacks), default=0.0)
@@ -275,8 +288,13 @@ def convex_split(p: Povm, verdict: PurityVerdict, tol: Tolerance = DEFAULT_TOL) 
 
     The blocks A_i come from ``verdict.factors``; a verdict whose factors do
     not fit its witness raises ``ValueError``.  Zero effects stay zero on both
-    sides.  Both halves are validated, and their average reproduces the input
-    exactly (the cross terms cancel).
+    sides.  An outcome whose witness block is exactly zero keeps the input's
+    own effect array in both halves, and its row of ``p.spectrum``: each half
+    decomposes only the effects it changes, in one batched solve (two on the
+    lent-row route, whatever the number of outcomes).  Both halves pass
+    :func:`validate`'s checks at ``tol``, reused rows included.  Their average
+    is the input exactly on untouched outcomes; elsewhere the cross terms
+    cancel, up to rounding.
     """
     if verdict.pure:
         raise IsPure("measurement is extremal; no convex split exists")
@@ -286,6 +304,8 @@ def convex_split(p: Povm, verdict: PurityVerdict, tol: Tolerance = DEFAULT_TOL) 
     if [a.shape for a in verdict.factors] != [(b.shape[0], p.dim) for b in w.blocks]:
         raise ValueError("verdict factors do not match the witness blocks")
     factors = dict(zip(w.labels, zip(verdict.factors, w.blocks)))
+    kept = [lab in factors and not factors[lab][1].any() for lab in p.labels]
+    moved = [i for i, k in enumerate(kept) if not k]
 
     def effect(lab: str, sign: float) -> np.ndarray:
         if lab not in factors:
@@ -293,5 +313,16 @@ def convex_split(p: Povm, verdict: PurityVerdict, tol: Tolerance = DEFAULT_TOL) 
         a, d = factors[lab]
         return a.conj().T @ (np.eye(a.shape[0]) + sign * d) @ a
 
-    plus, minus = (validate(p.dim, [(lab, effect(lab, sign)) for lab in p.labels], tol) for sign in (1.0, -1.0))
+    def solve(stack: np.ndarray) -> EigenResult:
+        # batched eigh solves each matrix on its own, so a kept effect's row
+        # of p.spectrum is the row a solve of the whole stack would give
+        fresh = _sorted_eig(stack[moved])
+        values, vectors = p.spectrum.eigenvalues.copy(), p.spectrum.eigenvectors.copy()
+        values[moved], vectors[moved] = fresh.eigenvalues, fresh.eigenvectors
+        return EigenResult(eigenvalues=values, eigenvectors=vectors)
+
+    plus, minus = (
+        _validate(p.dim, [(lab, e if k else effect(lab, sign)) for (lab, e), k in zip(p, kept)], tol, solve)
+        for sign in (1.0, -1.0)
+    )
     return ConvexSplit(plus=plus, minus=minus)

@@ -58,12 +58,12 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _as_square(m, stack: bool = False) -> np.ndarray:
-    """``m`` as a complex square matrix; with ``stack``, a (k, n, n) stack too."""
+def _as_square(m) -> np.ndarray:
+    """``m`` as a complex square matrix."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 and not (stack and a.ndim == 3):
+    if a.ndim != 2:
         raise NonSquare(f"expected a 2-d array, got shape {a.shape}")
-    if a.shape[-2] != a.shape[-1]:
+    if a.shape[0] != a.shape[1]:
         raise NonSquare(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -142,8 +142,7 @@ def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
     Parameters
     ----------
     m : array_like
-        Square matrix with ``||m - m*|| <= tol.abs_eps``, or a (k, n, n)
-        stack of them, decomposed by one batched ``eigh``.
+        Square matrix with ``||m - m*|| <= tol.abs_eps``.
     tol : Tolerance
         Hermiticity threshold.
 
@@ -151,8 +150,8 @@ def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
     ------
     NonSquare, NonHermitian
     """
-    a = _as_square(m, stack=True)
-    if not _hermitian_mask(a, tol).all():
+    a = _as_square(m)
+    if not _hermitian_mask(a, tol)[0]:
         raise NonHermitian("matrix is not Hermitian within tolerance")
     return _sorted_eig(a)
 

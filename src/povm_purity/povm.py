@@ -6,12 +6,15 @@ in the package assumes its input went through it (ops are cheap at desk scale
 but re-validating on every call would dominate, so the contract is explicit
 instead).  Its positivity check is the package's one eigendecomposition of
 the effects; the :class:`Povm` keeps it, and everything downstream reads it.
+The halves of a convex split pass the same checks, but decompose only the
+effects the split changed: the others are the input's own arrays and keep
+their rows of its spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -75,6 +78,9 @@ def validate(
 ) -> Povm:
     """Check shapes, positivity and normalization; return a frozen Povm.
 
+    Positivity reads ``spectrum``, one batched eigendecomposition of the
+    effect stack; nothing downstream decomposes these effects again.
+
     Raises
     ------
     DimensionMismatch
@@ -88,6 +94,21 @@ def validate(
         in ``spectrum`` is below -abs_eps (message names the label).
     NotNormalized
         The effects do not sum to the identity within 1e-9.
+    """
+    return _validate(dim, outcomes, tol, _sorted_eig)
+
+
+def _validate(
+    dim: int,
+    outcomes: Iterable[tuple[str, np.ndarray]],
+    tol: Tolerance,
+    solve: Callable[[np.ndarray], EigenResult],
+) -> Povm:
+    """:func:`validate`, with ``solve`` giving the spectrum of the effect stack.
+
+    ``solve`` must return what ``_sorted_eig`` would; the convex split passes
+    one that decomposes only the effects it changed and copies the rest from
+    the input's spectrum.  Every check still reads every effect.
     """
     pairs = list(outcomes)
     if dim < 1:
@@ -112,7 +133,7 @@ def validate(
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             raise NonFinite(f"effect {pairs[int(np.argmin(finite))][0]!r} has a NaN or infinite entry")
-        spectrum = _sorted_eig(stack)
+        spectrum = solve(stack)
         psd = _hermitian_mask(stack, tol) & (spectrum.eigenvalues[:, -1] >= -tol.abs_eps)
         if not psd.all():
             raise NotPsd(f"effect {pairs[int(np.argmin(psd))][0]!r} is not positive semidefinite within tolerance")

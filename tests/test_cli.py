@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import SEED
 from numpy.testing import assert_allclose
 
 from povm_purity import __version__, cli
@@ -15,6 +16,7 @@ from povm_purity.extremality import purity_verdict
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
 from povm_purity.linalg import opnorm
 from povm_purity.povm import povm_from_dict, povm_to_dict
+from povm_purity.rand import random_povm
 from povm_purity.wire import sha256_hex
 
 
@@ -160,17 +162,21 @@ def test_dilate_blocks_are_the_outcome_factorizations(capsys, tmp_path):
         (("dilate", "coin"), [(2, 2, 2)]),
         # the input and the two halves, each validated once
         (("split", "coin"), [(2, 2, 2)] * 3),
+        # the lent-row witness moves two outcomes; the halves solve only those
+        (("split", "full-rank-d4-k4"), [(4, 4, 4), (2, 4, 4), (2, 4, 4)]),
         (("preprocess-from-pvm", "computational-pvm-d2", "smeared-pvm-d2"), [(2, 2, 2)] * 2),
     ],
-    ids=["purity", "dilate", "split", "preprocess"],
+    ids=["purity", "dilate", "split", "split-full-rank", "preprocess"],
 )
 def test_each_validated_povm_is_factorized_once(capsys, monkeypatch, tmp_path, argv, stacks):
     """validate's one batched eigh of the effect stack is the only eigensolve:
-    the dilation, the sharpness test and support domination read it."""
+    the dilation, the sharpness test and support domination read it, and a
+    split's halves decompose only the effects the witness changes."""
     files = []
     for name in argv[1:]:  # from files, so that loading a fixture solves nothing
+        p = random_povm(np.random.default_rng(SEED), 4, 4) if name == "full-rank-d4-k4" else fixture(name)
         files.append(tmp_path / f"{name}.json")
-        files[-1].write_text(json.dumps(povm_to_dict(fixture(name))))
+        files[-1].write_text(json.dumps(povm_to_dict(p)))
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):

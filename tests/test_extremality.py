@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from povm_purity.dilation import build_dilation
-from povm_purity.errors import IsPure, LabelMismatch
+from povm_purity.errors import IsPure, LabelMismatch, NotPsd
 from povm_purity.extremality import (
     MARGINAL_FACTOR,
     BlockHermitian,
@@ -21,7 +21,7 @@ from povm_purity.extremality import (
     purity_verdict,
 )
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
-from povm_purity.linalg import DEFAULT_TOL, opnorm
+from povm_purity.linalg import DEFAULT_TOL, Tolerance, _sorted_eig, opnorm
 from povm_purity.povm import mix, validate
 from povm_purity.rand import random_hermitian, random_povm, random_psd, random_pvm, random_unitary
 
@@ -133,7 +133,7 @@ def test_mixed_basis_kernel_and_witness():
     assert v.kernel_dim == 1
     signs = [float(np.real(v.witness.block(lab)[0, 0])) for lab in p.labels]
     assert_allclose(signs, [1.0, 1.0, -1.0, -1.0], atol=1e-10)
-    assert v.witness.sup_norm() == pytest.approx(1.0, abs=1e-12)
+    assert max(opnorm(b) for b in v.witness.blocks) == pytest.approx(1.0, abs=1e-12)
 
 
 def _coin_spec_verdict(factors):
@@ -218,8 +218,13 @@ def test_convex_split_average_is_exact(rng):
     dim=st.integers(1, 6),
     outcomes=st.integers(2, 6),
     mixture=st.booleans(),
+    padded=st.booleans(),
 )
-def test_split_halves_are_valid_and_average_back(draw, dim, outcomes, mixture):
+def test_split_halves_are_valid_and_average_back(draw, dim, outcomes, mixture, padded):
+    """Each half's spectrum is bit for bit a fresh solve of its whole stack,
+    though only the changed effects were solved; an outcome whose witness
+    block is zero is the input's effect in both halves, so it averages back
+    exactly; an outcome without a block stays zero."""
     rng = np.random.default_rng(draw)
     if mixture:
         k = min(outcomes, dim)
@@ -228,13 +233,59 @@ def test_split_halves_are_valid_and_average_back(draw, dim, outcomes, mixture):
         p = mix(random_pvm(rng, dim, k), random_pvm(rng, dim, k), weight)
     else:
         p = random_povm(rng, dim, outcomes)
+    if padded:
+        pairs = list(p)
+        pairs.insert(int(rng.integers(0, len(p) + 1)), ("zero", np.zeros((dim, dim))))
+        p = validate(dim, pairs)
     v = purity_verdict(p)
     assume(not v.pure)
+    untouched = {lab for lab, b in v.witness.items() if not b.any()}
+    if not mixture:
+        # the lent-row witness moves two outcomes
+        assert len(untouched) == len(v.witness.labels) - 2
     split = convex_split(p, v)
     for half in (split.plus, split.minus):
         assert validate(p.dim, list(half)).labels == p.labels
-    for e, ep, em in zip(p.effects, split.plus.effects, split.minus.effects):
-        assert opnorm((ep + em) / 2.0 - e) <= 1e-9
+        fresh = _sorted_eig(np.stack(half.effects))
+        assert np.array_equal(half.spectrum.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(half.spectrum.eigenvectors, fresh.eigenvectors)
+        for lab, e in p:
+            if lab in untouched:
+                assert np.array_equal(half.effect(lab), e)
+            elif lab not in v.witness.labels:
+                assert not half.effect(lab).any()
+    for lab, e in p:
+        avg = (split.plus.effect(lab) + split.minus.effect(lab)) / 2.0
+        if lab in untouched:
+            assert np.array_equal(avg, e)
+        else:
+            assert opnorm(avg - e) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [np.diag([0.0, -0.5]), 0.25 * np.array([[0.0, 1.0], [0.0, 0.0]])],
+    ids=["negative", "skew"],
+)
+def test_split_at_a_stricter_tol_refuses_as_validate_would(defect):
+    """An untouched outcome keeps the input's effect, defect included, so a
+    split at a tolerance stricter than the input's refuses it by name, as
+    validate of the same halves at that tolerance does."""
+    eps = DEFAULT_TOL.abs_eps
+    p = validate(
+        2,
+        [("a", 0.4 * np.eye(2)), ("b", np.diag([0.3, 0.6]) - eps * defect), ("c", np.diag([0.3, 0.0]) + eps * defect)],
+    )
+    v = purity_verdict(p)
+    assert not v.witness.block("c").any()
+    split = convex_split(p, v)
+    strict = Tolerance(abs_eps=0.1 * eps)
+    for half in (split.plus, split.minus):
+        assert np.array_equal(half.effect("c"), p.effect("c"))
+        with pytest.raises(NotPsd, match="effect 'c'"):
+            validate(2, list(half), strict)
+    with pytest.raises(NotPsd, match="effect 'c'"):
+        convex_split(p, v, strict)
 
 
 def test_convex_split_requires_impurity():
@@ -264,7 +315,7 @@ def test_pure_map_bounded_below(rng):
         for _ in range(100):
             blocks = tuple(random_hermitian(rng, n) for n in pmap.block_dims)
             d = BlockHermitian(labels=pmap.labels, blocks=blocks)
-            sup = d.sup_norm()
+            sup = max(opnorm(b) for b in d.blocks)
             if sup == 0.0:
                 continue
             d = BlockHermitian(
@@ -449,7 +500,7 @@ def test_witness_is_a_hermitian_unit_kernel_direction(rng):
         w = v.witness
         for b in w.blocks:
             assert np.array_equal(b, b.conj().T)
-        assert w.sup_norm() == pytest.approx(1.0, abs=1e-12)
+        assert max(opnorm(b) for b in w.blocks) == pytest.approx(1.0, abs=1e-12)
         assert opnorm(build_perturbation_map(p).apply(w)) <= 1e-10
 
 

@@ -6,6 +6,7 @@ from povm_purity.errors import InvalidTolerance, NonHermitian, NonSquare
 from povm_purity.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _sorted_eig,
     certify_min_eigenvalue,
     herm_eig,
     opnorm,
@@ -185,21 +186,23 @@ def _stack_members(rng):
     ]
 
 
-def test_stacked_herm_eig_equals_the_per_matrix_calls(rng):
+def test_stacked_sorted_eig_equals_the_per_matrix_herm_eig(rng):
+    """Each row of a batched solve is the solve of that matrix alone, bit for
+    bit: the convex split copies rows of one stack's spectrum into another's.
+    herm_eig itself takes one matrix."""
     members = _stack_members(rng)
-    stacked = herm_eig(np.stack(members))
+    stacked = _sorted_eig(np.stack(members))
     assert stacked.eigenvalues.shape == (6, 4) and stacked.eigenvectors.shape == (6, 4, 4)
     for j, m in enumerate(members):
         one = herm_eig(m)
         assert np.array_equal(stacked.eigenvalues[j], one.eigenvalues)
         assert np.array_equal(stacked.eigenvectors[j], one.eigenvectors)
-    skew = np.stack(members + [np.triu(np.ones((4, 4)))])
-    with pytest.raises(NonHermitian):
-        herm_eig(skew)
-    with pytest.raises(NonSquare):
-        herm_eig(np.zeros((2, 3, 4)))
-    with pytest.raises(NonSquare):
-        herm_eig(np.zeros((2, 2, 2, 2)))
+    part = _sorted_eig(np.stack(members)[[4, 1]])
+    assert np.array_equal(part.eigenvalues, stacked.eigenvalues[[4, 1]])
+    assert np.array_equal(part.eigenvectors, stacked.eigenvectors[[4, 1]])
+    for bad in (np.stack(members[:4]), np.zeros((2, 3, 4)), np.zeros((2, 2, 2, 2))):
+        with pytest.raises(NonSquare):
+            herm_eig(bad)
 
 
 def test_stacked_opnorm_equals_the_per_matrix_calls(rng):

@@ -13,7 +13,7 @@ from povm_purity.errors import (
     SchemaError,
 )
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
-from povm_purity.linalg import DEFAULT_TOL, herm_eig, opnorm
+from povm_purity.linalg import DEFAULT_TOL, _sorted_eig, opnorm
 from povm_purity.povm import (
     PVM_EPS,
     is_pvm,
@@ -239,7 +239,7 @@ def test_validate_refuses_non_hermitian_and_negative_effects():
 
 def test_stacked_positivity_is_the_per_effect_check(rng):
     """validate's one eigendecomposition of the stack refuses the first effect
-    that fails the per-effect check, and keeps the stack's herm_eig."""
+    that fails the per-effect check, and keeps _sorted_eig of the stack."""
     members = [
         np.zeros((4, 4)),
         np.diag([0.5, 0.5, 0.5, 0.0]),
@@ -264,7 +264,7 @@ def test_stacked_positivity_is_the_per_effect_check(rng):
         with pytest.raises(NotNormalized):
             validate(4, [(str(j), members[j]) for j in order if verdicts[j]])
     p = random_povm(rng, 4, 5)
-    stacked = herm_eig(np.stack(p.effects))
+    stacked = _sorted_eig(np.stack(p.effects))
     assert np.array_equal(p.spectrum.eigenvalues, stacked.eigenvalues)
     assert np.array_equal(p.spectrum.eigenvectors, stacked.eigenvectors)
     with pytest.raises(ValueError):
