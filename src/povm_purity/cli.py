@@ -184,7 +184,7 @@ def _cmd_polycheck(args):
     fam = orthonormal_family(args.basis, args.max, exclude=exclude)
     degree = args.degree if args.degree is not None else args.max
     cert = product_span_certificate(fam, degree)
-    weight, interval = BASIS_INFO[args.basis]
+    weight, interval, _ = BASIS_INFO[args.basis]
     report = {
         "basis": args.basis,
         "weight": weight,

@@ -236,12 +236,16 @@ def _frequency_count(n_members: int, ratio: float | None = None, support: int = 
     return min(support, n_members + k) - max(-support, 1 - k) + 1
 
 
-def _check_demo(n_members: int, n_frequencies: int, order: int, grid: int) -> None:
+def _check_demo(n_members: int, n_frequencies: int, order: int, grid: int) -> float:
     """Refuse a demo before anything is allocated: an order or grid that is
-    not an integer, a negative order, a grid off the dyadic lattice, or stacks
-    of interval matrices (members by members, or frequencies by frequencies)
-    past MAX_STACK_MB each.  The demo's own arrays, at most endpoints by
-    frequencies by members, stay inside that bound."""
+    not an integer, a negative order, a grid off the dyadic lattice, or arrays
+    past MAX_STACK_MB together; else the megabytes counted.  The count bounds
+    the peak of :func:`phase_truncation_demo` from above, for S frequencies,
+    n members and E = 2^MAX_LEVEL + 1 endpoints: three (S, E, n) complex
+    stacks (U, K0 U, one temporary of their size), five (E, n, n) (the two
+    antiderivative stacks, their difference, the interval Grams, temporaries
+    of the sup), four (S, S) float matrices (gaps, Hilbert kernel and their
+    temporaries) and the (S, E) phase table with its two index arrays."""
     _require_integers(order=order, grid=grid)
     if order < 0:
         raise IndexOutOfRange(f"truncation order must be >= 0, got {order}")
@@ -249,13 +253,14 @@ def _check_demo(n_members: int, n_frequencies: int, order: int, grid: int) -> No
         raise GridTooCoarse(
             f"grid must be a multiple of {1 << MAX_LEVEL} and at least {MIN_GRID}, got {grid}"
         )
-    intervals, side = (2 << MAX_LEVEL) - 1, max(n_members, n_frequencies)
-    stack_mb = intervals * side * side * 16 / 2**20
-    if stack_mb > MAX_STACK_MB:
+    ends, s, n = (1 << MAX_LEVEL) + 1, n_frequencies, n_members
+    mb = (16 * ends * (3 * s * n + 5 * n * n + 2 * s) + 32 * s * s) / 2**20
+    if mb > MAX_STACK_MB:
         raise IndexOutOfRange(
-            f"{n_members} members over {n_frequencies} frequencies need a ({intervals}, {side}, {side}) "
-            f"complex stack of {stack_mb:.0f} MB, over the {MAX_STACK_MB} MB limit"
+            f"{n} members over {s} frequencies need {mb:.0f} MB of arrays (three ({s}, {ends}, {n}) and five "
+            f"({ends}, {n}, {n}) complex stacks, four ({s}, {s}) float matrices), over the {MAX_STACK_MB} MB limit"
         )
+    return mb
 
 
 def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> PhaseDemoReport:
@@ -269,10 +274,10 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
     endpoints, once for the target and once for the kept rows of V, and every
     interval Gram is a difference of two of them.  ``grid`` is validated (a
     multiple of 2^MAX_LEVEL, at least MIN_GRID) and echoed in the report, but
-    changes no number.  A family whose stacks of interval matrices (members by
-    members, or frequencies by frequencies) would pass MAX_STACK_MB each is
-    refused with ``IndexOutOfRange`` before anything is allocated; one whose
-    Grams pass the double range, with ``NonFinite``.
+    changes no number.  A family whose arrays would pass MAX_STACK_MB together
+    (as :func:`_check_demo` counts them) is refused with ``IndexOutOfRange``
+    before anything is allocated; one whose Grams pass the double range, with
+    ``NonFinite``.
     """
     n = len(target.members)
     # a family whose members are all empty still needs one (zero) row

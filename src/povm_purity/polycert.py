@@ -15,33 +15,24 @@ nothing.
 The ladder is exact.  Members are read as integers: the orthonormal bases
 keep integer multiples of their members (H_n, n! L_n, 2^n P_n, x^n; scaling
 a member scales rows, which leaves coverage alone), and a family built from
-floats is read exactly as the doubles it holds.  Every verdict is a proof,
-reached by the first of three routes that decides it, all modulo the prime
-PRIME, where a nonzero minor is a nonzero integer, so rank there is at most
-rank over Q:
+floats is read exactly as the doubles it holds.  Every verdict is a proof
+reached modulo the prime PRIME, where a nonzero minor is a nonzero integer,
+so rank there is at most rank over Q; each block of rows is eliminated once:
 
-* compressed block: a block A of N product rows over S slots with more than
+* one ladder: a block A of N product rows over S slots with more than
   (S + 8) S nonzeros is compressed to C = R A by a fixed-seed random R of
   S + 8 rows (random compression for rank; Cheung, Kwok and Lau, J. ACM
-  60(5) (2013)).  rank(C) <= rank(A) for every R, so a full-rank C proves
-  every slot covered.  Randomness only picks the route: a short C falls
-  through to the next one;
-* modular ladder: A itself is eliminated column by column; full rank proves
-  full rank over Q;
-* lifted deficit: when some slot gets no pivot modulo PRIME, the ladder
-  modulo PRIME of the exact rows (the modular block itself for real rows;
-  complex ones are realified and laddered again) gives each column that
-  gains no rank its coordinates on the earlier pivot columns, lifted to
-  small rationals (Wang, Guy and Davenport, SIGSAM Bull. 16(2) (1982)).
-  Each dependency sum_k w_k col_k = 0 is checked in Python integers as the
-  bilinear form conj(m_i)^T W m_j of the members on every listed pair, W
-  the Hankel (polynomial) or Toeplitz (Fourier) matrix of the weights, so
-  a real family builds no exact row.  Each prefix has at least its modular
-  rank over Q, and a verified dependency adds none, so the modular ladder
-  is then the exact one.  Should any lift fail, a fraction-free pass over
-  the integers (Bareiss) on the slots-by-slots Gram A^T A of the exact rows
-  names the missing slots: over Q a prefix of columns of A^T A has the
-  rank of the same prefix of A.
+  60(5) (2013)); a sparser block is its own C.  Full column rank of C
+  proves every slot covered;
+* lifted deficit: else the echelon of that same ladder (complex rows: of
+  their realified residues, compressed alike) gives each column that gains
+  no rank its coordinates on the earlier pivot columns, lifted to small
+  rationals (Wang, Guy and Davenport, SIGSAM Bull. 16(2) (1982)) and
+  checked in Python integers as bilinear forms conj(m_i)^T W m_j of the
+  members, W the Hankel (polynomial) or Toeplitz (Fourier) matrix of the
+  weights, so a real family builds no exact row.  Should any lift fail, a
+  fraction-free pass over the integers (Bareiss) on the slots-by-slots
+  Gram A^T A of the exact rows names the missing slots.
 
 No tolerance enters.
 
@@ -81,26 +72,18 @@ PRIME = 2**31 - 19
 # 2 is a non-residue because PRIME = 5 (mod 8), so 2^((PRIME-1)/4) squares to -1.
 _SQRT_M1 = pow(2, (PRIME - 1) // 4, PRIME)
 
-# The compressed route (``_compressed_full_rank``): rows of A per float
-# product (at most 2^21, so sums of terms below 2^32 stay below 2^53) and the
-# seed of its random R.
+# The compression (``_compressed``): rows of A per float product (at most
+# 2^21, so sums of terms below 2^32 stay below 2^53) and the seed of its
+# random R.
 _COMPRESS_CHUNK = 2048
 _COMPRESS_SEED = 20130901
-# The lifted route (``_lifted``): numerators and denominators up to
+# The lifted dependencies (``_lifted``): numerators and denominators up to
 # floor(sqrt(PRIME / 2)), so a residue has at most one such fraction.
 _LIFT_BOUND = math.isqrt(PRIME // 2)
 
-# Largest block one stack of intermediate rows may take: the modular row block
-# here, the dyadic interval stacks of ``phase``.
+# Largest block one stack of intermediate rows may take (the modular row block
+# here), and the most the arrays of the phase demo may take together.
 MAX_STACK_MB = 256
-
-# basis name -> (weight, interval) for reporting
-BASIS_INFO = {
-    "hermite": ("exp(-x^2)", "(-inf, inf)"),
-    "legendre": ("1", "[-1, 1]"),
-    "laguerre": ("exp(-x)", "[0, inf)"),
-    "monomial": ("1", "[-1, 1]"),
-}
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -167,12 +150,13 @@ def _monomial_member(n: int) -> tuple[list[int], np.ndarray]:
     return coeffs, np.array(coeffs, dtype=float)
 
 
-# basis -> n -> (integer multiple of the member, low to high; the orthonormal member)
-_MEMBER_BUILDERS = {
-    "hermite": _hermite_member,
-    "legendre": _legendre_member,
-    "laguerre": _laguerre_member,
-    "monomial": _monomial_member,
+# basis name -> (weight, interval) for reporting, and the member builder
+# n -> (integer multiple of the member, low to high; the orthonormal member)
+BASIS_INFO = {
+    "hermite": ("exp(-x^2)", "(-inf, inf)", _hermite_member),
+    "legendre": ("1", "[-1, 1]", _legendre_member),
+    "laguerre": ("exp(-x)", "[0, inf)", _laguerre_member),
+    "monomial": ("1", "[-1, 1]", _monomial_member),
 }
 
 
@@ -185,7 +169,7 @@ def _require_integers(**values) -> None:
 
 def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
     """Members of the named basis up to ``max_degree``, minus excluded indices."""
-    if basis not in _MEMBER_BUILDERS:
+    if basis not in BASIS_INFO:
         raise ValueError(f"unknown basis {basis!r}; one of {sorted(BASIS_INFO)}")
     _require_integers(max_degree=max_degree)
     if max_degree < 0:
@@ -197,7 +181,7 @@ def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
     for k in dropped:
         if not 0 <= k <= max_degree:
             raise IndexOutOfRange(f"excluded index {k} outside 0..{max_degree}")
-    build = _MEMBER_BUILDERS[basis]
+    build = BASIS_INFO[basis][2]
     built = [build(n) for n in range(max_degree + 1) if n not in dropped]
     if not built:
         raise EmptyFamily("every member was excluded")
@@ -426,26 +410,26 @@ def _pivot_columns(a: np.ndarray, modulus: int | None = None, echelon: list | No
     return covered
 
 
-def _compressed_full_rank(a: np.ndarray) -> bool:
-    """Whether C = R A has full column rank modulo PRIME, for the int64 residues
-    A (N rows, S columns) and a fixed-seed random R of S + 8 rows, which
-    proves that A has full column rank over Q: every column gains rank.
+def _compressed(a: np.ndarray) -> np.ndarray:
+    """The block to eliminate in place of the int64 residues A (N rows, S
+    columns): C = R A modulo PRIME, for a fixed-seed random R of S + 8 rows,
+    when A has more than (S + 8) S nonzeros; A itself otherwise, as a sparse
+    block eliminates faster than its dense compression.
 
-    The proof holds for any R: rank(R A) <= rank(A) modulo PRIME, and rank
-    modulo PRIME is at most rank over Q.  So randomness only picks the route:
-    a short C, of an unlucky R or of a real deficit, proves nothing and the
-    caller eliminates A itself.  Only blocks with more than (S + 8) S nonzeros
-    are compressed; sparser ones eliminate faster as they are.  C is exact:
-    R has entries below 2^16 and A is split into 16-bit limbs, so each float
-    product over a chunk of _COMPRESS_CHUNK rows sums terms below 2^32 to less
-    than _COMPRESS_CHUNK 2^32 < 2^53.  Each chunk of R is drawn from one
-    generator seeded with _COMPRESS_SEED, so R never exists whole.  It is the
-    standard library's: importing numpy.random would cost the first
-    certificate of a process more than most certificates take.
+    Every prefix of C's columns has modular rank at most that of A, for any R
+    (random compression for rank; Cheung, Kwok and Lau, J. ACM 60(5) (2013)),
+    so a full-rank C proves every slot covered and an unlucky R can only hide
+    rank, never invent it.  C is exact: R has entries below 2^16 and A is
+    split into 16-bit limbs, so each float product over a chunk of
+    _COMPRESS_CHUNK rows sums terms below 2^32 to less than _COMPRESS_CHUNK
+    2^32 < 2^53.  Each chunk of R is drawn from one generator seeded with
+    _COMPRESS_SEED, so R never exists whole.  It is the standard library's:
+    importing numpy.random would cost the first certificate of a process more
+    than most certificates take.
     """
     n, s = a.shape
     if np.count_nonzero(a) <= (s + 8) * s:
-        return False
+        return a
     rng = random.Random(_COMPRESS_SEED)
     c = np.zeros((s + 8, 2 * s), dtype=np.int64)
     for start in range(0, n, _COMPRESS_CHUNK):
@@ -453,7 +437,7 @@ def _compressed_full_rank(a: np.ndarray) -> bool:
         r = np.frombuffer(rng.randbytes(2 * (s + 8) * len(chunk)), dtype="<u2").reshape(s + 8, -1).astype(float)
         limbs = np.concatenate([chunk & 0xFFFF, chunk >> 16], axis=1).astype(float)
         c = (c + (r @ limbs).astype(np.int64)) % PRIME
-    return all(_pivot_columns((c[:, :s] + (c[:, s:] << 16)) % PRIME, PRIME))
+    return (c[:, :s] + (c[:, s:] << 16)) % PRIME
 
 
 def _rational(r: int) -> tuple[int, int] | None:
@@ -472,21 +456,21 @@ def _rational(r: int) -> tuple[int, int] | None:
 
 
 def _lifted(rows: ProductRows, meet: np.ndarray, echelon: list) -> bool:
-    """Whether every column of the exact rows over the slots of ``meet`` (complex
-    rows realified) that gains no rank modulo PRIME is, exactly, a rational
-    combination of the pivot columns before it; then the modular ladder of the
-    exact rows is their ladder over Q.
+    """Whether every column of the exact rows A over the slots of ``meet``
+    (complex rows realified) that gains no rank in the ladder of ``echelon``
+    is, exactly, a rational combination of the pivot columns before it.
 
-    Each prefix of columns has at least its modular rank over Q.  A column
-    shown to lie in the span of the earlier pivot columns adds no rank over
-    Q, so each prefix has at most as much rank as it has pivot columns: the
-    two ladders agree.  The coordinates are solved modulo PRIME from
-    ``echelon``, the pivot rows :func:`_pivot_columns` gave for the exact
-    rows modulo PRIME (row operations away from them, the other rows having
-    gone to zero, so its columns obey the same dependencies); they are
-    lifted by :func:`_rational`, and each dependency, sum_k w_k col_k = 0
-    with w_free = -den, is checked on every listed pair in Python ints by
-    :meth:`ProductRows.annihilate`, on the members rather than on the rows.
+    ``echelon`` holds the pivot rows :func:`_pivot_columns` gave for C, the
+    block :func:`_compressed` made of A modulo PRIME; row operations took C
+    to them, so its columns obey C's dependencies.  For every R, each prefix
+    of C's columns has modular rank at most that of A, which is at most A's
+    rank over Q.  A dependency that :meth:`ProductRows.annihilate` verifies
+    puts a column of A in the span of the earlier pivot columns over Q, so
+    once all verify, A's rank over Q on each prefix is C's pivot count there:
+    C's ladder is A's ladder over Q.  An unlucky R can only make a lift fail.
+    The coordinates are solved modulo PRIME from ``echelon``, lifted by
+    :func:`_rational`, and each dependency, sum_k w_k col_k = 0 with w_free =
+    -den, is checked on every listed pair in Python ints, on the members.
     """
     ncols = meet.shape[1] * (1 if rows.real else 2)
     pivots = [j for j, _ in echelon]
@@ -514,38 +498,31 @@ def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
 
     A slot is missing when its column adds no rank; the missing slots are
     reported in ascending order.  Slots no product reaches are zero columns:
-    missing, and without effect on the rest.  The other slots take the
-    first route that decides them, each a proof:
-
-    * compressed block: a random compression of the modular rows with full
-      column rank proves every slot covered (:func:`_compressed_full_rank`);
-    * modular ladder: the modular rows themselves, where full rank proves
-      full rank over Q;
-    * lifted deficit: on a deficit, the ladder of the exact rows A modulo
-      PRIME, once each column that gains no rank there is shown an exact
-      rational combination of the pivot columns before it, checked on the
-      members (:func:`_lifted`); should a lift fail, the Gram A^T A decides
-      them all: A^T A x = 0 exactly when A x = 0 over Q, so each prefix of
-      its columns has the rank of that prefix of A.
-
-    Complex rows enter the exact routes realified, as rows over Q; their
-    lifted dependencies are checked over Q(i).
+    missing, and without effect on the rest.  The modular rows A of the
+    others are eliminated once, as the block C of :func:`_compressed`; each
+    prefix of C's columns has modular rank at most that of A, and so at most
+    A's rank over Q, for every R.  Full column rank of C proves every slot
+    covered.  On a deficit C's echelon gives the dependencies that
+    :func:`_lifted` verifies on the members, which makes C's ladder A's
+    ladder over Q.  An unlucky R can only make a lift fail; then Bareiss on
+    the Gram A^T A decides every slot, as A^T A x = 0 exactly when A x = 0
+    over Q.  Complex rows are laddered modulo PRIME as they are, which may
+    certify; on a deficit their realified residues, rows over Q, go through
+    :func:`_compressed` and one ladder, and the lifts are checked over Q(i).
     """
     slots = list(slots)
     meet = rows.meet(slots)
     reached = (meet < meet.shape[0]).any(axis=0)
     live, meet = [s for s, r in zip(slots, reached) if r], meet[:, reached]
-    block = rows.modular(meet)
     echelon = []
-    covered = [True] * len(live) if _compressed_full_rank(block) else _pivot_columns(block, PRIME, echelon)
+    covered = _pivot_columns(_compressed(rows.modular(meet)), PRIME, echelon)
     if not all(covered):
-        # real rows: the modular block is the exact rows modulo PRIME, and its
-        # echelon form serves; complex ones are laddered again, realified.  The
-        # exact rows are built for that and for Bareiss only.
+        # complex rows are laddered again, realified, so their dependencies lift
+        # over Q; the exact rows are built for that and for Bareiss only
         exact = None
         if not rows.real:
             exact, echelon = rows.exact(meet), []
-            covered = _pivot_columns((exact % PRIME).astype(np.int64), PRIME, echelon)
+            covered = _pivot_columns(_compressed((exact % PRIME).astype(np.int64)), PRIME, echelon)
         if not _lifted(rows, meet, echelon):
             exact = rows.exact(meet) if exact is None else exact
             covered = _pivot_columns(exact.T @ exact)

@@ -142,7 +142,8 @@ def _validate(
     for a in (stack, spectrum.eigenvalues, spectrum.eigenvectors):
         a.setflags(write=False)
     effects = tuple(stack)
-    residual = opnorm(sum(effects) - np.eye(dim))
+    gap = sum(effects) - np.eye(dim)  # its Frobenius norm bounds opnorm, settling the common case
+    residual = opnorm(gap) if np.linalg.norm(gap) > NORMALIZATION_EPS else 0.0
     if residual > NORMALIZATION_EPS:
         raise NotNormalized(f"effects sum to identity with residual {residual:.3e} > {NORMALIZATION_EPS:g}")
     return Povm(dim=dim, labels=labels, effects=effects, spectrum=spectrum)

@@ -347,7 +347,7 @@ def test_untolerant_commands_reject_tolerance_flags(capsys, argv, flag):
 
 
 def test_phase_demo_member_bound_is_a_typed_error(capsys):
-    # 1100 members need a (127, 1100, 1100) complex stack, about 2.3 GB
+    # 1100 members need about 9.6 GB of demo arrays
     code, doc = run(capsys, "phase-demo", "--M", "4", "--target", "single-mode", "--members", "1100")
     assert code == 1
     assert doc["error"]["kind"] == "IndexOutOfRange"
@@ -360,7 +360,7 @@ def test_phase_demo_member_bound_is_a_typed_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("--target", "single-mode", "--members", "3000000"),
-    ("--support", "1000000"),
+    ("--ratio", "0.9", "--support", "1000000"),
 ])
 def test_phase_demo_refuses_huge_families_before_building_them(capsys, argv):
     code, doc = run(capsys, "phase-demo", "--M", "4", *argv)
@@ -369,8 +369,8 @@ def test_phase_demo_refuses_huge_families_before_building_them(capsys, argv):
 
 
 WIDE_SUPPORT_DETAIL = (
-    "2 members over 600001 frequencies need a (127, 600001, 600001) complex stack of "
-    "697634161 MB, over the 256 MB limit"
+    "2 members over 600001 frequencies need 10991126 MB of arrays (three (600001, 65, 2) and five "
+    "(65, 2, 2) complex stacks, four (600001, 600001) float matrices), over the 256 MB limit"
 )
 
 
@@ -393,18 +393,18 @@ def test_phase_demo_refuses_a_long_tail_before_building_the_family(capsys):
     assert time.perf_counter() - start < 0.2
     assert code == 1
     assert doc == {"error": {"kind": "IndexOutOfRange", "detail": (
-        "1 members over 800001 frequencies need a (127, 800001, 800001) complex stack of "
-        "1240237476 MB, over the 256 MB limit")}}
+        "1 members over 800001 frequencies need 19535266 MB of arrays (three (800001, 65, 1) and five "
+        "(65, 1, 1) complex stacks, four (800001, 800001) float matrices), over the 256 MB limit")}}
 
 
 @pytest.mark.parametrize("argv", [
-    ("--members", "2", "--ratio", "0.999", "--support", "1000"),
+    ("--members", "2", "--ratio", "0.999", "--support", "3000"),
     ("--members", "2", "--ratio", "0.999", "--support", "1000", "--M", "-1"),
     ("--members", "2", "--ratio", "0.999", "--support", "1000", "--grid", "8"),
     ("--target", "single-mode", "--members", "400"),
     ("--target", "single-mode", "--members", "400", "--grid", "100"),
     ("--members", "1100", "--support", "0"),
-    ("--members", "3", "--ratio", "0.5", "--support", "1000000"),
+    ("--members", "40", "--ratio", "0.5", "--support", "1000000"),
 ])
 def test_phase_demo_early_refusal_has_the_demos_bytes(capsys, monkeypatch, argv):
     """The refusal before building prints what the demo prints on the built family."""
@@ -539,6 +539,19 @@ def test_deeply_nested_json_is_a_schema_error(capsys, tmp_path):
     error = json.loads(captured.out)["error"]
     assert error["kind"] == "SchemaError"
     assert error["detail"].startswith(": invalid JSON")
+
+
+def test_schema_refusal_reports_its_path(capsys, tmp_path):
+    code, doc = run(capsys, "fixtures", "coin")
+    doc["outcomes"][1]["label"] = 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {
+        "error": {"kind": "SchemaError", "detail": "/outcomes/1/label: expected a string"}
+    }
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])

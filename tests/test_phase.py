@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from povm_purity.phase import (
     MAX_STACK_MB,
     MIN_GRID,
     FourierFamily,
+    _check_demo,
     _frequency_count,
     fourier_family,
     fourier_span_certificate,
@@ -313,13 +315,37 @@ def test_demo_rejects_bad_grids():
 
 
 def test_demo_bounds_its_stacks_before_allocating():
-    # 400 members: a (127, 400, 400) complex stack is about 310 MB
-    assert 127 * 400 * 400 * 16 > MAX_STACK_MB << 20
-    with pytest.raises(IndexOutOfRange, match=r"400 members .*\(127, 400, 400\)"):
+    # 400 members over 400 frequencies: 1275 MB of demo arrays
+    with pytest.raises(IndexOutOfRange, match=r"400 members over 400 frequencies need 1275 MB .*\(400, 65, 400\)"):
         phase_truncation_demo(single_mode_family(400), 2, MIN_GRID)
-    # so does a wide frequency support: 2001 frequencies for 2 members
-    with pytest.raises(IndexOutOfRange, match="2001 frequencies"):
-        phase_truncation_demo(geometric_tail_family(2, support=1000), 2, MIN_GRID)
+    assert _check_demo(179, 179, 2, MIN_GRID) <= MAX_STACK_MB
+    with pytest.raises(IndexOutOfRange, match="180 members"):
+        _check_demo(180, 180, 2, MIN_GRID)
+    # a wide frequency support costs its (S, S) float matrices: 2001 frequencies
+    # for 2 members fit, 6001 do not
+    assert 4 * 2001 * 2001 * 8 / 2**20 < _check_demo(2, 2001, 2, MIN_GRID) <= MAX_STACK_MB
+    with pytest.raises(IndexOutOfRange, match="6001 frequencies"):
+        phase_truncation_demo(geometric_tail_family(2, ratio=0.999, support=3000), 2, MIN_GRID)
+
+
+@pytest.mark.parametrize("family, order", [
+    (lambda: single_mode_family(40), 2),  # truncated: the sup's temporaries
+    (lambda: single_mode_family(40), 100),  # nothing truncated
+    (lambda: geometric_tail_family(3, support=200), 4),  # wide support: the (S, S) matrices
+    (lambda: geometric_tail_family(24), 8),
+])
+def test_demo_peak_stays_under_its_counted_bound(family, order):
+    fam = family()
+    n_frequencies = len(set().union(*fam.members))
+    bound = _check_demo(len(fam.members), n_frequencies, order, MIN_GRID) * 2**20
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        phase_truncation_demo(fam, order, MIN_GRID)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert bound / 2 < peak <= bound
 
 
 def test_single_mode_truncation_is_exact():

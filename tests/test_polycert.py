@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -384,13 +385,14 @@ def test_dense_blocks_take_the_compressed_route(monkeypatch, kind):
     seen = _spy_pivot_columns(monkeypatch)
     assert span_certificate(_plain_rows(rows), range(5), 4).certified
     assert seen == [((13, 5), "i")]  # only the (S + 8) x S compression
-    # a column of multiples of PRIME vanishes modulo PRIME: the compression falls
-    # back to the block, then to the exact rows, where the column gains rank
+    # a column of multiples of PRIME vanishes modulo PRIME: its lift from the
+    # compression's echelon fails on the members, and Bareiss on the exact Gram
+    # finds the column's rank; the 40-row block is never eliminated
     for i, r in enumerate(rows):
         r[2] = kind(PRIME * (1 + i % 3))
     seen.clear()
     assert span_certificate(_plain_rows(rows), range(5), 4).certified
-    assert seen[:2] == [((13, 5), "i"), ((40, 5), "i")] and seen[-1][1] == "O"
+    assert seen == [((13, 5), "i"), ((5, 5), "O")]
 
 
 @pytest.mark.parametrize("basis, top", [("laguerre", 40), ("legendre", 24)])
@@ -413,6 +415,45 @@ def test_geometric_deficit_is_lifted_without_bareiss(monkeypatch):
     _spy_pivot_columns(monkeypatch, refuse=lambda a: a.dtype == object)
     for family in (geometric_tail_family(8), fourier_family(_dyadic_geometric(8))):
         assert fourier_span_certificate(family, 8).missing_degrees == (8,)
+
+
+def _rotated(family) -> list[dict]:
+    """Coefficient s of every member times i^s: complex rows with the same ladder."""
+    return [{s: v * 1j**s for s, v in m.items()} for m in family.members]
+
+
+def test_each_block_is_eliminated_once(monkeypatch):
+    seen = _spy_pivot_columns(monkeypatch)
+    family = geometric_tail_family(8)
+    assert fourier_span_certificate(family, 8).missing_degrees == (8,)
+    # the 25 x 17 compression of the 64 x 17 block; its echelon lifts the deficit
+    assert seen == [((25, 17), "i")]
+    seen.clear()
+    assert fourier_span_certificate(fourier_family(_rotated(family)), 8).missing_degrees == (8,)
+    # the complex residues, then the compression of their 128 x 34 realification
+    assert seen == [((25, 17), "i"), ((42, 34), "i")]
+
+
+class _ZeroGenerator:
+    """A generator that draws only zero bytes, so the compression C = R A is 0."""
+
+    def __init__(self, seed):
+        pass
+
+    def randbytes(self, n: int) -> bytes:
+        return bytes(n)
+
+
+def test_a_vanishing_compression_still_gives_the_exact_ladder(monkeypatch):
+    # C = 0 has no pivot: every column's lift claims it is zero, the members
+    # refute that, and Bareiss on the exact Gram decides every slot
+    monkeypatch.setattr(polycert, "random", SimpleNamespace(Random=_ZeroGenerator))
+    seen = _spy_pivot_columns(monkeypatch)
+    assert product_span_certificate(orthonormal_family("laguerre", 12), 12).certified
+    assert seen == [((21, 13), "i"), ((13, 13), "O")]
+    seen.clear()
+    assert fourier_span_certificate(geometric_tail_family(8), 8).missing_degrees == (8,)
+    assert seen == [((25, 17), "i"), ((17, 17), "O")]
 
 
 def test_rational_reconstruction():

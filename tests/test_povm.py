@@ -15,6 +15,7 @@ from povm_purity.errors import (
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
 from povm_purity.linalg import DEFAULT_TOL, _sorted_eig, opnorm
 from povm_purity.povm import (
+    NORMALIZATION_EPS,
     PVM_EPS,
     is_pvm,
     mix,
@@ -52,6 +53,17 @@ def test_validate_computational_pvm():
 def test_validate_rejects_unnormalized():
     with pytest.raises(NotNormalized):
         validate(2, [("a", np.eye(2)), ("b", np.eye(2))])
+
+
+def test_normalization_is_judged_in_operator_norm():
+    # I + eps(1 - 1e-3) I_4 has operator-norm residual below NORMALIZATION_EPS
+    # and Frobenius residual twice it: accepted, as the spectral norm decides
+    eps = NORMALIZATION_EPS
+    near = np.eye(4) * (1.0 + eps * (1 - 1e-3))
+    assert validate(4, [("a", near)]).dim == 4
+    # a rejection reports the spectral residual, not the Frobenius one
+    with pytest.raises(NotNormalized, match=r"residual 2\.000e-09 > 1e-09"):
+        validate(4, [("a", np.eye(4) + np.diag([2 * eps, eps / 2, eps / 2, eps / 2]))])
 
 
 def test_validate_rejects_negative_effect():
@@ -178,6 +190,23 @@ def test_povm_from_dict_schema_paths():
     with pytest.raises(SchemaError) as exc:
         povm_from_dict(nolabel)
     assert exc.value.path == "/outcomes/1/label"
+
+
+@pytest.mark.parametrize("mutate, path, message", [
+    (lambda good: [good], "", "expected a JSON object"),
+    (lambda good: {**good, "outcomes": []}, "/outcomes", "expected a non-empty array"),
+    (lambda good: {**good, "outcomes": {"0": good["outcomes"][0]}}, "/outcomes", "expected a non-empty array"),
+    (lambda good: {**good, "outcomes": [good["outcomes"][0], "1"]}, "/outcomes/1",
+     "expected an object with 'label' and 'effect'"),
+    (lambda good: {**good, "outcomes": [{**good["outcomes"][0], "label": 0}]}, "/outcomes/0/label",
+     "expected a string"),
+    (lambda good: {**good, "outcomes": [good["outcomes"][0], {"label": "1"}]}, "/outcomes/1/effect", "missing"),
+])
+def test_povm_from_dict_refusals_name_their_path(mutate, path, message):
+    with pytest.raises(SchemaError) as exc:
+        povm_from_dict(mutate(povm_to_dict(comp_pvm())))
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_povm_from_dict_revalidates():

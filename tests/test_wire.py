@@ -30,6 +30,19 @@ def test_matrix_from_pairs_shape_errors():
         matrix_from_pairs([[[True, False]]], "/eff")
 
 
+@pytest.mark.parametrize("rows, cols, path, message", [
+    ([[]], None, "/eff/0", "expected a non-empty array of [re, im] pairs"),
+    ([[[1.0, 0.0]], "row"], None, "/eff/1", "expected a non-empty array of [re, im] pairs"),
+    ([[[1.0, 0.0]], []], None, "/eff/1", "expected a non-empty array of [re, im] pairs"),
+    ([[[1.0, 0.0]], [[0.0, 0.0]]], 2, "/eff/0", "expected 2 columns, got 1"),
+])
+def test_matrix_from_pairs_refusals_name_their_path(rows, cols, path, message):
+    with pytest.raises(SchemaError) as exc:
+        matrix_from_pairs(rows, "/eff", cols=cols)
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400])
 def test_matrix_from_pairs_rejects_nonfinite(bad):
     for pair, where in (([bad, 0.0], "/eff/1/0"), ([0.0, bad], "/eff/1/0")):
