@@ -12,28 +12,30 @@ take them) and a sha256 digest of each input, and identical invocations
 produce byte-identical output (floats are printed with 17 significant digits;
 nothing time- or path-dependent goes in).  POVM_PURITY_SEED seeds the
 randomized helpers of the test suite; the subcommands themselves are
-deterministic and ignore it.
+deterministic and ignore it.  When stdout is closed before the report is
+written (``... | head -c 10``), the command exits 1 and writes nothing more.
+
+Every command is its own process, so this module loads at import only what
+every command reads (argparse, json, ``errors``, ``linalg``, ``wire`` and the
+basis names of ``bases``); each handler imports the modules it runs when it
+is called, so ``validate`` loads no channel search and ``polycheck`` no
+purity map.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .channels import apply_dual, connection_feasible, preprocess_from_pvm
-from .dilation import build_dilation, dilation_is_unitary
+from .bases import BASIS_INFO
 from .errors import PovmError, SchemaError
-from .extremality import convex_split, purity_verdict
-from .fixtures import FIXTURE_NAMES, fixture
 from .linalg import Tolerance, opnorm
-from .phase import _check_demo, _frequency_count, geometric_tail_family, phase_truncation_demo, single_mode_family
-from .polycert import BASIS_INFO, orthonormal_family, product_span_certificate
-from .povm import Povm, is_pvm, povm_from_dict, povm_to_dict
 from .wire import dumps_report, matrix_to_pairs, sha256_hex
 
 TOOL_NAME = "povm-purity"
@@ -51,7 +53,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _load_povm(arg: str, tol: Tolerance) -> tuple[Povm, dict]:
+def _load_povm(arg: str, tol: Tolerance):
+    """The POVM in a file, or else the fixture of that name, and its input record."""
+    from .povm import povm_from_dict, povm_to_dict
+
     path = Path(arg)
     if path.is_file():
         data = path.read_bytes()
@@ -60,6 +65,8 @@ def _load_povm(arg: str, tol: Tolerance) -> tuple[Povm, dict]:
         except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise SchemaError("", f"invalid JSON in {arg}: {exc}") from None
         return povm_from_dict(obj, tol), {"path": arg, "sha256": sha256_hex(data)}
+    from .fixtures import FIXTURE_NAMES, fixture
+
     name = path.name[: -len(".json")] if path.name.endswith(".json") else path.name
     if name in FIXTURE_NAMES:
         p = fixture(name)
@@ -88,6 +95,8 @@ def _witness_json(witness) -> list | None:
 
 
 def _cmd_validate(args, tol):
+    from .povm import is_pvm
+
     p, src = _load_povm(args.povm, tol)
     report = {
         "valid": True,
@@ -99,6 +108,8 @@ def _cmd_validate(args, tol):
 
 
 def _cmd_purity(args, tol):
+    from .extremality import purity_verdict
+
     p, src = _load_povm(args.povm, tol)
     v = purity_verdict(p, tol)
     report = {
@@ -112,6 +123,9 @@ def _cmd_purity(args, tol):
 
 
 def _cmd_split(args, tol):
+    from .extremality import convex_split, purity_verdict
+    from .povm import povm_to_dict
+
     p, src = _load_povm(args.povm, tol)
     v = purity_verdict(p, tol)
     split = convex_split(p, v, tol)  # raises IsPure on extremal input
@@ -129,6 +143,8 @@ def _cmd_split(args, tol):
 
 
 def _cmd_dilate(args, tol):
+    from .dilation import build_dilation, dilation_is_unitary
+
     p, src = _load_povm(args.povm, tol)
     dil = build_dilation(p, tol)
     blocks = [
@@ -148,6 +164,8 @@ def _cmd_dilate(args, tol):
 
 
 def _cmd_preprocess(args, tol):
+    from .channels import apply_dual, preprocess_from_pvm
+
     p, src_p = _load_povm(args.pvm, tol)
     q, src_q = _load_povm(args.povm, tol)
     ch = preprocess_from_pvm(p, q, tol)
@@ -164,6 +182,8 @@ def _cmd_preprocess(args, tol):
 
 
 def _cmd_feasible(args, tol):
+    from .channels import connection_feasible
+
     p, src_p = _load_povm(args.source, tol)
     q, src_q = _load_povm(args.target, tol)
     res = connection_feasible(p, q, max_iter=args.max_iter)
@@ -180,6 +200,8 @@ def _cmd_feasible(args, tol):
 
 
 def _cmd_polycheck(args):
+    from .polycert import orthonormal_family, product_span_certificate
+
     exclude = () if args.exclude is None else (args.exclude,)
     fam = orthonormal_family(args.basis, args.max, exclude=exclude)
     degree = args.degree if args.degree is not None else args.max
@@ -201,6 +223,8 @@ def _cmd_polycheck(args):
 
 
 def _cmd_phase_demo(args):
+    from .phase import _check_demo, _frequency_count, geometric_tail_family, phase_truncation_demo, single_mode_family
+
     geometric = args.target == "geometric"
     # a lower bound on the family's size from the arguments refuses an oversized
     # demo before the family is built (with the demo's own error where exact)
@@ -227,6 +251,9 @@ def _cmd_phase_demo(args):
 
 
 def _cmd_fixtures(args):
+    from .fixtures import FIXTURE_NAMES, fixture
+    from .povm import povm_to_dict
+
     if args.write is not None:
         outdir = Path(args.write)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -320,14 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
-
-
 def _error(kind: str, exc: Exception) -> dict:
     return {"error": {"kind": kind, "detail": str(exc)}}
 
@@ -346,14 +365,26 @@ def main(argv=None) -> int:
         code, report = EXIT_ERROR, _error("ValueError", exc)
     except OSError as exc:
         code, report = EXIT_ERROR, _error("OSError", exc)
-    try:
-        _emit(args, dumps_report(report))
-    except OSError as exc:
-        # the report could not be written to --out: say so on stdout
-        print(dumps_report(_error("OSError", exc)))
-        return EXIT_ERROR
+    text = dumps_report(report)
+    out = getattr(args, "out", None)
+    if out:
+        try:
+            Path(out).write_text(text + "\n")
+            return code
+        except OSError as exc:
+            # the report could not be written to --out: say so on stdout
+            code, text = EXIT_ERROR, dumps_report(_error("OSError", exc))
+    print(text)
     return code
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        # stdout's reader is gone, so no report can reach it: exit 1 quietly,
+        # with stdout on devnull so that the flush at interpreter exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_ERROR
+    sys.exit(code)

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bases import BASIS_INFO
 from .errors import EmptyFamily, IndexOutOfRange, NonIntegerIndex
 
 __all__ = [
@@ -113,53 +114,6 @@ class PolyFamily:
             raise ValueError(f"unknown basis {self.basis!r}; one of {sorted(BASIS_INFO)}")
 
 
-def _hermite_member(n: int) -> tuple[list[int], np.ndarray]:
-    # physicists' convention: H_{n+1} = 2x H_n - 2n H_{n-1}, in closed form,
-    # normalized by c_n = (2^n n! sqrt(pi))^(-1/2) against weight exp(-x^2).
-    try:
-        cn = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
-    except OverflowError:  # n! or 2^n alone is past the double range
-        cn = 0.0
-    if cn == 0.0:
-        raise IndexOutOfRange(
-            f"Hermite index {n} is too large: its normalization constant is not a positive double"
-        )
-    coeffs = [0] * (n + 1)
-    for k in range(n // 2 + 1):
-        m = n - 2 * k  # H_n = sum_k (-1)^k n! / (k! m!) (2x)^m
-        coeffs[m] = (-1) ** k * math.factorial(n) // (math.factorial(k) * math.factorial(m)) * 2**m
-    return coeffs, cn * np.array(coeffs, dtype=float)
-
-
-def _legendre_member(n: int) -> tuple[list[int], np.ndarray]:
-    # 2^n P_n = sum_k (-1)^k C(n, k) C(2n - 2k, n) x^(n - 2k)
-    coeffs = [0] * (n + 1)
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = (-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n)
-    return coeffs, math.sqrt((2.0 * n + 1.0) / 2.0) * np.array([c / 2**n for c in coeffs])
-
-
-def _laguerre_member(n: int) -> tuple[list[int], np.ndarray]:
-    # n! L_n; L_n is already orthonormal against exp(-x) on [0, inf)
-    coeffs = [(-1) ** k * math.comb(n, k) * math.factorial(n) // math.factorial(k) for k in range(n + 1)]
-    return coeffs, np.array([c / math.factorial(n) for c in coeffs])
-
-
-def _monomial_member(n: int) -> tuple[list[int], np.ndarray]:
-    coeffs = [0] * n + [1]
-    return coeffs, np.array(coeffs, dtype=float)
-
-
-# basis name -> (weight, interval) for reporting, and the member builder
-# n -> (integer multiple of the member, low to high; the orthonormal member)
-BASIS_INFO = {
-    "hermite": ("exp(-x^2)", "(-inf, inf)", _hermite_member),
-    "legendre": ("1", "[-1, 1]", _legendre_member),
-    "laguerre": ("exp(-x)", "[0, inf)", _laguerre_member),
-    "monomial": ("1", "[-1, 1]", _monomial_member),
-}
-
-
 def _require_integers(**values) -> None:
     """Refuse each named size or order that is not an integer, before anything is built."""
     for name, v in values.items():
@@ -210,25 +164,55 @@ class PurityCertificate:
         return self.verdict == VERDICT_CERTIFIED
 
 
-def _read_exact(member) -> dict[int, tuple[int, int]]:
-    """A map {index: value} times a positive rational, as Gaussian integers (re, im).
+def _read_exact(members) -> list[dict[int, tuple[int, int]]]:
+    """Maps {index: value}, each times a positive rational, as Gaussian integers (re, im).
 
-    Integers are taken as they are, floats and complex numbers as the doubles
-    they hold (``float.as_integer_ratio``), so the reading is exact.  The
-    common power of two and the content (gcd of every part) are divided out,
-    and zero entries are dropped.
+    A member of integers is taken as it is.  The others are read as the
+    doubles their values hold (an integer among them as it is), so the reading
+    is exact: one ``np.frexp`` over the real and imaginary parts of all of
+    them writes each part as an odd integer times a power of two.  Per member
+    the common power of two and the content (gcd of every part) are divided
+    out, and zero entries are dropped.
     """
-    ratios = {}
-    for k, v in member.items():
-        if isinstance(v, (int, np.integer)):
-            ratios[k] = ((int(v), 1), (0, 1))
+    out, read = [], []  # read: the members read as doubles, in order
+    for m in members:
+        if all(isinstance(v, (int, np.integer)) for v in m.values()):
+            row = {k: (int(v), 0) for k, v in m.items() if v}
+            g = math.gcd(*(a for a, _ in row.values()))
+            out.append({k: (a // g, 0) for k, (a, _) in row.items()} if g > 1 else row)
         else:
-            z = complex(v)
-            ratios[k] = (z.real.as_integer_ratio(), z.imag.as_integer_ratio())
-    den = max((d for parts in ratios.values() for _, d in parts), default=1)
-    out = {k: (a * (den // da), b * (den // db)) for k, ((a, da), (b, db)) in ratios.items() if a or b}
-    g = math.gcd(*(x for z in out.values() for x in z))
-    return {k: (a // g, b // g) for k, (a, b) in out.items()} if g > 1 else out
+            out.append(None)
+            read.append(m)
+    if not read:
+        return out
+    values = [v for m in read for v in m.values()]
+    ints = [j for j, v in enumerate(values) if isinstance(v, (int, np.integer))]
+    doubles = [0 if isinstance(v, (int, np.integer)) else v for v in values] if ints else values
+    parts = np.array(doubles, dtype=complex).view(float)
+    bad = ~np.isfinite(parts)
+    if bad.any():  # refused as float.as_integer_ratio refuses it
+        float(parts[bad][0]).as_integer_ratio()
+    frac, exp = np.frexp(parts)
+    odd = (frac * 2.0**53).astype(np.int64)
+    zeros = np.frexp((odd & -odd).astype(float))[1] - 1  # trailing zero bits, -1 for a zero part
+    odd >>= np.maximum(zeros, 0)
+    exp += zeros - 53
+    if ints:  # the integers of mixed members, as odd Python ints times powers of two
+        odd = odd.astype(object)
+        for j in ints:
+            n = int(values[j])
+            k = (n & -n).bit_length() - 1 if n else 0
+            odd[2 * j], exp[2 * j] = n >> k, k
+    sizes = [2 * len(m) for m in read]
+    starts = np.cumsum([0] + sizes[:-1])
+    member = np.repeat(np.arange(len(read)), sizes)
+    nz = odd != 0
+    # a member's part of least exponent is odd, so its content is the gcd of its odd parts
+    low = np.minimum.reduceat(np.where(nz, exp, np.iinfo(exp.dtype).max), starts)
+    odd //= np.maximum(np.gcd.reduceat(abs(odd), starts), 1)[member]
+    pairs = iter((odd.astype(object) << np.where(nz, exp - low[member], 0)).reshape(-1, 2).tolist())
+    read = iter(read)
+    return [row if row is not None else {k: (a, b) for k, (a, b) in zip(next(read), pairs) if a or b} for row in out]
 
 
 def _residues(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -252,7 +236,7 @@ class ProductRows:
         indices = len(set().union(*members))
         if indices >= 2**21:  # the limbs of :meth:`modular` would have no bits
             raise IndexOutOfRange(f"members over {indices} indices; product rows take at most 2^21 - 1")
-        exact = [_read_exact(m) for m in members]
+        exact = _read_exact(members)
         self._support = sorted(set().union(*exact))
         self._sign = sign
         pos = {s: k for k, s in enumerate(self._support)}

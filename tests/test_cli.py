@@ -10,7 +10,7 @@ import pytest
 from conftest import SEED
 from numpy.testing import assert_allclose
 
-from povm_purity import __version__, cli
+from povm_purity import __version__, phase
 from povm_purity.cli import main
 from povm_purity.extremality import purity_verdict
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
@@ -26,15 +26,48 @@ def run(capsys, *argv):
     return code, json.loads(out) if out else None
 
 
+def _child(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout's src."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, *argv], env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, **kwargs)
+
+
 def test_cli_import_loads_no_exact_arithmetic_modules():
     # every CLI run pays for the modules that importing cli loads
-    src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys, povm_purity.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    out = _child("-c", code, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ``python -m povm_purity ARGV``, then the package's loaded submodules as the last line
+RUN_AND_LIST_MODULES = """
+import runpy, sys
+sys.argv[0] = "povm-purity"
+try:
+    runpy.run_module("povm_purity", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, sorted(m.split(".")[1] for m in sys.modules if m.startswith("povm_purity.")))
+"""
+NO_SEARCH = {"channels", "polycert", "phase"}
+NO_PURITY_MAP = {"extremality", "dilation", "channels"}
+
+
+@pytest.mark.parametrize("argv, code, runs, skips", [
+    (["validate", "trine"], 0, {"povm"}, NO_SEARCH),
+    (["purity", "coin"], 2, {"extremality"}, NO_SEARCH),
+    (["split", "coin"], 0, {"extremality"}, NO_SEARCH),
+    (["dilate", "qubit-sic"], 0, {"dilation"}, NO_SEARCH),
+    (["polycheck", "--max", "6"], 0, {"polycert"}, NO_PURITY_MAP | {"phase"}),
+    (["phase-demo", "--M", "4"], 0, {"phase"}, NO_PURITY_MAP),
+])
+def test_each_command_loads_only_the_modules_it_runs(argv, code, runs, skips):
+    out = _child("-c", RUN_AND_LIST_MODULES, *argv, capture_output=True, text=True, check=True)
+    got_code, loaded = out.stdout.splitlines()[-1].split(" ", 1)
+    loaded = set(eval(loaded))
+    assert int(got_code) == code
+    assert runs <= loaded
+    assert skips.isdisjoint(loaded)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +444,7 @@ def test_phase_demo_early_refusal_has_the_demos_bytes(capsys, monkeypatch, argv)
     argv = ["phase-demo", "--M", "4", *argv]
     code = main(argv)
     early = capsys.readouterr().out
-    monkeypatch.setattr(cli, "_frequency_count", lambda *args: None)
+    monkeypatch.setattr(phase, "_frequency_count", lambda *args: None)
     assert main(argv) == code == 1
     assert capsys.readouterr().out == early
 
@@ -618,6 +651,22 @@ def test_fixtures_write_onto_a_file_is_an_oserror_report(capsys, tmp_path):
     code, doc = run(capsys, "fixtures", "--write", str(tmp_path / "file"))
     assert code == 1
     assert doc["error"]["kind"] == "OSError"
+
+
+@pytest.mark.parametrize("argv", [["validate", "trine"], ["split", "BIG"], ["fixtures", "nope"]])
+def test_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, argv):
+    """A reader gone before the report is written: no second report, no traceback."""
+    if "BIG" in argv:  # a report far past the pipe's buffer
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(povm_to_dict(random_povm(np.random.default_rng(SEED), 12, 6))))
+        argv = [str(big) if a == "BIG" else a for a in argv]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = _child("-m", "povm_purity", *argv, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (1, b"")
 
 
 def test_tolerance_overrides_reach_envelope(capsys):

@@ -1,8 +1,11 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,67 @@ def test_package_all_is_the_module_lists():
     modules = ["linalg", "povm", "dilation", "extremality", "channels", "polycert", "phase", "fixtures"]
     lists = [importlib.import_module(f"povm_purity.{m}").__all__ for m in modules]
     assert povm_purity.__all__ == ["__version__", "PovmError"] + [n for names in lists for n in names]
+
+
+def _fresh(code: str) -> list:
+    """Evaluate code in a fresh interpreter on this checkout: its last line
+    printed, then the package's submodules it loaded."""
+    src = Path(povm_purity.__file__).resolve().parent.parent
+    code += "\nprint(sorted(m.split('.')[1] for m in sys.modules if m.startswith('povm_purity.')))"
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code], capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return [ast.literal_eval(line) for line in out.stdout.splitlines()[-2:]]
+
+
+def test_package_import_loads_no_submodule():
+    _, loaded = _fresh("import povm_purity\nprint(povm_purity.__version__ == '0.1.0')")
+    assert loaded == []
+
+
+def test_submodules_are_every_module():
+    assert povm_purity._SUBMODULES == set(MODULES)
+
+
+def test_package_dir_lists_every_name_and_submodule_without_loading_them():
+    listed, loaded = _fresh("import povm_purity\nprint(dir(povm_purity))")
+    assert set(povm_purity.__all__) | set(MODULES) <= set(listed)
+    assert loaded == []
+
+
+def test_star_import_binds_the_package_all():
+    names, loaded = _fresh(
+        "before = set(globals())\nfrom povm_purity import *\nprint(sorted(set(globals()) - before - {'before'}))"
+    )
+    assert names == sorted(povm_purity.__all__)
+    assert "cli" not in loaded and "rand" not in loaded
+
+
+def test_submodule_from_import_loads_that_module_only():
+    # the import machinery asks the package for ``rand`` before importing it
+    what, loaded = _fresh("from povm_purity import rand\nprint(repr(rand.__name__))")
+    assert what == "povm_purity.rand"
+    assert {"rand", "channels"} <= set(loaded)
+    assert {"extremality", "polycert", "phase", "cli"}.isdisjoint(loaded)
+
+
+def test_unknown_name_is_an_attribute_error_that_loads_nothing():
+    code = """import povm_purity
+try:
+    povm_purity.no_such_name
+except AttributeError as exc:
+    print(repr(str(exc)))
+try:
+    from povm_purity import no_such_name
+except ImportError:
+    pass
+"""
+    message, loaded = _fresh(code)
+    assert message == "module 'povm_purity' has no attribute 'no_such_name'"
+    assert loaded == []
+    with pytest.raises(AttributeError):
+        povm_purity.__no_such_dunder__
 
 
 ROLE = re.compile(r":(?:func|class|meth):`([\w.]+)`")

@@ -12,6 +12,7 @@ from numpy.polynomial import laguerre as lag
 from numpy.polynomial import legendre as leg
 from numpy.polynomial import polynomial as poly
 
+from povm_purity.bases import _hermite_member
 from povm_purity.errors import EmptyFamily, IndexOutOfRange, NonIntegerIndex
 from povm_purity.phase import fourier_family, fourier_span_certificate, geometric_tail_family
 from povm_purity import polycert
@@ -21,7 +22,7 @@ from povm_purity.polycert import (
     PRIME,
     PolyFamily,
     ProductRows,
-    _hermite_member,
+    _read_exact,
     orthonormal_family,
     product_span_certificate,
     span_certificate,
@@ -361,6 +362,46 @@ def test_compressed_route_matches_exact_reference(data):
     cert = span_certificate(_plain_rows(rows), range(ncols), ncols - 1)
     covered = _gaussian_pivot_columns([[_conj(v) for v in r] for r in rows], ncols)
     assert cert.missing_degrees == tuple(c for c in range(ncols) if c not in covered)
+
+
+def _read_by_ratios(member) -> dict[int, tuple[int, int]]:
+    """The reference reading: one float.as_integer_ratio per double part."""
+    ratios = {}
+    for k, v in member.items():
+        if isinstance(v, (int, np.integer)):
+            ratios[k] = ((int(v), 1), (0, 1))
+        else:
+            z = complex(v)
+            ratios[k] = (z.real.as_integer_ratio(), z.imag.as_integer_ratio())
+    den = max((d for parts in ratios.values() for _, d in parts), default=1)
+    out = {k: (a * (den // da), b * (den // db)) for k, ((a, da), (b, db)) in ratios.items() if a or b}
+    g = math.gcd(*(x for z in out.values() for x in z))
+    return {k: (a // g, b // g) for k, (a, b) in out.items()} if g > 1 else out
+
+
+# doubles of every binary exponent, subnormals and signed zeros included
+_double = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-1000, -(2.0**1000), 2.0**1023, 1.0]),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1100, 1023)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_coefficient = st.one_of(
+    _double,
+    st.builds(complex, _double, _double),
+    st.builds(np.complex128, st.builds(complex, _double, _double)),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@seed(SEED)
+@settings(max_examples=400, deadline=None, database=None)
+@given(members=st.lists(st.dictionaries(st.integers(-40, 40), _coefficient, max_size=12), max_size=5))
+def test_read_exact_is_the_integer_ratio_reading(members):
+    """One frexp over the members gives the very integers of as_integer_ratio."""
+    got = _read_exact(members)
+    assert got == [_read_by_ratios(m) for m in members]
+    assert [list(row) for row in got] == [[k for k in m if k in row] for m, row in zip(members, got)]
+    assert all(type(x) is int for row in got for z in row.values() for x in z)
 
 
 def _spy_pivot_columns(monkeypatch, refuse=lambda a: False) -> list:
