@@ -12,8 +12,9 @@ take them) and a sha256 digest of each input, and identical invocations
 produce byte-identical output (floats are printed with 17 significant digits;
 nothing time- or path-dependent goes in).  POVM_PURITY_SEED seeds the
 randomized helpers of the test suite; the subcommands themselves are
-deterministic and ignore it.  When stdout is closed before the report is
-written (``... | head -c 10``), the command exits 1 and writes nothing more.
+deterministic and ignore it.  When stdout is closed before the report (or
+the help or version text) is written (``... | head -c 10``), the command exits
+1 and writes nothing more.
 
 Every command is its own process, so this module loads at import only what
 every command reads (argparse, json, ``errors``, ``linalg``, ``wire`` and the
@@ -46,11 +47,17 @@ EXIT_NEGATIVE = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors by default; 2 is reserved for verdicts."""
+    """argparse exits 2 on usage errors by default; 2 is reserved for verdicts.
+    It also swallows a failed write of its usage, help and version text; here
+    the error propagates, so a closed stdout exits 1 as it does on a report."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
 
 
 def _load_povm(arg: str, tol: Tolerance):
@@ -380,7 +387,10 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's own exits: usage errors, --help, --version
+            code = exc.code
         sys.stdout.flush()  # so that a closed stdout fails here, not at interpreter exit
     except BrokenPipeError:
         # stdout's reader is gone, so no report can reach it: exit 1 quietly,

@@ -8,8 +8,10 @@ minimal: the block sizes are exactly the effect ranks, and J is unitary
 precisely when the measurement was projective to begin with.
 
 :func:`build_dilation` solves no eigenproblem: it reads the spectrum that
-:func:`validate` kept on the :class:`Povm`.  The purity map, the convex split
-and the pre-processing channel all read its blocks A_i.
+:func:`validate` kept on the :class:`Povm`, in one vectorized pass over the
+whole stack (a mask of the kept eigenvalues, then one gather of the scaled
+eigenvector rows into J).  The purity map, the convex split and the
+pre-processing channel all read its blocks A_i.
 """
 
 from __future__ import annotations
@@ -55,38 +57,34 @@ class NaimarkDilation:
         return self.isometry[lo:hi]
 
 
-def _factor_rows(w: np.ndarray, v: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Rows sqrt(lambda_k) <v_k| of the spectral factor A of E = A* A, from
-    E's eigenvalues ``w`` (descending) and eigenvectors ``v``.
-
-    The rows keep the eigenvalues above ``tol.rank_rel`` times the largest,
-    none when that is at most ``tol.abs_eps`` (an empty 0 x dim factor); they
-    are orthogonal, with squared norms the kept eigenvalues, descending.
-    """
-    wmax = float(w[0])
-    rank = 0 if wmax <= tol.abs_eps else int(np.count_nonzero(w > tol.rank_rel * wmax))
-    return np.sqrt(w[:rank])[:, None] * v[:, :rank].conj().T
-
-
 def build_dilation(p: Povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
     """Stack the per-outcome factors of a validated POVM into an isometry.
 
     Every effect is factorized from ``p.spectrum``, the one batched
-    eigendecomposition of the effect stack that :func:`validate` took.
+    eigendecomposition of the effect stack that :func:`validate` took, in one
+    pass over the stack: effect i keeps the rows sqrt(lambda) <v| of its
+    eigenvalues above ``tol.rank_rel`` times its largest, none when that is at
+    most ``tol.abs_eps`` (an empty range).  The rows of a block are orthogonal,
+    with squared norms the kept eigenvalues, descending.
+
     Raises :class:`InvalidTolerance` when the eigenvalue cut drops so much
     that the blocks span fewer than ``p.dim`` dimensions: J*J = I is then
     impossible, and every verdict read off the blocks would be void.
     """
-    blocks = [_factor_rows(w, v, tol) for w, v in zip(p.spectrum.eigenvalues, p.spectrum.eigenvectors)]
-    ends = np.cumsum([0] + [a.shape[0] for a in blocks]).tolist()
+    w, v = p.spectrum.eigenvalues, p.spectrum.eigenvectors
+    top = w[:, :1]
+    # eigenvalues descend, so each outcome keeps a prefix of its rows
+    keep = (w > tol.rank_rel * top) & (top > tol.abs_eps)
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
     start = ends[-1]
     if start < p.dim:
         raise InvalidTolerance(
             f"eigenvalue cut (abs_eps {tol.abs_eps:g}, rank_rel {tol.rank_rel:g}) leaves a "
             f"dilation of total dimension {start} below the dimension {p.dim}"
         )
-    index = {lab: (lo, hi) for lab, lo, hi in zip(p.labels, ends, ends[1:])}
-    return NaimarkDilation(dim=p.dim, total_dim=start, isometry=np.vstack(blocks), block_index=index)
+    isometry = np.sqrt(w[keep])[:, None] * v.swapaxes(-1, -2)[keep].conj()
+    index = {lab: (lo, hi) for lab, lo, hi in zip(p.labels, [0, *ends], ends)}
+    return NaimarkDilation(dim=p.dim, total_dim=start, isometry=isometry, block_index=index)
 
 
 def dilation_is_unitary(dilation: NaimarkDilation) -> bool:

@@ -20,9 +20,10 @@ a rank-one piece of its weight to another outcome, a kernel vector from one
 d x d solve; any other map takes one thin SVD of the whole map.  An impure
 verdict carries the dilation blocks A_i, and the split reads them there.  The
 split and the witness cost grow with the outcomes the witness moves, two on
-the lent-row route: an outcome whose witness block is zero takes no SVD for
-the sup-norm, and keeps the input's effect and its row of the input's
-spectrum in both halves.
+the lent-row route: the witness reads only the nonzero blocks of the kernel
+vector, and an outcome whose witness block is zero keeps the input's effect
+and its row of the input's spectrum in both halves.  The effects the witness
+moves are decomposed for both halves in one batched solve.
 """
 
 from __future__ import annotations
@@ -173,12 +174,16 @@ def _witness(pmap: PerturbationMap, x: np.ndarray) -> BlockHermitian:
     directions; the one with the larger sup-norm is kept (the Hermitian one
     on a tie).  Its sign makes the first significant real scalar positive,
     scanning blocks in order, each row-major with real before imaginary parts.
+    Only the blocks of ``x`` with a nonzero entry are read: a zero block adds
+    nothing to the sup-norm or the scan, and is zero in the witness.
     """
+    dims = pmap.block_dims
+    starts = np.cumsum([0, *(n * n for n in dims)])
+    live = np.flatnonzero(np.logical_or.reduceat(x != 0.0, starts[:-1])).tolist()
     herm, anti = [], []
-    pos = 0
-    for n in pmap.block_dims:
-        b = x[pos : pos + n * n].reshape(n, n)
-        pos += n * n
+    for i in live:
+        n = dims[i]
+        b = x[starts[i] : starts[i + 1]].reshape(n, n)
         herm.append((b + b.conj().T) / 2.0)
         anti.append(-0.5j * (b - b.conj().T))
     sups = [_sup_norm(part) for part in (herm, anti)]
@@ -187,8 +192,12 @@ def _witness(pmap: PerturbationMap, x: np.ndarray) -> BlockHermitian:
     flat = np.concatenate([np.stack([b.real, b.imag], axis=-1).ravel() for b in blocks])
     lead = flat[np.flatnonzero(np.abs(flat) > 1e-8 * np.max(np.abs(flat)))[0]]
     scale = sup if lead > 0.0 else -sup
-    # Adding 0.0 turns the -0.0 a negative scale leaves into 0.0 for reports.
-    return BlockHermitian(labels=pmap.labels, blocks=tuple(b / scale + 0.0 for b in blocks))
+    # Adding 0.0 turns the -0.0 a negative scale leaves into 0.0 for reports,
+    # so a zero block comes out +0.0 in every part, whatever the scale's sign.
+    out = [np.zeros((n, n), dtype=np.complex128) for n in dims]
+    for i, b in zip(live, blocks):
+        out[i] = b / scale + 0.0
+    return BlockHermitian(labels=pmap.labels, blocks=tuple(out))
 
 
 def _certified_block(pmap: PerturbationMap, rank_rel: float) -> int | None:
@@ -289,12 +298,12 @@ def convex_split(p: Povm, verdict: PurityVerdict, tol: Tolerance = DEFAULT_TOL) 
     The blocks A_i come from ``verdict.factors``; a verdict whose factors do
     not fit its witness raises ``ValueError``.  Zero effects stay zero on both
     sides.  An outcome whose witness block is exactly zero keeps the input's
-    own effect array in both halves, and its row of ``p.spectrum``: each half
-    decomposes only the effects it changes, in one batched solve (two on the
-    lent-row route, whatever the number of outcomes).  Both halves pass
-    :func:`validate`'s checks at ``tol``, reused rows included.  Their average
-    is the input exactly on untouched outcomes; elsewhere the cross terms
-    cancel, up to rounding.
+    own effect in both halves, and its row of ``p.spectrum``: only the
+    effects the witness changes are decomposed, both halves' in one batched
+    solve (two outcomes on the lent-row route, whatever the number of
+    outcomes).  Both halves pass :func:`validate`'s checks at ``tol``, reused
+    rows included.  Their average is the input exactly on untouched outcomes;
+    elsewhere the cross terms cancel, up to rounding.
     """
     if verdict.pure:
         raise IsPure("measurement is extremal; no convex split exists")
@@ -304,8 +313,8 @@ def convex_split(p: Povm, verdict: PurityVerdict, tol: Tolerance = DEFAULT_TOL) 
     if [a.shape for a in verdict.factors] != [(b.shape[0], p.dim) for b in w.blocks]:
         raise ValueError("verdict factors do not match the witness blocks")
     factors = dict(zip(w.labels, zip(verdict.factors, w.blocks)))
-    kept = [lab in factors and not factors[lab][1].any() for lab in p.labels]
-    moved = [i for i, k in enumerate(kept) if not k]
+    moved = [i for i, lab in enumerate(p.labels) if lab not in factors or factors[lab][1].any()]
+    m = len(moved)
 
     def effect(lab: str, sign: float) -> np.ndarray:
         if lab not in factors:
@@ -313,16 +322,19 @@ def convex_split(p: Povm, verdict: PurityVerdict, tol: Tolerance = DEFAULT_TOL) 
         a, d = factors[lab]
         return a.conj().T @ (np.eye(a.shape[0]) + sign * d) @ a
 
-    def solve(stack: np.ndarray) -> EigenResult:
-        # batched eigh solves each matrix on its own, so a kept effect's row
-        # of p.spectrum is the row a solve of the whole stack would give
-        fresh = _sorted_eig(stack[moved])
-        values, vectors = p.spectrum.eigenvalues.copy(), p.spectrum.eigenvectors.copy()
-        values[moved], vectors[moved] = fresh.eigenvalues, fresh.eigenvectors
-        return EigenResult(eigenvalues=values, eigenvectors=vectors)
+    # Both halves' moved effects, the plus half's first, in one solve: batched
+    # eigh solves each matrix on its own, so each row is the row a solve of its
+    # half's stack would give, as is a kept effect's row of p.spectrum.
+    fresh = np.array([effect(p.labels[i], s) for s in (1.0, -1.0) for i in moved], dtype=np.complex128)
+    fresh = fresh.reshape(2 * m, p.dim, p.dim)
+    eig = _sorted_eig(fresh)
 
-    plus, minus = (
-        _validate(p.dim, [(lab, e if k else effect(lab, sign)) for (lab, e), k in zip(p, kept)], tol, solve)
-        for sign in (1.0, -1.0)
-    )
-    return ConvexSplit(plus=plus, minus=minus)
+    def half(rows: slice) -> Povm:
+        effects = list(p.effects)
+        for i, e in zip(moved, fresh[rows]):
+            effects[i] = e
+        values, vectors = p.spectrum.eigenvalues.copy(), p.spectrum.eigenvectors.copy()
+        values[moved], vectors[moved] = eig.eigenvalues[rows], eig.eigenvectors[rows]
+        return _validate(p.dim, zip(p.labels, effects), tol, EigenResult(eigenvalues=values, eigenvectors=vectors))
+
+    return ConvexSplit(plus=half(slice(0, m)), minus=half(slice(m, 2 * m)))

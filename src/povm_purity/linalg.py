@@ -129,11 +129,18 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
 
 
 def _sorted_eig(a: np.ndarray) -> EigenResult:
-    """``eigh`` of the Hermitian part of a matrix or stack, in the package convention."""
+    """``eigh`` of the Hermitian part of a matrix or stack, in the package convention.
+
+    When no row of ``eigh``'s ascending eigenvalues has a tie, the stable
+    descending sort is the reversal; any other stack takes the stable argsort.
+    """
     w, v = np.linalg.eigh(_hermitize(a))
-    order = np.argsort(-w, axis=-1, kind="stable")
-    v = np.take_along_axis(v, order[..., None, :], axis=-1)
-    return EigenResult(eigenvalues=np.take_along_axis(w, order, axis=-1), eigenvectors=_fix_column_phases(v))
+    if (w[..., 1:] > w[..., :-1]).all():
+        w, v = w[..., ::-1], v[..., ::-1]
+    else:
+        order = np.argsort(-w, axis=-1, kind="stable")
+        w, v = np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1)
+    return EigenResult(eigenvalues=w, eigenvectors=_fix_column_phases(v))
 
 
 def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> EigenResult:

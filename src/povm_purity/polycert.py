@@ -219,6 +219,13 @@ def _residues(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return ((re + _SQRT_M1 * im) % PRIME).astype(np.int64)
 
 
+def _check_stack(who: str, what: str, shape: tuple, itemsize: int) -> None:
+    """Refuse with ``IndexOutOfRange`` an array of ``shape`` past MAX_STACK_MB."""
+    mb = math.prod(shape) * itemsize / 2**20
+    if mb > MAX_STACK_MB:
+        raise IndexOutOfRange(f"{who} need an {shape} {what} of {mb:.0f} MB, over the {MAX_STACK_MB} MB limit")
+
+
 class ProductRows:
     """The rows of a span certificate: conj(m_i) * m_j for (i, j) in ``pairs``.
 
@@ -228,14 +235,17 @@ class ProductRows:
     (integers as they are, doubles as the doubles they hold).  Rows are built
     on demand over the slots asked for, reduced modulo PRIME or exact; for
     one left member, its entries against every right member are one matrix
-    product.  Members over 2^21 or more indices are refused with
-    ``IndexOutOfRange`` before any coefficient is read.
+    product.  Members over 2^21 or more indices, and families whose
+    (members, support + 1) object arrays would pass MAX_STACK_MB, are refused
+    with ``IndexOutOfRange`` before any coefficient is read.
     """
 
     def __init__(self, members, pairs, sign: int) -> None:
         indices = len(set().union(*members))
         if indices >= 2**21:  # the limbs of :meth:`modular` would have no bits
             raise IndexOutOfRange(f"members over {indices} indices; product rows take at most 2^21 - 1")
+        _check_stack(f"{len(members)} members over {indices} indices", "real and imaginary object arrays",
+                     (len(members), indices + 1), 2 * 8)
         exact = _read_exact(members)
         self._support = sorted(set().union(*exact))
         self._sign = sign
@@ -276,23 +286,21 @@ class ProductRows:
         """Rows over the slots of ``meet``, reduced modulo PRIME (int64).
 
         Each left member gets only the rows of its own pairs.  The (pairs,
-        slots) block is refused with ``IndexOutOfRange`` before allocation
-        when it would pass MAX_STACK_MB.
+        slots) block and the (count, members, support) limb stack are each
+        refused with ``IndexOutOfRange`` before anything is built when they
+        would pass MAX_STACK_MB.
         """
         lefts, rights = self._pairs
         n, slots = lefts.size, meet.shape[1]
-        block_mb = n * slots * 8 / 2**20
-        if block_mb > MAX_STACK_MB:
-            raise IndexOutOfRange(
-                f"{n} product rows over {slots} slots need an ({n}, {slots}) int64 row block "
-                f"of {block_mb:.0f} MB, over the {MAX_STACK_MB} MB limit"
-            )
-        left = _residues(self._re, -self._im).astype(float)
-        right = _residues(self._re[:, :-1], self._im[:, :-1])
+        _check_stack(f"{n} product rows over {slots} slots", "int64 row block", (n, slots), 8)
+        members, support = self._re.shape[0], len(self._support)
         # right residues in ``count`` limbs of ``bits`` bits: a sum of support-many
         # residue-times-limb products stays below 2^53, so float matrix products are exact
-        bits = 22 - right.shape[1].bit_length()
+        bits = 22 - support.bit_length()
         count = -(-31 // bits)
+        _check_stack(f"{members} members over {support} indices", "float limb stack", (count, members, support), 8)
+        left = _residues(self._re, -self._im).astype(float)
+        right = _residues(self._re[:, :-1], self._im[:, :-1])
         mask = (1 << bits) - 1
         limbs = np.stack([(right >> (bits * m)) & mask for m in range(count)]).astype(float)
         out = np.empty((n, slots), dtype=np.int64)

@@ -6,15 +6,15 @@ in the package assumes its input went through it (ops are cheap at desk scale
 but re-validating on every call would dominate, so the contract is explicit
 instead).  Its positivity check is the package's one eigendecomposition of
 the effects; the :class:`Povm` keeps it, and everything downstream reads it.
-The halves of a convex split pass the same checks, but decompose only the
-effects the split changed: the others are the input's own arrays and keep
-their rows of its spectrum.
+The halves of a convex split pass the same checks on spectrum rows the split
+hands over: the effects it changed are decomposed for both halves in one
+solve, and the others keep their rows of the input's spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -95,20 +95,22 @@ def validate(
     NotNormalized
         The effects do not sum to the identity within 1e-9.
     """
-    return _validate(dim, outcomes, tol, _sorted_eig)
+    return _validate(dim, outcomes, tol)
 
 
 def _validate(
     dim: int,
     outcomes: Iterable[tuple[str, np.ndarray]],
     tol: Tolerance,
-    solve: Callable[[np.ndarray], EigenResult],
+    spectrum: EigenResult | None = None,
 ) -> Povm:
-    """:func:`validate`, with ``solve`` giving the spectrum of the effect stack.
+    """:func:`validate`, reading ``spectrum`` as the spectrum of the effect
+    stack when it is given, instead of solving the stack.
 
-    ``solve`` must return what ``_sorted_eig`` would; the convex split passes
-    one that decomposes only the effects it changed and copies the rest from
-    the input's spectrum.  Every check still reads every effect.
+    A given ``spectrum`` must be what ``_sorted_eig`` would return.  The
+    convex split passes each half's rows: the input's rows for the effects it
+    keeps, and for the others their rows of one solve shared by both halves.
+    Every check still reads every effect, the given spectrum included.
     """
     pairs = list(outcomes)
     if dim < 1:
@@ -133,7 +135,8 @@ def _validate(
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             raise NonFinite(f"effect {pairs[int(np.argmin(finite))][0]!r} has a NaN or infinite entry")
-        spectrum = solve(stack)
+        if spectrum is None:
+            spectrum = _sorted_eig(stack)
         psd = _hermitian_mask(stack, tol) & (spectrum.eigenvalues[:, -1] >= -tol.abs_eps)
         if not psd.all():
             raise NotPsd(f"effect {pairs[int(np.argmin(psd))][0]!r} is not positive semidefinite within tolerance")

@@ -193,10 +193,10 @@ def test_dilate_blocks_are_the_outcome_factorizations(capsys, tmp_path):
     [
         (("purity", "trine"), [(3, 2, 2)]),
         (("dilate", "coin"), [(2, 2, 2)]),
-        # the input and the two halves, each validated once
-        (("split", "coin"), [(2, 2, 2)] * 3),
-        # the lent-row witness moves two outcomes; the halves solve only those
-        (("split", "full-rank-d4-k4"), [(4, 4, 4), (2, 4, 4), (2, 4, 4)]),
+        # the input, then both halves' moved effects in one solve
+        (("split", "coin"), [(2, 2, 2), (4, 2, 2)]),
+        # the lent-row witness moves two outcomes; both halves solve only those
+        (("split", "full-rank-d4-k4"), [(4, 4, 4), (4, 4, 4)]),
         (("preprocess-from-pvm", "computational-pvm-d2", "smeared-pvm-d2"), [(2, 2, 2)] * 2),
     ],
     ids=["purity", "dilate", "split", "split-full-rank", "preprocess"],
@@ -204,7 +204,8 @@ def test_dilate_blocks_are_the_outcome_factorizations(capsys, tmp_path):
 def test_each_validated_povm_is_factorized_once(capsys, monkeypatch, tmp_path, argv, stacks):
     """validate's one batched eigh of the effect stack is the only eigensolve:
     the dilation, the sharpness test and support domination read it, and a
-    split's halves decompose only the effects the witness changes."""
+    split decomposes only the effects the witness changes, both halves' in
+    one solve."""
     files = []
     for name in argv[1:]:  # from files, so that loading a fixture solves nothing
         p = random_povm(np.random.default_rng(SEED), 4, 4) if name == "full-rank-d4-k4" else fixture(name)
@@ -653,9 +654,13 @@ def test_fixtures_write_onto_a_file_is_an_oserror_report(capsys, tmp_path):
     assert doc["error"]["kind"] == "OSError"
 
 
-@pytest.mark.parametrize("argv", [["validate", "trine"], ["split", "BIG"], ["fixtures", "nope"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "trine"], ["split", "BIG"], ["fixtures", "nope"], ["--version"], ["polycheck", "--help"]],
+)
 def test_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, argv):
-    """A reader gone before the report is written: no second report, no traceback."""
+    """A reader gone before the report, the version or the help text is
+    written: no second report, no traceback."""
     if "BIG" in argv:  # a report far past the pipe's buffer
         big = tmp_path / "big.json"
         big.write_text(json.dumps(povm_to_dict(random_povm(np.random.default_rng(SEED), 12, 6))))

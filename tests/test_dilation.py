@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import same_bits
 from numpy.testing import assert_allclose
 
 from povm_purity.dilation import build_dilation, dilation_is_unitary
@@ -158,6 +159,47 @@ def test_unitary_iff_pvm(rng):
         dim = int(rng.integers(2, 7))
         p = random_pvm(rng, dim, int(rng.integers(2, dim + 1)))
         assert dilation_is_unitary(build_dilation(p))
+
+
+def _per_outcome_dilation(p, tol=DEFAULT_TOL):
+    """The per-outcome factor loop that build_dilation's one pass replaced:
+    (isometry, block_index), kept as its reference."""
+    blocks = []
+    for w, v in zip(p.spectrum.eigenvalues, p.spectrum.eigenvectors):
+        wmax = float(w[0])
+        rank = 0 if wmax <= tol.abs_eps else int(np.count_nonzero(w > tol.rank_rel * wmax))
+        blocks.append(np.sqrt(w[:rank])[:, None] * v[:, :rank].conj().T)
+    ends = np.cumsum([0] + [a.shape[0] for a in blocks]).tolist()
+    return np.vstack(blocks), {lab: (lo, hi) for lab, lo, hi in zip(p.labels, ends, ends[1:])}
+
+
+def test_one_pass_dilation_equals_the_per_outcome_loop(rng):
+    """Bit for bit: the fixtures, a zero outcome, rank-deficient effects, both
+    sides of the diag(1, eps) rank cut, and non-default tolerances."""
+    pool = [(fixture(name), DEFAULT_TOL) for name in FIXTURE_NAMES]
+    zero = validate(3, [("a", np.diag([1.0, 0.0, 0.0])), ("z", np.zeros((3, 3))), ("b", np.diag([0.0, 1.0, 1.0]))])
+    pool.append((zero, DEFAULT_TOL))
+    for eps in (1e-8, 1.5e-8):  # rank 1 at 1e-8, rank 2 at 1.5e-8
+        pool.append((_two_outcome(np.diag([1.0, eps])), DEFAULT_TOL))
+    for _ in range(6):
+        dim = int(rng.integers(2, 7))
+        g = rng.standard_normal((dim, dim - 1)) + 1j * rng.standard_normal((dim, dim - 1))
+        e = g @ g.conj().T
+        pool.append((_two_outcome(e / (2.0 * opnorm(e))), DEFAULT_TOL))
+        pool.append((random_povm(rng, dim, int(rng.integers(2, 6))), DEFAULT_TOL))
+        pool.append((random_pvm(rng, dim, int(rng.integers(1, dim + 1))), DEFAULT_TOL))
+    pool += [(fixture("coin"), Tolerance(abs_eps=0.4)), (pool[-2][0], Tolerance(rank_rel=0.3))]
+    for p, tol in pool:
+        isometry, index = _per_outcome_dilation(p, tol)
+        if isometry.shape[0] < p.dim:  # the cut left too little: refused, as before
+            with pytest.raises(InvalidTolerance):
+                build_dilation(p, tol)
+            continue
+        dil = build_dilation(p, tol)
+        assert same_bits(dil.isometry, isometry)
+        assert dil.block_index == index and dil.total_dim == isometry.shape[0]
+    cut = [build_dilation(_two_outcome(np.diag([1.0, eps]))).block_index["e"] for eps in (1e-8, 1.5e-8)]
+    assert cut == [(0, 1), (0, 2)]
 
 
 def test_dilation_with_zero_effect_keeps_labels():

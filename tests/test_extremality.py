@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import SEED
+from conftest import SEED, same_bits
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -15,6 +15,8 @@ from povm_purity.extremality import (
     PerturbationMap,
     PurityVerdict,
     _certified_block,
+    _lent_row,
+    _sup_norm,
     _witness,
     build_perturbation_map,
     convex_split,
@@ -800,3 +802,40 @@ def test_lent_row_is_a_rank_one_kernel_direction(draw, dim, outcomes):
     assert gap == pytest.approx(2.0 * norm_a / scale, rel=1e-9)
     fi = pmap.blocks[i].conj().T @ pmap.blocks[i]
     assert gap >= 2.0 * min(norm_a, np.linalg.eigvalsh(fi)[0]) * (1.0 - 1e-9)
+
+
+def _dense_witness(pmap, x):
+    """The witness formula over every block of x, zero or not, as _witness
+    computed it before it read only the nonzero blocks: (blocks, scale)."""
+    herm, anti = [], []
+    pos = 0
+    for n in pmap.block_dims:
+        b = x[pos : pos + n * n].reshape(n, n)
+        pos += n * n
+        herm.append((b + b.conj().T) / 2.0)
+        anti.append(-0.5j * (b - b.conj().T))
+    sups = [_sup_norm(part) for part in (herm, anti)]
+    blocks = herm if sups[0] >= sups[1] else anti
+    sup = max(sups)
+    flat = np.concatenate([np.stack([b.real, b.imag], axis=-1).ravel() for b in blocks])
+    lead = flat[np.flatnonzero(np.abs(flat) > 1e-8 * np.max(np.abs(flat)))[0]]
+    scale = sup if lead > 0.0 else -sup
+    return [b / scale + 0.0 for b in blocks], scale
+
+
+def test_witness_of_nonzero_blocks_equals_the_dense_formula(rng):
+    """Bit for bit, signed zeros included: lent-row kernel vectors with k >= 3
+    outcomes, lent by the first block (a negative scale) and by the last (a
+    positive one), an anti-Hermitian one, and dense kernel vectors."""
+    scales = []
+    for dim, k in ((2, 3), (3, 4), (4, 5), (2, 6), (5, 3)):
+        pmap = build_perturbation_map(random_povm(rng, dim, k))
+        xs = [_lent_row(pmap, 0), _lent_row(pmap, k - 1), 1j * _lent_row(pmap, 1)]
+        xs.append(rng.standard_normal(pmap.domain_dim) + 1j * rng.standard_normal(pmap.domain_dim))
+        for x in xs:
+            expected, scale = _dense_witness(pmap, x)
+            scales.append(scale)
+            got = _witness(pmap, x)
+            assert got.labels == pmap.labels
+            assert all(same_bits(b, e) for b, e in zip(got.blocks, expected))
+    assert min(scales) < 0.0 < max(scales)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from conftest import same_bits
 from numpy.testing import assert_allclose
 
 from povm_purity.errors import InvalidTolerance, NonHermitian, NonSquare
 from povm_purity.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _fix_column_phases,
+    _hermitize,
     _sorted_eig,
     certify_min_eigenvalue,
     herm_eig,
@@ -203,6 +206,34 @@ def test_stacked_sorted_eig_equals_the_per_matrix_herm_eig(rng):
     for bad in (np.stack(members[:4]), np.zeros((2, 3, 4)), np.zeros((2, 2, 2, 2))):
         with pytest.raises(NonSquare):
             herm_eig(bad)
+
+
+def _argsort_eig(a):
+    """The stable-argsort convention that _sorted_eig keeps for ties: the
+    reference its reversal of an untied ascending spectrum must equal."""
+    w, v = np.linalg.eigh(_hermitize(a))
+    order = np.argsort(-w, axis=-1, kind="stable")
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    return np.take_along_axis(w, order, axis=-1), _fix_column_phases(v)
+
+
+def test_sorted_eig_reversal_equals_the_stable_argsort(rng):
+    """Bit for bit, on untied stacks (the reversed view), on stacks with an
+    exact tie in some matrices (the argsort), and on single matrices."""
+    untied = [random_hermitian(rng, 4) for _ in range(5)]
+    tied = [np.diag([2.0, 1.0, 2.0, 1.0]), np.eye(4) / 4, np.zeros((4, 4)), np.diag([0.5, 0.0, 0.5, -0.0])]
+    u = random_unitary(rng, 4)
+    tied.append(u @ np.diag([0.3, 0.3, 0.2, 0.2]) @ u.conj().T)  # a tie only up to rounding, or exact
+    stacks = [np.stack(untied), np.stack(untied[:2] + tied[:1] + untied[2:]), np.stack(tied), untied[0], tied[0]]
+    stacks += [np.stack([t, m]) for t, m in zip(tied, untied)]
+    stacks += [np.zeros((0, 3, 3)), np.ones((2, 1, 1)), np.stack([random_hermitian(rng, 6) for _ in range(3)])]
+    reversed_seen = 0
+    for a in stacks:
+        fast = _sorted_eig(a)
+        w, v = _argsort_eig(a)
+        assert same_bits(fast.eigenvalues, w) and same_bits(fast.eigenvectors, v)
+        reversed_seen += fast.eigenvalues.size > 1 and fast.eigenvalues.strides[-1] < 0
+    assert reversed_seen >= 3  # the reversal, not only the fallback, was checked
 
 
 def test_stacked_opnorm_equals_the_per_matrix_calls(rng):

@@ -164,6 +164,48 @@ def test_span_certificate_refuses_a_huge_slot_plan():
         rows.check_slots(limit + 1)
 
 
+def test_product_rows_bound_their_object_arrays_and_limb_stack(monkeypatch):
+    """The (members, support + 1) object arrays are refused past MAX_STACK_MB
+    before ``_read_exact`` runs, and the (count, members, support) limb stack
+    of ``modular`` before any residue is built; a lowered bound keeps every
+    array here small."""
+
+    class Built(Exception):
+        pass
+
+    def refuse(*args):
+        raise Built
+
+    def single(n):
+        return [{k: 1.0} for k in range(n)]
+
+    rows = {n: ProductRows(single(n), [(0, 0)], sign=-1) for n in (90, 100, 1000)}
+    limit = polycert.MAX_STACK_MB
+    monkeypatch.setattr(polycert, "_read_exact", refuse)
+    monkeypatch.setattr(polycert, "_residues", refuse)
+    meet = np.zeros((1, 1), dtype=np.int64)
+    # 10 members: 1760 B of object arrays
+    monkeypatch.setattr(polycert, "MAX_STACK_MB", 1700 / 2**20)
+    with pytest.raises(IndexOutOfRange, match=r"10 members over 10 indices need an \(10, 11\) real and imaginary"):
+        ProductRows(single(10), [(0, 0)], sign=-1)
+    # 100 members: 161600 B of object arrays, a (3, 100, 100) limb stack of 240000 B
+    monkeypatch.setattr(polycert, "MAX_STACK_MB", 200000 / 2**20)
+    with pytest.raises(Built):
+        ProductRows(single(100), [(0, 0)], sign=-1)
+    with pytest.raises(IndexOutOfRange, match=r"100 members over 100 indices need an \(3, 100, 100\) float limb stack"):
+        rows[100].modular(meet)
+    with pytest.raises(Built):  # 90 members: a (3, 90, 90) stack of 194400 B
+        rows[90].modular(meet)
+    # at the real bound, 1000 single-mode members (a 23 MB limb stack) go on
+    monkeypatch.setattr(polycert, "MAX_STACK_MB", limit)
+    with pytest.raises(Built):
+        ProductRows(single(1000), [(0, 0)], sign=-1)
+    with pytest.raises(Built):
+        rows[1000].modular(meet)
+    with pytest.raises(IndexOutOfRange, match=r"need an \(6000, 6001\) real and imaginary object arrays of 549 MB"):
+        ProductRows(single(6000), [(0, 0)], sign=-1)
+
+
 def test_basis_info_covers_all_builders():
     assert set(BASIS_INFO) == {"hermite", "legendre", "laguerre", "monomial"}
     for basis in BASIS_INFO:
