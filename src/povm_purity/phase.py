@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -157,8 +156,7 @@ def fourier_span_certificate(fam: FourierFamily, check_order: int) -> PurityCert
     _require_integers(check_order=check_order)
     if check_order < 0:
         raise IndexOutOfRange(f"check_order must be >= 0, got {check_order}")
-    n = len(fam.members)
-    rows = ProductRows(fam.members, list(product(range(n), repeat=2)), sign=-1)
+    rows = ProductRows(fam.members, sign=-1)
     rows.check_slots(2 * check_order + 1)
     slots = [0, *(s * g for g in range(1, check_order + 1) for s in (-1, 1))]
     return span_certificate(rows, slots, check_order)

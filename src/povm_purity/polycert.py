@@ -19,13 +19,16 @@ floats is read exactly as the doubles it holds.  Every verdict is a proof
 reached modulo the prime PRIME, where a nonzero minor is a nonzero integer,
 so rank there is at most rank over Q; each block of rows is eliminated once:
 
-* one ladder: a block A of N product rows over S slots with more than
-  (S + 8) S nonzeros is compressed to C = R A by a fixed-seed random R of
-  S + 8 rows (random compression for rank; Cheung, Kwok and Lau, J. ACM
-  60(5) (2013)); a sparser block is its own C.  Full column rank of C
+* one ladder: the N product rows A over S slots are not built.  A sketch
+  C of S + 8 rows (N + 8 when N is smaller) takes row r to be
+  conj(u_r) * w_r, for u_r and w_r fixed-seed random integer combinations
+  of the members, at O(members + S) cost per row where A costs
+  O(members^2).  Each row of C is a combination of the rows of A, so every
+  prefix of C's columns has rank at most A's (random compression for rank;
+  Cheung, Kwok and Lau, J. ACM 60(5) (2013)), and full column rank of C
   proves every slot covered;
 * lifted deficit: else the echelon of that same ladder (complex rows: of
-  their realified residues, compressed alike) gives each column that gains
+  their realified exact rows, compressed by a random R) gives each column that gains
   no rank its coordinates on the earlier pivot columns, lifted to small
   rationals (Wang, Guy and Davenport, SIGSAM Bull. 16(2) (1982)) and
   checked in Python integers as bilinear forms conj(m_i)^T W m_j of the
@@ -51,6 +54,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,16 +78,21 @@ PRIME = 2**31 - 19
 _SQRT_M1 = pow(2, (PRIME - 1) // 4, PRIME)
 
 # The compression (``_compressed``): rows of A per float product (at most
-# 2^21, so sums of terms below 2^32 stay below 2^53) and the seed of its
-# random R.
+# 2^21, so sums of terms below 2^32 stay below 2^53); and the seed of its
+# random R and of the random combinations of :meth:`ProductRows.sketch`.
 _COMPRESS_CHUNK = 2048
 _COMPRESS_SEED = 20130901
 # The lifted dependencies (``_lifted``): numerators and denominators up to
 # floor(sqrt(PRIME / 2)), so a residue has at most one such fraction.
 _LIFT_BOUND = math.isqrt(PRIME // 2)
 
-# Largest block one stack of intermediate rows may take (the modular row block
-# here), and the most the arrays of the phase demo may take together.
+# The rows of :meth:`ProductRows.sketch` go in blocks whose float gather takes
+# about this many MB: a block that stays in cache is faster than one large
+# product, and the sketch's peak stays below that of the rows it replaces.
+_SKETCH_BLOCK_MB = 4
+# Largest block one stack of intermediate rows may take (the exact row block
+# here, and each array of the sketch), and the most the arrays of the phase
+# demo may take together.
 MAX_STACK_MB = 256
 
 
@@ -176,10 +185,9 @@ def _read_exact(members) -> list[dict[int, tuple[int, int]]]:
     """
     out, read = [], []  # read: the members read as doubles, in order
     for m in members:
-        if all(isinstance(v, (int, np.integer)) for v in m.values()):
-            row = {k: (int(v), 0) for k, v in m.items() if v}
-            g = math.gcd(*(a for a, _ in row.values()))
-            out.append({k: (a // g, 0) for k, (a, _) in row.items()} if g > 1 else row)
+        if all(issubclass(t, (int, np.integer)) for t in set(map(type, m.values()))):
+            g = max(math.gcd(*map(int, m.values())), 1)
+            out.append({k: (int(v) // g, 0) for k, v in m.items() if v})
         else:
             out.append(None)
             read.append(m)
@@ -215,10 +223,6 @@ def _read_exact(members) -> list[dict[int, tuple[int, int]]]:
     return [row if row is not None else {k: (a, b) for k, (a, b) in zip(next(read), pairs) if a or b} for row in out]
 
 
-def _residues(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    return ((re + _SQRT_M1 * im) % PRIME).astype(np.int64)
-
-
 def _check_stack(who: str, what: str, shape: tuple, itemsize: int) -> None:
     """Refuse with ``IndexOutOfRange`` an array of ``shape`` past MAX_STACK_MB."""
     mb = math.prod(shape) * itemsize / 2**20
@@ -227,37 +231,61 @@ def _check_stack(who: str, what: str, shape: tuple, itemsize: int) -> None:
 
 
 class ProductRows:
-    """The rows of a span certificate: conj(m_i) * m_j for (i, j) in ``pairs``.
+    """The rows of a span certificate: conj(m_i) * r_j for every left member
+    m_i and right member r_j.  The right members are the left ones when
+    ``right`` is None; a real family of polynomials (sign +1) then lists each
+    unordered pair once, as conj(m_i) * m_j = conj(m_j) * m_i there.
+    :attr:`count` is the number of rows listed.
 
-    Entry g of a row is the sum of conj(m_i[s]) m_j[t] over s + sign * t = g:
+    Entry g of a row is the sum of conj(m_i[s]) r_j[t] over s + sign * t = g:
     sign +1 multiplies polynomials (g a degree), sign -1 multiplies Fourier
     series (g a frequency).  Members are maps {index: value}, read exactly
-    (integers as they are, doubles as the doubles they hold).  Rows are built
-    on demand over the slots asked for, reduced modulo PRIME or exact; for
-    one left member, its entries against every right member are one matrix
-    product.  Members over 2^21 or more indices, and families whose
-    (members, support + 1) object arrays would pass MAX_STACK_MB, are refused
-    with ``IndexOutOfRange`` before any coefficient is read.
+    (integers as they are, doubles as the doubles they hold), and their
+    residues modulo PRIME are taken once, here.  Certifying builds no row:
+    :meth:`sketch` multiplies random combinations of the members.  Only a
+    deficit reads the members' Python-int object arrays, built on first use.
+    Members over 2^21 or more indices, and families whose (members,
+    support + 1) object arrays would pass MAX_STACK_MB, are refused with
+    ``IndexOutOfRange`` before any coefficient is read.
     """
 
-    def __init__(self, members, pairs, sign: int) -> None:
-        indices = len(set().union(*members))
-        if indices >= 2**21:  # the limbs of :meth:`modular` would have no bits
-            raise IndexOutOfRange(f"members over {indices} indices; product rows take at most 2^21 - 1")
-        _check_stack(f"{len(members)} members over {indices} indices", "real and imaginary object arrays",
-                     (len(members), indices + 1), 2 * 8)
-        exact = _read_exact(members)
-        self._support = sorted(set().union(*exact))
+    def __init__(self, members, sign: int, right=None) -> None:
+        left = list(members)
+        both = left if right is None else left + list(right)
+        indices = len(set().union(*both))
+        if indices >= 2**21:  # the limbs of :meth:`sketch` would have no bits
+            raise IndexOutOfRange(
+                f"members over {indices} indices; product rows take at most 2^21 - 1, "
+                "so that each float limb of their sketch keeps a bit"
+            )
+        _check_stack(f"{len(both)} members over {indices} indices", "real and imaginary object arrays",
+                     (len(both), indices + 1), 2 * 8)
+        self._exact = _read_exact(both)
+        self._support = sorted(set().union(*self._exact))
         self._sign = sign
-        pos = {s: k for k, s in enumerate(self._support)}
-        # real and imaginary parts over the support, plus one zero column for "no term"
-        self._re = np.zeros((len(exact), len(self._support) + 1), dtype=object)
-        self._im = np.zeros_like(self._re)
-        for i, m in enumerate(exact):
-            for s, (a, b) in m.items():
-                self._re[i, pos[s]], self._im[i, pos[s]] = a, b
-        self._pairs = tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
-        self.real = not self._im.any()
+        n = len(left)
+        # the left and the right members: rows lo..hi - 1 of the family
+        self._halves = ((0, n), (0, n) if right is None else (n, len(both)))
+        values = [z for m in self._exact for z in m.values()]
+        re, im = zip(*values) if values else ((), ())
+        self.real = not any(im)
+        self._symmetric = right is None and sign == 1 and self.real
+        rlo, rhi = self._halves[1]
+        self.count = n * (n + 1) // 2 if self._symmetric else n * (rhi - rlo)
+        # every entry, sorted by support position, with its residue and that of its conjugate
+        member = np.repeat(np.arange(len(both)), [len(m) for m in self._exact])
+        position = np.searchsorted(self._support, [s for m in self._exact for s in m]).astype(np.intp)
+        re = np.array([a % PRIME for a in re], dtype=np.int64)
+        im = np.zeros_like(re) if self.real else np.array([b % PRIME for b in im], dtype=np.int64)
+        order = np.argsort(position, kind="stable")
+        member, position = member[order], position[order]
+        residues = ((re - _SQRT_M1 * im)[order] % PRIME, (re + _SQRT_M1 * im)[order] % PRIME)
+        self._entries = []  # per half: (member - lo, residue, the positions present, where each starts)
+        for (lo, hi), res in zip(self._halves, residues):
+            keep = (lo <= member) & (member < hi)
+            at = position[keep]
+            starts = np.flatnonzero(np.diff(at, prepend=-1))
+            self._entries.append((member[keep] - lo, res[keep], at[starts], starts))
 
     def check_slots(self, n_slots: int) -> None:
         """Refuse with ``IndexOutOfRange`` when the (support, slots) int64
@@ -282,79 +310,128 @@ class ProductRows:
         hit[hit] = support[where[hit]] == target[hit]
         return np.where(hit, where, support.size)
 
-    def modular(self, meet: np.ndarray) -> np.ndarray:
-        """Rows over the slots of ``meet``, reduced modulo PRIME (int64).
+    def sketch(self, meet: np.ndarray) -> np.ndarray:
+        """The random rows C over the slots of ``meet``, modulo PRIME (int64).
 
-        Each left member gets only the rows of its own pairs.  The (pairs,
-        slots) block and the (count, members, support) limb stack are each
-        refused with ``IndexOutOfRange`` before anything is built when they
-        would pass MAX_STACK_MB.
+        Row r is conj(u_r) * w_r, for u_r = sum_i a[r, i] m_i over the left
+        members and w_r = sum_j b[r, j] r_j over the right ones, a and b drawn
+        below 2^16 from one generator seeded with _COMPRESS_SEED, row by row.
+        So each row of C is sum_ij a[r, i] b[r, j] conj(m_i) * r_j, a
+        combination of the listed rows, and every prefix of C's columns has
+        rank at most theirs (random compression for rank; Cheung, Kwok and
+        Lau, J. ACM 60(5) (2013)).  C has slots + 8 rows, or count + 8 when
+        fewer rows are listed than slots, so it is never taller than needed.
+        The products are exact in floats: a sum of support-many products of a
+        residue of u_r and a ``bits``-bit limb of w_r stays below 2^53.  Rows
+        go in blocks of about _SKETCH_BLOCK_MB, one row at least; one row's
+        arrays are within MAX_STACK_MB once the object arrays and the meet
+        array are (see :meth:`check_slots`).
         """
-        lefts, rights = self._pairs
-        n, slots = lefts.size, meet.shape[1]
-        _check_stack(f"{n} product rows over {slots} slots", "int64 row block", (n, slots), 8)
-        members, support = self._re.shape[0], len(self._support)
-        # right residues in ``count`` limbs of ``bits`` bits: a sum of support-many
-        # residue-times-limb products stays below 2^53, so float matrix products are exact
+        slots, support = meet.shape[1], len(self._support)
+        height = min(slots, self.count) + 8
         bits = 22 - support.bit_length()
         count = -(-31 // bits)
-        _check_stack(f"{members} members over {support} indices", "float limb stack", (count, members, support), 8)
-        left = _residues(self._re, -self._im).astype(float)
-        right = _residues(self._re[:, :-1], self._im[:, :-1])
-        mask = (1 << bits) - 1
-        limbs = np.stack([(right >> (bits * m)) & mask for m in range(count)]).astype(float)
-        out = np.empty((n, slots), dtype=np.int64)
-        order = np.argsort(lefts, kind="stable")
-        members, starts = np.unique(lefts[order], return_index=True)
-        for i, at in zip(members, np.split(order, starts[1:])):
-            parts = (limbs[:, rights[at]] @ left[i][meet]).astype(np.int64) % PRIME
-            acc = parts[-1]
-            for part in parts[-2::-1]:
-                acc = ((acc << bits) + part) % PRIME
-            out[at] = acc
+        left, right = (hi - lo for lo, hi in self._halves)
+        widths = (left + right, *(e[0].size for e in self._entries), support * max(slots, count))
+        block = max(1, int(_SKETCH_BLOCK_MB * 2**20) // (8 * max(widths)))
+        rng = random.Random(_COMPRESS_SEED)
+        out = np.empty((height, slots), dtype=np.int64)
+        for start in range(0, height, block):
+            rows = min(block, height - start)
+            draws = np.frombuffer(rng.randbytes(2 * rows * (left + right)), dtype="<u2").reshape(rows, -1)
+            draws = draws.astype(np.int64)
+            u = self._combine(draws[:, :left], self._entries[0]).astype(float)
+            w = self._combine(draws[:, left:], self._entries[1])[:, :-1]
+            limbs = np.stack([(w >> (bits * k)) & ((1 << bits) - 1) for k in range(count)], axis=1)
+            parts = (limbs.astype(float) @ u[:, meet]).astype(np.int64) % PRIME  # [r, limb, slot]
+            acc = parts[:, -1]
+            for k in range(count - 2, -1, -1):
+                acc = ((acc << bits) + parts[:, k]) % PRIME
+            out[start : start + rows] = acc
         return out
 
-    def annihilate(self, meet: np.ndarray, weights: np.ndarray) -> bool:
-        """Whether sum_k weights[k, f] row[k] = 0 on every pair, for each column f
-        of the Python-int ``weights`` over the slots of ``meet``.
+    def _combine(self, draws: np.ndarray, entries: tuple) -> np.ndarray:
+        """sum_i draws[:, i] m_i modulo PRIME over the support, plus one zero
+        column for "no term", for the members and residues of ``entries``."""
+        member, residues, present, starts = entries
+        out = np.zeros((len(draws), len(self._support) + 1), dtype=np.int64)
+        if member.size:
+            terms = draws[:, member] * residues  # below 2^47
+            if draws.shape[1] >= 2**16:  # a sum at one position stays below 2^63 only for fewer members
+                terms %= PRIME
+            out[:, present] = np.add.reduceat(terms, starts, axis=1) % PRIME
+        return out
 
-        Row (i, j) against weights w is the bilinear form conj(m_i)^T W m_j,
+    @cached_property
+    def _objects(self) -> tuple[np.ndarray, np.ndarray]:
+        """The members' real and imaginary parts as (members, support + 1)
+        Python-int object arrays, the last column zero for "no term"."""
+        pos = {s: k for k, s in enumerate(self._support)}
+        re = np.zeros((len(self._exact), len(self._support) + 1), dtype=object)
+        im = np.zeros_like(re)
+        for i, m in enumerate(self._exact):
+            for s, (a, b) in m.items():
+                re[i, pos[s]], im[i, pos[s]] = a, b
+        return re, im
+
+    def annihilate(self, meet: np.ndarray, weights: np.ndarray) -> bool:
+        """Whether sum_k weights[k, f] row[k] = 0 on every listed row, for each
+        column f of the Python-int ``weights`` over the slots of ``meet``.
+
+        Row (i, j) against weights w is the bilinear form conj(m_i)^T W r_j,
         W[s, t] = w_k where s + sign * t = slots[k] (Hankel for sign +1,
         Toeplitz for -1), so it is evaluated on the members, never multiplying
-        out the rows: conj(m_i)^T W for every member, then its product with
-        m_j on each pair.  Weights over the realified columns of complex rows
-        (see :meth:`exact`) pair up as z_k = w_2k - i w_2k+1, as z . r = 0 is
-        both realified rows of r vanishing.
+        out the rows: conj(m_i)^T W for a block of left members, then its
+        product with every right member (on a symmetric family the pair
+        (j, i) gives the row of (i, j)).  The blocks keep each object array
+        within MAX_STACK_MB.  Weights over the realified columns of complex
+        rows (see :meth:`exact`) pair up as z_k = w_2k - i w_2k+1, as z . r = 0
+        is both realified rows of r vanishing.
         """
-        lefts, rights = self._pairs
+        (lo, hi), (rlo, rhi) = self._halves
+        re, im = self._objects
         complex_rows = not self.real
         z = (weights[0::2], -weights[1::2]) if complex_rows else (weights, None)
-        conj = (self._re[:, meet], -self._im[:, meet] if complex_rows else None)
-        form = _gaussian_matmul(conj, z)  # [i, t, f]: (conj(m_i)^T W_f)[t]
-        left = tuple(None if part is None else part[lefts].transpose(0, 2, 1) for part in form)
-        right = (self._re[rights, :-1, None], self._im[rights, :-1, None] if complex_rows else None)
-        return not any(part is not None and part.any() for part in _gaussian_matmul(left, right))
+        right = (re[rlo:rhi, :-1], im[rlo:rhi, :-1] if complex_rows else None)
+        widest = max(meet.shape[0] * weights.shape[0], (rhi - rlo) * weights.shape[1], 1)
+        block = max(1, int(MAX_STACK_MB * 2**20) // (8 * widest))
+        for start in range(lo, hi, block):
+            part = slice(start, min(start + block, hi))
+            conj = (re[part][:, meet], -im[part][:, meet] if complex_rows else None)
+            form = _gaussian_matmul(conj, z)  # [i, t, f]: (conj(m_i)^T W_f)[t]
+            if any(p is not None and p.any() for p in _gaussian_matmul(right, form)):
+                return False
+        return True
 
     def exact(self, meet: np.ndarray) -> np.ndarray:
-        """Rows over the slots of ``meet`` as Python ints.
+        """The listed rows over the slots of ``meet`` as Python ints, left
+        member by left member, refused with ``IndexOutOfRange`` before they are
+        built when they would pass MAX_STACK_MB.
 
         Complex rows are realified: row r gives (Re r, Im r) and i*r gives
         (-Im r, Re r), columns interleaved, so slot k gains rank over Q(i)
         exactly when real column 2k gains rank over Q.
         """
-        rr, ri = self._re[:, :-1], self._im[:, :-1]
-        re = np.empty((len(rr), len(rr), meet.shape[1]), dtype=object)
-        im = np.empty_like(re)
-        for i in range(len(rr)):
-            a, b = self._re[i][meet], -self._im[i][meet]  # conj(m_i)
-            re[i] = rr @ a if self.real else rr @ a - ri @ b
-            im[i] = 0 if self.real else rr @ b + ri @ a
-        re, im = re[self._pairs], im[self._pairs]
-        if self.real:
-            return re
-        out = np.zeros((2 * re.shape[0], 2 * re.shape[1]), dtype=object)
-        out[: re.shape[0], 0::2], out[: re.shape[0], 1::2] = re, im
-        out[re.shape[0] :, 0::2], out[re.shape[0] :, 1::2] = -im, re
+        k = 1 if self.real else 2
+        shape = (k * self.count, k * meet.shape[1])
+        _check_stack(f"{self.count} product rows over {meet.shape[1]} slots", "exact row block", shape, 8)
+        (lo, hi), (rlo, rhi) = self._halves
+        re, im = self._objects
+        rr, ri = re[rlo:rhi, :-1], im[rlo:rhi, :-1]
+        out = np.zeros(shape, dtype=object)
+        at = 0
+        for i in range(lo, hi):
+            a, b = re[i][meet], -im[i][meet]  # conj(m_i)
+            js = slice(i if self._symmetric else 0, None)  # the right members paired with m_i
+            n = rr[js].shape[0]
+            if self.real:
+                out[at : at + n] = rr[js] @ a
+            else:
+                x, y = rr[js] @ a - ri[js] @ b, rr[js] @ b + ri[js] @ a
+                out[at : at + n, 0::2], out[at : at + n, 1::2] = x, y
+                out[self.count + at : self.count + at + n, 0::2] = -y
+                out[self.count + at : self.count + at + n, 1::2] = x
+            at += n
         return out
 
 
@@ -378,8 +455,25 @@ def _pivot_columns(a: np.ndarray, modulus: int | None = None, echelon: list | No
     (j, its entries past j over the pivot): a row echelon form of ``a``.
     The elimination overwrites ``a``.
     """
-    prev = 1
     covered = []
+    if modulus is not None:
+        m = a.shape[0]  # a[:m] are the rows still in the elimination
+        for j in range(a.shape[1]):
+            k = int(a[:m, j].argmax()) if m else 0
+            covered.append(m > 0 and a[k, j] != 0)
+            if not covered[-1]:
+                continue
+            tail = a[k, j + 1 :] * pow(int(a[k, j]), -1, modulus) % modulus
+            if echelon is not None:
+                echelon.append((j, tail))
+            m -= 1
+            a[k] = a[m]  # a pivot row leaves the elimination; the last live row takes its place
+            rest = a[:m, j + 1 :]
+            # residues times residues stay below 2^62, so one reduction suffices
+            rest -= a[:m, j, None] * tail
+            rest %= modulus
+        return covered
+    prev = 1
     for j in range(a.shape[1]):
         nz = np.flatnonzero(a[:, j])
         covered.append(nz.size > 0)
@@ -388,25 +482,18 @@ def _pivot_columns(a: np.ndarray, modulus: int | None = None, echelon: list | No
         k = nz[0]
         pivot, tail = a[k, j], a[k, j + 1 :].copy()
         a[k] = 0  # a pivot row leaves the elimination
-        if modulus is None:
-            # every entry stays a minor of the input, so the division is exact
-            a[:, j + 1 :] = (a[:, j + 1 :] * pivot - a[:, j, None] * tail) // prev
-            prev = pivot
-        else:
-            rest = nz[1:]  # the rows that are nonzero at j
-            tail = tail * pow(int(pivot), -1, modulus) % modulus
-            if echelon is not None:
-                echelon.append((j, tail))
-            # residues times residues stay below 2^62, so one reduction suffices
-            a[rest, j + 1 :] = (a[rest, j + 1 :] - a[rest, j, None] * tail) % modulus
+        # every entry stays a minor of the input, so the division is exact
+        a[:, j + 1 :] = (a[:, j + 1 :] * pivot - a[:, j, None] * tail) // prev
+        prev = pivot
     return covered
 
 
 def _compressed(a: np.ndarray) -> np.ndarray:
     """The block to eliminate in place of the int64 residues A (N rows, S
-    columns): C = R A modulo PRIME, for a fixed-seed random R of S + 8 rows,
-    when A has more than (S + 8) S nonzeros; A itself otherwise, as a sparse
-    block eliminates faster than its dense compression.
+    columns) of the realified exact rows of a complex family with a deficit:
+    C = R A modulo PRIME, for a fixed-seed random R of S + 8 rows, when A has
+    more than (S + 8) S nonzeros; A itself otherwise, as a sparse block
+    eliminates faster than its dense compression.
 
     Every prefix of C's columns has modular rank at most that of A, for any R
     (random compression for rank; Cheung, Kwok and Lau, J. ACM 60(5) (2013)),
@@ -453,16 +540,18 @@ def _lifted(rows: ProductRows, meet: np.ndarray, echelon: list) -> bool:
     is, exactly, a rational combination of the pivot columns before it.
 
     ``echelon`` holds the pivot rows :func:`_pivot_columns` gave for C, the
-    block :func:`_compressed` made of A modulo PRIME; row operations took C
-    to them, so its columns obey C's dependencies.  For every R, each prefix
-    of C's columns has modular rank at most that of A, which is at most A's
-    rank over Q.  A dependency that :meth:`ProductRows.annihilate` verifies
-    puts a column of A in the span of the earlier pivot columns over Q, so
-    once all verify, A's rank over Q on each prefix is C's pivot count there:
-    C's ladder is A's ladder over Q.  An unlucky R can only make a lift fail.
-    The coordinates are solved modulo PRIME from ``echelon``, lifted by
-    :func:`_rational`, and each dependency, sum_k w_k col_k = 0 with w_free =
-    -den, is checked on every listed pair in Python ints, on the members.
+    sketch :meth:`ProductRows.sketch` or the block :func:`_compressed` made
+    of A, modulo PRIME, with rows that are integer combinations of A's; row
+    operations took C to them, so its columns obey C's dependencies.  So for
+    every draw each prefix of C's columns has modular rank at most that of
+    A, which is at most A's rank over Q.  A dependency that
+    :meth:`ProductRows.annihilate` verifies puts a column of A in the span of
+    the earlier pivot columns over Q, so once all verify, A's rank over Q on
+    each prefix is C's pivot count there: C's ladder is A's ladder over Q.
+    An unlucky draw can only make a lift fail.  The coordinates are solved
+    modulo PRIME from ``echelon``, lifted by :func:`_rational`, and each
+    dependency, sum_k w_k col_k = 0 with w_free = -den, is checked on every
+    listed row in Python ints, on the members.
     """
     ncols = meet.shape[1] * (1 if rows.real else 2)
     pivots = [j for j, _ in echelon]
@@ -490,24 +579,30 @@ def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
 
     A slot is missing when its column adds no rank; the missing slots are
     reported in ascending order.  Slots no product reaches are zero columns:
-    missing, and without effect on the rest.  The modular rows A of the
-    others are eliminated once, as the block C of :func:`_compressed`; each
-    prefix of C's columns has modular rank at most that of A, and so at most
-    A's rank over Q, for every R.  Full column rank of C proves every slot
-    covered.  On a deficit C's echelon gives the dependencies that
-    :func:`_lifted` verifies on the members, which makes C's ladder A's
-    ladder over Q.  An unlucky R can only make a lift fail; then Bareiss on
-    the Gram A^T A decides every slot, as A^T A x = 0 exactly when A x = 0
-    over Q.  Complex rows are laddered modulo PRIME as they are, which may
-    certify; on a deficit their realified residues, rows over Q, go through
-    :func:`_compressed` and one ladder, and the lifts are checked over Q(i).
+    missing, and without effect on the rest.  The rows A of the others are
+    never built to certify: their sketch C (:meth:`ProductRows.sketch`) is
+    eliminated once modulo PRIME.  Each row of C is an integer combination
+    of A's rows, so each prefix of C's columns has modular rank at most that
+    of A, and so at most A's rank over Q, for every draw.  Full column rank
+    of C proves every slot covered.  On a deficit C's echelon gives the
+    dependencies that :func:`_lifted` verifies on the members, which makes
+    C's ladder A's ladder over Q.  An unlucky draw can only make a lift
+    fail; then Bareiss on the Gram A^T A of the exact rows decides every
+    slot, as A^T A x = 0 exactly when A x = 0 over Q.  Complex rows are
+    sketched modulo PRIME as they are, which may certify; on a deficit their
+    realified exact rows, rows over Q, go through :func:`_compressed` and
+    one ladder, and the lifts are checked over Q(i).  The exact rows a
+    deficit may build are refused up front past MAX_STACK_MB, as an
+    (N, slots) int64 block.
     """
     slots = list(slots)
     meet = rows.meet(slots)
     reached = (meet < meet.shape[0]).any(axis=0)
     live, meet = [s for s, r in zip(slots, reached) if r], meet[:, reached]
+    # a deficit may build the exact rows, so their block is bounded up front
+    _check_stack(f"{rows.count} product rows over {len(live)} slots", "exact row block", (rows.count, len(live)), 8)
     echelon = []
-    covered = _pivot_columns(_compressed(rows.modular(meet)), PRIME, echelon)
+    covered = _pivot_columns(rows.sketch(meet), PRIME, echelon)
     if not all(covered):
         # complex rows are laddered again, realified, so their dependencies lift
         # over Q; the exact rows are built for that and for Bareiss only
@@ -545,9 +640,6 @@ def product_span_certificate(fam: PolyFamily, check_degree: int) -> PurityCertif
     if check_degree < 0:
         raise IndexOutOfRange(f"check_degree must be >= 0, got {check_degree}")
     members = fam.scaled if fam.scaled is not None else fam.members
-    real = fam.scaled is not None or not any(np.any(m.imag) for m in fam.members)
-    n = len(members)
-    pairs = [(i, j) for i in range(n) for j in range(i if real else 0, n)]
-    rows = ProductRows([dict(enumerate(m)) for m in members], pairs, sign=1)
+    rows = ProductRows([dict(enumerate(m)) for m in members], sign=1)
     rows.check_slots(check_degree + 1)
     return span_certificate(rows, range(check_degree + 1), check_degree)

@@ -131,7 +131,7 @@ def test_fourier_span_certificate_refuses_a_huge_slot_plan():
 
 
 def test_product_rows_refuse_a_support_of_2_21_before_reading(monkeypatch):
-    """The limbs of the modular rows have 22 - bit_length(support) bits, none
+    """The float limbs of the sketch have 22 - bit_length(support) bits, none
     from 2^21 indices on: such members are refused before a coefficient is
     read, and 2^21 - 1 indices go on to the reading."""
 
@@ -147,6 +147,18 @@ def test_product_rows_refuse_a_support_of_2_21_before_reading(monkeypatch):
         fourier_span_certificate(wide, 0)
     with pytest.raises(Read):
         fourier_span_certificate(FourierFamily(members=(dict.fromkeys(range(2**21 - 1), 1.0),)), 0)
+
+
+def test_a_large_family_certifies_without_its_pairs(monkeypatch):
+    # 3000 members list 9 million products; the sketch combines the members,
+    # and nothing that reads the pairs runs on a certified family
+    def refuse(*args):
+        raise AssertionError("read the pairs")
+
+    monkeypatch.setattr(polycert.ProductRows, "exact", refuse)
+    monkeypatch.setattr(polycert.ProductRows, "annihilate", refuse)
+    monkeypatch.setattr(polycert.ProductRows, "_objects", property(refuse))
+    assert fourier_span_certificate(single_mode_family(3000), 0).certified
 
 
 def test_single_mode_family():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from numpy.polynomial import polynomial as poly
 
 from povm_purity.bases import _hermite_member
 from povm_purity.errors import EmptyFamily, IndexOutOfRange, NonIntegerIndex
-from povm_purity.phase import fourier_family, fourier_span_certificate, geometric_tail_family
+from povm_purity.phase import fourier_family, fourier_span_certificate, geometric_tail_family, single_mode_family
 from povm_purity import polycert
 from povm_purity.polycert import (
     _SQRT_M1,
@@ -157,7 +158,7 @@ def test_span_certificate_refuses_a_huge_slot_plan():
     # a (4, 10^9 + 1) int64 meet array is 30518 MB: refused before any slot is listed
     with pytest.raises(IndexOutOfRange, match="1000000001 slots over 4 indices: a 30518 MB meet array"):
         product_span_certificate(orthonormal_family("hermite", 3), 10**9)
-    rows = ProductRows([dict(enumerate(m)) for m in orthonormal_family("hermite", 3).scaled], [(0, 0)], sign=1)
+    rows = ProductRows([dict(enumerate(m)) for m in orthonormal_family("hermite", 3).scaled], sign=1)
     limit = polycert.MAX_STACK_MB * 2**20 // (4 * 8)
     rows.check_slots(limit)
     with pytest.raises(IndexOutOfRange):
@@ -166,9 +167,9 @@ def test_span_certificate_refuses_a_huge_slot_plan():
 
 def test_product_rows_bound_their_object_arrays_and_limb_stack(monkeypatch):
     """The (members, support + 1) object arrays are refused past MAX_STACK_MB
-    before ``_read_exact`` runs, and the (count, members, support) limb stack
-    of ``modular`` before any residue is built; a lowered bound keeps every
-    array here small."""
+    before ``_read_exact`` runs.  The sketch goes in blocks of rows whose
+    gather, limbs and member products stay near _SKETCH_BLOCK_MB, and the
+    blocks leave every entry of it as it is."""
 
     class Built(Exception):
         pass
@@ -179,31 +180,34 @@ def test_product_rows_bound_their_object_arrays_and_limb_stack(monkeypatch):
     def single(n):
         return [{k: 1.0} for k in range(n)]
 
-    rows = {n: ProductRows(single(n), [(0, 0)], sign=-1) for n in (90, 100, 1000)}
+    # 300 single-mode members over 81 slots: a (300, 81) float gather per sketch
+    # row, 89 rows, about 17 MB at once
+    rows = ProductRows(single(300), sign=-1)
+    meet = rows.meet(range(-40, 41))
+    tracemalloc.start()
+    try:
+        blocked = rows.sketch(meet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * polycert._SKETCH_BLOCK_MB * 2**20, peak
+    monkeypatch.setattr(polycert, "_SKETCH_BLOCK_MB", 0)  # one row at a time
+    assert blocked.shape == (89, 81) and (rows.sketch(meet) == blocked).all()
     limit = polycert.MAX_STACK_MB
     monkeypatch.setattr(polycert, "_read_exact", refuse)
-    monkeypatch.setattr(polycert, "_residues", refuse)
-    meet = np.zeros((1, 1), dtype=np.int64)
     # 10 members: 1760 B of object arrays
     monkeypatch.setattr(polycert, "MAX_STACK_MB", 1700 / 2**20)
     with pytest.raises(IndexOutOfRange, match=r"10 members over 10 indices need an \(10, 11\) real and imaginary"):
-        ProductRows(single(10), [(0, 0)], sign=-1)
-    # 100 members: 161600 B of object arrays, a (3, 100, 100) limb stack of 240000 B
+        ProductRows(single(10), sign=-1)
+    # 100 members: 161600 B of object arrays
     monkeypatch.setattr(polycert, "MAX_STACK_MB", 200000 / 2**20)
     with pytest.raises(Built):
-        ProductRows(single(100), [(0, 0)], sign=-1)
-    with pytest.raises(IndexOutOfRange, match=r"100 members over 100 indices need an \(3, 100, 100\) float limb stack"):
-        rows[100].modular(meet)
-    with pytest.raises(Built):  # 90 members: a (3, 90, 90) stack of 194400 B
-        rows[90].modular(meet)
-    # at the real bound, 1000 single-mode members (a 23 MB limb stack) go on
-    monkeypatch.setattr(polycert, "MAX_STACK_MB", limit)
+        ProductRows(single(100), sign=-1)
+    monkeypatch.setattr(polycert, "MAX_STACK_MB", 256)
     with pytest.raises(Built):
-        ProductRows(single(1000), [(0, 0)], sign=-1)
-    with pytest.raises(Built):
-        rows[1000].modular(meet)
+        ProductRows(single(1000), sign=-1)
     with pytest.raises(IndexOutOfRange, match=r"need an \(6000, 6001\) real and imaginary object arrays of 549 MB"):
-        ProductRows(single(6000), [(0, 0)], sign=-1)
+        ProductRows(single(6000), sign=-1)
 
 
 def test_basis_info_covers_all_builders():
@@ -339,8 +343,7 @@ def _gaussian_pivot_columns(rows, ncols: int) -> set[int]:
 
 def _plain_rows(rows) -> ProductRows:
     """Product rows equal to conj(rows): each row times the constant member 1."""
-    members = [dict(enumerate(r)) for r in rows] + [{0: 1}]
-    return ProductRows(members, [(k, len(rows)) for k in range(len(rows))], sign=-1)
+    return ProductRows([dict(enumerate(r)) for r in rows], sign=-1, right=[{0: 1}])
 
 
 def _conj(v):
@@ -357,7 +360,7 @@ def test_prime_and_square_root_of_minus_one():
 def test_multiples_of_the_prime_take_the_exact_pass(lead):
     rows = _plain_rows([[lead, 1], [0, 1]])
     # modulo PRIME the first column vanishes, over Q (or Q(i)) it does not
-    assert polycert._pivot_columns(rows.modular(rows.meet(range(2))), PRIME) == [False, True]
+    assert polycert._pivot_columns(rows.sketch(rows.meet(range(2))), PRIME) == [False, True]
     assert span_certificate(rows, range(2), 1).certified
     cert = span_certificate(_plain_rows([[lead, 1]]), range(2), 1)
     assert cert.missing_degrees == (1,)
@@ -537,6 +540,103 @@ def test_a_vanishing_compression_still_gives_the_exact_ladder(monkeypatch):
     seen.clear()
     assert fourier_span_certificate(geometric_tail_family(8), 8).missing_degrees == (8,)
     assert seen == [((25, 17), "i"), ((17, 17), "O")]
+
+
+def test_an_all_zero_sketch_still_gives_the_exact_answer(monkeypatch):
+    # a sketch of zero rows covers nothing: every lift claims a zero column,
+    # the members refute it, and Bareiss on the exact Gram decides every slot
+    sketch = ProductRows.sketch
+    monkeypatch.setattr(ProductRows, "sketch", lambda self, meet: np.zeros_like(sketch(self, meet)))
+    seen = _spy_pivot_columns(monkeypatch)
+    cases = [
+        (lambda: product_span_certificate(orthonormal_family("laguerre", 12), 12), ()),
+        (lambda: product_span_certificate(orthonormal_family("hermite", 6, exclude=(5,)), 14),
+         _reference_missing("hermite", 6, (5,), 14)),
+        (lambda: fourier_span_certificate(geometric_tail_family(8), 8), (8,)),
+        (lambda: fourier_span_certificate(single_mode_family(8), 8), (-8, 8)),
+    ]
+    # one row [0, 1, -1] over the frequencies (0, 1, -1): the lift that column 0
+    # is zero holds, those that columns 1 and -1 are zero do not
+    cases.append((lambda: span_certificate(ProductRows([{0: 1, 1: 1}], sign=-1, right=[{0: 1, 1: -1}]), [0, 1, -1], 1),
+                  (-1, 0)))
+    for certificate, missing in cases:
+        seen.clear()
+        assert certificate().missing_degrees == missing
+        assert seen[-1][1] == "O"
+    # complex rows are laddered again, realified and compressed, and lift from
+    # there; conj(m_0) m_1 = x + i x^2 and conj(m_1) m_0 = x - i x^2 both count
+    assert fourier_span_certificate(fourier_family(_rotated(geometric_tail_family(8))), 8).missing_degrees == (8,)
+    fam = PolyFamily(basis="monomial", members=(np.array([1]), np.array([0, 1, 1j])), max_degree=2)
+    assert product_span_certificate(fam, 4).missing_degrees == (3,)
+
+
+def test_certifying_builds_only_the_sketch(monkeypatch):
+    """A certified family eliminates one (slots + 8)-row block and builds no
+    object array, exact row or pair."""
+
+    def refuse(*args):
+        raise AssertionError("built what only a deficit reads")
+
+    monkeypatch.setattr(ProductRows, "_objects", property(refuse))
+    monkeypatch.setattr(ProductRows, "exact", refuse)
+    monkeypatch.setattr(ProductRows, "annihilate", refuse)
+    seen = _spy_pivot_columns(monkeypatch)
+    assert product_span_certificate(orthonormal_family("laguerre", 40), 40).certified
+    assert fourier_span_certificate(single_mode_family(32), 31).certified
+    assert seen == [((49, 41), "i"), ((71, 63), "i")]
+
+
+def _fourier_reference(members, order: int) -> tuple[int, ...]:
+    """Missing frequencies of conj(m_i) m_j over every pair, laddered over Q(i)."""
+    slots = [0, *(s * g for g in range(1, order + 1) for s in (-1, 1))]
+    rows = [
+        [sum(_conj(a) * b for s, a in mi.items() for t, b in mj.items() if s - t == g) for g in slots]
+        for mi in members
+        for mj in members
+    ]
+    covered = _gaussian_pivot_columns(rows, len(slots))
+    return tuple(sorted(g for k, g in enumerate(slots) if k not in covered))
+
+
+def _poly_reference(members, check: int) -> tuple[int, ...]:
+    """Missing degrees of conj(m_i) m_j, each unordered pair once for real members."""
+    real = all(isinstance(v, int) for m in members for v in m)
+    rows = [
+        [sum(_conj(a) * b for s, a in enumerate(mi) for t, b in enumerate(mj) if s + t == g) for g in range(check + 1)]
+        for i, mi in enumerate(members)
+        for mj in members[i if real else 0 :]
+    ]
+    covered = _gaussian_pivot_columns(rows, check + 1)
+    return tuple(g for g in range(check + 1) if g not in covered)
+
+
+@seed(SEED)
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_sketch_matches_exact_reference_under_other_seeds(data):
+    # few members over strided indices: most families miss some slots
+    entries = data.draw(st.sampled_from([_small, st.builds(complex, _small, _small)]), label="kind")
+    stride = data.draw(st.integers(1, 3), label="stride")
+    if data.draw(st.booleans(), label="fourier"):
+        members = data.draw(st.lists(st.dictionaries(st.integers(-2, 2).map(stride.__mul__), entries, max_size=3),
+                                     min_size=1, max_size=4), label="members")
+        order = data.draw(st.integers(0, 6), label="order")
+        certificate = lambda: fourier_span_certificate(fourier_family(members), order)  # noqa: E731
+        members = [{s: v for s, v in m.items() if v} for m in members]
+        missing = _fourier_reference(members, order)
+    else:
+        spread = st.lists(entries, min_size=1, max_size=3).map(lambda c: c[:1] + [0] * (stride - 1) + c[1:])
+        members = data.draw(st.lists(spread, min_size=1, max_size=4), label="members")
+        check = data.draw(st.integers(0, 8), label="check")
+        fam = PolyFamily(basis="monomial", members=tuple(np.array(m, dtype=complex) for m in members), max_degree=0)
+        certificate = lambda: product_span_certificate(fam, check)  # noqa: E731
+        missing = _poly_reference(members, check)
+    for compress_seed in (polycert._COMPRESS_SEED, 1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polycert, "_COMPRESS_SEED", compress_seed)
+            cert = certificate()
+        assert cert.missing_degrees == missing, compress_seed
+        assert cert.certified == (not missing)
 
 
 def test_rational_reconstruction():
