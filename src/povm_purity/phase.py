@@ -7,9 +7,10 @@ things live here:
 * the trigonometric analogue of the polynomial span certificate
   (:func:`fourier_span_certificate`), with pure frequencies in place of
   monomials — for the canonical phase family psi_n = e^{-in theta},
-  n = 1..N, it certifies exactly up to order N - 1.  It runs on the exact
-  ladder of ``polycert``: coefficients are read exactly as the doubles they
-  hold, and no tolerance enters;
+  n = 1..N, it certifies exactly up to order N - 1, from the leading terms
+  of its products alone.  It runs on the exact ladder of ``polycert``:
+  coefficients are read exactly as the doubles they hold, and no tolerance
+  enters;
 
 * :func:`phase_truncation_demo`, which truncates a target family at Fourier
   order M and compares outcome integrals over a dyadic interval family.  The
@@ -149,7 +150,10 @@ def fourier_span_certificate(fam: FourierFamily, check_order: int) -> PurityCert
     tested from the inside out (0, -1, +1, -2, +2, ...), each slot required
     to add rank to the restricted coefficient matrix, on the same exact
     ladder as the polynomial test; the coefficients are read exactly as the
-    doubles they hold.
+    doubles they hold.  In that order a product's last frequency is the one
+    of its extremes lo_n - hi_m and hi_n - lo_m farther from 0 (the positive
+    one on a tie), so the single-mode family, whose products are single
+    frequencies, is decided by those products alone, before any sketch.
     """
     if not fam.members:
         raise EmptyFamily("family has no members")

@@ -15,15 +15,24 @@ nothing.
 The ladder is exact.  Members are read as integers: the orthonormal bases
 keep integer multiples of their members (H_n, n! L_n, 2^n P_n, x^n; scaling
 a member scales rows, which leaves coverage alone), and a family built from
-floats is read exactly as the doubles it holds.  Every verdict is a proof
-reached modulo the prime PRIME, where a nonzero minor is a nonzero integer,
-so rank there is at most rank over Q; each block of rows is eliminated once:
+floats is read exactly as the doubles it holds.  Every verdict is a proof,
+reached by the first of these steps that decides it:
 
-* one ladder: the N product rows A over S slots are not built.  A sketch
-  C of S + 8 rows (N + 8 when N is smaller) takes row r to be
-  conj(u_r) * w_r, for u_r and w_r fixed-seed random integer combinations
-  of the members, at O(members + S) cost per row where A costs
-  O(members^2).  Each row of C is a combination of the rows of A, so every
+* leading terms: a product conj(m_i) * m_j is nonzero at its two extreme
+  slots, each the product of one coefficient of each member, and zero
+  outside them.  When every slot some product reaches is the later
+  extreme, in ladder order, of a single product, those products form a
+  triangle with a nonzero diagonal, which proves each such slot covered.
+  No residue, sketch or elimination is made.  Full orthonormal bases
+  (and most with one index dropped) and the single-mode phase family are
+  decided here;
+* one ladder: else, modulo the prime PRIME, where a nonzero minor is a
+  nonzero integer, so rank there is at most rank over Q, each block of
+  rows is eliminated once.  The N product rows A over S slots are not
+  built.  A sketch C of S + 8 rows (N + 8 when N is smaller) takes row r
+  to be conj(u_r) * w_r, for u_r and w_r fixed-seed random integer
+  combinations of the members, at O(members + S) cost per row where A
+  costs O(members^2).  Each row of C is a combination of the rows of A, so every
   prefix of C's columns has rank at most A's (random compression for rank;
   Cheung, Kwok and Lau, J. ACM 60(5) (2013)), and full column rank of C
   proves every slot covered;
@@ -46,7 +55,7 @@ leaves the coverage intact (products of the remaining members still reach
 every degree), which is what the certificate shows.
 
 Both span certificates, this one and the trigonometric one in ``phase``,
-end in :func:`span_certificate` and its one ladder.
+end in :func:`span_certificate`: its leading terms, then its one ladder.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from .bases import BASIS_INFO
-from .errors import EmptyFamily, IndexOutOfRange, NonIntegerIndex
+from .errors import EmptyFamily, IndexOutOfRange, NonFinite, NonIntegerIndex
 
 __all__ = [
     "PolyFamily",
@@ -123,10 +132,15 @@ class PolyFamily:
             raise ValueError(f"unknown basis {self.basis!r}; one of {sorted(BASIS_INFO)}")
 
 
+def _is_integer(v) -> bool:
+    """An int or numpy integer; a bool is neither, though Python counts True as 1."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_))
+
+
 def _require_integers(**values) -> None:
     """Refuse each named size or order that is not an integer, before anything is built."""
     for name, v in values.items():
-        if not isinstance(v, (int, np.integer)):
+        if not _is_integer(v):
             raise NonIntegerIndex(f"{name} must be an integer, got {v!r}")
 
 
@@ -138,7 +152,7 @@ def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
     if max_degree < 0:
         raise IndexOutOfRange(f"max_degree must be >= 0, got {max_degree}")
     exclude = tuple(exclude)
-    if not all(isinstance(k, (int, np.integer)) for k in exclude):
+    if not all(map(_is_integer, exclude)):
         raise NonIntegerIndex(f"excluded indices must be integers, got {exclude!r}")
     dropped = set(int(k) for k in exclude)
     for k in dropped:
@@ -181,7 +195,8 @@ def _read_exact(members) -> list[dict[int, tuple[int, int]]]:
     is exact: one ``np.frexp`` over the real and imaginary parts of all of
     them writes each part as an odd integer times a power of two.  Per member
     the common power of two and the content (gcd of every part) are divided
-    out, and zero entries are dropped.
+    out, and zero entries are dropped.  A NaN or infinite part is refused with
+    ``NonFinite``, naming the first such member and index.
     """
     out, read = [], []  # read: the members read as doubles, in order
     for m in members:
@@ -197,9 +212,10 @@ def _read_exact(members) -> list[dict[int, tuple[int, int]]]:
     ints = [j for j, v in enumerate(values) if isinstance(v, (int, np.integer))]
     doubles = [0 if isinstance(v, (int, np.integer)) else v for v in values] if ints else values
     parts = np.array(doubles, dtype=complex).view(float)
-    bad = ~np.isfinite(parts)
-    if bad.any():  # refused as float.as_integer_ratio refuses it
-        float(parts[bad][0]).as_integer_ratio()
+    bad = np.flatnonzero(~np.isfinite(parts))
+    if bad.size:
+        n, k = [(n, k) for n, m in enumerate(members) if out[n] is None for k in m][bad[0] // 2]
+        raise NonFinite(f"member {n}: coefficient {members[n][k]!r} at index {k} is not a finite number")
     frac, exp = np.frexp(parts)
     odd = (frac * 2.0**53).astype(np.int64)
     zeros = np.frexp((odd & -odd).astype(float))[1] - 1  # trailing zero bits, -1 for a zero part
@@ -240,9 +256,10 @@ class ProductRows:
     Entry g of a row is the sum of conj(m_i[s]) r_j[t] over s + sign * t = g:
     sign +1 multiplies polynomials (g a degree), sign -1 multiplies Fourier
     series (g a frequency).  Members are maps {index: value}, read exactly
-    (integers as they are, doubles as the doubles they hold), and their
-    residues modulo PRIME are taken once, here.  Certifying builds no row:
-    :meth:`sketch` multiplies random combinations of the members.  Only a
+    (integers as they are, doubles as the doubles they hold), here.
+    Certifying builds no row: :meth:`leading` reads only each member's least
+    and greatest index, and :meth:`sketch` multiplies random combinations of
+    the members, whose residues modulo PRIME it takes on first use.  Only a
     deficit reads the members' Python-int object arrays, built on first use.
     Members over 2^21 or more indices, and families whose (members,
     support + 1) object arrays would pass MAX_STACK_MB, are refused with
@@ -266,26 +283,32 @@ class ProductRows:
         n = len(left)
         # the left and the right members: rows lo..hi - 1 of the family
         self._halves = ((0, n), (0, n) if right is None else (n, len(both)))
-        values = [z for m in self._exact for z in m.values()]
-        re, im = zip(*values) if values else ((), ())
-        self.real = not any(im)
+        self.real = not any(b for m in self._exact for _, b in m.values())
         self._symmetric = right is None and sign == 1 and self.real
         rlo, rhi = self._halves[1]
         self.count = n * (n + 1) // 2 if self._symmetric else n * (rhi - rlo)
-        # every entry, sorted by support position, with its residue and that of its conjugate
-        member = np.repeat(np.arange(len(both)), [len(m) for m in self._exact])
+
+    @cached_property
+    def _entries(self) -> list[tuple]:
+        """Per half: (member - lo, residue, the positions present, where each
+        starts) for every entry, sorted by support position, the residue that
+        of the conjugate for the left half; read by :meth:`sketch` only."""
+        member = np.repeat(np.arange(len(self._exact)), [len(m) for m in self._exact])
         position = np.searchsorted(self._support, [s for m in self._exact for s in m]).astype(np.intp)
+        values = [z for m in self._exact for z in m.values()]
+        re, im = zip(*values) if values else ((), ())
         re = np.array([a % PRIME for a in re], dtype=np.int64)
         im = np.zeros_like(re) if self.real else np.array([b % PRIME for b in im], dtype=np.int64)
         order = np.argsort(position, kind="stable")
         member, position = member[order], position[order]
         residues = ((re - _SQRT_M1 * im)[order] % PRIME, (re + _SQRT_M1 * im)[order] % PRIME)
-        self._entries = []  # per half: (member - lo, residue, the positions present, where each starts)
+        entries = []
         for (lo, hi), res in zip(self._halves, residues):
             keep = (lo <= member) & (member < hi)
             at = position[keep]
             starts = np.flatnonzero(np.diff(at, prepend=-1))
-            self._entries.append((member[keep] - lo, res[keep], at[starts], starts))
+            entries.append((member[keep] - lo, res[keep], at[starts], starts))
+        return entries
 
     def check_slots(self, n_slots: int) -> None:
         """Refuse with ``IndexOutOfRange`` when the (support, slots) int64
@@ -309,6 +332,66 @@ class ProductRows:
         hit = where < support.size
         hit[hit] = support[where[hit]] == target[hit]
         return np.where(hit, where, support.size)
+
+    def leading(self, slots, reached: np.ndarray) -> bool:
+        """Whether single listed rows prove every ``reached`` slot covered:
+        each is the last nonzero slot, in the ladder order of ``slots``, of
+        some listed row.  No residue is taken.
+
+        Row conj(m_i) * r_j is nonzero at its two extreme slots, lo_i + lo_j
+        and hi_i + hi_j for sign +1, lo_i - hi_j and hi_i - lo_j for sign -1
+        (lo and hi a member's least and greatest index), as one term
+        conj(m_i[s]) r_j[t] reaches each, and its other slots lie between
+        them.  When ``slots`` is a run of consecutive integers whose ladder
+        position falls, then rises, with the slot (0, 1, 2, ... or 0, -1, 1,
+        -2, ...), no slot between the extremes comes after both, so the later
+        extreme is the row's last nonzero slot; an extreme outside ``slots``
+        counts as later than all of them, and its row is left out.  Rows with
+        distinct last slots are triangular with a nonzero diagonal, so when
+        their last slots take in every reached slot, the reached columns have
+        full rank over Q(i) and each gains rank.  Other slot orders answer
+        False.  Left members, by least index, go in blocks of about
+        _SKETCH_BLOCK_MB, each against the band of right members whose rows
+        with it may have both extremes in the run, until every reached slot
+        is taken.
+        """
+        if not reached.any():
+            return True
+        slots = np.asarray(slots, dtype=np.int64)
+        order = np.argsort(slots)  # order[k]: the ladder position of slots.min() + k
+        falling = np.diff(order) < 0
+        if (np.diff(slots[order]) != 1).any() or (falling[1:] > falling[:-1]).any():
+            return False
+        # (least index, greatest index, member) of every nonzero member, per half
+        bounds = np.array([(min(m), max(m), k) for k, m in enumerate(self._exact) if m], dtype=np.int64).reshape(-1, 3)
+        left, right = (bounds[(lo <= bounds[:, 2]) & (bounds[:, 2] < hi)] for lo, hi in self._halves)
+        if not (left.size and right.size):
+            return False
+        room, base = slots.size - 1, slots[order[0]]
+        # sign * t runs from x to y over a right member, so a row's extremes are lo_i + x_j and hi_i + y_j
+        x, y = (right[:, 0], right[:, 1]) if self._sign > 0 else (-right[:, 1], -right[:, 0])
+        by_x = np.argsort(x, kind="stable")
+        x, y, j = x[by_x], y[by_x], right[by_x, 2]
+        left = left[np.argsort(left[:, 0], kind="stable")]
+
+        def position(g):  # the ladder position of slot g, slots.size past the run
+            k = g - base
+            inside = (0 <= k) & (k <= room)
+            return np.where(inside, order[np.where(inside, k, 0)], slots.size)
+
+        taken = np.zeros(slots.size + 1, dtype=bool)
+        block = max(1, int(_SKETCH_BLOCK_MB * 2**20) // (8 * len(right)))
+        for start in range(0, len(left), block):
+            lo, hi, i = left[start : start + block].T
+            # both extremes in the run need base <= lo_i + x_j and x_j <= y_j <= base + room - hi_i
+            band = slice(np.searchsorted(x, base - lo.max()), np.searchsorted(x, base + room - hi.min(), side="right"))
+            last = np.maximum(position(lo[:, None] + x[band]), position(hi[:, None] + y[band]))
+            if self._symmetric:  # only the pairs i <= j are listed
+                last[j[band] < i[:, None]] = slots.size
+            taken[last] = True
+            if taken[:-1][reached].all():
+                return True
+        return False
 
     def sketch(self, meet: np.ndarray) -> np.ndarray:
         """The random rows C over the slots of ``meet``, modulo PRIME (int64).
@@ -579,21 +662,24 @@ def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
 
     A slot is missing when its column adds no rank; the missing slots are
     reported in ascending order.  Slots no product reaches are zero columns:
-    missing, and without effect on the rest.  The rows A of the others are
-    never built to certify: their sketch C (:meth:`ProductRows.sketch`) is
-    eliminated once modulo PRIME.  Each row of C is an integer combination
-    of A's rows, so each prefix of C's columns has modular rank at most that
-    of A, and so at most A's rank over Q, for every draw.  Full column rank
-    of C proves every slot covered.  On a deficit C's echelon gives the
-    dependencies that :func:`_lifted` verifies on the members, which makes
-    C's ladder A's ladder over Q.  An unlucky draw can only make a lift
-    fail; then Bareiss on the Gram A^T A of the exact rows decides every
-    slot, as A^T A x = 0 exactly when A x = 0 over Q.  Complex rows are
-    sketched modulo PRIME as they are, which may certify; on a deficit their
-    realified exact rows, rows over Q, go through :func:`_compressed` and
-    one ladder, and the lifts are checked over Q(i).  The exact rows a
-    deficit may build are refused up front past MAX_STACK_MB, as an
-    (N, slots) int64 block.
+    missing, and without effect on the rest.  First, when single listed
+    products prove every other slot covered (:meth:`ProductRows.leading`:
+    their later extremes form a triangle with a nonzero diagonal), that is
+    the answer, with no residue, sketch or elimination.  Else the rows A of
+    the others are never built to certify: their sketch C
+    (:meth:`ProductRows.sketch`) is eliminated once modulo PRIME.  Each row
+    of C is an integer combination of A's rows, so each prefix of C's
+    columns has modular rank at most that of A, and so at most A's rank over
+    Q, for every draw.  Full column rank of C proves every slot covered.  On
+    a deficit C's echelon gives the dependencies that :func:`_lifted`
+    verifies on the members, which makes C's ladder A's ladder over Q.  An
+    unlucky draw can only make a lift fail; then Bareiss on the Gram A^T A
+    of the exact rows decides every slot, as A^T A x = 0 exactly when A x =
+    0 over Q.  Complex rows are sketched modulo PRIME as they are, which may
+    certify; on a deficit their realified exact rows, rows over Q, go
+    through :func:`_compressed` and one ladder, and the lifts are checked
+    over Q(i).  The exact rows a deficit may build are refused up front past
+    MAX_STACK_MB, as an (N, slots) int64 block, before either route.
     """
     slots = list(slots)
     meet = rows.meet(slots)
@@ -601,8 +687,11 @@ def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
     live, meet = [s for s, r in zip(slots, reached) if r], meet[:, reached]
     # a deficit may build the exact rows, so their block is bounded up front
     _check_stack(f"{rows.count} product rows over {len(live)} slots", "exact row block", (rows.count, len(live)), 8)
-    echelon = []
-    covered = _pivot_columns(rows.sketch(meet), PRIME, echelon)
+    if rows.leading(slots, reached):
+        covered = [True] * len(live)
+    else:
+        echelon = []
+        covered = _pivot_columns(rows.sketch(meet), PRIME, echelon)
     if not all(covered):
         # complex rows are laddered again, realified, so their dependencies lift
         # over Q; the exact rows are built for that and for Bareiss only

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import SEED
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite as herm
 from numpy.polynomial import laguerre as lag
@@ -14,7 +15,7 @@ from numpy.polynomial import legendre as leg
 from numpy.polynomial import polynomial as poly
 
 from povm_purity.bases import _hermite_member
-from povm_purity.errors import EmptyFamily, IndexOutOfRange, NonIntegerIndex
+from povm_purity.errors import EmptyFamily, IndexOutOfRange, NonFinite, NonIntegerIndex
 from povm_purity.phase import fourier_family, fourier_span_certificate, geometric_tail_family, single_mode_family
 from povm_purity import polycert
 from povm_purity.polycert import (
@@ -152,6 +153,29 @@ def test_excluded_indices_must_be_integers():
             orthonormal_family("hermite", 3, exclude=(0, bad))
     kept = orthonormal_family("hermite", 3, exclude=(np.int64(1),))
     assert kept.scaled == orthonormal_family("hermite", 3, exclude=(1,)).scaled
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: product_span_certificate(orthonormal_family("hermite", 3), True),
+        lambda: fourier_span_certificate(single_mode_family(3), np.True_),
+        lambda: single_mode_family(True),
+        lambda: orthonormal_family("hermite", False),
+    ],
+    ids=["check-degree", "check-order", "single-members", "max-degree"],
+)
+def test_bools_are_not_integers(call):
+    # True would pass as 1: a certificate to degree True, a family of one member
+    with pytest.raises(NonIntegerIndex, match="must be an integer, got"):
+        call()
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_excluded_indices_may_not_be_bools(flag):
+    # (True,) would drop member 1
+    with pytest.raises(NonIntegerIndex, match="excluded indices must be integers"):
+        orthonormal_family("hermite", 3, exclude=(flag,))
 
 
 def test_span_certificate_refuses_a_huge_slot_plan():
@@ -530,13 +554,21 @@ class _ZeroGenerator:
         return bytes(n)
 
 
+def _powers(n: int, degree: int) -> PolyFamily:
+    """Members sum_s (k + 1)^s x^s for s <= degree and k < n: every product
+    ends at 2 * degree, so below that no single product leads, and only the
+    sketch can certify."""
+    members = tuple(np.array([float((k + 1) ** s) for s in range(degree + 1)]) for k in range(n))
+    return PolyFamily(basis="monomial", members=members, max_degree=degree)
+
+
 def test_a_vanishing_compression_still_gives_the_exact_ladder(monkeypatch):
     # C = 0 has no pivot: every column's lift claims it is zero, the members
     # refute that, and Bareiss on the exact Gram decides every slot
     monkeypatch.setattr(polycert, "random", SimpleNamespace(Random=_ZeroGenerator))
     seen = _spy_pivot_columns(monkeypatch)
-    assert product_span_certificate(orthonormal_family("laguerre", 12), 12).certified
-    assert seen == [((21, 13), "i"), ((13, 13), "O")]
+    assert product_span_certificate(_powers(8, 16), 14).certified
+    assert seen == [((23, 15), "i"), ((15, 15), "O")]
     seen.clear()
     assert fourier_span_certificate(geometric_tail_family(8), 8).missing_degrees == (8,)
     assert seen == [((25, 17), "i"), ((17, 17), "O")]
@@ -549,11 +581,12 @@ def test_an_all_zero_sketch_still_gives_the_exact_answer(monkeypatch):
     monkeypatch.setattr(ProductRows, "sketch", lambda self, meet: np.zeros_like(sketch(self, meet)))
     seen = _spy_pivot_columns(monkeypatch)
     cases = [
-        (lambda: product_span_certificate(orthonormal_family("laguerre", 12), 12), ()),
-        (lambda: product_span_certificate(orthonormal_family("hermite", 6, exclude=(5,)), 14),
-         _reference_missing("hermite", 6, (5,), 14)),
+        (lambda: product_span_certificate(_powers(8, 16), 14), ()),
+        (lambda: product_span_certificate(_powers(6, 12), 12), (11, 12)),
+        (lambda: product_span_certificate(orthonormal_family("hermite", 6, exclude=(1,)), 14),
+         _reference_missing("hermite", 6, (1,), 14)),
         (lambda: fourier_span_certificate(geometric_tail_family(8), 8), (8,)),
-        (lambda: fourier_span_certificate(single_mode_family(8), 8), (-8, 8)),
+        (lambda: fourier_span_certificate(geometric_tail_family(8), 7), ()),
     ]
     # one row [0, 1, -1] over the frequencies (0, 1, -1): the lift that column 0
     # is zero holds, those that columns 1 and -1 are zero do not
@@ -571,8 +604,8 @@ def test_an_all_zero_sketch_still_gives_the_exact_answer(monkeypatch):
 
 
 def test_certifying_builds_only_the_sketch(monkeypatch):
-    """A certified family eliminates one (slots + 8)-row block and builds no
-    object array, exact row or pair."""
+    """A certified family that no single product proves eliminates one
+    (slots + 8)-row block and builds no object array, exact row or pair."""
 
     def refuse(*args):
         raise AssertionError("built what only a deficit reads")
@@ -581,9 +614,9 @@ def test_certifying_builds_only_the_sketch(monkeypatch):
     monkeypatch.setattr(ProductRows, "exact", refuse)
     monkeypatch.setattr(ProductRows, "annihilate", refuse)
     seen = _spy_pivot_columns(monkeypatch)
-    assert product_span_certificate(orthonormal_family("laguerre", 40), 40).certified
-    assert fourier_span_certificate(single_mode_family(32), 31).certified
-    assert seen == [((49, 41), "i"), ((71, 63), "i")]
+    assert product_span_certificate(_powers(8, 16), 14).certified
+    assert fourier_span_certificate(geometric_tail_family(8), 7).certified
+    assert seen == [((23, 15), "i"), ((23, 15), "i")]
 
 
 def _fourier_reference(members, order: int) -> tuple[int, ...]:
@@ -631,12 +664,133 @@ def test_sketch_matches_exact_reference_under_other_seeds(data):
         fam = PolyFamily(basis="monomial", members=tuple(np.array(m, dtype=complex) for m in members), max_degree=0)
         certificate = lambda: product_span_certificate(fam, check)  # noqa: E731
         missing = _poly_reference(members, check)
+    sketched, sketch = [], ProductRows.sketch
     for compress_seed in (polycert._COMPRESS_SEED, 1, 2, 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(polycert, "_COMPRESS_SEED", compress_seed)
+            patch.setattr(ProductRows, "sketch", lambda self, meet: sketched.append(meet.shape) or sketch(self, meet))
             cert = certificate()
+        # a family that single products prove never draws a sketch, so no seed matters to it
+        assume(sketched)
         assert cert.missing_degrees == missing, compress_seed
         assert cert.certified == (not missing)
+
+
+# ---------------------------------------------------------------------------
+# the leading-term route: single products that prove the ladder
+# ---------------------------------------------------------------------------
+
+
+def _refuse_the_ladder(monkeypatch) -> None:
+    """Make the sketch, the residues and every elimination raise when reached."""
+
+    def refuse(*args):
+        raise AssertionError("reached the sketch route")
+
+    monkeypatch.setattr(ProductRows, "sketch", refuse)
+    monkeypatch.setattr(ProductRows, "_entries", property(refuse))
+    monkeypatch.setattr(polycert, "_pivot_columns", refuse)
+
+
+def _leads(members, sign: int, slots) -> bool:
+    """Whether every slot that two member indices reach is, for some pair, the
+    later in ``slots`` of the two extreme slots of its product; an extreme
+    outside ``slots`` counts as later than all of them.  Members are maps
+    {index: nonzero value}; plain sets, independent of ``ProductRows``."""
+    position = {g: k for k, g in enumerate(slots)}
+    support = {s for m in members for s in m}
+    reached = {s + sign * t for s in support for t in support} & set(slots)
+    last = set()
+    for mi, mj in itertools.product(members, repeat=2):
+        if sign > 0:
+            ends = (min(mi) + min(mj), max(mi) + max(mj))
+        else:
+            ends = (min(mi) - max(mj), max(mi) - min(mj))
+        later = max(ends, key=lambda g: position.get(g, len(slots)))
+        if later in position:
+            last.add(later)
+    return reached <= last
+
+
+_nonzero = st.integers(-3, 3).filter(bool)
+_gaussian_nonzero = st.builds(complex, _small, _small).filter(bool)
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_leading_terms_match_exact_reference(data):
+    # polynomials of distinct degrees with some dropped, and Fourier members
+    # over random supports: many are proven by single products, some are not
+    gaussian = data.draw(st.booleans(), label="gaussian")
+    entries, lead = (st.builds(complex, _small, _small), _gaussian_nonzero) if gaussian else (_small, _nonzero)
+    if data.draw(st.booleans(), label="fourier"):
+        members = data.draw(st.lists(st.dictionaries(st.integers(-4, 4), lead, min_size=1, max_size=3),
+                                     min_size=1, max_size=4), label="members")
+        order = data.draw(st.integers(0, 5), label="order")
+        fires = _leads(members, -1, [0, *(s * g for g in range(1, order + 1) for s in (-1, 1))])
+        certificate = lambda: fourier_span_certificate(fourier_family(members), order)  # noqa: E731
+        missing = _fourier_reference(members, order)
+    else:
+        top = data.draw(st.integers(0, 6), label="top")
+        dropped = data.draw(st.sets(st.integers(0, top), max_size=top), label="dropped")
+        members = [data.draw(st.lists(entries, min_size=d, max_size=d), label="below") + [data.draw(lead, label="lead")]
+                   for d in range(top + 1) if d not in dropped]
+        check = data.draw(st.integers(0, 2 * top + 1), label="check")
+        fires = _leads([{s: v for s, v in enumerate(m) if v} for m in members], 1, range(check + 1))
+        kind = complex if gaussian else float
+        fam = PolyFamily(basis="monomial", members=tuple(np.array(m, dtype=kind) for m in members), max_degree=top)
+        certificate = lambda: product_span_certificate(fam, check)  # noqa: E731
+        missing = _poly_reference(members, check)
+    with pytest.MonkeyPatch.context() as patch:
+        if fires:
+            _refuse_the_ladder(patch)
+        cert = certificate()
+    assert cert.missing_degrees == missing
+    assert cert.certified == (not missing)
+
+
+_BENCH_BASES = [("hermite", 12, ()), ("hermite", 12, (2,)), ("hermite", 20, ()), ("hermite", 20, (3,)),
+                ("hermite", 28, ()), ("hermite", 28, (5,)), ("laguerre", 20, ()), ("laguerre", 40, ()),
+                ("legendre", 24, ()), ("monomial", 24, ())]
+
+
+@pytest.mark.parametrize("basis, top, exclude", _BENCH_BASES)
+def test_basis_families_are_proven_by_single_products(monkeypatch, basis, top, exclude):
+    _refuse_the_ladder(monkeypatch)
+    assert product_span_certificate(orthonormal_family(basis, top, exclude=exclude), top).certified
+
+
+@pytest.mark.parametrize("size", [1, 8, 16, 32])
+def test_single_mode_families_are_proven_by_single_products(monkeypatch, size):
+    _refuse_the_ladder(monkeypatch)
+    family = single_mode_family(size)
+    assert fourier_span_certificate(family, size - 1).certified
+    # no product reaches +-size: missing, as on the ladder
+    assert fourier_span_certificate(family, size).missing_degrees == (-size, size)
+
+
+def test_only_the_later_extreme_of_a_product_counts():
+    # conj(m_0) m_1 reaches 1..3 and conj(m_1) m_0 reaches -3..-1, each with its
+    # later extreme outside order 2; conj(m_1) m_1 reaches -2..2.  Counting both
+    # extremes of every product would certify every slot, yet 2 adds no rank
+    members = [{0: -2}, {-1: -1, -3: -1, -2: -2}]
+    assert _fourier_reference(members, 2) == (2,)
+    family = fourier_family([{s: float(v) for s, v in m.items()} for m in members])
+    assert fourier_span_certificate(family, 2).missing_degrees == (2,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_non_finite_coefficients_are_refused_before_either_route(monkeypatch, bad):
+    # the bad value leads its member: it must never count as a nonzero term
+    def refuse(*args):
+        raise AssertionError("reached a route")
+
+    monkeypatch.setattr(ProductRows, "leading", refuse)
+    _refuse_the_ladder(monkeypatch)
+    fam = PolyFamily(basis="monomial", members=(np.array([1.0]), np.array([0.0, 2.0, bad])), max_degree=2)
+    with pytest.raises(NonFinite, match="member 1: coefficient .* at index 2 is not a finite number"):
+        product_span_certificate(fam, 4)
 
 
 def test_rational_reconstruction():
