@@ -15,9 +15,11 @@ things live here:
 * :func:`phase_truncation_demo`, which truncates a target family at Fourier
   order M and compares outcome integrals over a dyadic interval family.  The
   integrals are exact: each is the difference of a closed-form antiderivative
-  of the Gram density at two of the 2^MAX_LEVEL + 1 dyadic endpoints; the
-  grid is only validated and reported.  The truncated construction is
-  generally *not* unital — the defect is reported, not hidden.
+  of the Gram density at two of the 2^MAX_LEVEL + 1 dyadic endpoints, which
+  it evaluates a block of _BLOCK at a time, so that its working arrays scale
+  with the block and not with every endpoint; the grid is only validated and
+  reported.  The truncated construction is generally *not* unital — the
+  defect is reported, not hidden.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import EmptyFamily, GridTooCoarse, IndexOutOfRange, InvalidRatio, NonFinite, NonIntegerIndex
 from .linalg import opnorm
-from .polycert import MAX_STACK_MB, ProductRows, PurityCertificate, _require_integers, span_certificate
+from .polycert import _BOOLS, MAX_STACK_MB, ProductRows, PurityCertificate, _require_integers, span_certificate
 
 __all__ = [
     "FourierFamily",
@@ -44,6 +46,9 @@ __all__ = [
 # Dyadic interval family [2 pi j / 2^k, 2 pi (j+1) / 2^k), k = 0..MAX_LEVEL.
 MAX_LEVEL = 6
 MIN_GRID = 1 << 10
+# The demo walks the 2^MAX_LEVEL + 1 dyadic endpoints this many at a time (a
+# power of two dividing 2^MAX_LEVEL), so no array spans all of them at once.
+_BLOCK = 8
 # Past this many members even the (n, n) int64 block of a span certificate
 # passes MAX_STACK_MB, so a family builder refuses before building anything.
 MAX_MEMBERS = math.isqrt(MAX_STACK_MB * 2**20 // 8)
@@ -59,11 +64,11 @@ class FourierFamily:
 def fourier_family(members) -> FourierFamily:
     """A family from maps {frequency: coefficient}, zero coefficients dropped.
 
-    Every key must be an integer (an integral float is read as one) of
-    magnitude at most 2^53 and every coefficient a finite number (not a
-    string, nor an integer past the double range); ``NonIntegerIndex``,
-    ``IndexOutOfRange`` and ``NonFinite`` refuse the others, naming the
-    member, before anything is built.
+    Every key must be an integer (an integral float is read as one, a bool
+    is not) of magnitude at most 2^53 and every coefficient a finite number
+    (not a string or a bool, nor an integer past the double range);
+    ``NonIntegerIndex``, ``IndexOutOfRange`` and ``NonFinite`` refuse the
+    others, naming the member, before anything is built.
     """
     cleaned = []
     for n, m in enumerate(members):
@@ -73,12 +78,13 @@ def fourier_family(members) -> FourierFamily:
                 g = int(s)
             except (TypeError, ValueError, OverflowError):
                 g = None
-            if g is None or g != s:
+            if g is None or g != s or isinstance(s, _BOOLS):
                 raise NonIntegerIndex(f"member {n}: frequency {s!r} is not an integer")
             if abs(g) > 2**53:
                 raise IndexOutOfRange(f"member {n}: frequency {g} is past 2^53 in magnitude")
             try:
-                z = complex(v) if isinstance(v, (int, float, complex, np.number)) else complex("nan")
+                numeric = isinstance(v, (int, float, complex, np.number)) and not isinstance(v, _BOOLS)
+                z = complex(v) if numeric else complex("nan")
             except OverflowError:  # its repr may be too long to print
                 raise NonFinite(f"member {n}: coefficient at frequency {g} is an integer past the double range") from None
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -178,7 +184,9 @@ class PhaseDemoReport:
     and truncated outcome integrals.  ``unital_defect`` is ||full-circle Gram - 1||,
     and ``gram_consistency_defect`` is ||coefficient Gram - full-circle Gram||,
     the coefficient Gram being sum_s conj(v_n^s) v_m^s over the kept
-    coefficients (Parseval).  No field but ``grid`` itself depends on ``grid``.
+    coefficients (Parseval).  No field but ``grid`` itself depends on ``grid``,
+    and none on the blocks of endpoints the demo walks: ``truncated_gram`` is
+    the only array the demo keeps.
     """
 
     order: int
@@ -193,11 +201,11 @@ class PhaseDemoReport:
         return self.truncated_gram.sum(axis=0)
 
 
-def _antiderivatives(u: np.ndarray, hilbert: np.ndarray) -> np.ndarray:
-    """Entry [j] = F(x_j) = U(x_j)* K0 U(x_j) + (x_j / 2 pi) V*V at the endpoints
-    x_j = 2 pi j / 2^MAX_LEVEL of the finest dyadic partition.
+def _antiderivatives(u: np.ndarray, hilbert: np.ndarray, at: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Entry [j] = F(x_j) = U(x_j)* K0 U(x_j) + (x_j / 2 pi) V*V, written to
+    ``out``, at dyadic endpoints x_j = 2 pi ``at[j, 0]``.
 
-    ``u[s, j]`` is row s of U(x_j) = diag(e^{-i s x_j}) V, and K0 = -i
+    ``u[s, j]`` is row s of U(x) = diag(e^{-i s x}) V, and K0 = -i
     ``hilbert``, hilbert[s, t] = 1 / (2 pi (s - t)) off the diagonal, 0 on it:
     F is an antiderivative of conj(psi_n) psi_m / (2 pi), so the Gram of
     [x_a, x_b) is F(x_b) - F(x_a).  K0 U at every endpoint is one real GEMM,
@@ -207,8 +215,8 @@ def _antiderivatives(u: np.ndarray, hilbert: np.ndarray) -> np.ndarray:
     rows, ends, cols = u.shape
     ku = (hilbert @ u.reshape(rows, ends * cols).view(np.float64)).view(np.complex128).reshape(u.shape)
     ku *= -1j
-    ku += (np.arange(ends) / (ends - 1))[:, None] * u
-    return u.transpose(1, 2, 0).conj() @ ku.transpose(1, 0, 2)
+    ku += at * u
+    return np.matmul(u.transpose(1, 2, 0).conj(), ku.transpose(1, 0, 2), out=out)
 
 
 def _frequency_count(n_members: int, ratio: float | None = None, support: int = 0) -> int | None:
@@ -243,11 +251,15 @@ def _check_demo(n_members: int, n_frequencies: int, order: int, grid: int) -> fl
     not an integer, a negative order, a grid off the dyadic lattice, or arrays
     past MAX_STACK_MB together; else the megabytes counted.  The count bounds
     the peak of :func:`phase_truncation_demo` from above, for S frequencies,
-    n members and E = 2^MAX_LEVEL + 1 endpoints: three (S, E, n) complex
-    stacks (U, K0 U, one temporary of their size), five (E, n, n) (the two
-    antiderivative stacks, their difference, the interval Grams, temporaries
-    of the sup), four (S, S) float matrices (gaps, Hilbert kernel and their
-    temporaries) and the (S, E) phase table with its two index arrays."""
+    n members, C = 2^MAX_LEVEL cells, E = C + 1 endpoints and blocks of
+    b = _BLOCK endpoints: the (C, n, n) interval Grams; 2 (b + 1) + C / b + 1
+    + 2 b complex (n, n) blocks (the block's truncated antiderivatives and
+    errors, the error at every block's last endpoint, the differences of the
+    finest level with their magnitudes, temporaries of the last checks); four
+    complex (S, b + 1, n) stacks (U, K0 U, one temporary of their size and a
+    conjugate of U) and two (S, n) (V and its conjugate); the (S, E) phase
+    table with its two index arrays; and four (S, S) float matrices (gaps,
+    Hilbert kernel and their temporaries)."""
     _require_integers(order=order, grid=grid)
     if order < 0:
         raise IndexOutOfRange(f"truncation order must be >= 0, got {order}")
@@ -255,12 +267,14 @@ def _check_demo(n_members: int, n_frequencies: int, order: int, grid: int) -> fl
         raise GridTooCoarse(
             f"grid must be a multiple of {1 << MAX_LEVEL} and at least {MIN_GRID}, got {grid}"
         )
-    ends, s, n = (1 << MAX_LEVEL) + 1, n_frequencies, n_members
-    mb = (16 * ends * (3 * s * n + 5 * n * n + 2 * s) + 32 * s * s) / 2**20
+    cells, rows, s, n = 1 << MAX_LEVEL, _BLOCK + 1, n_frequencies, n_members
+    blocks = 2 * rows + cells // _BLOCK + 1 + 2 * _BLOCK
+    mb = (16 * (n * n * (cells + blocks) + s * n * (4 * rows + 2) + 2 * s * (cells + 1)) + 32 * s * s) / 2**20
     if mb > MAX_STACK_MB:
         raise IndexOutOfRange(
-            f"{n} members over {s} frequencies need {mb:.0f} MB of arrays (three ({s}, {ends}, {n}) and five "
-            f"({ends}, {n}, {n}) complex stacks, four ({s}, {s}) float matrices), over the {MAX_STACK_MB} MB limit"
+            f"{n} members over {s} frequencies need {mb:.0f} MB of arrays (the ({cells}, {n}, {n}) interval "
+            f"Grams and {blocks} more ({n}, {n}) complex blocks, four ({s}, {rows}, {n}) complex stacks, four "
+            f"({s}, {s}) float matrices), over the {MAX_STACK_MB} MB limit"
         )
     return mb
 
@@ -274,12 +288,17 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
     K0[s, t] = 1 / (2 pi i (s - t)) off the diagonal, 0 on it (see
     :func:`_antiderivatives`).  F is evaluated at the 2^MAX_LEVEL + 1 dyadic
     endpoints, once for the target and once for the kept rows of V, and every
-    interval Gram is a difference of two of them.  ``grid`` is validated (a
-    multiple of 2^MAX_LEVEL, at least MIN_GRID) and echoed in the report, but
-    changes no number.  A family whose arrays would pass MAX_STACK_MB together
-    (as :func:`_check_demo` counts them) is refused with ``IndexOutOfRange``
-    before anything is allocated; one whose Grams pass the double range, with
-    ``NonFinite``.
+    interval Gram is a difference of two of them.  The endpoints are walked in
+    blocks of _BLOCK, each carrying over the last endpoint of the one before:
+    a block writes its finest interval Grams straight into the returned stack
+    and folds the differences of target and truncation into one running
+    maximum per dyadic level, for the levels whose intervals fit in a block;
+    the coarser levels difference the error kept at each block's last
+    endpoint.  ``grid`` is validated (a multiple of 2^MAX_LEVEL, at least
+    MIN_GRID) and echoed in the report, but changes no number.  A family whose
+    arrays would pass MAX_STACK_MB together (as :func:`_check_demo` counts
+    them) is refused with ``IndexOutOfRange`` before anything is allocated;
+    one whose Grams pass the double range, with ``NonFinite``.
     """
     n = len(target.members)
     # a family whose members are all empty still needs one (zero) row
@@ -290,23 +309,57 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
     # e^{-i s x_j} is the root of unity of s j modulo 2^MAX_LEVEL, reduced exactly
     roots = np.exp(-2j * np.pi / cells * np.arange(cells))
     phases = roots[(slots % cells)[:, None] * np.arange(cells + 1) % cells]
+    turns = (np.arange(cells + 1) / cells)[:, None]  # x_j / 2 pi
     gaps = np.subtract.outer(slots, slots).astype(float)
     hilbert = np.divide(1.0, 2.0 * np.pi * gaps, out=np.zeros_like(gaps), where=gaps != 0)
+    del gaps
     # the kept frequencies |s| <= order are one run of the sorted slots
     lo, hi = np.searchsorted(slots, -order), np.searchsorted(slots, order, side="right")
-    kept = slice(lo, hi)
+    truncated = (lo, hi) != (0, slots.size)
+    # interval j of level k runs from endpoint j h to endpoint (j + 1) h, h = 2^(MAX_LEVEL - k):
+    # levels with h <= _BLOCK lie inside a block, the coarser ones join the blocks' last endpoints
+    steps = [cells >> k for k in range(MAX_LEVEL + 1)]
+    sup = np.zeros(MAX_LEVEL + 1)  # np.maximum keeps a NaN, where max(0.0, nan) would drop it
+    stack = np.empty((cells, n, n), dtype=np.complex128)
+    # row 0 of a block holds its first endpoint a, carried over from the block before (the first
+    # block computes endpoint 0), and rows 1.. the endpoints a + 1 .. a + _BLOCK it computes
+    f_trunc = np.empty((_BLOCK + 1, n, n), dtype=np.complex128)
+    if truncated:
+        error = np.empty_like(f_trunc)
+        ends = np.empty((cells // _BLOCK + 1, n, n), dtype=np.complex128)
+
+    def spread(e, h):
+        return np.abs(e[h::h] - e[:-h:h]).max()
+
     # finite coefficients may still overflow a Gram: the checks below refuse that
     with np.errstate(over="ignore", invalid="ignore"):
-        u = phases[:, :, None] * v[:, None, :]
-        f_target = _antiderivatives(u, hilbert)
-        f_trunc = f_target if (lo, hi) == (0, slots.size) else _antiderivatives(u[kept], hilbert[kept, kept])
-        # interval j of level k runs from endpoint j h to endpoint (j + 1) h, h = 2^(MAX_LEVEL - k)
-        error = f_target - f_trunc
-        steps = [cells >> k for k in range(MAX_LEVEL + 1)]
-        sup_error = max(float(np.max(np.abs(error[h::h] - error[:-h:h]))) for h in steps)
-        stack = f_trunc[1:] - f_trunc[:-1]
+        for a in range(0, cells, _BLOCK):
+            first = 1 if a else 0  # the row of the first endpoint this block computes
+            if first:
+                f_trunc[0] = f_trunc[-1]
+                if truncated:
+                    error[0] = error[-1]
+            at = slice(a + first, a + _BLOCK + 1)
+            u = phases[:, at, None] * v[:, None, :]
+            _antiderivatives(u[lo:hi], hilbert[lo:hi, lo:hi], turns[at], f_trunc[first:])
+            if truncated:  # the target's antiderivatives, less f_trunc below
+                _antiderivatives(u, hilbert, turns[at], error[first:])
+            del u
+            np.subtract(f_trunc[1:], f_trunc[:-1], out=stack[a : a + _BLOCK])
+            if not truncated:
+                continue
+            np.subtract(error[first:], f_trunc[first:], out=error[first:])
+            ends[a // _BLOCK : a // _BLOCK + 2] = error[::_BLOCK]
+            for k, h in enumerate(steps):
+                if h <= _BLOCK:
+                    sup[k] = np.maximum(sup[k], spread(error, h))
+        if truncated:
+            for k, h in enumerate(steps):
+                if h > _BLOCK:
+                    sup[k] = spread(ends, h // _BLOCK)
+        sup_error = float(sup.max())
         full = stack.sum(axis=0)
-        consistency = v[kept].conj().T @ v[kept] - full
+        consistency = v[lo:hi].conj().T @ v[lo:hi] - full
     # an inf or nan anywhere in the stack reaches its sum, so two checks cover every field
     if not (math.isfinite(sup_error) and np.isfinite(consistency).all()):
         raise NonFinite("the family's interval Grams pass the double range")

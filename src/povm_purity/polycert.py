@@ -132,9 +132,13 @@ class PolyFamily:
             raise ValueError(f"unknown basis {self.basis!r}; one of {sorted(BASIS_INFO)}")
 
 
+# Python counts True as the integer 1, but no index, size or coefficient is a bool.
+_BOOLS = (bool, np.bool_)
+
+
 def _is_integer(v) -> bool:
     """An int or numpy integer; a bool is neither, though Python counts True as 1."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_))
+    return isinstance(v, (int, np.integer)) and not isinstance(v, _BOOLS)
 
 
 def _require_integers(**values) -> None:
@@ -195,12 +199,18 @@ def _read_exact(members) -> list[dict[int, tuple[int, int]]]:
     is exact: one ``np.frexp`` over the real and imaginary parts of all of
     them writes each part as an odd integer times a power of two.  Per member
     the common power of two and the content (gcd of every part) are divided
-    out, and zero entries are dropped.  A NaN or infinite part is refused with
-    ``NonFinite``, naming the first such member and index.
+    out, and zero entries are dropped.  A bool, which would pass as an
+    integer, is refused with ``NonFinite`` before any value is read, and so is
+    a NaN or infinite part after; each error names the first such member and
+    index.
     """
     out, read = [], []  # read: the members read as doubles, in order
-    for m in members:
-        if all(issubclass(t, (int, np.integer)) for t in set(map(type, m.values()))):
+    for n, m in enumerate(members):
+        types = set(map(type, m.values()))
+        if not types.isdisjoint(_BOOLS):
+            k = next(k for k, v in m.items() if isinstance(v, _BOOLS))
+            raise NonFinite(f"member {n}: coefficient {m[k]!r} at index {k} is not a finite number")
+        if all(issubclass(t, (int, np.integer)) for t in types):
             g = max(math.gcd(*map(int, m.values())), 1)
             out.append({k: (int(v) // g, 0) for k, v in m.items() if v})
         else:

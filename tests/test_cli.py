@@ -1,8 +1,10 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from povm_purity import __version__, phase
 from povm_purity.cli import main
+from povm_purity.errors import IndexOutOfRange
 from povm_purity.extremality import purity_verdict
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
 from povm_purity.linalg import opnorm
@@ -381,7 +384,7 @@ def test_untolerant_commands_reject_tolerance_flags(capsys, argv, flag):
 
 
 def test_phase_demo_member_bound_is_a_typed_error(capsys):
-    # 1100 members need about 9.6 GB of demo arrays
+    # 1100 members need about 2.7 GB of demo arrays
     code, doc = run(capsys, "phase-demo", "--M", "4", "--target", "single-mode", "--members", "1100")
     assert code == 1
     assert doc["error"]["kind"] == "IndexOutOfRange"
@@ -403,8 +406,9 @@ def test_phase_demo_refuses_huge_families_before_building_them(capsys, argv):
 
 
 WIDE_SUPPORT_DETAIL = (
-    "2 members over 600001 frequencies need 10991126 MB of arrays (three (600001, 65, 2) and five "
-    "(65, 2, 2) complex stacks, four (600001, 600001) float matrices), over the 256 MB limit"
+    "2 members over 600001 frequencies need 10988251 MB of arrays (the (64, 2, 2) interval Grams and 43 "
+    "more (2, 2) complex blocks, four (600001, 9, 2) complex stacks, four (600001, 600001) float matrices), "
+    "over the 256 MB limit"
 )
 
 
@@ -418,6 +422,50 @@ def test_phase_demo_refuses_a_wide_support_before_building_the_family(capsys):
     assert doc == {"error": {"kind": "IndexOutOfRange", "detail": WIDE_SUPPORT_DETAIL}}
 
 
+@pytest.mark.parametrize("argv, fits", [
+    (("--target", "single-mode", "--members", "337"), True),
+    (("--target", "single-mode", "--members", "338"), False),
+    (("--members", "2", "--ratio", "0.999", "--support", "1422"), True),  # 2845 frequencies
+    (("--members", "2", "--ratio", "0.999", "--support", "1423"), False),  # 2847 frequencies
+])
+def test_phase_demo_early_refusal_agrees_with_the_library_at_the_threshold(capsys, monkeypatch, argv, fits):
+    """At the largest demo that fits and one past it, the CLI's count from the
+    arguments, before the family is built, and the demo's own count on the
+    built family decide alike, with the same megabytes and text.  A sentinel
+    stops each count that passes, so nothing is allocated."""
+
+    class Counted(Exception):
+        pass
+
+    count = phase._check_demo
+
+    def check(*args):
+        raise Counted(count(*args))
+
+    monkeypatch.setattr(phase, "_check_demo", check)
+    args = dict(zip(argv[::2], argv[1::2]))
+    members = int(args["--members"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(Counted) if fits else contextlib.nullcontext() as early:
+            assert main(["phase-demo", "--M", "4", *argv]) == 1
+        fam = (phase.single_mode_family(members) if "--target" in args
+               else phase.geometric_tail_family(members, float(args["--ratio"]), int(args["--support"])))
+        with pytest.raises(Counted if fits else IndexOutOfRange) as late:
+            phase.phase_truncation_demo(fam, 4, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if fits:
+        assert early.value.args == late.value.args
+        assert late.value.args[0] <= phase.MAX_STACK_MB
+    else:
+        detail = json.loads(capsys.readouterr().out)["error"]
+        assert detail == {"kind": "IndexOutOfRange", "detail": str(late.value)}
+        assert f"{members} members over " in detail["detail"]
+    assert peak < 4 * 2**20  # the family's dicts; the counted arrays are about 256 MB
+
+
 def test_phase_demo_refuses_a_long_tail_before_building_the_family(capsys):
     # ratio^(support + members) is below 2^-500, yet every coefficient survives
     # normalization: building the 800001-coefficient member took about 1 s
@@ -427,8 +475,9 @@ def test_phase_demo_refuses_a_long_tail_before_building_the_family(capsys):
     assert time.perf_counter() - start < 0.2
     assert code == 1
     assert doc == {"error": {"kind": "IndexOutOfRange", "detail": (
-        "1 members over 800001 frequencies need 19535266 MB of arrays (three (800001, 65, 1) and five "
-        "(65, 1, 1) complex stacks, four (800001, 800001) float matrices), over the 256 MB limit")}}
+        "1 members over 800001 frequencies need 19533350 MB of arrays (the (64, 1, 1) interval Grams and 43 "
+        "more (1, 1) complex blocks, four (800001, 9, 1) complex stacks, four (800001, 800001) float matrices), "
+        "over the 256 MB limit")}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -438,7 +487,8 @@ def test_phase_demo_refuses_a_long_tail_before_building_the_family(capsys):
     ("--target", "single-mode", "--members", "400"),
     ("--target", "single-mode", "--members", "400", "--grid", "100"),
     ("--members", "1100", "--support", "0"),
-    ("--members", "40", "--ratio", "0.5", "--support", "1000000"),
+    # 100 members over 2248 frequencies: 305 MB (40 members, 204 MB, now fit)
+    ("--members", "100", "--ratio", "0.5", "--support", "1000000"),
 ])
 def test_phase_demo_early_refusal_has_the_demos_bytes(capsys, monkeypatch, argv):
     """The refusal before building prints what the demo prints on the built family."""

@@ -16,9 +16,10 @@ from povm_purity.errors import (
     NonFinite,
     NonIntegerIndex,
 )
-from povm_purity import polycert
+from povm_purity import phase, polycert
 from povm_purity.linalg import opnorm
 from povm_purity.phase import (
+    _BLOCK,
     MAX_LEVEL,
     MAX_MEMBERS,
     MAX_STACK_MB,
@@ -72,6 +73,20 @@ def test_fourier_family_bounds_frequencies_at_2_53():
     for key in (2**53 + 1, -(10**20), 2.0**60):
         with pytest.raises(IndexOutOfRange, match="member 1: frequency .* past 2\\^53"):
             fourier_family([{0: 1.0}, {key: 1.0}])
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_fourier_family_refuses_bool_frequencies(flag):
+    # int(True) == True: it would pass as frequency 1
+    with pytest.raises(NonIntegerIndex, match="member 0: frequency .* is not an integer"):
+        fourier_family([{flag: 1.0}])
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_fourier_family_refuses_bool_coefficients(flag):
+    # complex(True) is 1; a False coefficient is refused too, not dropped as a zero
+    with pytest.raises(NonFinite, match=f"member 1: coefficient {flag!r} at frequency 0 is not a finite number"):
+        fourier_family([{0: 1.0}, {0: flag}])
 
 
 @pytest.mark.parametrize("big", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"])
@@ -327,15 +342,17 @@ def test_demo_rejects_bad_grids():
 
 
 def test_demo_bounds_its_stacks_before_allocating():
-    # 400 members over 400 frequencies: 1275 MB of demo arrays
-    with pytest.raises(IndexOutOfRange, match=r"400 members over 400 frequencies need 1275 MB .*\(400, 65, 400\)"):
+    # 400 members over 400 frequencies: 360 MB of demo arrays
+    with pytest.raises(IndexOutOfRange, match=r"400 members over 400 frequencies need 360 MB .*\(400, 9, 400\)"):
         phase_truncation_demo(single_mode_family(400), 2, MIN_GRID)
-    assert _check_demo(179, 179, 2, MIN_GRID) <= MAX_STACK_MB
-    with pytest.raises(IndexOutOfRange, match="180 members"):
-        _check_demo(180, 180, 2, MIN_GRID)
-    # a wide frequency support costs its (S, S) float matrices: 2001 frequencies
-    # for 2 members fit, 6001 do not
-    assert 4 * 2001 * 2001 * 8 / 2**20 < _check_demo(2, 2001, 2, MIN_GRID) <= MAX_STACK_MB
+    assert _check_demo(337, 337, 2, MIN_GRID) <= MAX_STACK_MB
+    with pytest.raises(IndexOutOfRange, match="338 members"):
+        _check_demo(338, 338, 2, MIN_GRID)
+    # a wide frequency support costs its (S, S) float matrices: 2845 frequencies
+    # for 2 members fit, 2846 do not
+    assert 4 * 2845 * 2845 * 8 / 2**20 < _check_demo(2, 2845, 2, MIN_GRID) <= MAX_STACK_MB
+    with pytest.raises(IndexOutOfRange, match="2846 frequencies"):
+        _check_demo(2, 2846, 2, MIN_GRID)
     with pytest.raises(IndexOutOfRange, match="6001 frequencies"):
         phase_truncation_demo(geometric_tail_family(2, ratio=0.999, support=3000), 2, MIN_GRID)
 
@@ -408,7 +425,9 @@ def test_full_circle_gram_matches_coefficient_gram():
 
 @pytest.mark.filterwarnings("error")
 def test_demo_refuses_grams_past_the_double_range():
-    # finite coefficients whose Grams overflow: a typed error, not an SVD failure
+    # finite coefficients whose Grams overflow: a typed error, not an SVD failure.
+    # At order 0 the kept Grams are finite and only the sup sees the overflow
+    # (inf on the whole circle, NaN on every finer level)
     fam = fourier_family([{0: 1.0, 1: 1e308}, {1: 1e308}])
     for order in (0, 1, 4):
         with pytest.raises(NonFinite, match="double range"):
@@ -543,6 +562,58 @@ def test_demo_agrees_with_the_toeplitz_reference(data):
         assert abs(getattr(report, field) - expect[field]) <= 1e-13, field
     if order >= max(reach):
         assert report.sup_error == 0.0
+
+
+@seed(SEED)
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_streamed_demo_agrees_with_the_toeplitz_reference(data):
+    """The demo walks the endpoints _BLOCK at a time; every field stays within
+    1e-13 of the (127, S, S) Toeplitz stacks on sparse supports whose gaps
+    collide modulo 2^MAX_LEVEL (their frequencies share one phase table row),
+    single-slot and all-zero members, one member, fewer frequencies than a
+    block, order 0 and orders past the support."""
+    residue = data.draw(st.integers(-40, 40))
+    colliding = st.integers(-20, 20).map(lambda k: residue + (k << MAX_LEVEL))
+    few = st.integers(-(_BLOCK // 2) + 1, _BLOCK // 2 - 1)  # at most _BLOCK - 1 frequencies
+    frequency = data.draw(st.sampled_from([colliding, few]))
+    member = st.one_of(
+        st.dictionaries(frequency, _coefficient, max_size=6),
+        st.builds(lambda s, c: {s: c}, frequency, _coefficient),
+        st.dictionaries(frequency, st.just(0.0), max_size=3),
+    )
+    fam = fourier_family(data.draw(st.lists(member, min_size=1, max_size=5)))
+    top = max([abs(s) for m in fam.members for s in m], default=0)
+    order = data.draw(st.sampled_from([0, top, top + 1, 10**6]) | st.integers(0, top))
+    report = phase_truncation_demo(fam, order, MIN_GRID)
+    expect = _reference_demo(fam, order)
+    assert report.truncated_gram.shape == expect["truncated_gram"].shape
+    assert np.max(np.abs(report.truncated_gram - expect["truncated_gram"])) <= 1e-13
+    for field in ("sup_error", "unital_defect", "gram_consistency_defect"):
+        assert abs(getattr(report, field) - expect[field]) <= 1e-13, field
+    if order >= top:
+        assert report.sup_error == 0.0
+
+
+@pytest.mark.parametrize("endpoint", [0, 1, 3, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 32, 63, 64])
+def test_a_nan_at_one_endpoint_reaches_sup_error(monkeypatch, endpoint):
+    """A NaN in the target's antiderivative at one endpoint, with the kept
+    one finite, reaches only the levels whose intervals end there (just the
+    finest for an odd endpoint); the running maximum of each level must keep
+    it, where max(0.0, nan) would drop it."""
+    fam = fourier_family([{0: 1.0, 1: 0.5}, {-1: 0.25, 0: 1.0}])  # order 0 keeps one of three rows
+    antiderivatives = phase._antiderivatives
+
+    def poisoned(u, hilbert, at, out):
+        antiderivatives(u, hilbert, at, out)
+        if u.shape[0] == 3:
+            out[at[:, 0] * (1 << MAX_LEVEL) == endpoint] = np.nan
+        return out
+
+    assert phase_truncation_demo(fam, 0, MIN_GRID).sup_error > 0.0
+    monkeypatch.setattr(phase, "_antiderivatives", poisoned)
+    with pytest.raises(NonFinite, match="double range"):
+        phase_truncation_demo(fam, 0, MIN_GRID)
 
 
 def test_sup_error_reaches_the_finest_intervals():

@@ -16,7 +16,7 @@ from numpy.polynomial import polynomial as poly
 
 from povm_purity.bases import _hermite_member
 from povm_purity.errors import EmptyFamily, IndexOutOfRange, NonFinite, NonIntegerIndex
-from povm_purity.phase import fourier_family, fourier_span_certificate, geometric_tail_family, single_mode_family
+from povm_purity.phase import FourierFamily, fourier_family, fourier_span_certificate, geometric_tail_family, single_mode_family
 from povm_purity import polycert
 from povm_purity.polycert import (
     _SQRT_M1,
@@ -791,6 +791,23 @@ def test_non_finite_coefficients_are_refused_before_either_route(monkeypatch, ba
     fam = PolyFamily(basis="monomial", members=(np.array([1.0]), np.array([0.0, 2.0, bad])), max_degree=2)
     with pytest.raises(NonFinite, match="member 1: coefficient .* at index 2 is not a finite number"):
         product_span_certificate(fam, 4)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_bool_coefficients_are_refused_before_either_route(monkeypatch, flag):
+    # a bool would be read as the integer 1, among integers and among doubles alike
+    def refuse(*args):
+        raise AssertionError("reached a route")
+
+    monkeypatch.setattr(ProductRows, "leading", refuse)
+    _refuse_the_ladder(monkeypatch)
+    fam = PolyFamily(basis="monomial", members=(np.array([1.0]), np.array([0.0, 2.0, 1.0])), max_degree=2,
+                     scaled=((1,), (0, 2, flag)))
+    with pytest.raises(NonFinite, match=f"member 1: coefficient {flag!r} at index 2 is not a finite number"):
+        product_span_certificate(fam, 4)
+    fam = FourierFamily(members=({0: 1.0}, {-1: 0.5, 3: flag}))
+    with pytest.raises(NonFinite, match=f"member 1: coefficient {flag!r} at index 3 is not a finite number"):
+        fourier_span_certificate(fam, 2)
 
 
 def test_rational_reconstruction():
