@@ -36,15 +36,18 @@ reached by the first of these steps that decides it:
   prefix of C's columns has rank at most A's (random compression for rank;
   Cheung, Kwok and Lau, J. ACM 60(5) (2013)), and full column rank of C
   proves every slot covered;
-* lifted deficit: else the echelon of that same ladder (complex rows: of
-  their realified exact rows, compressed by a random R) gives each column that gains
-  no rank its coordinates on the earlier pivot columns, lifted to small
-  rationals (Wang, Guy and Davenport, SIGSAM Bull. 16(2) (1982)) and
-  checked in Python integers as bilinear forms conj(m_i)^T W m_j of the
-  members, W the Hankel (polynomial) or Toeplitz (Fourier) matrix of the
-  weights, so a real family builds no exact row.  Should any lift fail, a
-  fraction-free pass over the integers (Bareiss) on the slots-by-slots
-  Gram A^T A of the exact rows names the missing slots.
+* lifted deficit: else the echelon of that same ladder gives each column
+  that gains no rank its coordinates on the earlier pivot columns, lifted
+  to small rationals (Wang, Guy and Davenport, SIGSAM Bull. 16(2) (1982))
+  and checked in Python integers as bilinear forms conj(m_i)^T W m_j of
+  the members, W the Hankel (polynomial) or Toeplitz (Fourier) matrix of
+  the Gaussian weights, so no exact row is built.  Complex rows are
+  laddered under both square roots of -1, whose two images give each
+  coordinate's real and imaginary part.  Should a lift fail, the listed
+  rows themselves are laddered modulo further primes, the coordinates of
+  the largest ladder combined by the Chinese remainder theorem, until a
+  lift holds, which a finite number of primes ensures (see
+  :func:`_lifted`).
 
 No tolerance enters.
 
@@ -80,27 +83,21 @@ __all__ = [
 VERDICT_CERTIFIED = "certified"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-# A prime = 1 (mod 4), so i maps to a square root of -1 modulo it; products
+# A prime = 5 (mod 8), so i maps to a square root of -1 modulo it; products
 # of two residues stay below 2^62, inside int64.
 PRIME = 2**31 - 19
-# 2 is a non-residue because PRIME = 5 (mod 8), so 2^((PRIME-1)/4) squares to -1.
+# 2 is a non-residue modulo a prime = 5 (mod 8), so 2^((p-1)/4) squares to -1.
 _SQRT_M1 = pow(2, (PRIME - 1) // 4, PRIME)
 
-# The compression (``_compressed``): rows of A per float product (at most
-# 2^21, so sums of terms below 2^32 stay below 2^53); and the seed of its
-# random R and of the random combinations of :meth:`ProductRows.sketch`.
-_COMPRESS_CHUNK = 2048
+# The seed of the random combinations of :meth:`ProductRows.sketch`.
 _COMPRESS_SEED = 20130901
-# The lifted dependencies (``_lifted``): numerators and denominators up to
-# floor(sqrt(PRIME / 2)), so a residue has at most one such fraction.
-_LIFT_BOUND = math.isqrt(PRIME // 2)
 
 # The rows of :meth:`ProductRows.sketch` go in blocks whose float gather takes
 # about this many MB: a block that stays in cache is faster than one large
 # product, and the sketch's peak stays below that of the rows it replaces.
 _SKETCH_BLOCK_MB = 4
-# Largest block one stack of intermediate rows may take (the exact row block
-# here, and each array of the sketch), and the most the arrays of the phase
+# Largest block one stack of intermediate rows may take (the residues of the
+# listed rows, and each array of the sketch), and the most the arrays of the phase
 # demo may take together.
 MAX_STACK_MB = 256
 
@@ -269,8 +266,9 @@ class ProductRows:
     (integers as they are, doubles as the doubles they hold), here.
     Certifying builds no row: :meth:`leading` reads only each member's least
     and greatest index, and :meth:`sketch` multiplies random combinations of
-    the members, whose residues modulo PRIME it takes on first use.  Only a
-    deficit reads the members' Python-int object arrays, built on first use.
+    the members' residues.  Only a deficit
+    reads the members' Python-int object arrays, built on first use, and
+    only a failed lift gives :meth:`sketch` every listed row.
     Members over 2^21 or more indices, and families whose (members,
     support + 1) object arrays would pass MAX_STACK_MB, are refused with
     ``IndexOutOfRange`` before any coefficient is read.
@@ -298,26 +296,26 @@ class ProductRows:
         rlo, rhi = self._halves[1]
         self.count = n * (n + 1) // 2 if self._symmetric else n * (rhi - rlo)
 
-    @cached_property
-    def _entries(self) -> list[tuple]:
-        """Per half: (member - lo, residue, the positions present, where each
-        starts) for every entry, sorted by support position, the residue that
-        of the conjugate for the left half; read by :meth:`sketch` only."""
+    def _residues(self, prime: int, root: int) -> list[tuple]:
+        """Per half: (member - lo, support position, residue) of every entry,
+        sorted by position, and where each position starts.  The residues
+        are modulo ``prime`` with i taken to ``root``, those of the conjugate
+        for the left half.  Read by :meth:`sketch` only, and not kept: no
+        certificate sketches twice under one (prime, root)."""
         member = np.repeat(np.arange(len(self._exact)), [len(m) for m in self._exact])
         position = np.searchsorted(self._support, [s for m in self._exact for s in m]).astype(np.intp)
         values = [z for m in self._exact for z in m.values()]
         re, im = zip(*values) if values else ((), ())
-        re = np.array([a % PRIME for a in re], dtype=np.int64)
-        im = np.zeros_like(re) if self.real else np.array([b % PRIME for b in im], dtype=np.int64)
+        re = np.array([a % prime for a in re], dtype=np.int64)
+        im = np.zeros_like(re) if self.real else np.array([b % prime for b in im], dtype=np.int64)
         order = np.argsort(position, kind="stable")
         member, position = member[order], position[order]
-        residues = ((re - _SQRT_M1 * im)[order] % PRIME, (re + _SQRT_M1 * im)[order] % PRIME)
+        residues = ((re - root * im)[order] % prime, (re + root * im)[order] % prime)
         entries = []
         for (lo, hi), res in zip(self._halves, residues):
             keep = (lo <= member) & (member < hi)
             at = position[keep]
-            starts = np.flatnonzero(np.diff(at, prepend=-1))
-            entries.append((member[keep] - lo, res[keep], at[starts], starts))
+            entries.append((member[keep] - lo, at, res[keep], np.flatnonzero(np.diff(at, prepend=-1))))
         return entries
 
     def check_slots(self, n_slots: int) -> None:
@@ -403,56 +401,81 @@ class ProductRows:
                 return True
         return False
 
-    def sketch(self, meet: np.ndarray) -> np.ndarray:
-        """The random rows C over the slots of ``meet``, modulo PRIME (int64).
+    def sketch(self, meet: np.ndarray, prime: int, root: int, every: bool = False) -> np.ndarray:
+        """Rows over the slots of ``meet``, modulo ``prime`` with i taken to
+        ``root`` (int64): random combinations of the listed rows, or with
+        ``every`` the listed rows themselves, in order.
 
-        Row r is conj(u_r) * w_r, for u_r = sum_i a[r, i] m_i over the left
-        members and w_r = sum_j b[r, j] r_j over the right ones, a and b drawn
-        below 2^16 from one generator seeded with _COMPRESS_SEED, row by row.
-        So each row of C is sum_ij a[r, i] b[r, j] conj(m_i) * r_j, a
-        combination of the listed rows, and every prefix of C's columns has
-        rank at most theirs (random compression for rank; Cheung, Kwok and
-        Lau, J. ACM 60(5) (2013)).  C has slots + 8 rows, or count + 8 when
-        fewer rows are listed than slots, so it is never taller than needed.
-        The products are exact in floats: a sum of support-many products of a
-        residue of u_r and a ``bits``-bit limb of w_r stays below 2^53.  Rows
-        go in blocks of about _SKETCH_BLOCK_MB, one row at least; one row's
-        arrays are within MAX_STACK_MB once the object arrays and the meet
-        array are (see :meth:`check_slots`).
+        Row r is conj(u_r) * w_r.  With ``every``, u_r and w_r are the left
+        and the right member of listed row r.  Else u_r = sum_i a[r, i] m_i
+        over the left members and w_r = sum_j b[r, j] r_j over the right
+        ones, a and b drawn below 2^16 from one generator seeded with
+        _COMPRESS_SEED, row by row, so row r is sum_ij a[r, i] b[r, j]
+        conj(m_i) * r_j, a combination of the listed rows, and every prefix
+        of the sketch's columns has rank at most theirs (random compression
+        for rank; Cheung, Kwok and Lau, J. ACM 60(5) (2013)).  The random
+        rows number slots + 8, or count + 8 when fewer rows are listed than
+        slots, so the sketch is never taller than needed.  The products are
+        exact in floats: a sum of support-many products of a residue of u_r
+        and a ``bits``-bit limb of w_r stays below 2^53 for a prime below
+        2^31.  Rows go in blocks of about _SKETCH_BLOCK_MB, one row at least,
+        each gathering only its own members; one row's arrays are within
+        MAX_STACK_MB once the object arrays and the meet array are (see
+        :meth:`check_slots`).
         """
         slots, support = meet.shape[1], len(self._support)
-        height = min(slots, self.count) + 8
         bits = 22 - support.bit_length()
         count = -(-31 // bits)
         left, right = (hi - lo for lo, hi in self._halves)
-        widths = (left + right, *(e[0].size for e in self._entries), support * max(slots, count))
+        entries = self._residues(prime, root)
+        widths = [support * max(slots, count)]
+        if every:
+            height = self.count
+            lhs, rhs = (np.zeros((hi - lo, support + 1), dtype=np.int64) for lo, hi in self._halves)
+            for dense, (member, at, res, _) in zip((lhs, rhs), entries):
+                dense[member, at] = res
+            # the first listed row of each left member; a symmetric family lists the pairs i <= j
+            i = np.arange(left)
+            firsts = i * right - (i * (i - 1) // 2 if self._symmetric else 0)
+
+            def members(start: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+                listed = np.arange(start, start + rows)
+                i = np.searchsorted(firsts, listed, side="right") - 1
+                return lhs[i], rhs[listed - firsts[i] + (i if self._symmetric else 0)]
+        else:
+            height = min(slots, self.count) + 8
+            widths += [left + right, *(e[0].size for e in entries)]
+            rng = random.Random(_COMPRESS_SEED)  # importing numpy.random would cost more than most certificates
+
+            def members(start: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+                draws = np.frombuffer(rng.randbytes(2 * rows * (left + right)), dtype="<u2").reshape(rows, -1)
+                draws = draws.astype(np.int64)
+                return (self._combine(draws[:, :left], entries[0], prime),
+                        self._combine(draws[:, left:], entries[1], prime))
         block = max(1, int(_SKETCH_BLOCK_MB * 2**20) // (8 * max(widths)))
-        rng = random.Random(_COMPRESS_SEED)
         out = np.empty((height, slots), dtype=np.int64)
         for start in range(0, height, block):
             rows = min(block, height - start)
-            draws = np.frombuffer(rng.randbytes(2 * rows * (left + right)), dtype="<u2").reshape(rows, -1)
-            draws = draws.astype(np.int64)
-            u = self._combine(draws[:, :left], self._entries[0]).astype(float)
-            w = self._combine(draws[:, left:], self._entries[1])[:, :-1]
+            u, w = members(start, rows)
+            w = w[:, :-1]
             limbs = np.stack([(w >> (bits * k)) & ((1 << bits) - 1) for k in range(count)], axis=1)
-            parts = (limbs.astype(float) @ u[:, meet]).astype(np.int64) % PRIME  # [r, limb, slot]
+            parts = (limbs.astype(float) @ u.astype(float)[:, meet]).astype(np.int64) % prime  # [r, limb, slot]
             acc = parts[:, -1]
             for k in range(count - 2, -1, -1):
-                acc = ((acc << bits) + parts[:, k]) % PRIME
+                acc = ((acc << bits) + parts[:, k]) % prime
             out[start : start + rows] = acc
         return out
 
-    def _combine(self, draws: np.ndarray, entries: tuple) -> np.ndarray:
-        """sum_i draws[:, i] m_i modulo PRIME over the support, plus one zero
-        column for "no term", for the members and residues of ``entries``."""
-        member, residues, present, starts = entries
+    def _combine(self, draws: np.ndarray, entries: tuple, prime: int) -> np.ndarray:
+        """sum_i draws[:, i] m_i modulo ``prime`` over the support, plus one
+        zero column for "no term", for the members and residues of ``entries``."""
+        member, at, residues, starts = entries
         out = np.zeros((len(draws), len(self._support) + 1), dtype=np.int64)
         if member.size:
             terms = draws[:, member] * residues  # below 2^47
             if draws.shape[1] >= 2**16:  # a sum at one position stays below 2^63 only for fewer members
-                terms %= PRIME
-            out[:, present] = np.add.reduceat(terms, starts, axis=1) % PRIME
+                terms %= prime
+            out[:, at[starts]] = np.add.reduceat(terms, starts, axis=1) % prime
         return out
 
     @cached_property
@@ -467,9 +490,10 @@ class ProductRows:
                 re[i, pos[s]], im[i, pos[s]] = a, b
         return re, im
 
-    def annihilate(self, meet: np.ndarray, weights: np.ndarray) -> bool:
-        """Whether sum_k weights[k, f] row[k] = 0 on every listed row, for each
-        column f of the Python-int ``weights`` over the slots of ``meet``.
+    def annihilate(self, meet: np.ndarray, weights: tuple) -> bool:
+        """Whether sum_k w[k, f] row[k] = 0 on every listed row, for each
+        column f of the Gaussian weights ``weights`` = (re, im) over the slots
+        of ``meet``: Python-int object arrays, im None when zero.
 
         Row (i, j) against weights w is the bilinear form conj(m_i)^T W r_j,
         W[s, t] = w_k where s + sign * t = slots[k] (Hankel for sign +1,
@@ -477,55 +501,21 @@ class ProductRows:
         out the rows: conj(m_i)^T W for a block of left members, then its
         product with every right member (on a symmetric family the pair
         (j, i) gives the row of (i, j)).  The blocks keep each object array
-        within MAX_STACK_MB.  Weights over the realified columns of complex
-        rows (see :meth:`exact`) pair up as z_k = w_2k - i w_2k+1, as z . r = 0
-        is both realified rows of r vanishing.
+        within MAX_STACK_MB.
         """
         (lo, hi), (rlo, rhi) = self._halves
         re, im = self._objects
         complex_rows = not self.real
-        z = (weights[0::2], -weights[1::2]) if complex_rows else (weights, None)
         right = (re[rlo:rhi, :-1], im[rlo:rhi, :-1] if complex_rows else None)
-        widest = max(meet.shape[0] * weights.shape[0], (rhi - rlo) * weights.shape[1], 1)
+        widest = max(meet.shape[0] * weights[0].shape[0], (rhi - rlo) * weights[0].shape[1], 1)
         block = max(1, int(MAX_STACK_MB * 2**20) // (8 * widest))
         for start in range(lo, hi, block):
             part = slice(start, min(start + block, hi))
             conj = (re[part][:, meet], -im[part][:, meet] if complex_rows else None)
-            form = _gaussian_matmul(conj, z)  # [i, t, f]: (conj(m_i)^T W_f)[t]
+            form = _gaussian_matmul(conj, weights)  # [i, t, f]: (conj(m_i)^T W_f)[t]
             if any(p is not None and p.any() for p in _gaussian_matmul(right, form)):
                 return False
         return True
-
-    def exact(self, meet: np.ndarray) -> np.ndarray:
-        """The listed rows over the slots of ``meet`` as Python ints, left
-        member by left member, refused with ``IndexOutOfRange`` before they are
-        built when they would pass MAX_STACK_MB.
-
-        Complex rows are realified: row r gives (Re r, Im r) and i*r gives
-        (-Im r, Re r), columns interleaved, so slot k gains rank over Q(i)
-        exactly when real column 2k gains rank over Q.
-        """
-        k = 1 if self.real else 2
-        shape = (k * self.count, k * meet.shape[1])
-        _check_stack(f"{self.count} product rows over {meet.shape[1]} slots", "exact row block", shape, 8)
-        (lo, hi), (rlo, rhi) = self._halves
-        re, im = self._objects
-        rr, ri = re[rlo:rhi, :-1], im[rlo:rhi, :-1]
-        out = np.zeros(shape, dtype=object)
-        at = 0
-        for i in range(lo, hi):
-            a, b = re[i][meet], -im[i][meet]  # conj(m_i)
-            js = slice(i if self._symmetric else 0, None)  # the right members paired with m_i
-            n = rr[js].shape[0]
-            if self.real:
-                out[at : at + n] = rr[js] @ a
-            else:
-                x, y = rr[js] @ a - ri[js] @ b, rr[js] @ b + ri[js] @ a
-                out[at : at + n, 0::2], out[at : at + n, 1::2] = x, y
-                out[self.count + at : self.count + at + n, 0::2] = -y
-                out[self.count + at : self.count + at + n, 1::2] = x
-            at += n
-        return out
 
 
 def _gaussian_matmul(a: tuple, b: tuple) -> tuple:
@@ -536,135 +526,156 @@ def _gaussian_matmul(a: tuple, b: tuple) -> tuple:
     return re, sum(im[1:], im[0]) if im else None
 
 
-def _pivot_columns(a: np.ndarray, modulus: int | None = None, echelon: list | None = None) -> list[bool]:
-    """Which columns gain rank as columns enter left to right.
+def _pivot_columns(a: np.ndarray, modulus: int, echelon: list | None = None) -> list[bool]:
+    """Which columns of the int64 residues ``a`` gain rank over GF(modulus)
+    as columns enter left to right.
 
     Column j gains rank exactly when some combination of rows vanishes on the
     columns before j and not at j, i.e. when it gets a pivot in a
-    column-ordered elimination.  int64 residues are eliminated over
-    GF(modulus); Python ints (``modulus`` None) fraction-free over the
-    integers (Bareiss, Math. Comp. 22 (1968)), which decides the same over Q.
-    Given a list ``echelon``, the modular branch appends each pivot row as
-    (j, its entries past j over the pivot): a row echelon form of ``a``.
-    The elimination overwrites ``a``.
+    column-ordered elimination.  Given a list ``echelon``, each pivot row is
+    appended as (j, its entries past j over the pivot): a row echelon form
+    of ``a``.  The elimination overwrites ``a``.
     """
     covered = []
-    if modulus is not None:
-        m = a.shape[0]  # a[:m] are the rows still in the elimination
-        for j in range(a.shape[1]):
-            k = int(a[:m, j].argmax()) if m else 0
-            covered.append(m > 0 and a[k, j] != 0)
-            if not covered[-1]:
-                continue
-            tail = a[k, j + 1 :] * pow(int(a[k, j]), -1, modulus) % modulus
-            if echelon is not None:
-                echelon.append((j, tail))
-            m -= 1
-            a[k] = a[m]  # a pivot row leaves the elimination; the last live row takes its place
-            rest = a[:m, j + 1 :]
-            # residues times residues stay below 2^62, so one reduction suffices
-            rest -= a[:m, j, None] * tail
-            rest %= modulus
-        return covered
-    prev = 1
+    m = a.shape[0]  # a[:m] are the rows still in the elimination
     for j in range(a.shape[1]):
-        nz = np.flatnonzero(a[:, j])
-        covered.append(nz.size > 0)
-        if nz.size == 0:
+        k = int(a[:m, j].argmax()) if m else 0
+        covered.append(m > 0 and a[k, j] != 0)
+        if not covered[-1]:
             continue
-        k = nz[0]
-        pivot, tail = a[k, j], a[k, j + 1 :].copy()
-        a[k] = 0  # a pivot row leaves the elimination
-        # every entry stays a minor of the input, so the division is exact
-        a[:, j + 1 :] = (a[:, j + 1 :] * pivot - a[:, j, None] * tail) // prev
-        prev = pivot
+        tail = a[k, j + 1 :] * pow(int(a[k, j]), -1, modulus) % modulus
+        if echelon is not None:
+            echelon.append((j, tail))
+        m -= 1
+        a[k] = a[m]  # a pivot row leaves the elimination; the last live row takes its place
+        rest = a[:m, j + 1 :]
+        # residues times residues stay below 2^62, so one reduction suffices
+        rest -= a[:m, j, None] * tail
+        rest %= modulus
     return covered
 
 
-def _compressed(a: np.ndarray) -> np.ndarray:
-    """The block to eliminate in place of the int64 residues A (N rows, S
-    columns) of the realified exact rows of a complex family with a deficit:
-    C = R A modulo PRIME, for a fixed-seed random R of S + 8 rows, when A has
-    more than (S + 8) S nonzeros; A itself otherwise, as a sparse block
-    eliminates faster than its dense compression.
-
-    Every prefix of C's columns has modular rank at most that of A, for any R
-    (random compression for rank; Cheung, Kwok and Lau, J. ACM 60(5) (2013)),
-    so a full-rank C proves every slot covered and an unlucky R can only hide
-    rank, never invent it.  C is exact: R has entries below 2^16 and A is
-    split into 16-bit limbs, so each float product over a chunk of
-    _COMPRESS_CHUNK rows sums terms below 2^32 to less than _COMPRESS_CHUNK
-    2^32 < 2^53.  Each chunk of R is drawn from one generator seeded with
-    _COMPRESS_SEED, so R never exists whole.  It is the standard library's:
-    importing numpy.random would cost the first certificate of a process more
-    than most certificates take.
-    """
-    n, s = a.shape
-    if np.count_nonzero(a) <= (s + 8) * s:
-        return a
-    rng = random.Random(_COMPRESS_SEED)
-    c = np.zeros((s + 8, 2 * s), dtype=np.int64)
-    for start in range(0, n, _COMPRESS_CHUNK):
-        chunk = a[start : start + _COMPRESS_CHUNK]
-        r = np.frombuffer(rng.randbytes(2 * (s + 8) * len(chunk)), dtype="<u2").reshape(s + 8, -1).astype(float)
-        limbs = np.concatenate([chunk & 0xFFFF, chunk >> 16], axis=1).astype(float)
-        c = (c + (r @ limbs).astype(np.int64)) % PRIME
-    return (c[:, :s] + (c[:, s:] << 16)) % PRIME
+def _ladder(rows: ProductRows, meet: np.ndarray, prime: int, root: int, every: bool = False) -> tuple:
+    """(covered, echelon) of :meth:`ProductRows.sketch` eliminated modulo ``prime``."""
+    echelon = []
+    return _pivot_columns(rows.sketch(meet, prime, root, every), prime, echelon), echelon
 
 
-def _rational(r: int) -> tuple[int, int] | None:
-    """The fraction n/d = r (mod PRIME) with |n| and d at most _LIFT_BOUND, else None.
-
-    The half-extended Euclid of Wang, Guy and Davenport, SIGSAM Bull. 16(2)
-    (1982): each remainder r_i keeps r_i = s_i r (mod PRIME).
-    """
-    r0, r1, s0, s1 = PRIME, r, 0, 1
-    while r1 > _LIFT_BOUND:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if abs(s1) > _LIFT_BOUND:
-        return None
-    return (r1, s1) if s1 > 0 else (-r1, -s1)
+def _primes():
+    """(p, a square root of -1 modulo p): PRIME, then each prime p = 5 (mod 8)
+    below it, descending, proven prime by trial division."""
+    p = PRIME
+    while True:
+        yield p, pow(2, (p - 1) // 4, p)
+        p -= 8
+        while not np.all(p % np.arange(3, math.isqrt(p) + 1, 2)):
+            p -= 8
 
 
-def _lifted(rows: ProductRows, meet: np.ndarray, echelon: list) -> bool:
-    """Whether every column of the exact rows A over the slots of ``meet``
-    (complex rows realified) that gains no rank in the ladder of ``echelon``
-    is, exactly, a rational combination of the pivot columns before it.
-
-    ``echelon`` holds the pivot rows :func:`_pivot_columns` gave for C, the
-    sketch :meth:`ProductRows.sketch` or the block :func:`_compressed` made
-    of A, modulo PRIME, with rows that are integer combinations of A's; row
-    operations took C to them, so its columns obey C's dependencies.  So for
-    every draw each prefix of C's columns has modular rank at most that of
-    A, which is at most A's rank over Q.  A dependency that
-    :meth:`ProductRows.annihilate` verifies puts a column of A in the span of
-    the earlier pivot columns over Q, so once all verify, A's rank over Q on
-    each prefix is C's pivot count there: C's ladder is A's ladder over Q.
-    An unlucky draw can only make a lift fail.  The coordinates are solved
-    modulo PRIME from ``echelon``, lifted by :func:`_rational`, and each
-    dependency, sum_k w_k col_k = 0 with w_free = -den, is checked on every
-    listed row in Python ints, on the members.
-    """
-    ncols = meet.shape[1] * (1 if rows.real else 2)
+def _coordinates(echelon: list, ncols: int, prime: int) -> np.ndarray:
+    """Each pivotless column's coordinates on the pivot columns before it,
+    modulo ``prime``, from the pivot rows of :func:`_pivot_columns`:
+    [pivot, pivotless column], int64."""
     pivots = [j for j, _ in echelon]
-    free = sorted(set(range(ncols)) - set(pivots))
     u = np.zeros((len(pivots), ncols), dtype=np.int64)
     for k, (j, tail) in enumerate(echelon):
         u[k, j], u[k, j + 1 :] = 1, tail
     # back substitution through the unit upper triangle u[:, pivots]
-    x = u[:, free]
+    x = u[:, sorted(set(range(ncols)) - set(pivots))]
     for k in range(len(pivots) - 1, 0, -1):
-        x[:k] = (x[:k] - u[:k, pivots[k], None] * x[k]) % PRIME
-    weights = np.zeros((ncols, len(free)), dtype=object)
+        x[:k] = (x[:k] - u[:k, pivots[k], None] * x[k]) % prime
+    return x
+
+
+def _rational(r: int, modulus: int) -> tuple[int, int] | None:
+    """The fraction n/d = r (mod ``modulus``) with |n| and d at most
+    sqrt(modulus / 2), else None.
+
+    The half-extended Euclid of Wang, Guy and Davenport, SIGSAM Bull. 16(2)
+    (1982): each remainder r_i keeps r_i = s_i r (mod ``modulus``).
+    """
+    bound = math.isqrt(modulus // 2)
+    r0, r1, s0, s1 = modulus, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _weights(covered: list, coordinates: list, modulus: int) -> tuple | None:
+    """The Gaussian weights (re, im; im None for a real family) of the
+    dependencies, w = -den at each pivotless column, that the coordinates
+    (an object array per part) lift to by :func:`_rational`, else None."""
+    pivots = [k for k, c in enumerate(covered) if c]
+    free = [k for k, c in enumerate(covered) if not c]
+    fractions = np.empty((len(coordinates), len(pivots), len(free)), dtype=object)
+    for at, v in np.ndenumerate(np.stack(coordinates)):
+        fractions[at] = _rational(int(v), modulus)
+        if fractions[at] is None:  # a failed lift stops at its first coordinate too large to lift
+            return None
+    out = [np.zeros((len(covered), len(free)), dtype=object) for _ in coordinates]
     for f, column in enumerate(free):
-        fractions = [_rational(int(v)) for v in x[:, f]]
-        if None in fractions:
-            return False
-        den = math.lcm(*(d for _, d in fractions))
-        weights[pivots, f] = [n * (den // d) for n, d in fractions]
-        weights[column, f] = -den
-    return rows.annihilate(meet, weights)
+        den = math.lcm(*(d for _, d in fractions[..., f].ravel()))
+        for w, part in zip(out, fractions[..., f]):
+            w[pivots, f] = [n * (den // d) for n, d in part]
+        out[0][column, f] = -den
+    return out[0], out[1] if len(out) > 1 else None
+
+
+def _lifted(rows: ProductRows, meet: np.ndarray, first: tuple) -> list[bool]:
+    """A's ladder over Q(i), for A the listed product rows over the slots of
+    ``meet``, given ``first``, the (covered, echelon) of their sketch modulo
+    PRIME with i taken to _SQRT_M1 (:func:`_ladder`).
+
+    Each try ladders an image of A under a ring map Z[i] -> GF(p), i taken
+    to a square root s of -1, or random combinations of its rows, so each
+    prefix has rank at most A's over Q(i) and A's ladder is the
+    lexicographically largest.  The first try lifts from ``first``, a
+    complex family also sketching under p - s; each further one ladders the
+    listed rows modulo the next prime of :func:`_primes`, complex ones under
+    both roots.  The largest ladder on which the roots agree is kept, and
+    the coordinates of its tries, each pivotless column's on the pivot
+    columns before it (real part (x+ + x-)/2 and imaginary part
+    (x+ - x-)/2s of the images x+ and x- under s and p - s), are combined by
+    the Chinese remainder theorem and lifted by :func:`_rational` with the
+    bound sqrt(M/2), M the product of their primes.  Once
+    :meth:`ProductRows.annihilate` verifies each dependency, sum_k w_k col_k
+    = 0 with w = -den at the column, on every listed row in Python ints,
+    A's rank on each prefix is the ladder's pivot count there.
+
+    The loop ends.  A prime p not dividing the norm N(D) of one nonsingular
+    pivot minor D of A keeps D's images nonzero under both roots, so it
+    keeps A's ladder and gives p-integral coordinates, the images of A's.
+    By Hadamard's bound |D| and every Cramer numerator are at most B^r, r
+    the rank and B <= max_i |m_i|_2 max_j |r_j|_1 a bound on each row's norm
+    (Young's inequality), so only finitely many primes miss the ladder, and
+    once M passes 2 B^(4r), sqrt(M/2) recovers the coordinates.
+    """
+    ncols = meet.shape[1]
+    best, modulus, coordinates = None, 1, None
+    for prime, root in _primes():
+        tries = [first if (prime, r) == (PRIME, _SQRT_M1) else _ladder(rows, meet, prime, r, prime != PRIME)
+                 for r in ((root,) if rows.real else (root, prime - root))]
+        covered = tries[0][0]
+        if all(covered):  # an image of full column rank proves every slot
+            return covered
+        if any(c != covered for c, _ in tries) or (best is not None and covered < best):
+            continue  # the roots disagree, or a larger ladder is known: this prime loses rank
+        x = [_coordinates(echelon, ncols, prime) for _, echelon in tries]
+        if not rows.real:  # x+ and x- to the real and the imaginary part
+            x = [(x[0] + x[1]) % prime * ((prime + 1) // 2) % prime,
+                 (x[0] - x[1]) % prime * pow(2 * root, -1, prime) % prime]
+        if covered != best:
+            best, modulus, coordinates = covered, prime, [part.astype(object) for part in x]
+        else:
+            inverse = pow(modulus, -1, prime)
+            coordinates = [a + modulus * ((b - a) * inverse % prime) for a, b in zip(coordinates, x)]
+            modulus *= prime
+        weights = _weights(best, coordinates, modulus)
+        if weights is not None and rows.annihilate(meet, weights):
+            return best
 
 
 def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
@@ -680,39 +691,23 @@ def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
     (:meth:`ProductRows.sketch`) is eliminated once modulo PRIME.  Each row
     of C is an integer combination of A's rows, so each prefix of C's
     columns has modular rank at most that of A, and so at most A's rank over
-    Q, for every draw.  Full column rank of C proves every slot covered.  On
-    a deficit C's echelon gives the dependencies that :func:`_lifted`
-    verifies on the members, which makes C's ladder A's ladder over Q.  An
-    unlucky draw can only make a lift fail; then Bareiss on the Gram A^T A
-    of the exact rows decides every slot, as A^T A x = 0 exactly when A x =
-    0 over Q.  Complex rows are sketched modulo PRIME as they are, which may
-    certify; on a deficit their realified exact rows, rows over Q, go
-    through :func:`_compressed` and one ladder, and the lifts are checked
-    over Q(i).  The exact rows a deficit may build are refused up front past
-    MAX_STACK_MB, as an (N, slots) int64 block, before either route.
+    Q(i), for every draw.  Full column rank of C proves every slot covered.
+    On a deficit :func:`_lifted` starts from C's echelon and returns A's
+    ladder with its dependencies verified on the members.  The listed rows
+    a deficit may ladder are refused up front past MAX_STACK_MB, as an (N,
+    slots) int64 block.
     """
     slots = list(slots)
     meet = rows.meet(slots)
     reached = (meet < meet.shape[0]).any(axis=0)
     live, meet = [s for s, r in zip(slots, reached) if r], meet[:, reached]
-    # a deficit may build the exact rows, so their block is bounded up front
+    # a deficit may ladder the listed rows, so their block is bounded up front
     _check_stack(f"{rows.count} product rows over {len(live)} slots", "exact row block", (rows.count, len(live)), 8)
     if rows.leading(slots, reached):
         covered = [True] * len(live)
     else:
-        echelon = []
-        covered = _pivot_columns(rows.sketch(meet), PRIME, echelon)
-    if not all(covered):
-        # complex rows are laddered again, realified, so their dependencies lift
-        # over Q; the exact rows are built for that and for Bareiss only
-        exact = None
-        if not rows.real:
-            exact, echelon = rows.exact(meet), []
-            covered = _pivot_columns(_compressed((exact % PRIME).astype(np.int64)), PRIME, echelon)
-        if not _lifted(rows, meet, echelon):
-            exact = rows.exact(meet) if exact is None else exact
-            covered = _pivot_columns(exact.T @ exact)
-        covered = covered[:: 1 if rows.real else 2]
+        first = _ladder(rows, meet, PRIME, _SQRT_M1)
+        covered = first[0] if all(first[0]) else _lifted(rows, meet, first)
     hit = {s for s, c in zip(live, covered) if c}
     missing = tuple(sorted(s for s in slots if s not in hit))
     return PurityCertificate(

@@ -30,6 +30,9 @@ from povm_purity.polycert import (
     span_certificate,
 )
 
+# the prime a failed lift from PRIME ladders the listed rows modulo next
+_SECOND_PRIME = 2**31 - 99
+
 # ---------------------------------------------------------------------------
 # exact-arithmetic oracle: pivot columns of the product matrix over Q
 # ---------------------------------------------------------------------------
@@ -204,19 +207,31 @@ def test_product_rows_bound_their_object_arrays_and_limb_stack(monkeypatch):
     def single(n):
         return [{k: 1.0} for k in range(n)]
 
+    def traced(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     # 300 single-mode members over 81 slots: a (300, 81) float gather per sketch
     # row, 89 rows, about 17 MB at once
     rows = ProductRows(single(300), sign=-1)
     meet = rows.meet(range(-40, 41))
-    tracemalloc.start()
-    try:
-        blocked = rows.sketch(meet)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    blocked, peak = traced(lambda: rows.sketch(meet, PRIME, _SQRT_M1))
     assert peak < 2 * polycert._SKETCH_BLOCK_MB * 2**20, peak
+    # the every-row ladder of 200 members over 21 slots: 40000 listed rows, a
+    # (200, 21) float gather each; past its (40000, 21) int64 block it takes
+    # about one block of rows at a time
+    wide = ProductRows(single(200), sign=-1)
+    listed, peak = traced(lambda: wide.sketch(wide.meet(range(-10, 11)), PRIME, _SQRT_M1, every=True))
+    assert listed.shape == (40000, 21) and peak < listed.nbytes + 2 * polycert._SKETCH_BLOCK_MB * 2**20, peak
+    # listed row (i, j) is conj(m_i) m_j, one at frequency i - j
+    i, j = np.divmod(np.arange(40000), 200)
+    near = abs(i - j) <= 10
+    assert (listed.sum(axis=1) == near).all() and (listed[near, i[near] - j[near] + 10] == 1).all()
     monkeypatch.setattr(polycert, "_SKETCH_BLOCK_MB", 0)  # one row at a time
-    assert blocked.shape == (89, 81) and (rows.sketch(meet) == blocked).all()
+    assert blocked.shape == (89, 81) and (rows.sketch(meet, PRIME, _SQRT_M1) == blocked).all()
     limit = polycert.MAX_STACK_MB
     monkeypatch.setattr(polycert, "_read_exact", refuse)
     # 10 members: 1760 B of object arrays
@@ -232,6 +247,24 @@ def test_product_rows_bound_their_object_arrays_and_limb_stack(monkeypatch):
         ProductRows(single(1000), sign=-1)
     with pytest.raises(IndexOutOfRange, match=r"need an \(6000, 6001\) real and imaginary object arrays of 549 MB"):
         ProductRows(single(6000), sign=-1)
+
+
+def test_the_every_row_sketch_is_the_listed_rows_in_order():
+    # a real polynomial family lists each unordered pair once, a complex Fourier
+    # family every ordered pair; each row is read under both roots of -1
+    p = _SECOND_PRIME
+    s = pow(2, (p - 1) // 4, p)
+    # each member's content is 1, so its rows are read as they are
+    members = [[1, 2, 3], [0, -1, 5, 7], [5, 0, 3], [2, 0, 0, 0, 1]]
+    rows = ProductRows([dict(enumerate(m)) for m in members], sign=1)
+    expected = [_conv_int(a, b) + [0] * (10 - len(a) - len(b)) for i, a in enumerate(members) for b in members[i:]]
+    assert rows.sketch(rows.meet(range(9)), p, s, every=True).tolist() == [[v % p for v in r] for r in expected]
+    fourier = [{0: 1 + 2j, 2: -3}, {1: 3j, 2: 2}, {-1: 1, 1: 1 - 1j}]
+    rows = ProductRows(fourier, sign=-1)
+    expected, slots = _fourier_rows(fourier, 3)
+    for root in (s, p - s):
+        image = [[(int(z.real) + int(z.imag) * root) % p for z in map(complex, r)] for r in expected]
+        assert rows.sketch(rows.meet(slots), p, root, every=True).tolist() == image
 
 
 def test_basis_info_covers_all_builders():
@@ -380,24 +413,104 @@ def test_prime_and_square_root_of_minus_one():
     assert _SQRT_M1 * _SQRT_M1 % PRIME == PRIME - 1
 
 
+def test_the_primes_of_the_lift():
+    primes = list(itertools.islice(polycert._primes(), 4))
+    assert [p for p, _ in primes] == [PRIME, _SECOND_PRIME, 2**31 - 171, 2**31 - 379]
+    assert primes[0][1] == _SQRT_M1
+    for p, root in primes:
+        assert p % 8 == 5 and all(p % d for d in range(2, math.isqrt(p) + 1))
+        assert root * root % p == p - 1
+    # every candidate between them is composite
+    for (p, _), (q, _) in zip(primes, primes[1:]):
+        assert all(any(n % d == 0 for d in range(2, math.isqrt(n) + 1)) for n in range(q + 8, p, 8))
+
+
 @pytest.mark.parametrize("lead", [PRIME, complex(PRIME, PRIME)])
-def test_multiples_of_the_prime_take_the_exact_pass(lead):
+def test_multiples_of_the_prime_take_the_next_prime(monkeypatch, lead):
     rows = _plain_rows([[lead, 1], [0, 1]])
     # modulo PRIME the first column vanishes, over Q (or Q(i)) it does not
-    assert polycert._pivot_columns(rows.sketch(rows.meet(range(2))), PRIME) == [False, True]
+    assert polycert._pivot_columns(rows.sketch(rows.meet(range(2)), PRIME, _SQRT_M1), PRIME) == [False, True]
+    seen = _spy_pivot_columns(monkeypatch)
     assert span_certificate(rows, range(2), 1).certified
+    # the lift from PRIME fails on the members; the listed rows modulo the next
+    # prime have the larger ladder, full here (a complex family takes one
+    # ladder per root of -1)
+    roots = 1 if isinstance(lead, int) else 2
+    assert seen == [((10, 2), PRIME)] * roots + [((2, 2), _SECOND_PRIME)] * roots
     cert = span_certificate(_plain_rows([[lead, 1]]), range(2), 1)
     assert cert.missing_degrees == (1,)
 
 
 _small = st.integers(-3, 3)
-_multiples = st.sampled_from([PRIME, -PRIME, 2 * PRIME, PRIME + 1, 3 * PRIME - 2])
+_multiples = st.sampled_from([PRIME, -PRIME, 2 * PRIME, PRIME + 1, 3 * PRIME - 2,
+                              _SECOND_PRIME, -_SECOND_PRIME, 2 * _SECOND_PRIME + 1])
 _integer_entries = st.one_of(_small, _small, _multiples)
 _gaussian_entries = st.one_of(
     _integer_entries,
     st.builds(complex, _small, _small),
     st.builds(complex, st.sampled_from([float(PRIME), float(-PRIME)]), _small),
 )
+
+
+def _live(members, sign: int, slots) -> list:
+    """The slots that two member indices reach, in ladder order: the columns a
+    certificate ladders, over which its dependencies are weighted."""
+    support = {s for m in members for s, v in m.items() if v}
+    return [g for g in slots if any(g - sign * t in support for t in support)]
+
+
+def _record_dependencies(patch) -> list:
+    """The weights of every ``annihilate`` call that holds, in order."""
+    held, annihilate = [], ProductRows.annihilate
+
+    def spy(self, meet, weights):
+        holds = annihilate(self, meet, weights)
+        if holds:
+            held.append(weights)
+        return holds
+
+    patch.setattr(ProductRows, "annihilate", spy)
+    return held
+
+
+def _audit(held, rows, slots, live, missing) -> None:
+    """Check the last dependencies that held in Fractions, on the reference
+    ``rows`` over ``slots``: each column of weights over the ``live`` slots
+    annihilates every row, and its last nonzero weight, -den, sits at a
+    missing slot; every missing live slot has one, and a deficit on no live
+    slot holds none."""
+    dead = [g for g in live if g in missing]
+    assert bool(held) == bool(dead)
+    if not dead:
+        return
+    re, im = held[-1]
+    im = np.zeros_like(re) if im is None else im
+    at = [slots.index(g) for g in live]
+    ends = []
+    for f in range(re.shape[1]):
+        w = [(Fraction(int(a)), Fraction(int(b))) for a, b in zip(re[:, f], im[:, f])]
+        last = max(k for k, z in enumerate(w) if any(z))
+        assert w[last][0] < 0 and w[last][1] == 0
+        ends.append(live[last])
+        for row in rows:
+            terms = [(x * c - y * d, x * d + y * c) for (x, y), (c, d) in zip(w, (_gaussian(row[k]) for k in at))]
+            assert (sum(t[0] for t in terms), sum(t[1] for t in terms)) == (0, 0)
+    assert ends == dead
+
+
+def _check_plain_rows(rows, ncols: int) -> None:
+    """The certificate of ``_plain_rows(rows)`` against the exact reference,
+    with its dependencies audited on the reference rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        held = _record_dependencies(patch)
+        cert = span_certificate(_plain_rows(rows), range(ncols), ncols - 1)
+    reference = [[_conj(v) for v in r] for r in rows]
+    covered = _gaussian_pivot_columns(reference, ncols)
+    missing = tuple(c for c in range(ncols) if c not in covered)
+    assert cert.missing_degrees == missing
+    assert cert.certified == (not missing)
+    live = _live([dict(enumerate(r)) for r in rows] + [{0: 1}], -1, range(ncols))
+    _audit(held, reference, list(range(ncols)), live, missing)
 
 
 @seed(SEED)
@@ -409,18 +522,14 @@ def test_span_certificate_matches_exact_reference(data):
     rows = data.draw(
         st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=6), label="rows"
     )
-    cert = span_certificate(_plain_rows(rows), range(ncols), ncols - 1)
-    covered = _gaussian_pivot_columns([[_conj(v) for v in r] for r in rows], ncols)
-    missing = tuple(c for c in range(ncols) if c not in covered)
-    assert cert.missing_degrees == missing
-    assert cert.certified == (not missing)
+    _check_plain_rows(rows, ncols)
 
 
 @seed(SEED)
 @settings(max_examples=100, deadline=None, database=None)
 @given(data=st.data())
-def test_compressed_route_matches_exact_reference(data):
-    # more rows than the S + 8 of the compression, mostly dense enough to take it
+def test_tall_blocks_match_exact_reference(data):
+    # more rows than the S + 8 of the sketch, so a deficit ladders a taller block
     ncols = data.draw(st.integers(1, 4), label="ncols")
     entries = data.draw(st.sampled_from([_integer_entries, _gaussian_entries]), label="kind")
     height = ncols + 8
@@ -428,9 +537,7 @@ def test_compressed_route_matches_exact_reference(data):
         st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=2 * height, max_size=3 * height),
         label="rows",
     )
-    cert = span_certificate(_plain_rows(rows), range(ncols), ncols - 1)
-    covered = _gaussian_pivot_columns([[_conj(v) for v in r] for r in rows], ncols)
-    assert cert.missing_degrees == tuple(c for c in range(ncols) if c not in covered)
+    _check_plain_rows(rows, ncols)
 
 
 def _read_by_ratios(member) -> dict[int, tuple[int, int]]:
@@ -473,16 +580,17 @@ def test_read_exact_is_the_integer_ratio_reading(members):
     assert all(type(x) is int for row in got for z in row.values() for x in z)
 
 
-def _spy_pivot_columns(monkeypatch, refuse=lambda a: False) -> list:
-    """Record the (shape, dtype kind) of every elimination; raise on the refused ones."""
+def _spy_pivot_columns(monkeypatch, refuse=lambda a, modulus: False) -> list:
+    """Record the (shape, modulus) of every elimination, each of an int64
+    block; raise on the refused ones."""
     seen = []
     eliminate = polycert._pivot_columns
 
-    def spy(a, *args):
-        if refuse(a):
-            raise AssertionError(f"eliminated a {a.dtype} block of shape {a.shape}")
-        seen.append((a.shape, a.dtype.kind))
-        return eliminate(a, *args)
+    def spy(a, modulus, *args):
+        if a.dtype != np.int64 or refuse(a, modulus):
+            raise AssertionError(f"eliminated a {a.dtype} block of shape {a.shape} modulo {modulus}")
+        seen.append((a.shape, modulus))
+        return eliminate(a, modulus, *args)
 
     monkeypatch.setattr(polycert, "_pivot_columns", spy)
     return seen
@@ -494,20 +602,21 @@ def test_dense_blocks_take_the_compressed_route(monkeypatch, kind):
     rows = [[kind(v) for v in r] for r in rng.integers(1, 9, size=(40, 5)).tolist()]
     seen = _spy_pivot_columns(monkeypatch)
     assert span_certificate(_plain_rows(rows), range(5), 4).certified
-    assert seen == [((13, 5), "i")]  # only the (S + 8) x S compression
+    assert seen == [((13, 5), PRIME)]  # only the (S + 8) x S sketch
     # a column of multiples of PRIME vanishes modulo PRIME: its lift from the
-    # compression's echelon fails on the members, and Bareiss on the exact Gram
-    # finds the column's rank; the 40-row block is never eliminated
+    # sketch's echelon fails on the members, and the 40 listed rows modulo the
+    # next prime have full rank (complex entries with no imaginary part make a
+    # real family, laddered under one root of -1)
     for i, r in enumerate(rows):
         r[2] = kind(PRIME * (1 + i % 3))
     seen.clear()
     assert span_certificate(_plain_rows(rows), range(5), 4).certified
-    assert seen == [((13, 5), "i"), ((5, 5), "O")]
+    assert seen == [((13, 5), PRIME), ((40, 5), _SECOND_PRIME)]
 
 
 @pytest.mark.parametrize("basis, top", [("laguerre", 40), ("legendre", 24)])
 def test_dense_bases_certify_without_eliminating_the_row_block(monkeypatch, basis, top):
-    _spy_pivot_columns(monkeypatch, refuse=lambda a: a.shape[0] > a.shape[1] + 8)
+    _spy_pivot_columns(monkeypatch, refuse=lambda a, modulus: a.shape[0] > a.shape[1] + 8)
     assert product_span_certificate(orthonormal_family(basis, top), top).certified
 
 
@@ -517,12 +626,9 @@ def _dyadic_geometric(n: int) -> list[dict]:
 
 
 def test_geometric_deficit_is_lifted_without_bareiss(monkeypatch):
-    # a real family's lift is checked on its members: no exact row, no Bareiss
-    def refuse(self, meet):
-        raise AssertionError(f"built exact rows over {meet.shape[1]} slots")
-
-    monkeypatch.setattr(ProductRows, "exact", refuse)
-    _spy_pivot_columns(monkeypatch, refuse=lambda a: a.dtype == object)
+    # a real family's lift from the sketch modulo PRIME holds on its members:
+    # no listed row is laddered, modulo PRIME or any further prime
+    _spy_pivot_columns(monkeypatch, refuse=lambda a, modulus: modulus != PRIME or a.shape[0] == 64)
     for family in (geometric_tail_family(8), fourier_family(_dyadic_geometric(8))):
         assert fourier_span_certificate(family, 8).missing_degrees == (8,)
 
@@ -536,12 +642,12 @@ def test_each_block_is_eliminated_once(monkeypatch):
     seen = _spy_pivot_columns(monkeypatch)
     family = geometric_tail_family(8)
     assert fourier_span_certificate(family, 8).missing_degrees == (8,)
-    # the 25 x 17 compression of the 64 x 17 block; its echelon lifts the deficit
-    assert seen == [((25, 17), "i")]
+    # the 25 x 17 sketch of the 64 x 17 block; its echelon lifts the deficit
+    assert seen == [((25, 17), PRIME)]
     seen.clear()
     assert fourier_span_certificate(fourier_family(_rotated(family)), 8).missing_degrees == (8,)
-    # the complex residues, then the compression of their 128 x 34 realification
-    assert seen == [((25, 17), "i"), ((42, 34), "i")]
+    # the sketches under both roots of -1 give the real and imaginary parts
+    assert seen == [((25, 17), PRIME), ((25, 17), PRIME)]
 
 
 class _ZeroGenerator:
@@ -564,21 +670,28 @@ def _powers(n: int, degree: int) -> PolyFamily:
 
 def test_a_vanishing_compression_still_gives_the_exact_ladder(monkeypatch):
     # C = 0 has no pivot: every column's lift claims it is zero, the members
-    # refute that, and Bareiss on the exact Gram decides every slot
+    # refute that, and the listed rows modulo the next prime, drawn from no
+    # generator, give the ladder
     monkeypatch.setattr(polycert, "random", SimpleNamespace(Random=_ZeroGenerator))
     seen = _spy_pivot_columns(monkeypatch)
     assert product_span_certificate(_powers(8, 16), 14).certified
-    assert seen == [((23, 15), "i"), ((15, 15), "O")]
+    assert seen == [((23, 15), PRIME), ((36, 15), _SECOND_PRIME)]
     seen.clear()
     assert fourier_span_certificate(geometric_tail_family(8), 8).missing_degrees == (8,)
-    assert seen == [((25, 17), "i"), ((17, 17), "O")]
+    assert seen == [((25, 17), PRIME), ((64, 17), _SECOND_PRIME)]
 
 
 def test_an_all_zero_sketch_still_gives_the_exact_answer(monkeypatch):
-    # a sketch of zero rows covers nothing: every lift claims a zero column,
-    # the members refute it, and Bareiss on the exact Gram decides every slot
+    # a random sketch of zero rows covers nothing: every lift claims a zero
+    # column, the members refute it, and the listed rows modulo a further
+    # prime decide every slot
     sketch = ProductRows.sketch
-    monkeypatch.setattr(ProductRows, "sketch", lambda self, meet: np.zeros_like(sketch(self, meet)))
+
+    def zero(self, meet, prime, root, every=False):
+        rows = sketch(self, meet, prime, root, every)
+        return rows if every else np.zeros_like(rows)
+
+    monkeypatch.setattr(ProductRows, "sketch", zero)
     seen = _spy_pivot_columns(monkeypatch)
     cases = [
         (lambda: product_span_certificate(_powers(8, 16), 14), ()),
@@ -595,9 +708,9 @@ def test_an_all_zero_sketch_still_gives_the_exact_answer(monkeypatch):
     for certificate, missing in cases:
         seen.clear()
         assert certificate().missing_degrees == missing
-        assert seen[-1][1] == "O"
-    # complex rows are laddered again, realified and compressed, and lift from
-    # there; conj(m_0) m_1 = x + i x^2 and conj(m_1) m_0 = x - i x^2 both count
+        assert seen[-1][1] != PRIME
+    # complex rows are laddered under both roots of -1, and lift from there;
+    # conj(m_0) m_1 = x + i x^2 and conj(m_1) m_0 = x - i x^2 both count
     assert fourier_span_certificate(fourier_family(_rotated(geometric_tail_family(8))), 8).missing_degrees == (8,)
     fam = PolyFamily(basis="monomial", members=(np.array([1]), np.array([0, 1, 1j])), max_degree=2)
     assert product_span_certificate(fam, 4).missing_degrees == (3,)
@@ -605,42 +718,53 @@ def test_an_all_zero_sketch_still_gives_the_exact_answer(monkeypatch):
 
 def test_certifying_builds_only_the_sketch(monkeypatch):
     """A certified family that no single product proves eliminates one
-    (slots + 8)-row block and builds no object array, exact row or pair."""
+    (slots + 8)-row block and builds no object array, listed row or pair."""
 
     def refuse(*args):
         raise AssertionError("built what only a deficit reads")
 
     monkeypatch.setattr(ProductRows, "_objects", property(refuse))
-    monkeypatch.setattr(ProductRows, "exact", refuse)
     monkeypatch.setattr(ProductRows, "annihilate", refuse)
     seen = _spy_pivot_columns(monkeypatch)
     assert product_span_certificate(_powers(8, 16), 14).certified
     assert fourier_span_certificate(geometric_tail_family(8), 7).certified
-    assert seen == [((23, 15), "i"), ((23, 15), "i")]
+    assert seen == [((23, 15), PRIME), ((23, 15), PRIME)]
 
 
-def _fourier_reference(members, order: int) -> tuple[int, ...]:
-    """Missing frequencies of conj(m_i) m_j over every pair, laddered over Q(i)."""
+def _fourier_rows(members, order: int) -> tuple[list, list]:
+    """(rows, slots): conj(m_i) m_j over every pair, at the frequencies in ladder order."""
     slots = [0, *(s * g for g in range(1, order + 1) for s in (-1, 1))]
     rows = [
         [sum(_conj(a) * b for s, a in mi.items() for t, b in mj.items() if s - t == g) for g in slots]
         for mi in members
         for mj in members
     ]
+    return rows, slots
+
+
+def _fourier_reference(members, order: int) -> tuple[int, ...]:
+    """Missing frequencies of conj(m_i) m_j over every pair, laddered over Q(i)."""
+    rows, slots = _fourier_rows(members, order)
     covered = _gaussian_pivot_columns(rows, len(slots))
     return tuple(sorted(g for k, g in enumerate(slots) if k not in covered))
 
 
-def _poly_reference(members, check: int) -> tuple[int, ...]:
-    """Missing degrees of conj(m_i) m_j, each unordered pair once for real members."""
+def _poly_rows(members, check: int) -> tuple[list, list]:
+    """(rows, degrees): conj(m_i) m_j, each unordered pair once for real members."""
     real = all(isinstance(v, int) for m in members for v in m)
     rows = [
         [sum(_conj(a) * b for s, a in enumerate(mi) for t, b in enumerate(mj) if s + t == g) for g in range(check + 1)]
         for i, mi in enumerate(members)
         for mj in members[i if real else 0 :]
     ]
-    covered = _gaussian_pivot_columns(rows, check + 1)
-    return tuple(g for g in range(check + 1) if g not in covered)
+    return rows, list(range(check + 1))
+
+
+def _poly_reference(members, check: int) -> tuple[int, ...]:
+    """Missing degrees of conj(m_i) m_j, each unordered pair once for real members."""
+    rows, slots = _poly_rows(members, check)
+    covered = _gaussian_pivot_columns(rows, len(slots))
+    return tuple(g for g in slots if g not in covered)
 
 
 @seed(SEED)
@@ -657,6 +781,8 @@ def test_sketch_matches_exact_reference_under_other_seeds(data):
         certificate = lambda: fourier_span_certificate(fourier_family(members), order)  # noqa: E731
         members = [{s: v for s, v in m.items() if v} for m in members]
         missing = _fourier_reference(members, order)
+        rows, slots = _fourier_rows(members, order)
+        live = _live(members, -1, slots)
     else:
         spread = st.lists(entries, min_size=1, max_size=3).map(lambda c: c[:1] + [0] * (stride - 1) + c[1:])
         members = data.draw(st.lists(spread, min_size=1, max_size=4), label="members")
@@ -664,16 +790,21 @@ def test_sketch_matches_exact_reference_under_other_seeds(data):
         fam = PolyFamily(basis="monomial", members=tuple(np.array(m, dtype=complex) for m in members), max_degree=0)
         certificate = lambda: product_span_certificate(fam, check)  # noqa: E731
         missing = _poly_reference(members, check)
+        rows, slots = _poly_rows(members, check)
+        live = _live([dict(enumerate(m)) for m in members], 1, slots)
     sketched, sketch = [], ProductRows.sketch
     for compress_seed in (polycert._COMPRESS_SEED, 1, 2, 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(polycert, "_COMPRESS_SEED", compress_seed)
-            patch.setattr(ProductRows, "sketch", lambda self, meet: sketched.append(meet.shape) or sketch(self, meet))
+            patch.setattr(ProductRows, "sketch",
+                          lambda self, meet, *args: sketched.append(meet.shape) or sketch(self, meet, *args))
+            held = _record_dependencies(patch)
             cert = certificate()
         # a family that single products prove never draws a sketch, so no seed matters to it
         assume(sketched)
         assert cert.missing_degrees == missing, compress_seed
         assert cert.certified == (not missing)
+        _audit(held, rows, slots, live, missing)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +819,7 @@ def _refuse_the_ladder(monkeypatch) -> None:
         raise AssertionError("reached the sketch route")
 
     monkeypatch.setattr(ProductRows, "sketch", refuse)
-    monkeypatch.setattr(ProductRows, "_entries", property(refuse))
+    monkeypatch.setattr(ProductRows, "_residues", refuse)
     monkeypatch.setattr(polycert, "_pivot_columns", refuse)
 
 
@@ -811,13 +942,18 @@ def test_bool_coefficients_are_refused_before_either_route(monkeypatch, flag):
 
 
 def test_rational_reconstruction():
-    assert polycert._rational(0) == (0, 1)
-    assert polycert._rational(-3 * pow(7, -1, PRIME) % PRIME) == (-3, 7)
-    bound = polycert._LIFT_BOUND
-    assert bound == 32767 and 2 * bound * bound < PRIME < 2 * (bound + 1) ** 2
-    assert polycert._rational(bound * pow(bound, -1, PRIME) % PRIME) == (1, 1)
+    assert polycert._rational(0, PRIME) == (0, 1)
+    assert polycert._rational(-3 * pow(7, -1, PRIME) % PRIME, PRIME) == (-3, 7)
+    bound = 32767  # floor(sqrt(PRIME / 2))
+    assert 2 * bound * bound < PRIME < 2 * (bound + 1) ** 2
+    assert polycert._rational(bound * pow(bound, -1, PRIME) % PRIME, PRIME) == (1, 1)
+    assert polycert._rational(bound + 1, PRIME) is None
     # 3/65537 has a denominator past the bound and no small fraction shares its residue
-    assert polycert._rational(3 * pow(65537, -1, PRIME) % PRIME) is None
+    assert polycert._rational(3 * pow(65537, -1, PRIME) % PRIME, PRIME) is None
+    # modulo the product of two primes the bound is past 2^30, and 3/65537 lifts
+    both = PRIME * _SECOND_PRIME
+    assert polycert._rational(3 * pow(65537, -1, both) % both, both) == (3, 65537)
+    assert polycert._rational(-(2**30) * pow(2**30 - 1, -1, both) % both, both) == (-(2**30), 2**30 - 1)
 
 
 _SMALL_DEPENDENCY = [[1, 2, 5], [3, -1, 1], [0, 4, 8], [2, 2, 6]]  # column 2 = column 0 + 2 column 1
@@ -825,26 +961,43 @@ _LARGE_DEPENDENCY = [[65537, 3, 1], [131074, 6, 0], [-65537, -3, 2]]  # column 1
 
 
 @pytest.mark.parametrize(
-    "rows, bareiss",
+    "rows, two_primes",
     [
         (_SMALL_DEPENDENCY, False),
         (_LARGE_DEPENDENCY, True),
-        # complex rows, realified: (2 + i) and (3 + 65537 i)/65537 = 3/65537 + i times column 0
+        # complex rows: (2 + i) and (3 + 65537 i)/65537 = 3/65537 + i times column 0
         ([[complex(1, 1), complex(1, 3), 2], [2, complex(4, 2), 1j], [3j, complex(-3, 6), 0]], False),
         ([[65537 * z, (3 + 65537j) * z, w] for z, w in ((1 + 1j, 1), (2, 1j), (3j, 0))], True),
     ],
 )
-def test_deficits_stay_exact_on_both_deficit_routes(monkeypatch, rows, bareiss):
+def test_deficits_stay_exact_on_both_deficit_routes(monkeypatch, rows, two_primes):
+    # a denominator past 32767 lifts modulo no single prime, and modulo two
     seen = _spy_pivot_columns(monkeypatch)
     cert = span_certificate(_plain_rows(rows), range(3), 2)
     covered = _gaussian_pivot_columns([[_conj(v) for v in r] for r in rows], 3)
     assert cert.missing_degrees == tuple(c for c in range(3) if c not in covered) != ()
-    assert any(kind == "O" for _, kind in seen) == bareiss
+    roots = 1 if all(isinstance(v, int) for r in rows for v in r) else 2
+    primes = itertools.islice(polycert._primes(), 2 if two_primes else 1)
+    assert [modulus for _, modulus in seen] == [p for p, _ in primes for _ in range(roots)]
+
+
+def test_a_gaussian_deficit_takes_as_many_primes_as_its_coordinates_need(monkeypatch):
+    # a multiple of PRIME under an entry P + i: the coordinates of column 4 on
+    # columns 0 and 3 have numerators and denominators near P^4, so after PRIME
+    # fails, eight further primes, each laddered under both roots, lift them
+    rows = [[0, 0, 0, 0, 0], [0, 0, PRIME, 1, 0], [1, 0, 0, 1, 1], [PRIME + 1j, 0, 1, 0, 0]]
+    seen = _spy_pivot_columns(monkeypatch)
+    cert = span_certificate(_plain_rows(rows), range(5), 4)
+    covered = _gaussian_pivot_columns([[_conj(v) for v in r] for r in rows], 5)
+    assert cert.missing_degrees == tuple(c for c in range(5) if c not in covered) == (1, 4)
+    primes = [p for p, _ in itertools.islice(polycert._primes(), 9)]
+    assert seen == [((12, 5), PRIME)] * 2 + [((4, 5), p) for p in primes[1:] for _ in range(2)]
 
 
 def test_a_lift_holds_on_every_row_or_falls_back(monkeypatch):
     # column 1 is twice column 0 modulo PRIME, and exactly on every listed pair
-    # but one, wherever it sits, for real and for complex rows
+    # but one, wherever it sits, for real and for complex rows: the lift fails
+    # on that pair, and the listed rows modulo the next prime have full rank
     seen = _spy_pivot_columns(monkeypatch)
     for scale in (1, 1 + 2j):
         for breaking in range(3):
@@ -852,7 +1005,7 @@ def test_a_lift_holds_on_every_row_or_falls_back(monkeypatch):
             rows[breaking][1] += PRIME
             seen.clear()
             assert span_certificate(_plain_rows([[v * scale for v in r] for r in rows]), range(2), 1).certified
-            assert seen[-1][1] == "O", (scale, breaking)
+            assert seen[-1] == ((3, 2), _SECOND_PRIME), (scale, breaking)
 
 
 def test_former_float_ladder_defects_are_certified():
