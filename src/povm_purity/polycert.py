@@ -12,18 +12,21 @@ triangular ladder the span argument needs.  The result is one-sided —
 ``certified`` proves coverage up to the degree, ``inconclusive`` proves
 nothing.
 
-The ladder is exact.  Members are read as integers: the orthonormal bases
-keep integer multiples of their members (H_n, n! L_n, 2^n P_n, x^n; scaling
-a member scales rows, which leaves coverage alone), and a family built from
-floats is read exactly as the doubles it holds.  Every verdict is a proof,
-reached by the first of these steps that decides it:
+The ladder is exact.  Members are scanned for their nonzero entries, with
+no exact arithmetic, and read as integers only when a sketch runs: the
+orthonormal bases keep integer multiples of their members (H_n, n! L_n,
+2^n P_n, x^n; scaling a member scales rows, which leaves coverage alone),
+and a family built from floats is read exactly as the doubles it holds.
+Every verdict is a proof, reached by the first of these steps that decides
+it:
 
 * leading terms: a product conj(m_i) * m_j is nonzero at its two extreme
   slots, each the product of one coefficient of each member, and zero
   outside them.  When every slot some product reaches is the later
   extreme, in ladder order, of a single product, those products form a
   triangle with a nonzero diagonal, which proves each such slot covered.
-  No residue, sketch or elimination is made.  Full orthonormal bases
+  No coefficient is read exactly, and no residue, sketch or elimination
+  is made.  Full orthonormal bases
   (and most with one index dropped) and the single-mode phase family are
   decided here;
 * one ladder: else, modulo the prime PRIME, where a nonzero minor is a
@@ -63,6 +66,7 @@ end in :func:`span_certificate`: its leading terms, then its one ladder.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -188,53 +192,81 @@ class PurityCertificate:
         return self.verdict == VERDICT_CERTIFIED
 
 
-def _read_exact(members) -> list[dict[int, tuple[int, int]]]:
-    """Maps {index: value}, each times a positive rational, as Gaussian integers (re, im).
+def _scan(members) -> tuple[list[list], list[int], list[int], np.ndarray]:
+    """(nonzero, read, ints, parts) of the maps {index: value} ``members``,
+    with no exact arithmetic: each member's nonzero indices; the members
+    holding a value other than an integer, read as doubles; where integers
+    sit among those members' values; and the real and imaginary parts of
+    those values, flat, an integer taken as 1 if nonzero, else 0.
 
-    A member of integers is taken as it is.  The others are read as the
-    doubles their values hold (an integer among them as it is), so the reading
-    is exact: one ``np.frexp`` over the real and imaginary parts of all of
-    them writes each part as an odd integer times a power of two.  Per member
-    the common power of two and the content (gcd of every part) are divided
-    out, and zero entries are dropped.  A bool, which would pass as an
-    integer, is refused with ``NonFinite`` before any value is read, and so is
-    a NaN or infinite part after; each error names the first such member and
-    index.
+    A bool, which would pass as an integer, is refused with ``NonFinite``
+    before any value is read, and so is a NaN or infinite part after; each
+    error names the first such member and index.
     """
-    out, read = [], []  # read: the members read as doubles, in order
+    nonzero, read, mixed = [], [], False
     for n, m in enumerate(members):
         types = set(map(type, m.values()))
         if not types.isdisjoint(_BOOLS):
             k = next(k for k, v in m.items() if isinstance(v, _BOOLS))
             raise NonFinite(f"member {n}: coefficient {m[k]!r} at index {k} is not a finite number")
-        if all(issubclass(t, (int, np.integer)) for t in types):
-            g = max(math.gcd(*map(int, m.values())), 1)
-            out.append({k: (int(v) // g, 0) for k, v in m.items() if v})
+        integral = [issubclass(t, (int, np.integer)) for t in types]
+        if all(integral):
+            nonzero.append([k for k, v in m.items() if v])
         else:
-            out.append(None)
-            read.append(m)
-    if not read:
-        return out
-    values = [v for m in read for v in m.values()]
-    ints = [j for j, v in enumerate(values) if isinstance(v, (int, np.integer))]
-    doubles = [0 if isinstance(v, (int, np.integer)) else v for v in values] if ints else values
-    parts = np.array(doubles, dtype=complex).view(float)
+            nonzero.append(None)
+            read.append(n)
+            mixed = mixed or any(integral)
+    values = [v for n in read for v in members[n].values()]
+    ints = [j for j, v in enumerate(values) if isinstance(v, (int, np.integer))] if mixed else []
+    if ints:  # an integer past the double range has no complex value
+        values = [bool(v) if isinstance(v, (int, np.integer)) else v for v in values]
+    parts = np.array(values, dtype=complex).view(float)
     bad = np.flatnonzero(~np.isfinite(parts))
     if bad.size:
-        n, k = [(n, k) for n, m in enumerate(members) if out[n] is None for k in m][bad[0] // 2]
+        n, k = [(n, k) for n in read for k in members[n]][bad[0] // 2]
         raise NonFinite(f"member {n}: coefficient {members[n][k]!r} at index {k} is not a finite number")
+    flags = iter(parts.reshape(-1, 2).any(axis=1).tolist())
+    for n in read:
+        nonzero[n] = list(itertools.compress(members[n], flags))
+    return nonzero, read, ints, parts
+
+
+def _read_exact(members, scanned=None) -> list[dict[int, tuple[int, int]]]:
+    """Maps {index: value}, each times a positive rational, as Gaussian integers (re, im).
+
+    ``scanned`` is the members' :func:`_scan`, which refuses bools and NaN or
+    infinite values; it is made here when None.  A member of integers is
+    taken as it is.  The others are read as the doubles their values hold (an
+    integer among them as it is), so the reading is exact: one ``np.frexp``
+    over the real and imaginary parts of all of them writes each part as an
+    odd integer times a power of two.  Per member the common power of two and
+    the content (gcd of every part) are divided out, and zero entries are
+    dropped.
+    """
+    nonzero, read, ints, parts = scanned or _scan(members)
+    doubles = set(read)
+    out = []
+    for n, m in enumerate(members):
+        if n in doubles:
+            out.append(None)
+        else:
+            g = max(math.gcd(*map(int, m.values())), 1)
+            out.append({k: (int(m[k]) // g, 0) for k in nonzero[n]})
+    if not read:
+        return out
     frac, exp = np.frexp(parts)
     odd = (frac * 2.0**53).astype(np.int64)
     zeros = np.frexp((odd & -odd).astype(float))[1] - 1  # trailing zero bits, -1 for a zero part
     odd >>= np.maximum(zeros, 0)
     exp += zeros - 53
     if ints:  # the integers of mixed members, as odd Python ints times powers of two
+        values = [v for n in read for v in members[n].values()]
         odd = odd.astype(object)
         for j in ints:
             n = int(values[j])
             k = (n & -n).bit_length() - 1 if n else 0
             odd[2 * j], exp[2 * j] = n >> k, k
-    sizes = [2 * len(m) for m in read]
+    sizes = [2 * len(members[n]) for n in read]
     starts = np.cumsum([0] + sizes[:-1])
     member = np.repeat(np.arange(len(read)), sizes)
     nz = odd != 0
@@ -242,8 +274,9 @@ def _read_exact(members) -> list[dict[int, tuple[int, int]]]:
     low = np.minimum.reduceat(np.where(nz, exp, np.iinfo(exp.dtype).max), starts)
     odd //= np.maximum(np.gcd.reduceat(abs(odd), starts), 1)[member]
     pairs = iter((odd.astype(object) << np.where(nz, exp - low[member], 0)).reshape(-1, 2).tolist())
-    read = iter(read)
-    return [row if row is not None else {k: (a, b) for k, (a, b) in zip(next(read), pairs) if a or b} for row in out]
+    for n in read:
+        out[n] = {k: (a, b) for k, (a, b) in zip(members[n], pairs) if a or b}
+    return out
 
 
 def _check_stack(who: str, what: str, shape: tuple, itemsize: int) -> None:
@@ -262,16 +295,19 @@ class ProductRows:
 
     Entry g of a row is the sum of conj(m_i[s]) r_j[t] over s + sign * t = g:
     sign +1 multiplies polynomials (g a degree), sign -1 multiplies Fourier
-    series (g a frequency).  Members are maps {index: value}, read exactly
-    (integers as they are, doubles as the doubles they hold), here.
-    Certifying builds no row: :meth:`leading` reads only each member's least
-    and greatest index, and :meth:`sketch` multiplies random combinations of
-    the members' residues.  Only a deficit
+    series (g a frequency).  Members are maps {index: value}, scanned here
+    (:func:`_scan`) for the support, each member's least and greatest
+    nonzero index and whether any imaginary part is nonzero, and read
+    exactly (integers as they are, doubles as the doubles they hold) only
+    when a sketch runs.  Certifying builds no row: :meth:`leading` reads
+    only the scanned bounds, and :meth:`sketch` multiplies random
+    combinations of the members' residues.  Only a deficit
     reads the members' Python-int object arrays, built on first use, and
     only a failed lift gives :meth:`sketch` every listed row.
     Members over 2^21 or more indices, and families whose (members,
     support + 1) object arrays would pass MAX_STACK_MB, are refused with
-    ``IndexOutOfRange`` before any coefficient is read.
+    ``IndexOutOfRange`` before any coefficient is scanned; bools, then NaN
+    and infinite values, with ``NonFinite`` by the scan.
     """
 
     def __init__(self, members, sign: int, right=None) -> None:
@@ -285,16 +321,25 @@ class ProductRows:
             )
         _check_stack(f"{len(both)} members over {indices} indices", "real and imaginary object arrays",
                      (len(both), indices + 1), 2 * 8)
-        self._exact = _read_exact(both)
-        self._support = sorted(set().union(*self._exact))
+        self._members, self._scanned = both, _scan(both)
+        nonzero, _, _, parts = self._scanned
+        self._support = sorted(set().union(*nonzero))
+        # (least index, greatest index, member) of every nonzero member
+        self._bounds = np.array([(min(k), max(k), i) for i, k in enumerate(nonzero) if k], dtype=np.int64).reshape(-1, 3)
+        self.real = not parts[1::2].any()
         self._sign = sign
         n = len(left)
         # the left and the right members: rows lo..hi - 1 of the family
         self._halves = ((0, n), (0, n) if right is None else (n, len(both)))
-        self.real = not any(b for m in self._exact for _, b in m.values())
         self._symmetric = right is None and sign == 1 and self.real
         rlo, rhi = self._halves[1]
         self.count = n * (n + 1) // 2 if self._symmetric else n * (rhi - rlo)
+
+    @cached_property
+    def _exact(self) -> list[dict[int, tuple[int, int]]]:
+        """The members read exactly (:func:`_read_exact`), on first use: only
+        :meth:`_residues` and :attr:`_objects` read them."""
+        return _read_exact(self._members, self._scanned)
 
     def _residues(self, prime: int, root: int) -> list[tuple]:
         """Per half: (member - lo, support position, residue) of every entry,
@@ -344,7 +389,8 @@ class ProductRows:
     def leading(self, slots, reached: np.ndarray) -> bool:
         """Whether single listed rows prove every ``reached`` slot covered:
         each is the last nonzero slot, in the ladder order of ``slots``, of
-        some listed row.  No residue is taken.
+        some listed row.  No coefficient is read exactly and no residue is
+        taken: the rows' extremes come from the scanned bounds.
 
         Row conj(m_i) * r_j is nonzero at its two extreme slots, lo_i + lo_j
         and hi_i + hi_j for sign +1, lo_i - hi_j and hi_i - lo_j for sign -1
@@ -370,8 +416,7 @@ class ProductRows:
         falling = np.diff(order) < 0
         if (np.diff(slots[order]) != 1).any() or (falling[1:] > falling[:-1]).any():
             return False
-        # (least index, greatest index, member) of every nonzero member, per half
-        bounds = np.array([(min(m), max(m), k) for k, m in enumerate(self._exact) if m], dtype=np.int64).reshape(-1, 3)
+        bounds = self._bounds
         left, right = (bounds[(lo <= bounds[:, 2]) & (bounds[:, 2] < hi)] for lo, hi in self._halves)
         if not (left.size and right.size):
             return False
@@ -604,17 +649,21 @@ def _rational(r: int, modulus: int) -> tuple[int, int] | None:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _weights(covered: list, coordinates: list, modulus: int) -> tuple | None:
+def _weights(covered: list, coordinates: list, modulus: int, fractions: np.ndarray) -> tuple | None:
     """The Gaussian weights (re, im; im None for a real family) of the
     dependencies, w = -den at each pivotless column, that the coordinates
-    (an object array per part) lift to by :func:`_rational`, else None."""
+    (an object array per part) lift to by :func:`_rational`, else None.
+    ``fractions`` (shaped as ``np.stack(coordinates)``, None where unlifted)
+    keeps the lifts of smaller moduli: a kept n/d with n = d x (mod
+    ``modulus``) is within this larger bound too, so it is not lifted again."""
     pivots = [k for k, c in enumerate(covered) if c]
     free = [k for k, c in enumerate(covered) if not c]
-    fractions = np.empty((len(coordinates), len(pivots), len(free)), dtype=object)
     for at, v in np.ndenumerate(np.stack(coordinates)):
-        fractions[at] = _rational(int(v), modulus)
-        if fractions[at] is None:  # a failed lift stops at its first coordinate too large to lift
-            return None
+        kept = fractions[at]
+        if kept is None or (kept[0] - kept[1] * int(v)) % modulus:
+            fractions[at] = _rational(int(v), modulus)
+            if fractions[at] is None:  # a failed lift stops at its first coordinate too large to lift
+                return None
     out = [np.zeros((len(covered), len(free)), dtype=object) for _ in coordinates]
     for f, column in enumerate(free):
         den = math.lcm(*(d for _, d in fractions[..., f].ravel()))
@@ -640,7 +689,8 @@ def _lifted(rows: ProductRows, meet: np.ndarray, first: tuple) -> list[bool]:
     columns before it (real part (x+ + x-)/2 and imaginary part
     (x+ - x-)/2s of the images x+ and x- under s and p - s), are combined by
     the Chinese remainder theorem and lifted by :func:`_rational` with the
-    bound sqrt(M/2), M the product of their primes.  Once
+    bound sqrt(M/2), M the product of their primes, keeping each lift that
+    the next prime does not contradict (see :func:`_weights`).  Once
     :meth:`ProductRows.annihilate` verifies each dependency, sum_k w_k col_k
     = 0 with w = -den at the column, on every listed row in Python ints,
     A's rank on each prefix is the ladder's pivot count there.
@@ -654,7 +704,7 @@ def _lifted(rows: ProductRows, meet: np.ndarray, first: tuple) -> list[bool]:
     once M passes 2 B^(4r), sqrt(M/2) recovers the coordinates.
     """
     ncols = meet.shape[1]
-    best, modulus, coordinates = None, 1, None
+    best, modulus, coordinates, fractions = None, 1, None, None
     for prime, root in _primes():
         tries = [first if (prime, r) == (PRIME, _SQRT_M1) else _ladder(rows, meet, prime, r, prime != PRIME)
                  for r in ((root,) if rows.real else (root, prime - root))]
@@ -669,11 +719,12 @@ def _lifted(rows: ProductRows, meet: np.ndarray, first: tuple) -> list[bool]:
                  (x[0] - x[1]) % prime * pow(2 * root, -1, prime) % prime]
         if covered != best:
             best, modulus, coordinates = covered, prime, [part.astype(object) for part in x]
+            fractions = np.empty((len(x), *x[0].shape), dtype=object)
         else:
             inverse = pow(modulus, -1, prime)
             coordinates = [a + modulus * ((b - a) * inverse % prime) for a, b in zip(coordinates, x)]
             modulus *= prime
-        weights = _weights(best, coordinates, modulus)
+        weights = _weights(best, coordinates, modulus, fractions)
         if weights is not None and rows.annihilate(meet, weights):
             return best
 

@@ -148,12 +148,14 @@ def test_fourier_span_certificate_refuses_a_huge_slot_plan():
 def test_product_rows_refuse_a_support_of_2_21_before_reading(monkeypatch):
     """The float limbs of the sketch have 22 - bit_length(support) bits, none
     from 2^21 indices on: such members are refused before a coefficient is
-    read, and 2^21 - 1 indices go on to the reading."""
+    read.  2^21 - 1 indices go on to the reading, which comes only with the
+    sketch: this one-member family reaches it because its one product's
+    extremes lie outside the order-0 run, so no single product proves it."""
 
     class Read(Exception):
         pass
 
-    def read(member):
+    def read(*args):
         raise Read
 
     monkeypatch.setattr(polycert, "_read_exact", read)

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import tracemalloc
@@ -194,7 +195,8 @@ def test_span_certificate_refuses_a_huge_slot_plan():
 
 def test_product_rows_bound_their_object_arrays_and_limb_stack(monkeypatch):
     """The (members, support + 1) object arrays are refused past MAX_STACK_MB
-    before ``_read_exact`` runs.  The sketch goes in blocks of rows whose
+    before ``_read_exact`` runs, which it first does at a sketch or an
+    ``annihilate``, not at construction.  The sketch goes in blocks of rows whose
     gather, limbs and member products stay near _SKETCH_BLOCK_MB, and the
     blocks leave every entry of it as it is."""
 
@@ -238,13 +240,15 @@ def test_product_rows_bound_their_object_arrays_and_limb_stack(monkeypatch):
     monkeypatch.setattr(polycert, "MAX_STACK_MB", 1700 / 2**20)
     with pytest.raises(IndexOutOfRange, match=r"10 members over 10 indices need an \(10, 11\) real and imaginary"):
         ProductRows(single(10), sign=-1)
-    # 100 members: 161600 B of object arrays
+    # 100 members: 161600 B of object arrays; the first sketch reads them
     monkeypatch.setattr(polycert, "MAX_STACK_MB", 200000 / 2**20)
+    rows = ProductRows(single(100), sign=-1)
     with pytest.raises(Built):
-        ProductRows(single(100), sign=-1)
+        rows.sketch(rows.meet(range(-1, 2)), PRIME, _SQRT_M1)
     monkeypatch.setattr(polycert, "MAX_STACK_MB", 256)
+    rows = ProductRows(single(1000), sign=-1)
     with pytest.raises(Built):
-        ProductRows(single(1000), sign=-1)
+        rows.annihilate(rows.meet([0]), (np.ones((1, 1), dtype=object), None))
     with pytest.raises(IndexOutOfRange, match=r"need an \(6000, 6001\) real and imaginary object arrays of 549 MB"):
         ProductRows(single(6000), sign=-1)
 
@@ -580,6 +584,69 @@ def test_read_exact_is_the_integer_ratio_reading(members):
     assert all(type(x) is int for row in got for z in row.values() for x in z)
 
 
+# the values a family may hold besides those above: real complex numbers,
+# numpy integers, and integers past 2^64 and past the double range
+_held = st.one_of(
+    _coefficient,
+    st.builds(complex, _double, st.sampled_from([0.0, -0.0])),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**1100), 2**1100),
+)
+# and those refused with NonFinite: NaN and infinite parts, and bools
+_refused = st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan"), complex(1.0, math.nan),
+                            complex(-math.inf, 0.0), np.complex128(complex(0.0, math.inf)),
+                            True, False, np.True_, np.False_])
+
+
+def _refusal(members) -> str | None:
+    """The NonFinite text for ``members``, found value by value: the first
+    bool, else the first NaN or infinite value of a member that holds a
+    value other than an integer; None when there is neither."""
+
+    def text(n, k):
+        return f"member {n}: coefficient {members[n][k]!r} at index {k} is not a finite number"
+
+    for n, m in enumerate(members):
+        for k, v in m.items():
+            if isinstance(v, (bool, np.bool_)):
+                return text(n, k)
+    integral = (int, np.integer)
+    for n, m in enumerate(members):
+        for k, v in m.items():
+            if not isinstance(v, integral) and not cmath.isfinite(complex(v)):
+                return text(n, k)
+    return None
+
+
+@seed(SEED)
+@settings(max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_the_scan_gives_what_the_exact_reading_gives(data):
+    """The support, the (least index, greatest index, member) bounds and the
+    realness that ``ProductRows`` finds with no exact arithmetic are those of
+    ``_read_exact``'s output, and both refuse the same values with the same
+    text, whatever members mix and wherever a refused value sits."""
+    members = data.draw(st.lists(st.dictionaries(st.integers(-40, 40), _held, max_size=12), max_size=5),
+                        label="members")
+    for _ in range(data.draw(st.integers(0, 2), label="refused") if members else 0):
+        n, at = data.draw(st.integers(0, len(members) - 1), label="member"), data.draw(st.integers(-40, 40), label="at")
+        items = [(k, v) for k, v in members[n].items() if k != at]
+        items.insert(data.draw(st.integers(0, len(items)), label="position"), (at, data.draw(_refused, label="bad")))
+        members[n] = dict(items)
+    refusal = _refusal(members)
+    if refusal is not None:
+        for read in (lambda: _read_exact(members), lambda: ProductRows(members, sign=1)):
+            with pytest.raises(NonFinite) as raised:
+                read()
+            assert str(raised.value) == refusal
+        return
+    exact = _read_exact(members)
+    rows = ProductRows(members, sign=1)
+    assert rows._support == sorted(set().union(*exact))
+    assert rows._bounds.tolist() == [[min(m), max(m), k] for k, m in enumerate(exact) if m]
+    assert rows.real is (not any(b for m in exact for _, b in m.values()))
+
+
 def _spy_pivot_columns(monkeypatch, refuse=lambda a, modulus: False) -> list:
     """Record the (shape, modulus) of every elimination, each of an int64
     block; raise on the refused ones."""
@@ -679,6 +746,25 @@ def test_a_vanishing_compression_still_gives_the_exact_ladder(monkeypatch):
     seen.clear()
     assert fourier_span_certificate(geometric_tail_family(8), 8).missing_degrees == (8,)
     assert seen == [((25, 17), PRIME), ((64, 17), _SECOND_PRIME)]
+
+
+def test_a_lift_over_many_primes_lifts_each_coordinate_about_once(monkeypatch):
+    """A deficit whose coordinates need many primes keeps each lift that the
+    next prime does not contradict: 8 members of degree 30 take 23 primes and
+    930 coordinates, and the lifts number the coordinates plus at most three
+    per prime, not the coordinates again after each prime."""
+    lifts, primes = [], []
+    rational, each = polycert._rational, polycert._primes
+    monkeypatch.setattr(polycert, "_rational", lambda *args: lifts.append(args) or rational(*args))
+    monkeypatch.setattr(polycert, "_primes", lambda: (primes.append(p) or (p, root) for p, root in each()))
+    held = _record_dependencies(monkeypatch)
+    cert = product_span_certificate(_powers(8, 30), 62)
+    # the members as the doubles they hold: (k + 1)^s is rounded past 2^53
+    assert cert.missing_degrees == _poly_reference([[int(float((k + 1) ** s)) for s in range(31)] for k in range(8)], 62)
+    weights = held[-1][0]
+    coordinates = (weights.shape[0] - weights.shape[1]) * weights.shape[1]
+    assert (len(primes), coordinates) == (23, 930)
+    assert len(lifts) <= coordinates + 3 * len(primes)
 
 
 def test_an_all_zero_sketch_still_gives_the_exact_answer(monkeypatch):
@@ -813,11 +899,13 @@ def test_sketch_matches_exact_reference_under_other_seeds(data):
 
 
 def _refuse_the_ladder(monkeypatch) -> None:
-    """Make the sketch, the residues and every elimination raise when reached."""
+    """Make the exact reading, the sketch, the residues and every elimination
+    raise when reached."""
 
     def refuse(*args):
         raise AssertionError("reached the sketch route")
 
+    monkeypatch.setattr(polycert, "_read_exact", refuse)
     monkeypatch.setattr(ProductRows, "sketch", refuse)
     monkeypatch.setattr(ProductRows, "_residues", refuse)
     monkeypatch.setattr(polycert, "_pivot_columns", refuse)
