@@ -336,10 +336,15 @@ class ProductRows:
         self.count = n * (n + 1) // 2 if self._symmetric else n * (rhi - rlo)
 
     @cached_property
-    def _exact(self) -> list[dict[int, tuple[int, int]]]:
-        """The members read exactly (:func:`_read_exact`), on first use: only
-        :meth:`_residues` and :attr:`_objects` read them."""
-        return _read_exact(self._members, self._scanned)
+    def _entries(self) -> tuple:
+        """(member, support position, re, im) of every entry of the members
+        read exactly (:func:`_read_exact`), member by member, on first use:
+        only :meth:`_residues` and :attr:`_objects` read them."""
+        exact = _read_exact(self._members, self._scanned)
+        member = np.repeat(np.arange(len(exact)), [len(m) for m in exact])
+        position = np.searchsorted(self._support, [s for m in exact for s in m]).astype(np.intp)
+        re, im = zip(*[z for m in exact for z in m.values()]) if member.size else ((), ())
+        return member, position, re, im
 
     def _residues(self, prime: int, root: int) -> list[tuple]:
         """Per half: (member - lo, support position, residue) of every entry,
@@ -347,10 +352,7 @@ class ProductRows:
         are modulo ``prime`` with i taken to ``root``, those of the conjugate
         for the left half.  Read by :meth:`sketch` only, and not kept: no
         certificate sketches twice under one (prime, root)."""
-        member = np.repeat(np.arange(len(self._exact)), [len(m) for m in self._exact])
-        position = np.searchsorted(self._support, [s for m in self._exact for s in m]).astype(np.intp)
-        values = [z for m in self._exact for z in m.values()]
-        re, im = zip(*values) if values else ((), ())
+        member, position, re, im = self._entries
         re = np.array([a % prime for a in re], dtype=np.int64)
         im = np.zeros_like(re) if self.real else np.array([b % prime for b in im], dtype=np.int64)
         order = np.argsort(position, kind="stable")
@@ -527,12 +529,10 @@ class ProductRows:
     def _objects(self) -> tuple[np.ndarray, np.ndarray]:
         """The members' real and imaginary parts as (members, support + 1)
         Python-int object arrays, the last column zero for "no term"."""
-        pos = {s: k for k, s in enumerate(self._support)}
-        re = np.zeros((len(self._exact), len(self._support) + 1), dtype=object)
+        member, position, values_re, values_im = self._entries
+        re = np.zeros((len(self._members), len(self._support) + 1), dtype=object)
         im = np.zeros_like(re)
-        for i, m in enumerate(self._exact):
-            for s, (a, b) in m.items():
-                re[i, pos[s]], im[i, pos[s]] = a, b
+        re[member, position], im[member, position] = values_re, values_im
         return re, im
 
     def annihilate(self, meet: np.ndarray, weights: tuple) -> bool:
