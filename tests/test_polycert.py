@@ -193,10 +193,10 @@ def test_span_certificate_refuses_a_huge_slot_plan():
         rows.check_slots(limit + 1)
 
 
-def test_product_rows_bound_their_object_arrays_and_limb_stack(monkeypatch):
-    """The (members, support + 1) object arrays are refused past MAX_STACK_MB
-    before ``_read_exact`` runs, which it first does at a sketch or an
-    ``annihilate``, not at construction.  The sketch goes in blocks of rows whose
+def test_product_rows_bound_their_residue_arrays_and_limb_stack(monkeypatch):
+    """The (members, support + 1) int64 residue arrays are refused past
+    MAX_STACK_MB before ``_read_exact`` runs, which it first does at a sketch
+    or an ``annihilate``, not at construction.  The sketch goes in blocks of rows whose
     gather, limbs and member products stay near _SKETCH_BLOCK_MB, and the
     blocks leave every entry of it as it is."""
 
@@ -236,11 +236,11 @@ def test_product_rows_bound_their_object_arrays_and_limb_stack(monkeypatch):
     assert blocked.shape == (89, 81) and (rows.sketch(meet, PRIME, _SQRT_M1) == blocked).all()
     limit = polycert.MAX_STACK_MB
     monkeypatch.setattr(polycert, "_read_exact", refuse)
-    # 10 members: 1760 B of object arrays
+    # 10 members: 1760 B of conjugated and plain residues
     monkeypatch.setattr(polycert, "MAX_STACK_MB", 1700 / 2**20)
-    with pytest.raises(IndexOutOfRange, match=r"10 members over 10 indices need an \(10, 11\) real and imaginary"):
+    with pytest.raises(IndexOutOfRange, match=r"10 members over 10 indices need an \(10, 11\) conjugated and plain int64"):
         ProductRows(single(10), sign=-1)
-    # 100 members: 161600 B of object arrays; the first sketch reads them
+    # 100 members: 161600 B of residues; the first sketch reads the members
     monkeypatch.setattr(polycert, "MAX_STACK_MB", 200000 / 2**20)
     rows = ProductRows(single(100), sign=-1)
     with pytest.raises(Built):
@@ -249,7 +249,7 @@ def test_product_rows_bound_their_object_arrays_and_limb_stack(monkeypatch):
     rows = ProductRows(single(1000), sign=-1)
     with pytest.raises(Built):
         rows.annihilate(rows.meet([0]), (np.ones((1, 1), dtype=object), None))
-    with pytest.raises(IndexOutOfRange, match=r"need an \(6000, 6001\) real and imaginary object arrays of 549 MB"):
+    with pytest.raises(IndexOutOfRange, match=r"need an \(6000, 6001\) conjugated and plain int64 residue arrays of 549 MB"):
         ProductRows(single(6000), sign=-1)
 
 
@@ -753,16 +753,17 @@ def test_a_lift_over_many_primes_lifts_each_coordinate_about_once(monkeypatch):
     next prime does not contradict: 8 members of degree 30 take 23 primes and
     930 coordinates, and the lifts number the coordinates plus at most three
     per prime, not the coordinates again after each prime."""
-    lifts, primes = [], []
-    rational, each = polycert._rational, polycert._primes
+    lifts, rational = [], polycert._rational
     monkeypatch.setattr(polycert, "_rational", lambda *args: lifts.append(args) or rational(*args))
-    monkeypatch.setattr(polycert, "_primes", lambda: (primes.append(p) or (p, root) for p, root in each()))
+    seen = _spy_pivot_columns(monkeypatch)
     held = _record_dependencies(monkeypatch)
     cert = product_span_certificate(_powers(8, 30), 62)
     # the members as the doubles they hold: (k + 1)^s is rounded past 2^53
     assert cert.missing_degrees == _poly_reference([[int(float((k + 1) ** s)) for s in range(31)] for k in range(8)], 62)
     weights = held[-1][0]
     coordinates = (weights.shape[0] - weights.shape[1]) * weights.shape[1]
+    # the lift's primes, each laddered once; the dependency checks draw their own
+    primes = {modulus for _, modulus in seen}
     assert (len(primes), coordinates) == (23, 930)
     assert len(lifts) <= coordinates + 3 * len(primes)
 
@@ -804,12 +805,11 @@ def test_an_all_zero_sketch_still_gives_the_exact_answer(monkeypatch):
 
 def test_certifying_builds_only_the_sketch(monkeypatch):
     """A certified family that no single product proves eliminates one
-    (slots + 8)-row block and builds no object array, listed row or pair."""
+    (slots + 8)-row block, lists no row or pair and checks no dependency."""
 
     def refuse(*args):
         raise AssertionError("built what only a deficit reads")
 
-    monkeypatch.setattr(ProductRows, "_objects", property(refuse))
     monkeypatch.setattr(ProductRows, "annihilate", refuse)
     seen = _spy_pivot_columns(monkeypatch)
     assert product_span_certificate(_powers(8, 16), 14).certified
@@ -1094,6 +1094,60 @@ def test_a_lift_holds_on_every_row_or_falls_back(monkeypatch):
             seen.clear()
             assert span_certificate(_plain_rows([[v * scale for v in r] for r in rows]), range(2), 1).certified
             assert seen[-1] == ((3, 2), _SECOND_PRIME), (scale, breaking)
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_a_dependency_check_runs_past_the_primes_that_divide_it(monkeypatch, complex_rows):
+    # one row over the slots (0, 1) whose weighted sum is PQ = PRIME *
+    # _SECOND_PRIME: (PQ + 1, 1) weighted by (1, -1), or the complex row
+    # conj(i, 1) = (-i, 1) weighted by (PQ, PQ) to PQ (1 - i).  The sum is zero
+    # modulo the first two primes, under both roots of -1 for the complex row,
+    # so the check must take the primes its bound B = max |m|_1^2 max |W| asks
+    # for, whose product passes 2B, and refuse it
+    pq = PRIME * _SECOND_PRIME
+    rows = _plain_rows([[1j, 1] if complex_rows else [pq + 1, 1]])
+    weights = np.array([[pq], [pq]] if complex_rows else [[1], [-1]], dtype=object)
+    bound = 2**2 * pq if complex_rows else (pq + 2) ** 2
+    drawn, each = [], polycert._primes
+    monkeypatch.setattr(polycert, "_primes", lambda: (drawn.append(p) or (p, root) for p, root in each()))
+    assert not rows.annihilate(rows.meet(range(2)), (weights, np.zeros_like(weights) if complex_rows else None))
+    assert drawn == [p for p, _ in itertools.islice(each(), len(drawn))]
+    assert len(drawn) > 2 and math.prod(drawn[:-1]) <= 2 * bound < math.prod(drawn)
+
+
+def test_a_verified_dependency_changed_by_one_is_refused(monkeypatch):
+    # the weights that proved the geometric deficit, real and rotated to
+    # complex rows, with any one part of any one entry moved by 1
+    checks, annihilate = [], ProductRows.annihilate
+
+    def spy(self, meet, weights):
+        holds = annihilate(self, meet, weights)
+        checks.append((self, meet, weights, holds))
+        return holds
+
+    monkeypatch.setattr(ProductRows, "annihilate", spy)
+    family = geometric_tail_family(8)
+    for members in (family.members, _rotated(family)):
+        checks.clear()
+        assert fourier_span_certificate(fourier_family(members), 8).missing_degrees == (8,)
+        rows, meet, weights, holds = checks[-1]
+        assert holds
+        for part in (0, 1) if weights[1] is not None else (0,):
+            for at in np.ndindex(weights[part].shape):
+                changed = [None if w is None else w.copy() for w in weights]
+                changed[part][at] += 1
+                assert not annihilate(rows, meet, tuple(changed)), (part, at)
+
+
+def test_a_one_member_family_is_covered_at_frequency_zero_only():
+    # coefficient 1 on frequencies 0..299: one product, 300 at frequency 0 and
+    # 300 - |g| at g, so each other frequency it reaches is a multiple of
+    # frequency 0's column: 598 dependencies, lifted and checked on the member,
+    # and +-300 it does not reach
+    n = 300
+    cert = fourier_span_certificate(fourier_family([dict.fromkeys(range(n), 1.0)]), n)
+    assert cert.missing_degrees == (*range(-n, 0), *range(1, n + 1))
+    assert not cert.certified
 
 
 def test_former_float_ladder_defects_are_certified():
