@@ -33,6 +33,7 @@ from .errors import (
     NotDominated,
     NotPvm,
     NotTracePreserving,
+    _is_integer,
 )
 from .linalg import DEFAULT_TOL, Tolerance, opnorm, project_psd
 from .povm import Povm, is_pvm, support_dominates
@@ -199,7 +200,7 @@ def connection_feasible(p: Povm, pprime: Povm, max_iter: int = 10000) -> Feasibi
     affine set the correction stays in the range of the adjoint, which the
     affine projection discards.
     """
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+    if not _is_integer(max_iter) or max_iter < 0:
         raise InvalidBudget(f"iteration budget must be a non-negative integer, got {max_iter!r}")
     if p.labels != pprime.labels:
         raise LabelMismatch(f"outcome labels differ: {p.labels} vs {pprime.labels}")

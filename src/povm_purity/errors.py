@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one test of integer arguments.
 
 Every domain error derives from :class:`PovmError`.  The CLI maps the class
 name to the ``error.kind`` field of its JSON error report, so class names are
@@ -6,6 +6,8 @@ part of the tool's surface and should stay stable.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class PovmError(Exception):
@@ -108,3 +110,19 @@ class SchemaError(PovmError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+# Python counts True as the integer 1, but no index, size, budget or coefficient is a bool.
+_BOOLS = (bool, np.bool_)
+
+
+def _is_integer(v) -> bool:
+    """An int or numpy integer; a bool is neither, though Python counts True as 1."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, _BOOLS)
+
+
+def _require_integers(**values) -> None:
+    """Refuse each named size or order that is not an integer, before anything is built."""
+    for name, v in values.items():
+        if not _is_integer(v):
+            raise NonIntegerIndex(f"{name} must be an integer, got {v!r}")

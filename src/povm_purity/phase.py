@@ -29,9 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFamily, GridTooCoarse, IndexOutOfRange, InvalidRatio, NonFinite, NonIntegerIndex
+from .errors import (
+    _BOOLS,
+    EmptyFamily,
+    GridTooCoarse,
+    IndexOutOfRange,
+    InvalidRatio,
+    NonFinite,
+    NonIntegerIndex,
+    _require_integers,
+)
 from .linalg import opnorm
-from .polycert import _BOOLS, MAX_STACK_MB, ProductRows, PurityCertificate, _require_integers, span_certificate
+from .polycert import MAX_STACK_MB, ProductRows, PurityCertificate, span_certificate
 
 __all__ = [
     "FourierFamily",
@@ -111,6 +120,7 @@ def _check_size(n_members: int) -> None:
 def single_mode_family(n_members: int, start: int = 1) -> FourierFamily:
     """psi_n = e^{-in theta} for n = start..start+n_members-1."""
     _check_size(n_members)
+    _require_integers(start=start)
     return fourier_family([{start + n: 1.0} for n in range(n_members)])
 
 

@@ -42,14 +42,18 @@ it:
 * lifted deficit: else the echelon of that same ladder gives each column
   that gains no rank its coordinates on the earlier pivot columns, lifted
   to small rationals (Wang, Guy and Davenport, SIGSAM Bull. 16(2) (1982))
-  and checked modulo primes past a proven bound as bilinear forms
+  over one running denominator per column (Bright and Storjohann, ISSAC
+  2011): each coordinate times the denominator so far, mostly an integer
+  already, and checked modulo primes past a proven bound as bilinear forms
   conj(m_i)^T W m_j of the members, W the Hankel (polynomial) or Toeplitz
   (Fourier) matrix of the Gaussian weights, so no row is built.  Complex
   rows are laddered under both square roots of -1, whose two images give each
   coordinate's real and imaginary part.  Should a lift fail, the listed
   rows themselves are laddered modulo further primes, the coordinates of
-  the largest ladder combined by the Chinese remainder theorem, until a
-  lift holds, which a finite number of primes ensures (see
+  the largest ladder combined by the Chinese remainder theorem and lifted
+  afresh, until a lift holds, which a finite number of primes ensures: the
+  running denominator divides the column's least common denominator, so
+  each intermediate fraction is as small as a Cramer quotient (see
   :func:`_lifted`).
 
 No tolerance enters.
@@ -75,7 +79,7 @@ from functools import cached_property
 import numpy as np
 
 from .bases import BASIS_INFO
-from .errors import EmptyFamily, IndexOutOfRange, NonFinite, NonIntegerIndex
+from .errors import _BOOLS, EmptyFamily, IndexOutOfRange, NonFinite, NonIntegerIndex, _is_integer, _require_integers
 
 __all__ = [
     "PolyFamily",
@@ -131,22 +135,6 @@ class PolyFamily:
     def __post_init__(self) -> None:
         if self.basis not in BASIS_INFO:
             raise ValueError(f"unknown basis {self.basis!r}; one of {sorted(BASIS_INFO)}")
-
-
-# Python counts True as the integer 1, but no index, size or coefficient is a bool.
-_BOOLS = (bool, np.bool_)
-
-
-def _is_integer(v) -> bool:
-    """An int or numpy integer; a bool is neither, though Python counts True as 1."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, _BOOLS)
-
-
-def _require_integers(**values) -> None:
-    """Refuse each named size or order that is not an integer, before anything is built."""
-    for name, v in values.items():
-        if not _is_integer(v):
-            raise NonIntegerIndex(f"{name} must be an integer, got {v!r}")
 
 
 def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
@@ -401,7 +389,9 @@ class ProductRows:
         False.  Left members, by least index, go in blocks of about
         _SKETCH_BLOCK_MB, each against the band of right members whose rows
         with it may have both extremes in the run, until every reached slot
-        is taken.
+        is taken.  A real polynomial family lists only the pairs i <= j, but
+        the unlisted row (j, i) has the two extremes of the listed (i, j), so
+        every pair of a band counts.
         """
         if not reached.any():
             return True
@@ -418,7 +408,7 @@ class ProductRows:
         # sign * t runs from x to y over a right member, so a row's extremes are lo_i + x_j and hi_i + y_j
         x, y = (right[:, 0], right[:, 1]) if self._sign > 0 else (-right[:, 1], -right[:, 0])
         by_x = np.argsort(x, kind="stable")
-        x, y, j = x[by_x], y[by_x], right[by_x, 2]
+        x, y = x[by_x], y[by_x]
         left = left[np.argsort(left[:, 0], kind="stable")]
 
         def position(g):  # the ladder position of slot g, slots.size past the run
@@ -429,12 +419,10 @@ class ProductRows:
         taken = np.zeros(slots.size + 1, dtype=bool)
         block = max(1, int(_SKETCH_BLOCK_MB * 2**20) // (8 * len(right)))
         for start in range(0, len(left), block):
-            lo, hi, i = left[start : start + block].T
+            lo, hi = left[start : start + block, :2].T
             # both extremes in the run need base <= lo_i + x_j and x_j <= y_j <= base + room - hi_i
             band = slice(np.searchsorted(x, base - lo.max()), np.searchsorted(x, base + room - hi.min(), side="right"))
             last = np.maximum(position(lo[:, None] + x[band]), position(hi[:, None] + y[band]))
-            if self._symmetric:  # only the pairs i <= j are listed
-                last[j[band] < i[:, None]] = slots.size
             taken[last] = True
             if taken[:-1][reached].all():
                 return True
@@ -646,26 +634,33 @@ def _rational(r: int, modulus: int) -> tuple[int, int] | None:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _weights(covered: list, coordinates: list, modulus: int, fractions: np.ndarray) -> tuple | None:
+def _weights(covered: list, coordinates: list, modulus: int) -> tuple | None:
     """The Gaussian weights (re, im; im None for a real family) of the
-    dependencies, w = -den at each pivotless column, that the coordinates
-    (an object array per part) lift to by :func:`_rational`, else None.
-    ``fractions`` (shaped as ``np.stack(coordinates)``, None where unlifted)
-    keeps the lifts of smaller moduli: a kept n/d with n = d x (mod
-    ``modulus``) is within this larger bound too, so it is not lifted again."""
+    dependencies that the coordinates (an object array per part, [pivot,
+    pivotless column]) lift to modulo ``modulus``, else None.
+
+    Each pivotless column walks its coordinates, both parts, through one
+    running denominator den, from 1: :func:`_rational` lifts den x to n/d,
+    so x = n / (den d), and den becomes den d.  Each numerator, taken over
+    the den of its lift, is scaled to the last den, the least common
+    denominator of the column, and the column's own weight is -den.  A
+    failed lift, or a den past sqrt(modulus / 2), which no dependency
+    recoverable at this modulus has (see :func:`_lifted`), gives None."""
+    bound = math.isqrt(modulus // 2)
     pivots = [k for k, c in enumerate(covered) if c]
     free = [k for k, c in enumerate(covered) if not c]
-    for at, v in np.ndenumerate(np.stack(coordinates)):
-        kept = fractions[at]
-        if kept is None or (kept[0] - kept[1] * int(v)) % modulus:
-            fractions[at] = _rational(int(v), modulus)
-            if fractions[at] is None:  # a failed lift stops at its first coordinate too large to lift
-                return None
     out = [np.zeros((len(covered), len(free)), dtype=object) for _ in coordinates]
     for f, column in enumerate(free):
-        den = math.lcm(*(d for _, d in fractions[..., f].ravel()))
-        for w, part in zip(out, fractions[..., f]):
-            w[pivots, f] = [n * (den // d) for n, d in part]
+        den, lifts = 1, []
+        for x in itertools.chain(*(part[:, f] for part in coordinates)):
+            lift = _rational(den * x % modulus, modulus)
+            if lift is None or den * lift[1] > bound:
+                return None
+            den *= lift[1]
+            lifts.append((lift[0], den))
+        numerators = [n * (den // at) for n, at in lifts]
+        for k, w in enumerate(out):
+            w[pivots, f] = numerators[k * len(pivots) : (k + 1) * len(pivots)]
         out[0][column, f] = -den
     return out[0], out[1] if len(out) > 1 else None
 
@@ -685,24 +680,35 @@ def _lifted(rows: ProductRows, meet: np.ndarray, first: tuple) -> list[bool]:
     the coordinates of its tries, each pivotless column's on the pivot
     columns before it (real part (x+ + x-)/2 and imaginary part
     (x+ - x-)/2s of the images x+ and x- under s and p - s), are combined by
-    the Chinese remainder theorem and lifted by :func:`_rational` with the
-    bound sqrt(M/2), M the product of their primes, keeping each lift that
-    the next prime does not contradict (see :func:`_weights`).  Once
-    :meth:`ProductRows.annihilate` proves each dependency, sum_k w_k col_k
-    = 0 with w = -den at the column, on every listed row (modulo primes
-    past a bound on the rows' weighted sums), A's rank on each prefix is
-    the ladder's pivot count there.
+    the Chinese remainder theorem and lifted afresh after each prime by
+    :func:`_weights`, each pivotless column over one running denominator,
+    with the bound sqrt(M/2), M the product of their primes; nothing is kept
+    from the lifts of earlier primes.  Once :meth:`ProductRows.annihilate`
+    proves each dependency, sum_k w_k col_k = 0 with w = -den at the column,
+    on every listed row (modulo primes past a bound on the rows' weighted
+    sums), A's rank on each prefix is the ladder's pivot count there.
 
     The loop ends.  A prime p not dividing the norm N(D) of one nonsingular
     pivot minor D of A keeps D's images nonzero under both roots, so it
     keeps A's ladder and gives p-integral coordinates, the images of A's.
     By Hadamard's bound |D| and every Cramer numerator are at most B^r, r
     the rank and B <= max_i |m_i|_2 max_j |r_j|_1 a bound on each row's norm
-    (Young's inequality), so only finitely many primes miss the ladder, and
-    once M passes 2 B^(4r), sqrt(M/2) recovers the coordinates.
+    (Young's inequality), so only finitely many primes miss the ladder.  By
+    Cramer's rule each part of a coordinate is a numerator over D (real
+    rows) or over N(D) = |D|^2 (the parts of N conj(D) / |D|^2), each of
+    the two at most B^(2r).  Let d* be a column's reduced common
+    denominator; it divides that D or N(D).  Once M passes 2 B^(4r), so
+    that sqrt(M/2) passes B^(2r), the running denominator den of
+    :func:`_weights` always divides d*: it starts at 1, and if den divides
+    d*, then den x is x d* / (d* / den): a numerator no larger than x d*,
+    which is no larger than x's numerator over D or N(D), as d* divides
+    that, over a denominator at most d*.  Both are within sqrt(M/2), so
+    :func:`_rational` recovers den x, whose reduced denominator divides d* /
+    den, and den times it divides d* again, at most B^(2r).  So the lift
+    holds, den never passes sqrt(M/2), and every dependency is recovered.
     """
     ncols = meet.shape[1]
-    best, modulus, coordinates, fractions = None, 1, None, None
+    best, modulus, coordinates = None, 1, None
     for prime, root in _primes():
         tries = [first if (prime, r) == (PRIME, _SQRT_M1) else _ladder(rows, meet, prime, r, prime != PRIME)
                  for r in ((root,) if rows.real else (root, prime - root))]
@@ -717,12 +723,11 @@ def _lifted(rows: ProductRows, meet: np.ndarray, first: tuple) -> list[bool]:
                  (x[0] - x[1]) % prime * pow(2 * root, -1, prime) % prime]
         if covered != best:
             best, modulus, coordinates = covered, prime, [part.astype(object) for part in x]
-            fractions = np.empty((len(x), *x[0].shape), dtype=object)
         else:
             inverse = pow(modulus, -1, prime)
             coordinates = [a + modulus * ((b - a) * inverse % prime) for a, b in zip(coordinates, x)]
             modulus *= prime
-        weights = _weights(best, coordinates, modulus, fractions)
+        weights = _weights(best, coordinates, modulus)
         if weights is not None and rows.annihilate(meet, weights):
             return best
 

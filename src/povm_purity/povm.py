@@ -27,6 +27,7 @@ from .errors import (
     NotNormalized,
     NotPsd,
     SchemaError,
+    _is_integer,
 )
 from .linalg import DEFAULT_TOL, EigenResult, Tolerance, _hermitian_mask, _sorted_eig, opnorm
 from .wire import matrix_from_pairs, matrix_to_pairs
@@ -84,7 +85,8 @@ def validate(
     Raises
     ------
     DimensionMismatch
-        An effect is not dim x dim.
+        ``dim`` is not a positive integer (a bool is not one), or an effect
+        is not dim x dim.
     DuplicateLabel
         Two outcomes share a label.
     NonFinite
@@ -113,8 +115,8 @@ def _validate(
     Every check still reads every effect, the given spectrum included.
     """
     pairs = list(outcomes)
-    if dim < 1:
-        raise DimensionMismatch(f"dimension must be positive, got {dim}")
+    if not _is_integer(dim) or dim < 1:
+        raise DimensionMismatch(f"dimension must be a positive integer, got {dim!r}")
     if not pairs:
         raise NotNormalized("a measurement needs at least one outcome")
     labels = tuple(str(lab) for lab, _ in pairs)
@@ -213,7 +215,7 @@ def povm_from_dict(obj, tol: Tolerance = DEFAULT_TOL) -> Povm:
     if "dim" not in obj:
         raise SchemaError("/dim", "missing")
     dim = obj["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not _is_integer(dim) or dim < 1:
         raise SchemaError("/dim", f"expected a positive integer, got {dim!r}")
     if "outcomes" not in obj:
         raise SchemaError("/outcomes", "missing")

@@ -180,7 +180,7 @@ def test_feasible_rejects_negative_budget():
     assert connection_feasible(coin, comp, max_iter=0).iterations == 0
 
 
-@pytest.mark.parametrize("budget", [2.5, 10.0, "10", None])
+@pytest.mark.parametrize("budget", [2.5, 10.0, "10", None, True, False, np.True_])
 def test_feasible_rejects_non_integer_budgets(budget):
     coin, comp = fixture("coin"), fixture("computational-pvm-d2")
     with pytest.raises(InvalidBudget, match="non-negative integer"):

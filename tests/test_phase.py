@@ -110,10 +110,14 @@ def test_fourier_family_refuses_integers_past_the_double_range(big):
         lambda: geometric_tail_family(3, 0.5, 8.5),
         lambda: phase_truncation_demo(single_mode_family(3), 2.5, 1024),
         lambda: phase_truncation_demo(single_mode_family(3), 2, 1024.0),
+        # True would build the members at frequencies 1 and 2
+        lambda: single_mode_family(2, start=True),
+        lambda: single_mode_family(2, start=1.0),
     ],
     ids=[
         "family-degree", "family-negative-degree", "product-order", "fourier-order", "single-members",
         "single-integral-float", "geometric-members", "geometric-support", "demo-order", "demo-grid",
+        "single-start-bool", "single-start-float",
     ],
 )
 def test_non_integer_sizes_and_orders_are_refused(call):

@@ -369,11 +369,13 @@ def _gaussian(v) -> tuple[Fraction, Fraction]:
     return Fraction(complex(v).real), Fraction(complex(v).imag)
 
 
-def _gaussian_pivot_columns(rows, ncols: int) -> set[int]:
-    """Pivot columns over Q(i) of rows of ints and complex numbers, each read exactly.
+def _gaussian_echelon(rows, ncols: int) -> tuple[list[int], list]:
+    """(pivot columns, reduced row echelon form) over Q(i) of rows of ints and
+    complex numbers, each read exactly.
 
     Entries become (re, im) pairs of Fractions; the elimination mirrors
-    ``_pivot_columns`` above.
+    ``_pivot_columns`` above.  Each pivot row is scaled to 1 at its pivot,
+    and row k of the returned form is the k-th pivot's.
     """
 
     def mul(x, y):
@@ -385,21 +387,42 @@ def _gaussian_pivot_columns(rows, ncols: int) -> set[int]:
 
     zero = (Fraction(0), Fraction(0))
     mat = [[_gaussian(v) for v in r] + [zero] * (ncols - len(r)) for r in rows]
-    pivots: set[int] = set()
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(mat)) if mat[i][col] != zero), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank]
+        lead = mat[rank] = [mul(inv(mat[rank][col]), b) for b in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][col] != zero:
-                f = mul(mat[i][col], inv(lead[col]))
+                f = mat[i][col]
                 mat[i] = [(a[0] - fb[0], a[1] - fb[1]) for a, fb in zip(mat[i], (mul(f, b) for b in lead))]
-        pivots.add(col)
-        rank += 1
-    return pivots
+        pivots.append(col)
+    return pivots, mat
+
+
+def _gaussian_pivot_columns(rows, ncols: int) -> set[int]:
+    """Pivot columns over Q(i) of rows of ints and complex numbers, each read exactly."""
+    return set(_gaussian_echelon(rows, ncols)[0])
+
+
+def _reference_weights(rows, ncols: int) -> tuple[list, list]:
+    """The weights (re, im) of every pivotless column's dependency on the
+    pivot columns before it, over Q(i) from the reduced echelon of ``rows``:
+    its coordinates over their least common denominator den, and -den at the
+    column, as Python ints [column, pivotless column]."""
+    pivots, mat = _gaussian_echelon(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    re, im = ([[0] * len(free) for _ in range(ncols)] for _ in range(2))
+    for f, column in enumerate(free):
+        coordinates = [mat[k][column] for k in range(len(pivots))]
+        den = math.lcm(*(x.denominator for z in coordinates for x in z))
+        for pivot, (a, b) in zip(pivots, coordinates):
+            re[pivot][f], im[pivot][f] = int(a * den), int(b * den)
+        re[column][f] = -den
+    return re, im
 
 
 def _plain_rows(rows) -> ProductRows:
@@ -482,7 +505,8 @@ def _audit(held, rows, slots, live, missing) -> None:
     ``rows`` over ``slots``: each column of weights over the ``live`` slots
     annihilates every row, and its last nonzero weight, -den, sits at a
     missing slot; every missing live slot has one, and a deficit on no live
-    slot holds none."""
+    slot holds none.  The weights are the reference's coordinates over their
+    least common denominator."""
     dead = [g for g in live if g in missing]
     assert bool(held) == bool(dead)
     if not dead:
@@ -500,6 +524,8 @@ def _audit(held, rows, slots, live, missing) -> None:
             terms = [(x * c - y * d, x * d + y * c) for (x, y), (c, d) in zip(w, (_gaussian(row[k]) for k in at))]
             assert (sum(t[0] for t in terms), sum(t[1] for t in terms)) == (0, 0)
     assert ends == dead
+    # each is the reference dependency over its least common denominator
+    assert (re.tolist(), im.tolist()) == _reference_weights([[row[k] for k in at] for row in rows], len(live))
 
 
 def _check_plain_rows(rows, ncols: int) -> None:
@@ -749,12 +775,21 @@ def test_a_vanishing_compression_still_gives_the_exact_ladder(monkeypatch):
 
 
 def test_a_lift_over_many_primes_lifts_each_coordinate_about_once(monkeypatch):
-    """A deficit whose coordinates need many primes keeps each lift that the
-    next prime does not contradict: 8 members of degree 30 take 23 primes and
-    930 coordinates, and the lifts number the coordinates plus at most three
-    per prime, not the coordinates again after each prime."""
+    """A deficit whose coordinates need many primes walks each pivotless
+    column through one running denominator: 8 members of degree 30 take 23
+    primes and 930 coordinates, and most lifts are of residues already
+    within sqrt(M/2) of 0, integer images that return at once; the others
+    number fewer than the coordinates, not the coordinates again after each
+    prime."""
     lifts, rational = [], polycert._rational
-    monkeypatch.setattr(polycert, "_rational", lambda *args: lifts.append(args) or rational(*args))
+
+    def spy(r, modulus):
+        bound = math.isqrt(modulus // 2)
+        if bound < r < modulus - bound:
+            lifts.append(r)
+        return rational(r, modulus)
+
+    monkeypatch.setattr(polycert, "_rational", spy)
     seen = _spy_pivot_columns(monkeypatch)
     held = _record_dependencies(monkeypatch)
     cert = product_span_certificate(_powers(8, 30), 62)
@@ -765,7 +800,44 @@ def test_a_lift_over_many_primes_lifts_each_coordinate_about_once(monkeypatch):
     # the lift's primes, each laddered once; the dependency checks draw their own
     primes = {modulus for _, modulus in seen}
     assert (len(primes), coordinates) == (23, 930)
-    assert len(lifts) <= coordinates + 3 * len(primes)
+    assert len(lifts) < coordinates
+
+
+def _plain_case(rows) -> tuple:
+    """(certificate, reference rows, slots, live slots) of ``_plain_rows(rows)``."""
+    ncols = len(rows[0])
+    live = _live([dict(enumerate(r)) for r in rows] + [{0: 1}], -1, range(ncols))
+    return (lambda: span_certificate(_plain_rows(rows), range(ncols), ncols - 1),
+            [[_conj(v) for v in r] for r in rows], list(range(ncols)), live)
+
+
+def _fourier_case(members, order: int) -> tuple:
+    """(certificate, reference rows, slots, live slots) of the Fourier family ``members``."""
+    rows, slots = _fourier_rows(members, order)
+    return lambda: fourier_span_certificate(fourier_family(members), order), rows, slots, _live(members, -1, slots)
+
+
+def test_each_held_dependency_is_the_reference_over_its_least_common_denominator(monkeypatch):
+    # lifted over one prime, two, nine (under both roots of -1) or 23, the
+    # weights that prove a deficit are the reference's dependencies in
+    # Fractions over their least common denominator, the least weights that
+    # prove it, on which the bound of ``annihilate`` rests
+    powers = [[int(float((k + 1) ** s)) for s in range(31)] for k in range(8)]
+    cases = [
+        _plain_case(_SMALL_DEPENDENCY),
+        _plain_case(_LARGE_DEPENDENCY),
+        _plain_case([[65537 * z, (3 + 65537j) * z, w] for z, w in ((1 + 1j, 1), (2, 1j), (3j, 0))]),
+        _plain_case(_NINE_PRIME_DEFICIT),
+        _fourier_case(_dyadic_geometric(8), 8),
+        (lambda: product_span_certificate(_powers(8, 30), 62), *_poly_rows(powers, 62),
+         _live([dict(enumerate(m)) for m in powers], 1, range(63))),
+    ]
+    for certificate, rows, slots, live in cases:
+        with pytest.MonkeyPatch.context() as patch:
+            held = _record_dependencies(patch)
+            missing = certificate().missing_degrees
+        assert len(held) == 1
+        _audit(held, rows, slots, live, missing)
 
 
 def test_an_all_zero_sketch_still_gives_the_exact_answer(monkeypatch):
@@ -1044,6 +1116,8 @@ def test_rational_reconstruction():
     assert polycert._rational(-(2**30) * pow(2**30 - 1, -1, both) % both, both) == (-(2**30), 2**30 - 1)
 
 
+# column 4's coordinates on columns 0 and 3 take nine primes (see the test below)
+_NINE_PRIME_DEFICIT = [[0, 0, 0, 0, 0], [0, 0, PRIME, 1, 0], [1, 0, 0, 1, 1], [PRIME + 1j, 0, 1, 0, 0]]
 _SMALL_DEPENDENCY = [[1, 2, 5], [3, -1, 1], [0, 4, 8], [2, 2, 6]]  # column 2 = column 0 + 2 column 1
 _LARGE_DEPENDENCY = [[65537, 3, 1], [131074, 6, 0], [-65537, -3, 2]]  # column 1 = 3/65537 column 0
 
@@ -1073,7 +1147,7 @@ def test_a_gaussian_deficit_takes_as_many_primes_as_its_coordinates_need(monkeyp
     # a multiple of PRIME under an entry P + i: the coordinates of column 4 on
     # columns 0 and 3 have numerators and denominators near P^4, so after PRIME
     # fails, eight further primes, each laddered under both roots, lift them
-    rows = [[0, 0, 0, 0, 0], [0, 0, PRIME, 1, 0], [1, 0, 0, 1, 1], [PRIME + 1j, 0, 1, 0, 0]]
+    rows = _NINE_PRIME_DEFICIT
     seen = _spy_pivot_columns(monkeypatch)
     cert = span_certificate(_plain_rows(rows), range(5), 4)
     covered = _gaussian_pivot_columns([[_conj(v) for v in r] for r in rows], 5)

@@ -82,6 +82,15 @@ def test_validate_rejects_shape_and_duplicates():
         validate(0, [("a", np.zeros((0, 0)))])
 
 
+@pytest.mark.parametrize("dim", [True, np.True_, 2.0, "2", None])
+def test_validate_refuses_a_dimension_that_is_not_an_integer(dim):
+    # True and 2.0 pass the shape check of a 1 x 1 or 2 x 2 effect, and np.eye
+    # then raised a bare TypeError; povm_from_dict refuses them at /dim
+    effects = [("a", np.eye(2 if dim == 2.0 else 1))]
+    with pytest.raises(DimensionMismatch, match="must be a positive integer"):
+        validate(dim, effects)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_validate_names_a_non_finite_effect(bad):
     # a NaN or infinity would reach the eigensolver, which raises LinAlgError on it
