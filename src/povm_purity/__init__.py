@@ -8,17 +8,16 @@ certificates for polynomial and trigonometric outcome families.
 
 Each module's ``__all__`` is its public surface; the package re-exports them
 all, so every public name is declared once, in its own module.  Nothing is
-imported with the package: a submodule, and each name it exports, loads on
-first access (PEP 562), so ``python -m povm_purity`` pays only for the
-modules its subcommand runs.  Listing the names (``__all__``, ``dir``) or
-asking for one that does not exist imports no submodule: the names are read
-from the ``__all__`` literals in the modules' source.
+imported with the package: a submodule loads on first access (PEP 562), so
+``python -m povm_purity`` pays only for the modules its subcommand runs.
+The first re-exported name asked for, or a listing of them (``__all__``,
+``dir``), imports the eight exporting modules, whose ``__all__`` lists say
+which module owns each name; so does asking for a name that does not exist.
 """
 
 from __future__ import annotations
 
 import importlib
-import os
 
 __version__ = "0.1.0"
 
@@ -28,25 +27,11 @@ _SUBMODULES = frozenset(_EXPORTING + ("bases", "cli", "errors", "rand", "wire"))
 _owners: dict[str, str] = {}
 
 
-def _declared(module: str) -> list[str]:
-    """The ``__all__`` literal of a submodule, read without importing it."""
-    try:
-        with open(os.path.join(__path__[0], f"{module}.py"), encoding="utf-8") as f:
-            text = f.read()
-    except OSError:  # no source to read: the module says itself
-        return importlib.import_module(f"{__name__}.{module}").__all__
-    import ast
-
-    start = text.index("[", text.index("\n__all__ = ") + 1)
-    return ast.literal_eval(text[start : text.index("]", start) + 1])
-
-
 def _owner_of() -> dict[str, str]:
     """Each re-exported name -> the submodule that declares it, in ``__all__`` order."""
-    if not _owners:
-        _owners["PovmError"] = "errors"
-        for module in _EXPORTING:
-            _owners.update(dict.fromkeys(_declared(module), module))
+    if not _owners:  # filled at once, so a failed import leaves it empty
+        names = {name: module for module in _EXPORTING for name in importlib.import_module(f"{__name__}.{module}").__all__}
+        _owners.update({"PovmError": "errors", **names})
     return _owners
 
 

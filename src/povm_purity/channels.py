@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     InvalidBudget,
     LabelMismatch,
+    NonFinite,
     NotDominated,
     NotPvm,
     NotTracePreserving,
@@ -72,7 +73,7 @@ class KrausChannel:
 
 
 def kraus_channel(in_dim: int, out_dim: int, ops) -> KrausChannel:
-    """Validate shapes and trace preservation, then freeze the channel."""
+    """Validate shapes, finiteness and trace preservation, then freeze the channel."""
     mats = []
     for k, a in enumerate(ops):
         m = np.asarray(a, dtype=np.complex128)
@@ -80,6 +81,8 @@ def kraus_channel(in_dim: int, out_dim: int, ops) -> KrausChannel:
             raise DimensionMismatch(
                 f"Kraus operator {k} has shape {m.shape}, expected ({out_dim}, {in_dim})"
             )
+        if not np.isfinite(m).all():
+            raise NonFinite(f"Kraus operator {k} has a NaN or infinite entry")
         mats.append(m)
     if not mats:
         raise NotTracePreserving("a channel needs at least one Kraus operator")

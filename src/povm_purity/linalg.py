@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTolerance, NonHermitian, NonSquare
+from .errors import InvalidTolerance, NonFinite, NonHermitian, NonSquare
 
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "EigenResult",
-    "herm_eig",
     "project_psd",
     "certify_min_eigenvalue",
 ]
@@ -94,12 +93,15 @@ def _hermitian_mask(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     square matrix or (k, n, n) stack ``a``.
 
     The Frobenius norm bounds the operator norm from above, so it settles the
-    common case; one batched SVD settles the rest.
+    common case; one batched SVD settles the rest.  A NaN or infinite entry
+    fails the first test, and is refused with ``NonFinite`` before the SVD.
     """
     d = a if a.ndim == 3 else a[None]
     d = d - d.conj().swapaxes(-1, -2)
     ok = np.linalg.norm(d, axis=(-2, -1)) <= tol.abs_eps
     if not ok.all():
+        if not np.isfinite(a).all():
+            raise NonFinite("matrix has a NaN or infinite entry")
         ok[~ok] = opnorm(d[~ok]) <= tol.abs_eps
     return ok
 
@@ -141,26 +143,6 @@ def _sorted_eig(a: np.ndarray) -> EigenResult:
         order = np.argsort(-w, axis=-1, kind="stable")
         w, v = np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1)
     return EigenResult(eigenvalues=w, eigenvectors=_fix_column_phases(v))
-
-
-def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
-    """Eigendecomposition of a Hermitian matrix in the package convention.
-
-    Parameters
-    ----------
-    m : array_like
-        Square matrix with ``||m - m*|| <= tol.abs_eps``.
-    tol : Tolerance
-        Hermiticity threshold.
-
-    Raises
-    ------
-    NonSquare, NonHermitian
-    """
-    a = _as_square(m)
-    if not _hermitian_mask(a, tol)[0]:
-        raise NonHermitian("matrix is not Hermitian within tolerance")
-    return _sorted_eig(a)
 
 
 def project_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -65,35 +65,47 @@ MAX_MEMBERS = math.isqrt(MAX_STACK_MB * 2**20 // 8)
 
 @dataclass(frozen=True)
 class FourierFamily:
-    """Finitely supported Fourier coefficient maps, one dict {s: coeff} per member."""
+    """Finitely supported Fourier coefficient maps, one dict {s: coeff} per member.
+
+    Each key must be an integer (an integral float is read as one, a bool is
+    not) of magnitude at most 2^53 and each value a number (not a string or
+    a bool); ``NonIntegerIndex``, ``IndexOutOfRange`` and ``NonFinite``
+    refuse the others where the family is made, naming the member and the
+    key.  NaN and infinite values are refused by the certificate and the demo.
+    """
 
     members: tuple[dict[int, complex], ...]
+
+    def __post_init__(self) -> None:
+        for n, m in enumerate(self.members):
+            for s, v in m.items():
+                try:
+                    g = int(s)
+                except (TypeError, ValueError, OverflowError):
+                    g = None
+                if g is None or g != s or isinstance(s, _BOOLS):
+                    raise NonIntegerIndex(f"member {n}: frequency {s!r} is not an integer")
+                if abs(g) > 2**53:
+                    raise IndexOutOfRange(f"member {n}: frequency {g} is past 2^53 in magnitude")
+                if not isinstance(v, (int, float, complex, np.number)) or isinstance(v, _BOOLS):
+                    raise NonFinite(f"member {n}: coefficient {v!r} at frequency {g} is not a finite number")
 
 
 def fourier_family(members) -> FourierFamily:
     """A family from maps {frequency: coefficient}, zero coefficients dropped.
 
-    Every key must be an integer (an integral float is read as one, a bool
-    is not) of magnitude at most 2^53 and every coefficient a finite number
-    (not a string or a bool, nor an integer past the double range);
-    ``NonIntegerIndex``, ``IndexOutOfRange`` and ``NonFinite`` refuse the
-    others, naming the member, before anything is built.
+    The keys and values must pass :class:`FourierFamily`, and every
+    coefficient must be finite (nor an integer past the double range);
+    ``NonFinite`` refuses the others, naming the member, before anything is
+    built.
     """
     cleaned = []
-    for n, m in enumerate(members):
+    for n, m in enumerate(FourierFamily(members=tuple(members)).members):
         entries = {}
         for s, v in m.items():
+            g = int(s)
             try:
-                g = int(s)
-            except (TypeError, ValueError, OverflowError):
-                g = None
-            if g is None or g != s or isinstance(s, _BOOLS):
-                raise NonIntegerIndex(f"member {n}: frequency {s!r} is not an integer")
-            if abs(g) > 2**53:
-                raise IndexOutOfRange(f"member {n}: frequency {g} is past 2^53 in magnitude")
-            try:
-                numeric = isinstance(v, (int, float, complex, np.number)) and not isinstance(v, _BOOLS)
-                z = complex(v) if numeric else complex("nan")
+                z = complex(v)
             except OverflowError:  # its repr may be too long to print
                 raise NonFinite(f"member {n}: coefficient at frequency {g} is an integer past the double range") from None
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -117,11 +129,10 @@ def _check_size(n_members: int) -> None:
         )
 
 
-def single_mode_family(n_members: int, start: int = 1) -> FourierFamily:
-    """psi_n = e^{-in theta} for n = start..start+n_members-1."""
+def single_mode_family(n_members: int) -> FourierFamily:
+    """psi_n = e^{-in theta} for n = 1..n_members."""
     _check_size(n_members)
-    _require_integers(start=start)
-    return fourier_family([{start + n: 1.0} for n in range(n_members)])
+    return fourier_family([{n: 1.0} for n in range(1, n_members + 1)])
 
 
 def geometric_tail_family(n_members: int, ratio: float = 0.5, support: int = 32) -> FourierFamily:
@@ -297,22 +308,23 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
     V*V is an antiderivative of the Gram density, U(x) = diag(e^{-isx}) V and
     K0[s, t] = 1 / (2 pi i (s - t)) off the diagonal, 0 on it (see
     :func:`_antiderivatives`).  F is evaluated at the 2^MAX_LEVEL + 1 dyadic
-    endpoints, once for the target and once for the kept rows of V, and every
-    interval Gram is a difference of two of them.  The endpoints are walked in
-    blocks of _BLOCK, each carrying over the last endpoint of the one before:
-    a block writes its finest interval Grams straight into the returned stack
-    and folds the differences of target and truncation into one running
-    maximum per dyadic level, for the levels whose intervals fit in a block;
-    the coarser levels difference the error kept at each block's last
-    endpoint.  ``grid`` is validated (a multiple of 2^MAX_LEVEL, at least
-    MIN_GRID) and echoed in the report, but changes no number.  A family whose
-    arrays would pass MAX_STACK_MB together (as :func:`_check_demo` counts
-    them) is refused with ``IndexOutOfRange`` before anything is allocated;
-    one whose Grams pass the double range, with ``NonFinite``.
+    endpoints, once for the target and once for the kept rows of V (exactly
+    the same when nothing is truncated), and every interval Gram is a
+    difference of two of them.  The endpoints are walked in blocks of
+    _BLOCK, each carrying over the last endpoint of the one before: a block
+    writes its finest interval Grams straight into the returned stack and
+    folds the differences of target and truncation into one running maximum
+    per dyadic level, for the levels whose intervals fit in a block; the
+    coarser levels difference the error kept at each block's last endpoint.
+    ``grid`` is validated (a multiple of 2^MAX_LEVEL, at least MIN_GRID) and
+    echoed in the report, but changes no number.  A family whose arrays
+    would pass MAX_STACK_MB together (as :func:`_check_demo` counts them) is
+    refused with ``IndexOutOfRange`` before anything is allocated; one whose
+    Grams pass the double range, with ``NonFinite``.
     """
     n = len(target.members)
     # a family whose members are all empty still needs one (zero) row
-    slots = np.array(sorted({s for m in target.members for s in m}) or [0])
+    slots = np.array(sorted({s for m in target.members for s in m}) or [0], dtype=np.int64)
     _check_demo(n, slots.size, order, grid)
     v = np.array([[m.get(s, 0.0) for m in target.members] for s in slots.tolist()], dtype=np.complex128)
     cells = 1 << MAX_LEVEL
@@ -325,7 +337,6 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
     del gaps
     # the kept frequencies |s| <= order are one run of the sorted slots
     lo, hi = np.searchsorted(slots, -order), np.searchsorted(slots, order, side="right")
-    truncated = (lo, hi) != (0, slots.size)
     # interval j of level k runs from endpoint j h to endpoint (j + 1) h, h = 2^(MAX_LEVEL - k):
     # levels with h <= _BLOCK lie inside a block, the coarser ones join the blocks' last endpoints
     steps = [cells >> k for k in range(MAX_LEVEL + 1)]
@@ -334,9 +345,8 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
     # row 0 of a block holds its first endpoint a, carried over from the block before (the first
     # block computes endpoint 0), and rows 1.. the endpoints a + 1 .. a + _BLOCK it computes
     f_trunc = np.empty((_BLOCK + 1, n, n), dtype=np.complex128)
-    if truncated:
-        error = np.empty_like(f_trunc)
-        ends = np.empty((cells // _BLOCK + 1, n, n), dtype=np.complex128)
+    error = np.empty_like(f_trunc)
+    ends = np.empty((cells // _BLOCK + 1, n, n), dtype=np.complex128)
 
     def spread(e, h):
         return np.abs(e[h::h] - e[:-h:h]).max()
@@ -347,26 +357,21 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
             first = 1 if a else 0  # the row of the first endpoint this block computes
             if first:
                 f_trunc[0] = f_trunc[-1]
-                if truncated:
-                    error[0] = error[-1]
+                error[0] = error[-1]
             at = slice(a + first, a + _BLOCK + 1)
             u = phases[:, at, None] * v[:, None, :]
             _antiderivatives(u[lo:hi], hilbert[lo:hi, lo:hi], turns[at], f_trunc[first:])
-            if truncated:  # the target's antiderivatives, less f_trunc below
-                _antiderivatives(u, hilbert, turns[at], error[first:])
+            _antiderivatives(u, hilbert, turns[at], error[first:])  # the target's, less f_trunc below
             del u
             np.subtract(f_trunc[1:], f_trunc[:-1], out=stack[a : a + _BLOCK])
-            if not truncated:
-                continue
             np.subtract(error[first:], f_trunc[first:], out=error[first:])
             ends[a // _BLOCK : a // _BLOCK + 2] = error[::_BLOCK]
             for k, h in enumerate(steps):
                 if h <= _BLOCK:
                     sup[k] = np.maximum(sup[k], spread(error, h))
-        if truncated:
-            for k, h in enumerate(steps):
-                if h > _BLOCK:
-                    sup[k] = spread(ends, h // _BLOCK)
+        for k, h in enumerate(steps):
+            if h > _BLOCK:
+                sup[k] = spread(ends, h // _BLOCK)
         sup_error = float(sup.max())
         full = stack.sum(axis=0)
         consistency = v[lo:hi].conj().T @ v[lo:hi] - full

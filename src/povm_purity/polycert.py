@@ -291,24 +291,14 @@ class ProductRows:
     only the scanned bounds, and :meth:`sketch` multiplies random
     combinations of the members' residues.  Only a deficit checks
     dependencies on the members' residues (:meth:`annihilate`), and only a
-    failed lift gives :meth:`sketch` every listed row.  Members over 2^21
-    or more indices, and families whose conjugated and plain (members,
-    support + 1) int64 residue arrays would pass MAX_STACK_MB, are refused
-    with ``IndexOutOfRange`` before any coefficient is scanned; bools, then
-    NaN and infinite values, with ``NonFinite`` by the scan.
+    failed lift gives :meth:`sketch` every listed row.  Bools, then NaN and
+    infinite values, are refused with ``NonFinite`` by the scan; what a
+    sketch could not hold, by :meth:`check_sketch` once one is needed.
     """
 
     def __init__(self, members, sign: int, right=None) -> None:
         left = list(members)
         both = left if right is None else left + list(right)
-        indices = len(set().union(*both))
-        if indices >= 2**21:  # the limbs of :meth:`sketch` would have no bits
-            raise IndexOutOfRange(
-                f"members over {indices} indices; product rows take at most 2^21 - 1, "
-                "so that each float limb of their sketch keeps a bit"
-            )
-        _check_stack(f"{len(both)} members over {indices} indices", "conjugated and plain int64 residue arrays",
-                     (len(both), indices + 1), 2 * 8)
         self._members, self._scanned = both, _scan(both)
         nonzero, _, _, parts = self._scanned
         self._support = sorted(set().union(*nonzero))
@@ -354,6 +344,19 @@ class ProductRows:
             raise IndexOutOfRange(
                 f"{n_slots} slots over {len(self._support)} indices: a {mb:.0f} MB meet array, over {MAX_STACK_MB} MB"
             )
+
+    def check_sketch(self, n_slots: int) -> None:
+        """Refuse with ``IndexOutOfRange`` a support of 2^21 or more indices,
+        or a sketch over ``n_slots`` slots whose (members, support + 1)
+        residue arrays or (count, slots) block of listed rows, which a
+        deficit may ladder, would pass MAX_STACK_MB."""
+        indices = len(self._support)
+        if indices >= 2**21:  # the limbs of :meth:`sketch` would have no bits
+            raise IndexOutOfRange(f"members over {indices} indices; product rows take at most 2^21 - 1, "
+                                  "so that each float limb of their sketch keeps a bit")
+        _check_stack(f"{len(self._members)} members over {indices} indices",
+                     "conjugated and plain int64 residue arrays", (len(self._members), indices + 1), 2 * 8)
+        _check_stack(f"{self.count} product rows over {n_slots} slots", "exact row block", (self.count, n_slots), 8)
 
     def meet(self, slots) -> np.ndarray:
         """Entry [q, k]: the support position of s with s + sign * t = slots[k], for t
@@ -445,11 +448,12 @@ class ProductRows:
         slots, so the sketch is never taller than needed.  Every product is
         a :func:`_matmul_mod`: u_r and w_r from the draws and the members'
         residues (:meth:`_residues`; a family with no ``right`` half has
-        below 2^13 members once :func:`span_certificate` bounds its listed
+        below 2^13 members once :meth:`check_sketch` bounds its listed
         rows), and row r from w_r and the gather of u_r.  Rows go in blocks
         of about _SKETCH_BLOCK_MB, one row at least, each gathering only its
         own members; one row's arrays are within MAX_STACK_MB once the
-        residue arrays and the meet array are (see :meth:`check_slots`).
+        residue arrays and the meet array are (see :meth:`check_sketch` and
+        :meth:`check_slots`).
         """
         slots, support = meet.shape[1], len(self._support)
         left, right = (hi - lo for lo, hi in self._halves)
@@ -747,19 +751,19 @@ def span_certificate(rows: ProductRows, slots, check: int) -> PurityCertificate:
     columns has modular rank at most that of A, and so at most A's rank over
     Q(i), for every draw.  Full column rank of C proves every slot covered.
     On a deficit :func:`_lifted` starts from C's echelon and returns A's
-    ladder with its dependencies verified on the members.  The listed rows
-    a deficit may ladder are refused up front past MAX_STACK_MB, as an (N,
-    slots) int64 block.
+    ladder with its dependencies verified on the members.  Only a family
+    that reaches the sketch is bounded by :meth:`ProductRows.check_sketch`,
+    its residue arrays and the (N, slots) int64 block of the listed rows a
+    deficit may ladder held within MAX_STACK_MB.
     """
     slots = list(slots)
     meet = rows.meet(slots)
     reached = (meet < meet.shape[0]).any(axis=0)
     live, meet = [s for s, r in zip(slots, reached) if r], meet[:, reached]
-    # a deficit may ladder the listed rows, so their block is bounded up front
-    _check_stack(f"{rows.count} product rows over {len(live)} slots", "exact row block", (rows.count, len(live)), 8)
     if rows.leading(slots, reached):
         covered = [True] * len(live)
     else:
+        rows.check_sketch(len(live))
         first = _ladder(rows, meet, PRIME, _SQRT_M1)
         covered = first[0] if all(first[0]) else _lifted(rows, meet, first)
     hit = {s for s, c in zip(live, covered) if c}

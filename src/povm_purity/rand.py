@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import KrausChannel, kraus_channel
-from .linalg import herm_eig
+from .linalg import _sorted_eig
 from .povm import Povm, validate
 
 __all__ = [
@@ -47,7 +47,7 @@ def random_psd(rng: np.random.Generator, dim: int, rank: int | None = None) -> n
 def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> Povm:
     """Normalize random PSD lumps: E_i = S^(-1/2) G_i S^(-1/2), S = sum G_i."""
     lumps = [random_psd(rng, dim) for _ in range(n_outcomes)]
-    eig = herm_eig(sum(lumps))
+    eig = _sorted_eig(sum(lumps))
     inv_sqrt = (eig.eigenvectors / np.sqrt(eig.eigenvalues)) @ eig.eigenvectors.conj().T
     outcomes = [(f"o{i}", inv_sqrt @ g @ inv_sqrt) for i, g in enumerate(lumps)]
     return validate(dim, outcomes)

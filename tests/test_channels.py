@@ -14,6 +14,7 @@ from povm_purity.errors import (
     DimensionMismatch,
     InvalidBudget,
     LabelMismatch,
+    NonFinite,
     NotDominated,
     NotPvm,
     NotTracePreserving,
@@ -33,6 +34,9 @@ def test_kraus_channel_validation():
         kraus_channel(2, 2, [np.eye(2) * 0.5])
     with pytest.raises(NotTracePreserving):
         kraus_channel(2, 2, [])
+    # the trace-preservation check would end in a failed SVD
+    with pytest.raises(NonFinite, match="Kraus operator 1 has a NaN or infinite entry"):
+        kraus_channel(2, 2, [np.eye(2), np.full((2, 2), np.nan)])
     ch = kraus_channel(2, 2, [np.eye(2)])
     assert ch.tp_defect() <= 1e-15
 

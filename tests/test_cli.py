@@ -517,12 +517,17 @@ def test_phase_demo_nan_ratio_is_a_typed_error(capsys):
 
 
 def test_polycheck_row_block_bound_is_a_typed_error(capsys):
-    # 407 real members give 407 * 408 / 2 product rows over 407 slots: an
-    # int64 block of about 258 MiB, the first past the 256 MiB limit
-    code, doc = run(capsys, "polycheck", "--basis", "legendre", "--max", "406")
+    # without P_0 no single product reaches degree 0, so the sketch runs, and
+    # 406 real members give 406 * 407 / 2 product rows over 407 slots: an
+    # int64 block of about 257 MiB, past the 256 MiB limit
+    code, doc = run(capsys, "polycheck", "--basis", "legendre", "--max", "406", "--exclude", "0")
     assert code == 1
     assert doc["error"]["kind"] == "IndexOutOfRange"
-    assert "83028 product rows over 407 slots" in doc["error"]["detail"]
+    assert "82621 product rows over 407 slots" in doc["error"]["detail"]
+    # the full bases are proven by single products, and no block is bounded
+    for basis in ("legendre", "laguerre", "monomial"):
+        code, doc = run(capsys, "polycheck", "--basis", basis, "--max", "406")
+        assert code == 0 and doc["report"]["verdict"] == "certified"
 
 
 @pytest.mark.filterwarnings("error")

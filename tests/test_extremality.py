@@ -24,7 +24,7 @@ from povm_purity.extremality import (
 )
 from povm_purity.fixtures import FIXTURE_NAMES, fixture
 from povm_purity.linalg import DEFAULT_TOL, Tolerance, _sorted_eig, opnorm
-from povm_purity.povm import mix, validate
+from povm_purity.povm import is_pvm, mix, validate
 from povm_purity.rand import random_hermitian, random_povm, random_psd, random_pvm, random_unitary
 
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -345,6 +345,26 @@ def test_dimension_bound_on_pure_fixtures():
         if purity_verdict(p).pure:
             pmap = build_perturbation_map(p)
             assert pmap.domain_dim <= p.dim**2
+
+
+def test_phase_covariant_measurements_are_pure_up_to_2d_minus_1_outcomes():
+    """The phase measurement of a d-level system at k equally spaced angles:
+    E_j = |v_j><v_j| / k, v_j[m] = e^{2 pi i j m / k}, j < k.  Entry (m, n)
+    of E_j carries the frequency m - n, and the 2d - 1 frequencies of a d x d
+    matrix are distinct modulo k just when k >= 2d - 1, so the k rank-one
+    effects span a space of dimension min(k, 2d - 1): they are independent,
+    and the measurement pure, iff k <= 2d - 1.  At k = d they are the
+    Fourier basis's projections."""
+    for d in range(2, 7):
+        for k in range(d, 3 * d + 1):
+            v = np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(d)) / k)
+            p = validate(d, [(f"phi{j}", np.outer(v[j], v[j].conj()) / k) for j in range(k)])
+            verdict = purity_verdict(p)
+            assert verdict.pure == (k <= 2 * d - 1), (d, k)
+            assert verdict.kernel_dim == k - min(k, 2 * d - 1), (d, k)
+            assert not verdict.marginal, (d, k)
+            assert is_pvm(p) == (k == d), (d, k)
+            assert build_dilation(p).total_dim == k, (d, k)
 
 
 def _normalized(dim, lumps):

@@ -3,7 +3,7 @@ import pytest
 from conftest import same_bits
 from numpy.testing import assert_allclose
 
-from povm_purity.errors import InvalidTolerance, NonHermitian, NonSquare
+from povm_purity.errors import InvalidTolerance, NonFinite, NonHermitian, NonSquare
 from povm_purity.linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -11,7 +11,6 @@ from povm_purity.linalg import (
     _hermitize,
     _sorted_eig,
     certify_min_eigenvalue,
-    herm_eig,
     opnorm,
     project_psd,
 )
@@ -39,36 +38,33 @@ def test_tolerance_rejects_nonfinite_and_out_of_range(bad):
         Tolerance(**bad)
 
 
+# test_herm_eig_*: the package's Hermitian eigendecomposition convention, which
+# _sorted_eig gives every solve (validate's, the split's and rand's)
+
+
 def test_herm_eig_pauli_x():
-    res = herm_eig([[0, 1], [1, 0]])
+    res = _sorted_eig(np.array([[0, 1], [1, 0]]))
     assert_allclose(res.eigenvalues, [1.0, -1.0], atol=1e-12)
 
 
 def test_herm_eig_diagonal():
-    res = herm_eig(np.diag([3.0, 1.0]))
+    res = _sorted_eig(np.diag([3.0, 1.0]))
     assert_allclose(res.eigenvalues, [3.0, 1.0], atol=1e-12)
     assert_allclose(res.eigenvectors, np.eye(2), atol=1e-12)
 
 
 def test_herm_eig_two_by_two_analytic():
-    res = herm_eig([[2.0, 1.0], [1.0, 2.0]])
+    res = _sorted_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert_allclose(res.eigenvalues, [3.0, 1.0], atol=1e-12)
     s = 1.0 / np.sqrt(2.0)
     assert_allclose(res.eigenvectors[:, 0], [s, s], atol=1e-12)
     assert_allclose(res.eigenvectors[:, 1], [s, -s], atol=1e-12)
 
 
-def test_herm_eig_rejects_nonsquare_and_nonhermitian():
-    with pytest.raises(NonSquare):
-        herm_eig(np.ones((2, 3)))
-    with pytest.raises(NonHermitian):
-        herm_eig([[0.0, 1.0], [0.0, 0.0]])
-
-
 @pytest.mark.parametrize("dim", [1, 2, 5, 16])
 def test_herm_eig_reconstructs(rng, dim):
     m = random_hermitian(rng, dim)
-    res = herm_eig(m)
+    res = _sorted_eig(m)
     recon = (res.eigenvectors * res.eigenvalues) @ res.eigenvectors.conj().T
     assert opnorm(m - recon) <= 1e-10 * (1.0 + opnorm(m))
     assert_allclose(
@@ -79,8 +75,8 @@ def test_herm_eig_reconstructs(rng, dim):
 
 def test_herm_eig_phase_convention_is_deterministic(rng):
     m = random_hermitian(rng, 4)
-    a = herm_eig(m)
-    b = herm_eig(m * np.complex128(1.0))
+    a = _sorted_eig(m)
+    b = _sorted_eig(m * np.complex128(1.0))
     assert_allclose(a.eigenvectors, b.eigenvectors, atol=0)
     # first significant component of every column is real positive
     for k in range(4):
@@ -93,7 +89,7 @@ def test_herm_eig_keeps_the_solver_order_inside_a_tie():
     m = np.diag([2.0, 1.0, 2.0, 1.0, 0.0])
     w, v = np.linalg.eigh(m)
     order = np.argsort(-w, kind="stable")
-    res = herm_eig(m)
+    res = _sorted_eig(m)
     assert res.eigenvalues.tolist() == [2.0, 2.0, 1.0, 1.0, 0.0]
     assert_allclose(res.eigenvalues, w[order], atol=0)
     # the same columns, up to the phase convention
@@ -116,9 +112,16 @@ def test_project_psd_fixed_point_and_idempotent(rng):
     assert opnorm(once - once.conj().T) == 0.0 and np.linalg.eigvalsh(once)[0] >= -1e-10
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_project_psd_rejects_nonhermitian():
     with pytest.raises(NonHermitian):
         project_psd([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(NonSquare):
+        project_psd(np.ones((2, 3)))
+    # a NaN or infinite entry fails the Frobenius test; the SVD after it would not converge
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), [[1.0, np.inf], [np.inf, 1.0]]):
+        with pytest.raises(NonFinite, match="NaN or infinite"):
+            project_psd(bad)
 
 
 def _hermitian_with_spectrum(rng, w, complex_=True):
@@ -191,21 +194,17 @@ def _stack_members(rng):
 
 def test_stacked_sorted_eig_equals_the_per_matrix_herm_eig(rng):
     """Each row of a batched solve is the solve of that matrix alone, bit for
-    bit: the convex split copies rows of one stack's spectrum into another's.
-    herm_eig itself takes one matrix."""
+    bit: the convex split copies rows of one stack's spectrum into another's."""
     members = _stack_members(rng)
     stacked = _sorted_eig(np.stack(members))
     assert stacked.eigenvalues.shape == (6, 4) and stacked.eigenvectors.shape == (6, 4, 4)
     for j, m in enumerate(members):
-        one = herm_eig(m)
+        one = _sorted_eig(m)
         assert np.array_equal(stacked.eigenvalues[j], one.eigenvalues)
         assert np.array_equal(stacked.eigenvectors[j], one.eigenvectors)
     part = _sorted_eig(np.stack(members)[[4, 1]])
     assert np.array_equal(part.eigenvalues, stacked.eigenvalues[[4, 1]])
     assert np.array_equal(part.eigenvectors, stacked.eigenvectors[[4, 1]])
-    for bad in (np.stack(members[:4]), np.zeros((2, 3, 4)), np.zeros((2, 2, 2, 2))):
-        with pytest.raises(NonSquare):
-            herm_eig(bad)
 
 
 def _argsort_eig(a):

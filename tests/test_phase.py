@@ -110,14 +110,10 @@ def test_fourier_family_refuses_integers_past_the_double_range(big):
         lambda: geometric_tail_family(3, 0.5, 8.5),
         lambda: phase_truncation_demo(single_mode_family(3), 2.5, 1024),
         lambda: phase_truncation_demo(single_mode_family(3), 2, 1024.0),
-        # True would build the members at frequencies 1 and 2
-        lambda: single_mode_family(2, start=True),
-        lambda: single_mode_family(2, start=1.0),
     ],
     ids=[
         "family-degree", "family-negative-degree", "product-order", "fourier-order", "single-members",
         "single-integral-float", "geometric-members", "geometric-support", "demo-order", "demo-grid",
-        "single-start-bool", "single-start-float",
     ],
 )
 def test_non_integer_sizes_and_orders_are_refused(call):
@@ -141,6 +137,39 @@ def test_fourier_family_refuses_non_numeric_coefficients(bad):
         fourier_family([{3: bad}])
 
 
+def test_a_directly_built_family_refuses_what_fourier_family_refuses():
+    """FourierFamily checks its members where it is made, with the texts of
+    fourier_family, so neither the certificate nor the demo reads a bad key
+    or value (1.5 through an int64 array, 0.5 as an index, True as 1)."""
+    bad = [
+        ({0: 1.0, 1.5: 1.0}, NonIntegerIndex, "frequency 1.5 is not an integer"),
+        ({0.5: 1.0}, NonIntegerIndex, "frequency 0.5 is not an integer"),
+        ({True: 1.0}, NonIntegerIndex, "frequency True is not an integer"),
+        ({2**53 + 1: 1.0}, IndexOutOfRange, "frequency 9007199254740993 is past 2\\^53"),
+        ({0: True}, NonFinite, "coefficient True at frequency 0 is not a finite number"),
+        ({0: np.True_}, NonFinite, "coefficient np.True_ at frequency 0 is not a finite number"),
+        ({0: "1"}, NonFinite, "coefficient '1' at frequency 0 is not a finite number"),
+    ]
+    for member, kind, text in bad:
+        with pytest.raises(kind, match="member 1: " + text):
+            fourier_family([{0: 1.0}, member])
+        with pytest.raises(kind, match="member 1: " + text):
+            FourierFamily(members=({0: 1.0}, member))
+    # NaN and infinite values are left to the consumers, which refuse them typed
+    for value in (np.nan, np.inf):
+        fam = FourierFamily(members=({0: 1.0}, {1: value}))
+        with pytest.raises(NonFinite, match="member 1: coefficient .* at index 1 is not a finite number"):
+            fourier_span_certificate(fam, 1)
+        with pytest.raises(NonFinite, match="double range"):
+            phase_truncation_demo(fam, 1, MIN_GRID)
+    # an integral float key is the integer it equals, to both consumers
+    floats, ints = FourierFamily(members=({3.0: 1.0, 4: 2.0},)), FourierFamily(members=({3: 1.0, 4: 2.0},))
+    assert fourier_span_certificate(floats, 2) == fourier_span_certificate(ints, 2)
+    a, b = phase_truncation_demo(floats, 3, MIN_GRID), phase_truncation_demo(ints, 3, MIN_GRID)
+    assert (a.sup_error, a.unital_defect) == (b.sup_error, b.unital_defect) == (4.0, 0.0)
+    assert np.array_equal(a.truncated_gram, b.truncated_gram)
+
+
 def test_fourier_span_certificate_refuses_a_huge_slot_plan():
     # 2 * 10^20 + 1 slots over a support of 3: refused before any slot is listed
     with pytest.raises(IndexOutOfRange, match="200000000000000000001 slots over 3 indices"):
@@ -152,9 +181,10 @@ def test_fourier_span_certificate_refuses_a_huge_slot_plan():
 def test_product_rows_refuse_a_support_of_2_21_before_reading(monkeypatch):
     """The float limbs of the sketch have 22 - bit_length(support) bits, none
     from 2^21 indices on: such members are refused before a coefficient is
-    read.  2^21 - 1 indices go on to the reading, which comes only with the
-    sketch: this one-member family reaches it because its one product's
-    extremes lie outside the order-0 run, so no single product proves it."""
+    read, once the sketch is needed.  2^21 - 1 indices go on to the reading,
+    which comes only with the sketch: these one-member families reach it
+    because the one product's extremes lie outside the order-0 run, so no
+    single product proves it."""
 
     class Read(Exception):
         pass
@@ -163,7 +193,7 @@ def test_product_rows_refuse_a_support_of_2_21_before_reading(monkeypatch):
         raise Read
 
     monkeypatch.setattr(polycert, "_read_exact", read)
-    wide = FourierFamily(members=(dict.fromkeys(range(2**21), 1.0), {0: 1.0}))
+    wide = FourierFamily(members=(dict.fromkeys(range(2**21), 1.0),))
     with pytest.raises(IndexOutOfRange, match="over 2097152 indices; product rows take at most 2\\^21 - 1"):
         fourier_span_certificate(wide, 0)
     with pytest.raises(Read):
@@ -178,12 +208,16 @@ def test_a_large_family_certifies_without_its_pairs(monkeypatch):
 
     monkeypatch.setattr(polycert.ProductRows, "annihilate", refuse)
     assert fourier_span_certificate(single_mode_family(3000), 0).certified
+    # single products prove single-mode families, so the sketch's residue
+    # arrays, 269 MB for 4200 members, are never bounded, let alone built
+    monkeypatch.setattr(polycert.ProductRows, "sketch", refuse)
+    for n in (4200, MAX_MEMBERS):
+        assert fourier_span_certificate(single_mode_family(n), 0).certified
 
 
 def test_single_mode_family():
     fam = single_mode_family(3)
     assert fam.members == ({1: (1 + 0j)}, {2: (1 + 0j)}, {3: (1 + 0j)})
-    assert single_mode_family(2, start=5).members == ({5: (1 + 0j)}, {6: (1 + 0j)})
     with pytest.raises(EmptyFamily):
         single_mode_family(0)
 

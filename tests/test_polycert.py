@@ -196,7 +196,8 @@ def test_span_certificate_refuses_a_huge_slot_plan():
 def test_product_rows_bound_their_residue_arrays_and_limb_stack(monkeypatch):
     """The (members, support + 1) int64 residue arrays are refused past
     MAX_STACK_MB before ``_read_exact`` runs, which it first does at a sketch
-    or an ``annihilate``, not at construction.  The sketch goes in blocks of rows whose
+    or an ``annihilate``, not at construction, and only for a family that
+    single products do not prove.  The sketch goes in blocks of rows whose
     gather, limbs and member products stay near _SKETCH_BLOCK_MB, and the
     blocks leave every entry of it as it is."""
 
@@ -208,6 +209,9 @@ def test_product_rows_bound_their_residue_arrays_and_limb_stack(monkeypatch):
 
     def single(n):
         return [{k: 1.0} for k in range(n)]
+
+    def pairs(n):  # no product's extremes are both 0, so order 0 takes the sketch
+        return FourierFamily(members=tuple({k: 1.0, k + 1: 1.0} for k in range(n)))
 
     def traced(call):
         tracemalloc.start()
@@ -234,23 +238,22 @@ def test_product_rows_bound_their_residue_arrays_and_limb_stack(monkeypatch):
     assert (listed.sum(axis=1) == near).all() and (listed[near, i[near] - j[near] + 10] == 1).all()
     monkeypatch.setattr(polycert, "_SKETCH_BLOCK_MB", 0)  # one row at a time
     assert blocked.shape == (89, 81) and (rows.sketch(meet, PRIME, _SQRT_M1) == blocked).all()
-    limit = polycert.MAX_STACK_MB
     monkeypatch.setattr(polycert, "_read_exact", refuse)
-    # 10 members: 1760 B of conjugated and plain residues
-    monkeypatch.setattr(polycert, "MAX_STACK_MB", 1700 / 2**20)
-    with pytest.raises(IndexOutOfRange, match=r"10 members over 10 indices need an \(10, 11\) conjugated and plain int64"):
-        ProductRows(single(10), sign=-1)
-    # 100 members: 161600 B of residues; the first sketch reads the members
+    # 10 members over 11 indices: 1920 B of conjugated and plain residues
+    monkeypatch.setattr(polycert, "MAX_STACK_MB", 1900 / 2**20)
+    with pytest.raises(IndexOutOfRange, match=r"10 members over 11 indices need an \(10, 12\) conjugated and plain int64"):
+        fourier_span_certificate(pairs(10), 0)
+    assert fourier_span_certificate(fourier_family(single(10)), 0).certified  # no sketch, no bound
+    # 100 members: 163200 B of residues; the first sketch reads the members
     monkeypatch.setattr(polycert, "MAX_STACK_MB", 200000 / 2**20)
-    rows = ProductRows(single(100), sign=-1)
     with pytest.raises(Built):
-        rows.sketch(rows.meet(range(-1, 2)), PRIME, _SQRT_M1)
+        fourier_span_certificate(pairs(100), 0)
     monkeypatch.setattr(polycert, "MAX_STACK_MB", 256)
     rows = ProductRows(single(1000), sign=-1)
     with pytest.raises(Built):
         rows.annihilate(rows.meet([0]), (np.ones((1, 1), dtype=object), None))
-    with pytest.raises(IndexOutOfRange, match=r"need an \(6000, 6001\) conjugated and plain int64 residue arrays of 549 MB"):
-        ProductRows(single(6000), sign=-1)
+    with pytest.raises(IndexOutOfRange, match=r"need an \(6000, 6002\) conjugated and plain int64 residue arrays of 549 MB"):
+        fourier_span_certificate(pairs(6000), 0)
 
 
 def test_the_every_row_sketch_is_the_listed_rows_in_order():
@@ -1096,9 +1099,9 @@ def test_bool_coefficients_are_refused_before_either_route(monkeypatch, flag):
                      scaled=((1,), (0, 2, flag)))
     with pytest.raises(NonFinite, match=f"member 1: coefficient {flag!r} at index 2 is not a finite number"):
         product_span_certificate(fam, 4)
-    fam = FourierFamily(members=({0: 1.0}, {-1: 0.5, 3: flag}))
-    with pytest.raises(NonFinite, match=f"member 1: coefficient {flag!r} at index 3 is not a finite number"):
-        fourier_span_certificate(fam, 2)
+    # a Fourier family cannot hold one: it is refused where the family is made
+    with pytest.raises(NonFinite, match=f"member 1: coefficient {flag!r} at frequency 3 is not a finite number"):
+        FourierFamily(members=({0: 1.0}, {-1: 0.5, 3: flag}))
 
 
 def test_rational_reconstruction():
