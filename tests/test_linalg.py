@@ -7,7 +7,9 @@ from povm_purity.errors import InvalidTolerance, NonFinite, NonHermitian, NonSqu
 from povm_purity.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _as_square,
     _fix_column_phases,
+    _hermitian_mask,
     _hermitize,
     _sorted_eig,
     certify_min_eigenvalue,
@@ -59,6 +61,18 @@ def test_herm_eig_two_by_two_analytic():
     s = 1.0 / np.sqrt(2.0)
     assert_allclose(res.eigenvectors[:, 0], [s, s], atol=1e-12)
     assert_allclose(res.eigenvectors[:, 1], [s, -s], atol=1e-12)
+
+
+def test_herm_eig_rejects_nonsquare_and_nonhermitian():
+    """The guards a solve of a given matrix runs before _sorted_eig."""
+    for bad in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(NonSquare):
+            _as_square(bad)
+    a = _as_square([[0.0, 1.0], [0.0, 0.0]])
+    assert not _hermitian_mask(a, DEFAULT_TOL)[0]
+    assert _hermitian_mask(_as_square([[0.0, 1.0], [1.0, 0.0]]), DEFAULT_TOL)[0]
+    # within abs_eps of Hermitian passes
+    assert _hermitian_mask(_as_square([[0.0, 1.0], [1.0 + 1e-12, 0.0]]), DEFAULT_TOL)[0]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 16])
