@@ -29,7 +29,6 @@ from .dilation import build_dilation
 from .errors import (
     DimensionMismatch,
     InvalidBudget,
-    LabelMismatch,
     NonFinite,
     NotDominated,
     NotPvm,
@@ -37,7 +36,7 @@ from .errors import (
     _is_integer,
 )
 from .linalg import DEFAULT_TOL, Tolerance, opnorm, project_psd
-from .povm import Povm, is_pvm, support_dominates
+from .povm import Povm, _require_same_labels, is_pvm, support_dominates
 
 __all__ = [
     "KrausChannel",
@@ -205,8 +204,7 @@ def connection_feasible(p: Povm, pprime: Povm, max_iter: int = 10000) -> Feasibi
     """
     if not _is_integer(max_iter) or max_iter < 0:
         raise InvalidBudget(f"iteration budget must be a non-negative integer, got {max_iter!r}")
-    if p.labels != pprime.labels:
-        raise LabelMismatch(f"outcome labels differ: {p.labels} vs {pprime.labels}")
+    _require_same_labels(p, pprime)
     d, dp = p.dim, pprime.dim
     n = d * dp
     effects = np.stack(p.effects)  # (k, d, d)

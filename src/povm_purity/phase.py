@@ -104,10 +104,7 @@ def fourier_family(members) -> FourierFamily:
         entries = {}
         for s, v in m.items():
             g = int(s)
-            try:
-                z = complex(v)
-            except OverflowError:  # its repr may be too long to print
-                raise NonFinite(f"member {n}: coefficient at frequency {g} is an integer past the double range") from None
+            z = _complex(n, g, v)
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise NonFinite(f"member {n}: coefficient {v!r} at frequency {g} is not a finite number")
             if z != 0:
@@ -116,6 +113,15 @@ def fourier_family(members) -> FourierFamily:
     if not cleaned:
         raise EmptyFamily("family has no members")
     return FourierFamily(members=tuple(cleaned))
+
+
+def _complex(n: int, g: int, v) -> complex:
+    """Coefficient ``v`` of member n at frequency g as a complex double;
+    ``NonFinite`` for an integer past the double range."""
+    try:
+        return complex(v)
+    except OverflowError:  # its repr may be too long to print
+        raise NonFinite(f"member {n}: coefficient at frequency {g} is an integer past the double range") from None
 
 
 def _check_size(n_members: int) -> None:
@@ -319,14 +325,21 @@ def phase_truncation_demo(target: FourierFamily, order: int, grid: int) -> Phase
     ``grid`` is validated (a multiple of 2^MAX_LEVEL, at least MIN_GRID) and
     echoed in the report, but changes no number.  A family whose arrays
     would pass MAX_STACK_MB together (as :func:`_check_demo` counts them) is
-    refused with ``IndexOutOfRange`` before anything is allocated; one whose
-    Grams pass the double range, with ``NonFinite``.
+    refused with ``IndexOutOfRange`` before anything is allocated; one with
+    an integer coefficient past the double range, or whose Grams pass it,
+    with ``NonFinite``.
     """
     n = len(target.members)
     # a family whose members are all empty still needs one (zero) row
     slots = np.array(sorted({s for m in target.members for s in m}) or [0], dtype=np.int64)
     _check_demo(n, slots.size, order, grid)
-    v = np.array([[m.get(s, 0.0) for m in target.members] for s in slots.tolist()], dtype=np.complex128)
+    try:
+        v = np.array([[m.get(s, 0.0) for m in target.members] for s in slots.tolist()], dtype=np.complex128)
+    except OverflowError:  # the first integer past the double range names itself
+        for k, m in enumerate(target.members):
+            for s, x in m.items():
+                _complex(k, int(s), x)
+        raise
     cells = 1 << MAX_LEVEL
     # e^{-i s x_j} is the root of unity of s j modulo 2^MAX_LEVEL, reduced exactly
     roots = np.exp(-2j * np.pi / cells * np.arange(cells))

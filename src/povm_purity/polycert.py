@@ -14,8 +14,8 @@ nothing.
 
 The ladder is exact.  Members are scanned for their nonzero entries, with
 no exact arithmetic, and read as integers only when a sketch runs: the
-orthonormal bases keep integer multiples of their members (H_n, n! L_n,
-2^n P_n, x^n; scaling a member scales rows, which leaves coverage alone),
+orthonormal bases are built as integer multiples of their members (H_n,
+n! L_n, 2^n P_n, x^n; scaling a member scales rows, which leaves coverage alone),
 and a family built from floats is read exactly as the doubles it holds.
 Every verdict is a proof, reached by the first of these steps that decides
 it:
@@ -110,35 +110,25 @@ _SKETCH_BLOCK_MB = 4
 MAX_STACK_MB = 256
 
 
-def _trim(c: np.ndarray) -> np.ndarray:
-    c = np.asarray(c, dtype=np.complex128).ravel()
-    nz = np.flatnonzero(np.abs(c) > 0.0)
-    if nz.size == 0:
-        return np.zeros(0, dtype=np.complex128)
-    return c[: nz[-1] + 1]
-
-
 @dataclass(frozen=True, eq=False)
 class PolyFamily:
-    """Polynomials as monomial coefficient vectors (low to high, trimmed).
+    """Polynomials as coefficient sequences, low to high: exact integers, or
+    numbers the certificate reads exactly as the doubles they hold."""
 
-    ``scaled`` holds integer multiples of the members, coefficient by
-    coefficient; without it the certificate reads ``members`` exactly as the
-    doubles they hold.
-    """
-
-    basis: str
-    members: tuple[np.ndarray, ...]
-    max_degree: int
-    scaled: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.basis not in BASIS_INFO:
-            raise ValueError(f"unknown basis {self.basis!r}; one of {sorted(BASIS_INFO)}")
+    members: tuple
 
 
 def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
-    """Members of the named basis up to ``max_degree``, minus excluded indices."""
+    """Members of the named basis up to ``max_degree``, minus excluded indices,
+    as the integer multiples H_n, 2^n P_n, n! L_n or x^n that its recurrence
+    in ``BASIS_INFO`` builds (scaling a member scales rows, which leaves
+    coverage alone).
+
+    A family whose kept coefficients would pass MAX_STACK_MB, counted at 8
+    bytes per entry plus each integer's magnitude bytes, is refused with
+    ``IndexOutOfRange``: on the entry count before anything is built, and on
+    the magnitudes at the member where they pass it.
+    """
     if basis not in BASIS_INFO:
         raise ValueError(f"unknown basis {basis!r}; one of {sorted(BASIS_INFO)}")
     _require_integers(max_degree=max_degree)
@@ -151,16 +141,26 @@ def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
     for k in dropped:
         if not 0 <= k <= max_degree:
             raise IndexOutOfRange(f"excluded index {k} outside 0..{max_degree}")
-    build = BASIS_INFO[basis][2]
-    built = [build(n) for n in range(max_degree + 1) if n not in dropped]
-    if not built:
+    if len(dropped) > max_degree:
         raise EmptyFamily("every member was excluded")
-    return PolyFamily(
-        basis=basis,
-        members=tuple(_trim(m) for _, m in built),
-        max_degree=max(len(c) - 1 for c, _ in built),
-        scaled=tuple(tuple(c) for c, _ in built),
-    )
+    # member n holds n + 1 coefficients
+    entries = (max_degree + 1) * (max_degree + 2) // 2 - sum(k + 1 for k in dropped)
+    room = MAX_STACK_MB * 2**20 - 8 * entries
+    if room < 0:
+        raise IndexOutOfRange(f"{basis} members to index {max_degree} hold {entries} coefficients: "
+                              f"at 8 bytes each, over the {MAX_STACK_MB} MB limit")
+    step, before, p, members = BASIS_INFO[basis][2], (), (1,), []
+    for n in range(max_degree + 1):
+        if n not in dropped:
+            room -= sum((x.bit_length() + 7) // 8 for x in p)
+            if room < 0:
+                raise IndexOutOfRange(f"{basis} members to index {max_degree} pass the {MAX_STACK_MB} MB limit "
+                                      f"at member {n}, counting 8 bytes per coefficient and their magnitudes")
+            members.append(p)
+        if n < max_degree:
+            a, b, c, d = step(n)
+            before, p = p, tuple([(a * u + b * v - c * w) // d for u, v, w in zip((0, *p), (*p, 0), (*before, 0, 0))])
+    return PolyFamily(members=tuple(members))
 
 
 @dataclass(frozen=True)
@@ -791,7 +791,6 @@ def product_span_certificate(fam: PolyFamily, check_degree: int) -> PurityCertif
     _require_integers(check_degree=check_degree)
     if check_degree < 0:
         raise IndexOutOfRange(f"check_degree must be >= 0, got {check_degree}")
-    members = fam.scaled if fam.scaled is not None else fam.members
-    rows = ProductRows([dict(enumerate(m)) for m in members], sign=1)
+    rows = ProductRows([dict(enumerate(m)) for m in fam.members], sign=1)
     rows.check_slots(check_degree + 1)
     return span_certificate(rows, range(check_degree + 1), check_degree)

@@ -12,7 +12,7 @@ import pytest
 from conftest import SEED
 from numpy.testing import assert_allclose
 
-from povm_purity import __version__, phase
+from povm_purity import __version__, phase, polycert
 from povm_purity.cli import main
 from povm_purity.errors import IndexOutOfRange
 from povm_purity.extremality import purity_verdict
@@ -533,15 +533,56 @@ def test_polycheck_row_block_bound_is_a_typed_error(capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, kind", [
     (["phase-demo", "--M", "2", "--members", "3", "--support", "0", "--ratio", "1e-200"], "EmptyFamily"),
-    (["polycheck", "--max", "151"], "IndexOutOfRange"),
-    (["polycheck", "--max", "171"], "IndexOutOfRange"),
+    # integer members know no double range: both certify (kind None)
+    (["polycheck", "--max", "151"], None),
+    (["polycheck", "--max", "171"], None),
 ])
 def test_families_past_the_double_range_are_typed_errors(capsys, argv, kind):
     code = main(argv)
     captured = capsys.readouterr()
-    assert code == 1
-    assert json.loads(captured.out)["error"]["kind"] == kind
+    doc = json.loads(captured.out)
     assert captured.err == ""
+    if kind is None:
+        assert code == 0 and doc["report"]["verdict"] == "certified"
+    else:
+        assert code == 1 and doc["error"]["kind"] == kind
+
+
+def test_legendre_past_index_813_certifies(capsys):
+    # 2^n P_n past index 813 overflowed its float copy
+    code, doc = run(capsys, "polycheck", "--basis", "legendre", "--max", "900")
+    assert code == 0 and doc["report"]["verdict"] == "certified" and doc["report"]["n_members"] == 901
+
+
+@pytest.mark.parametrize("basis, top, detail", [
+    ("hermite", 241, "pass the 1 MB limit at member 240"),
+    ("legendre", 264, "pass the 1 MB limit at member 264"),
+    ("laguerre", 178, "pass the 1 MB limit at member 178"),
+    ("monomial", 511, "hold 131328 coefficients: at 8 bytes each"),
+], ids=["hermite", "legendre", "laguerre", "monomial"])
+def test_polycheck_refuses_coefficients_past_the_stack_bound(capsys, monkeypatch, basis, top, detail):
+    # at 256 MB the first refused indices are 1532, 1830, 1071 and 8191; at 1 MB
+    # they are these, the monomials' on the entry count before any member is built
+    monkeypatch.setattr(polycert, "MAX_STACK_MB", 1)
+    code, doc = run(capsys, "polycheck", "--basis", basis, "--max", str(top))
+    assert code == 1 and doc["error"]["kind"] == "IndexOutOfRange"
+    assert f"{basis} members to index {top} {detail}" in doc["error"]["detail"]
+    assert len(polycert.orthonormal_family(basis, top - 1).members) == top
+
+
+def test_a_huge_family_is_refused_before_it_is_built(capsys):
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(IndexOutOfRange, match="hermite members to index 100000 hold 5000150001 coefficients"):
+            polycert.orthonormal_family("hermite", 100_000)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 2**16, (elapsed, peak)
+    code, doc = run(capsys, "polycheck", "--max", "100000")
+    assert code == 1 and doc["error"]["kind"] == "IndexOutOfRange"
 
 
 # ---------------------------------------------------------------------------

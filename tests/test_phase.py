@@ -475,6 +475,17 @@ def test_demo_refuses_grams_past_the_double_range():
     assert report.sup_error == 0.0 and np.isfinite(report.truncated_gram).all()
 
 
+def test_demo_refuses_an_integer_past_the_double_range():
+    # FourierFamily keeps the integer, which has no complex double: the demo
+    # names it, and the certificate reads it exactly
+    fam = FourierFamily(members=({0: 10**400},))
+    with pytest.raises(NonFinite, match="member 0: coefficient at frequency 0 is an integer past the double range"):
+        phase_truncation_demo(fam, 1, 1024)
+    assert fourier_span_certificate(fam, 1).verdict == "inconclusive"
+    with pytest.raises(NonFinite, match="member 1: coefficient at frequency -2 is an integer"):
+        phase_truncation_demo(FourierFamily(members=({0: 1.0}, {3: 2, -2: -(10**400)})), 1, MIN_GRID)
+
+
 def test_all_zero_members_give_zero_grams():
     report = phase_truncation_demo(fourier_family([{3: 0}]), 2, MIN_GRID)
     assert report.sup_error == 0.0

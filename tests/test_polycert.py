@@ -15,7 +15,6 @@ from numpy.polynomial import laguerre as lag
 from numpy.polynomial import legendre as leg
 from numpy.polynomial import polynomial as poly
 
-from povm_purity.bases import _hermite_member
 from povm_purity.errors import EmptyFamily, IndexOutOfRange, NonFinite, NonIntegerIndex
 from povm_purity.phase import FourierFamily, fourier_family, fourier_span_certificate, geometric_tail_family, single_mode_family
 from povm_purity import polycert
@@ -102,37 +101,50 @@ def _exact_hermite_coverage(indices: list[int], check_degree: int) -> set[int]:
 
 
 def test_orthonormality_under_matching_weight():
+    # Gauss quadrature of 16 nodes is exact on the products, of degree <= 12:
+    # the integer members are orthogonal with squared norms 2^n n! sqrt(pi),
+    # 4^n 2 / (2n + 1) and (n!)^2
     cases = {
-        "hermite": herm.hermgauss(16),
-        "legendre": leg.leggauss(16),
-        "laguerre": lag.laggauss(16),
+        "hermite": (herm.hermgauss(16), lambda n: 2.0**n * math.factorial(n) * math.sqrt(math.pi)),
+        "legendre": (leg.leggauss(16), lambda n: 4.0**n * 2.0 / (2 * n + 1)),
+        "laguerre": (lag.laggauss(16), lambda n: float(math.factorial(n)) ** 2),
     }
-    for basis, (nodes, weights) in cases.items():
+    for basis, ((nodes, weights), norm) in cases.items():
         fam = orthonormal_family(basis, 6)
-        vals = np.stack([poly.polyval(nodes, np.real(m)) for m in fam.members])
-        gram = (vals * weights) @ vals.T
+        vals = np.stack([poly.polyval(nodes, np.array(m, dtype=float)) for m in fam.members])
+        scale = np.sqrt([norm(n) for n in range(7)])
+        gram = (vals * weights) @ vals.T / np.outer(scale, scale)
         np.testing.assert_allclose(gram, np.eye(7), atol=1e-10)
+
+
+def test_members_are_the_exact_reference_times_their_integer_scale():
+    scales = {"hermite": lambda n: 1, "legendre": lambda n: 2**n, "laguerre": math.factorial, "monomial": lambda n: 1}
+    for basis, scale in scales.items():
+        members = orthonormal_family(basis, 60).members
+        assert all(type(c) is int for m in members for c in m)
+        reference = _reference_members(basis, 60)
+        assert members == tuple(tuple(scale(n) * c for c in m) for n, m in enumerate(reference)), basis
 
 
 def test_member_degrees_and_trimming():
     fam = orthonormal_family("monomial", 4, exclude=(1, 3))
-    assert [m.size - 1 for m in fam.members] == [0, 2, 4]
-    assert fam.max_degree == 4
+    assert [len(m) - 1 for m in fam.members] == [0, 2, 4]
     fam2 = orthonormal_family("legendre", 3)
-    assert fam2.max_degree == 3
+    assert [len(m) - 1 for m in fam2.members] == [0, 1, 2, 3]
     assert all(m[-1] != 0 for m in fam2.members)
     fam3 = orthonormal_family("hermite", 5, exclude=(2,))
-    assert [m.size - 1 for m in fam3.members] == [0, 1, 3, 4, 5]
+    assert [len(m) - 1 for m in fam3.members] == [0, 1, 3, 4, 5]
     fam4 = orthonormal_family("hermite", 3, exclude=(0,))
-    assert [m.size - 1 for m in fam4.members] == [1, 2, 3]
-    assert orthonormal_family("hermite", 150).max_degree == 150
+    assert [len(m) - 1 for m in fam4.members] == [1, 2, 3]
+    # no double range bounds the integers: the leading terms 2^n, C(2n, n) and (-1)^n
+    top = {b: orthonormal_family(b, 171).members[-1] for b in ("hermite", "legendre", "laguerre")}
+    assert all(len(m) == 172 for m in top.values())
+    assert (top["hermite"][-1], top["legendre"][-1], top["laguerre"][-1]) == (2**171, math.comb(342, 171), -1)
 
 
 def test_constructor_errors():
     with pytest.raises(ValueError, match="unknown basis"):
         orthonormal_family("chebyshev", 3)
-    with pytest.raises(ValueError, match="unknown basis"):
-        PolyFamily(basis="chebyshev", members=(np.array([1.0]),), max_degree=0)
     with pytest.raises(IndexOutOfRange):
         orthonormal_family("hermite", -1)
     with pytest.raises(IndexOutOfRange):
@@ -140,12 +152,9 @@ def test_constructor_errors():
     for k in (7, -1):
         with pytest.raises(IndexOutOfRange):
             orthonormal_family("hermite", 5, exclude=(k,))
-    # (2^n n! sqrt(pi))^(-1/2) is a positive double up to n = 150 only
-    for top in (151, 171):
-        with pytest.raises(IndexOutOfRange, match="index 151 "):
-            orthonormal_family("hermite", top)
-    with pytest.raises(IndexOutOfRange, match="index 171 "):
-        _hermite_member(171)  # n! alone no longer converts to a double
+    # 8 bytes per coefficient alone pass MAX_STACK_MB: refused before any member is built
+    with pytest.raises(IndexOutOfRange, match="monomial members to index 8191 hold 33558528 coefficients: at 8 bytes"):
+        orthonormal_family("monomial", 8191)
     with pytest.raises(EmptyFamily):
         orthonormal_family("legendre", 0, exclude=(0,))
 
@@ -156,7 +165,7 @@ def test_excluded_indices_must_be_integers():
         with pytest.raises(NonIntegerIndex, match="excluded indices must be integers"):
             orthonormal_family("hermite", 3, exclude=(0, bad))
     kept = orthonormal_family("hermite", 3, exclude=(np.int64(1),))
-    assert kept.scaled == orthonormal_family("hermite", 3, exclude=(1,)).scaled
+    assert kept.members == orthonormal_family("hermite", 3, exclude=(1,)).members
 
 
 @pytest.mark.parametrize(
@@ -186,7 +195,7 @@ def test_span_certificate_refuses_a_huge_slot_plan():
     # a (4, 10^9 + 1) int64 meet array is 30518 MB: refused before any slot is listed
     with pytest.raises(IndexOutOfRange, match="1000000001 slots over 4 indices: a 30518 MB meet array"):
         product_span_certificate(orthonormal_family("hermite", 3), 10**9)
-    rows = ProductRows([dict(enumerate(m)) for m in orthonormal_family("hermite", 3).scaled], sign=1)
+    rows = ProductRows([dict(enumerate(m)) for m in orthonormal_family("hermite", 3).members], sign=1)
     limit = polycert.MAX_STACK_MB * 2**20 // (4 * 8)
     rows.check_slots(limit)
     with pytest.raises(IndexOutOfRange):
@@ -276,8 +285,10 @@ def test_the_every_row_sketch_is_the_listed_rows_in_order():
 
 def test_basis_info_covers_all_builders():
     assert set(BASIS_INFO) == {"hermite", "legendre", "laguerre", "monomial"}
-    for basis in BASIS_INFO:
-        assert orthonormal_family(basis, 2).basis == basis
+    for basis, (weight, interval, step) in BASIS_INFO.items():
+        assert isinstance(weight, str) and isinstance(interval, str)
+        assert all(type(v) is int for v in step(3))
+        assert [len(m) for m in orthonormal_family(basis, 2).members] == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +367,7 @@ def test_negative_check_degree():
 
 def test_duplicate_members_do_not_inflate_coverage():
     m = np.array([1.0])
-    fam = PolyFamily(basis="monomial", members=(m, m, m), max_degree=0)
+    fam = PolyFamily(members=(m, m, m))
     cert = product_span_certificate(fam, 1)
     assert cert.missing_degrees == (1,)
 
@@ -761,7 +772,7 @@ def _powers(n: int, degree: int) -> PolyFamily:
     ends at 2 * degree, so below that no single product leads, and only the
     sketch can certify."""
     members = tuple(np.array([float((k + 1) ** s) for s in range(degree + 1)]) for k in range(n))
-    return PolyFamily(basis="monomial", members=members, max_degree=degree)
+    return PolyFamily(members=members)
 
 
 def test_a_vanishing_compression_still_gives_the_exact_ladder(monkeypatch):
@@ -874,7 +885,7 @@ def test_an_all_zero_sketch_still_gives_the_exact_answer(monkeypatch):
     # complex rows are laddered under both roots of -1, and lift from there;
     # conj(m_0) m_1 = x + i x^2 and conj(m_1) m_0 = x - i x^2 both count
     assert fourier_span_certificate(fourier_family(_rotated(geometric_tail_family(8))), 8).missing_degrees == (8,)
-    fam = PolyFamily(basis="monomial", members=(np.array([1]), np.array([0, 1, 1j])), max_degree=2)
+    fam = PolyFamily(members=(np.array([1]), np.array([0, 1, 1j])))
     assert product_span_certificate(fam, 4).missing_degrees == (3,)
 
 
@@ -948,7 +959,7 @@ def test_sketch_matches_exact_reference_under_other_seeds(data):
         spread = st.lists(entries, min_size=1, max_size=3).map(lambda c: c[:1] + [0] * (stride - 1) + c[1:])
         members = data.draw(st.lists(spread, min_size=1, max_size=4), label="members")
         check = data.draw(st.integers(0, 8), label="check")
-        fam = PolyFamily(basis="monomial", members=tuple(np.array(m, dtype=complex) for m in members), max_degree=0)
+        fam = PolyFamily(members=tuple(np.array(m, dtype=complex) for m in members))
         certificate = lambda: product_span_certificate(fam, check)  # noqa: E731
         missing = _poly_reference(members, check)
         rows, slots = _poly_rows(members, check)
@@ -1033,7 +1044,7 @@ def test_leading_terms_match_exact_reference(data):
         check = data.draw(st.integers(0, 2 * top + 1), label="check")
         fires = _leads([{s: v for s, v in enumerate(m) if v} for m in members], 1, range(check + 1))
         kind = complex if gaussian else float
-        fam = PolyFamily(basis="monomial", members=tuple(np.array(m, dtype=kind) for m in members), max_degree=top)
+        fam = PolyFamily(members=tuple(np.array(m, dtype=kind) for m in members))
         certificate = lambda: product_span_certificate(fam, check)  # noqa: E731
         missing = _poly_reference(members, check)
     with pytest.MonkeyPatch.context() as patch:
@@ -1082,7 +1093,7 @@ def test_non_finite_coefficients_are_refused_before_either_route(monkeypatch, ba
 
     monkeypatch.setattr(ProductRows, "leading", refuse)
     _refuse_the_ladder(monkeypatch)
-    fam = PolyFamily(basis="monomial", members=(np.array([1.0]), np.array([0.0, 2.0, bad])), max_degree=2)
+    fam = PolyFamily(members=(np.array([1.0]), np.array([0.0, 2.0, bad])))
     with pytest.raises(NonFinite, match="member 1: coefficient .* at index 2 is not a finite number"):
         product_span_certificate(fam, 4)
 
@@ -1095,8 +1106,7 @@ def test_bool_coefficients_are_refused_before_either_route(monkeypatch, flag):
 
     monkeypatch.setattr(ProductRows, "leading", refuse)
     _refuse_the_ladder(monkeypatch)
-    fam = PolyFamily(basis="monomial", members=(np.array([1.0]), np.array([0.0, 2.0, 1.0])), max_degree=2,
-                     scaled=((1,), (0, 2, flag)))
+    fam = PolyFamily(members=((1,), (0, 2, flag)))
     with pytest.raises(NonFinite, match=f"member 1: coefficient {flag!r} at index 2 is not a finite number"):
         product_span_certificate(fam, 4)
     # a Fourier family cannot hold one: it is refused where the family is made
