@@ -207,11 +207,13 @@ def _cmd_feasible(args, tol):
 
 
 def _cmd_polycheck(args):
-    from .polycert import orthonormal_family, product_span_certificate
+    from .polycert import _check_family_slots, orthonormal_family, product_span_certificate
 
     exclude = () if args.exclude is None else (args.exclude,)
-    fam = orthonormal_family(args.basis, args.max, exclude=exclude)
     degree = args.degree if args.degree is not None else args.max
+    # an oversized meet array is refused from the arguments, before the family is built
+    _check_family_slots(args.basis, args.max, exclude, degree)
+    fam = orthonormal_family(args.basis, args.max, exclude=exclude)
     cert = product_span_certificate(fam, degree)
     weight, interval, _ = BASIS_INFO[args.basis]
     report = {

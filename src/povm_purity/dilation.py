@@ -75,7 +75,7 @@ def build_dilation(p: Povm, tol: Tolerance = DEFAULT_TOL) -> NaimarkDilation:
     top = w[:, :1]
     # eigenvalues descend, so each outcome keeps a prefix of its rows
     keep = (w > tol.rank_rel * top) & (top > tol.abs_eps)
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    ends = keep.sum(axis=1).cumsum().tolist()
     start = ends[-1]
     if start < p.dim:
         raise InvalidTolerance(

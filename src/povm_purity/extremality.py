@@ -20,15 +20,19 @@ a rank-one piece of its weight to another outcome, a kernel vector from one
 d x d solve; any other map takes one thin SVD of the whole map.  An impure
 verdict carries the dilation blocks A_i, and the split reads them there.  The
 split and the witness cost grow with the outcomes the witness moves, two on
-the lent-row route: the witness reads only the nonzero blocks of the kernel
-vector, and an outcome whose witness block is zero keeps the input's effect
-and its row of the input's spectrum in both halves.  The effects the witness
-moves are decomposed for both halves in one batched solve.
+the lent-row route: the lent row hands the witness its two blocks, no vector
+over the whole domain, and both parts of the blocks of one size take one
+batched SVD for their norms.  Each half of the split is one copy of the
+input's effect stack and spectrum with the moved rows written in: an outcome
+whose witness block is zero keeps the input's effect and its row of the
+input's spectrum.  The effects the witness moves are decomposed for both
+halves in one batched solve, and both halves pass validate's checks in one
+call of its stack-level core.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from .linalg import (
     gamma,
     opnorm,
 )
-from .povm import Povm, _validate
+from .povm import Povm, _checked
 
 __all__ = [
     "BlockHermitian",
@@ -79,13 +83,13 @@ class BlockHermitian:
             raise LabelMismatch(f"no block for label {label!r}") from None
 
 
-def _sup_norm(blocks) -> float:
-    """Largest spectral norm over ``blocks``: one batched SVD per block shape.
-    Blocks that are exactly zero, of norm exactly 0, take no SVD."""
-    blocks = [b for b in blocks if b.any()]
-    shapes = dict.fromkeys(b.shape for b in blocks)
-    stacks = (np.stack([b for b in blocks if b.shape == s]) for s in shapes)
-    return max((float(opnorm(stack).max()) for stack in stacks), default=0.0)
+def _runs(sizes):
+    """(start, stop) of each run of equal consecutive entries of ``sizes``."""
+    start = 0
+    for stop in range(1, len(sizes) + 1):
+        if stop == len(sizes) or sizes[stop] != sizes[start]:
+            yield start, stop
+            start = stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,14 +107,21 @@ class PerturbationMap:
     dim: int
     labels: tuple[str, ...]
     blocks: tuple[np.ndarray, ...]
+    block_dims: tuple[int, ...] = field(init=False, repr=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False)
 
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        return tuple(a.shape[0] for a in self.blocks)
+    def __post_init__(self) -> None:
+        # the sizes n_i and the column offsets of the blocks, domain_dim last
+        dims = tuple(a.shape[0] for a in self.blocks)
+        offsets = [0]
+        for n in dims:
+            offsets.append(offsets[-1] + n * n)
+        object.__setattr__(self, "block_dims", dims)
+        object.__setattr__(self, "offsets", tuple(offsets))
 
     @property
     def domain_dim(self) -> int:
-        return sum(n * n for n in self.block_dims)
+        return self.offsets[-1]
 
     @property
     def codomain_dim(self) -> int:
@@ -119,14 +130,14 @@ class PerturbationMap:
     @property
     def matrix(self) -> np.ndarray:
         """The whole d^2 x sum_i n_i^2 matrix, built anew on each access: each
-        block is written once, by an einsum into a view of its column slice."""
+        run of consecutive blocks of one size is written once, by an einsum
+        into a view of its column slice."""
         d = self.dim
         out = np.empty((d * d, self.domain_dim), dtype=np.complex128)
-        lo = 0
-        for a in self.blocks:
-            n = a.shape[0]
-            np.einsum("rp,sq->pqrs", a.conj(), a, out=out[:, lo : lo + n * n].reshape(d, d, n, n))
-            lo += n * n
+        for start, stop in _runs(self.block_dims):
+            n, a = self.block_dims[start], np.array(self.blocks[start:stop])
+            view = out[:, self.offsets[start] : self.offsets[stop]].reshape(d, d, stop - start, n, n)
+            np.einsum("krp,ksq->pqkrs", a.conj(), a, out=view)
         return out
 
     def apply(self, d: BlockHermitian) -> np.ndarray:
@@ -142,8 +153,8 @@ class PerturbationMap:
 def build_perturbation_map(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PerturbationMap:
     """The perturbation map on the dilation blocks of ``p`` (its matrix unbuilt)."""
     dil = build_dilation(p, tol)
-    labels = tuple(lab for lab, (lo, hi) in dil.block_index.items() if hi > lo)
-    return PerturbationMap(dim=p.dim, labels=labels, blocks=tuple(dil.block(lab) for lab in labels))
+    kept = [(lab, dil.isometry[lo:hi]) for lab, (lo, hi) in dil.block_index.items() if hi > lo]
+    return PerturbationMap(dim=p.dim, labels=tuple(lab for lab, _ in kept), blocks=tuple(a for _, a in kept))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,37 +177,56 @@ class PurityVerdict:
     factors: tuple[np.ndarray, ...] = ()
 
 
-def _witness(pmap: PerturbationMap, x: np.ndarray) -> BlockHermitian:
-    """Hermitian witness from a complex kernel vector ``x`` of the map.
+def _witness(pmap: PerturbationMap, live: list[tuple[int, np.ndarray]]) -> BlockHermitian:
+    """Hermitian witness from the blocks of a complex kernel vector X of the map.
 
-    The map commutes with the adjoint, so both the Hermitian part (X + X*)/2
-    and the anti-Hermitian part, as the Hermitian (X - X*)/2i, are kernel
-    directions; the one with the larger sup-norm is kept (the Hermitian one
-    on a tie).  Its sign makes the first significant real scalar positive,
-    scanning blocks in order, each row-major with real before imaginary parts.
-    Only the blocks of ``x`` with a nonzero entry are read: a zero block adds
-    nothing to the sup-norm or the scan, and is zero in the witness.
+    ``live`` holds (i, X_i) for the blocks of X that may be nonzero, in block
+    order; every other block of X is zero.  The map commutes with the
+    adjoint, so both the Hermitian part (X + X*)/2 and the anti-Hermitian
+    part, as the Hermitian (X - X*)/2i, are kernel directions; the one with
+    the larger sup-norm is kept (the Hermitian one on a tie).  Its sign makes
+    the first significant real scalar positive, scanning blocks in order, each
+    row-major with real before imaginary parts.  A zero block adds nothing to
+    the sup-norm or the scan, and is zero in the witness, listed or not.  Both
+    parts of the live blocks of one size n_i take one batched SVD (none for
+    a part that is exactly zero).
     """
     dims = pmap.block_dims
-    starts = np.cumsum([0, *(n * n for n in dims)])
-    live = np.flatnonzero(np.logical_or.reduceat(x != 0.0, starts[:-1])).tolist()
-    herm, anti = [], []
-    for i in live:
-        n = dims[i]
-        b = x[starts[i] : starts[i + 1]].reshape(n, n)
-        herm.append((b + b.conj().T) / 2.0)
-        anti.append(-0.5j * (b - b.conj().T))
-    sups = [_sup_norm(part) for part in (herm, anti)]
-    blocks = herm if sups[0] >= sups[1] else anti
-    sup = max(sups)
-    flat = np.concatenate([np.stack([b.real, b.imag], axis=-1).ravel() for b in blocks])
-    lead = flat[np.flatnonzero(np.abs(flat) > 1e-8 * np.max(np.abs(flat)))[0]]
-    scale = sup if lead > 0.0 else -sup
+    live_dims = [dims[i] for i, _ in live]
+    by_size: dict[int, list] = {}  # the live blocks of each size, in block order
+    for (i, x), n in zip(live, live_dims):
+        by_size.setdefault(n, []).append((i, x))
+    parts, sups = {}, [0.0, 0.0]
+    for n, blocks in by_size.items():
+        b = np.array([x for _, x in blocks])
+        bh = b.conj().swapaxes(-1, -2)
+        both = np.array(((b + bh) / 2.0, -0.5j * (b - bh)))
+        nonzero = both.any(axis=(-2, -1))
+        norms = np.zeros(nonzero.shape)
+        norms[nonzero] = opnorm(both[nonzero])
+        sups = [max(s, t) for s, t in zip(sups, norms.max(axis=1).tolist())]
+        parts[n] = both
+    kept = 0 if sups[0] >= sups[1] else 1
+    # the kept part in block order: a run of live blocks of one size is a slice of that size's stack
+    pieces, taken = [], dict.fromkeys(parts, 0)
+    for start, stop in _runs(live_dims):
+        n, q = live_dims[start], taken[live_dims[start]]
+        taken[n] = q + stop - start
+        pieces.append(parts[n][kept, q : taken[n]].view(np.float64).ravel())
+    flat = np.concatenate(pieces)
+    magnitude = np.abs(flat)
+    lead = flat[(magnitude > 1e-8 * magnitude.max()).argmax()]
+    scale = sups[kept] if lead > 0.0 else -sups[kept]
     # Adding 0.0 turns the -0.0 a negative scale leaves into 0.0 for reports,
     # so a zero block comes out +0.0 in every part, whatever the scale's sign.
-    out = [np.zeros((n, n), dtype=np.complex128) for n in dims]
-    for i, b in zip(live, blocks):
-        out[i] = b / scale + 0.0
+    out: list = [None] * len(dims)
+    for n in dict.fromkeys(dims):
+        index = [i for i, m in enumerate(dims) if m == n]
+        stack = np.zeros((len(index), n, n), dtype=np.complex128)
+        if n in parts:
+            stack[[index.index(i) for i, _ in by_size[n]]] = parts[n][kept] / scale + 0.0
+        for i, block in zip(index, stack):
+            out[i] = block
     return BlockHermitian(labels=pmap.labels, blocks=tuple(out))
 
 
@@ -217,7 +247,7 @@ def _certified_block(pmap: PerturbationMap, rank_rel: float) -> int | None:
     """
     d = pmap.dim
     frob = np.array([np.vdot(a, a).real for a in pmap.blocks])
-    tau = (MARGINAL_FACTOR * rank_rel) ** 2 * float(np.sum(frob**2))
+    tau = (MARGINAL_FACTOR * rank_rel) ** 2 * float((frob**2).sum())
     root = float(np.sqrt(tau)) * (1.0 + 4.0 * UNIT_ROUNDOFF)
     for i, a in enumerate(pmap.blocks):
         if a.shape[0] == d:
@@ -227,9 +257,11 @@ def _certified_block(pmap: PerturbationMap, rank_rel: float) -> int | None:
     return None
 
 
-def _lent_row(pmap: PerturbationMap, i: int) -> np.ndarray:
-    """Kernel vector in which the certified block i lends the leading row a
-    of another block j, the largest leading row (rows descend in norm).
+def _lent_row(pmap: PerturbationMap, i: int) -> list[tuple[int, np.ndarray]]:
+    """The two nonzero blocks, as (index, block) in block order, of a kernel
+    vector in which the certified block i lends the leading row a of another
+    block j, the largest leading row (rows descend in norm).  They go to
+    :func:`_witness` as they are: no vector over the whole domain is written.
 
     With y A_i = a, X_i = -conj(y) y^T and X_j = |0><0| map to -a* a and a* a.
     The split halves differ by 2 ||a||^2 / max(1, ||y||^2) >= 2 min(||a||^2,
@@ -237,14 +269,13 @@ def _lent_row(pmap: PerturbationMap, i: int) -> np.ndarray:
     lambda_min(F_i) > sqrt(tau) is certified.
     """
     lead = [-1.0 if j == i else np.vdot(a[0], a[0]).real for j, a in enumerate(pmap.blocks)]
-    j = int(np.argmax(lead))
+    j = max(range(len(lead)), key=lead.__getitem__)  # the first largest, as argmax
     a = pmap.blocks[j][0]
     y = np.linalg.solve(pmap.blocks[i].T, a)
-    starts = np.cumsum([0, *(n * n for n in pmap.block_dims)])
-    x = np.zeros(pmap.domain_dim, dtype=np.complex128)
-    x[starts[i] : starts[i + 1]] = -np.outer(y.conj(), y).ravel()
-    x[starts[j]] = 1.0
-    return x
+    xj = np.zeros((pmap.block_dims[j],) * 2, dtype=np.complex128)
+    xj[0, 0] = 1.0
+    xi = -(y.conj()[:, None] * y)  # -conj(y) y^T, an outer product
+    return [(i, xi), (j, xj)] if i < j else [(j, xj), (i, xi)]
 
 
 def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
@@ -253,13 +284,14 @@ def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
     A wide map with a certified block takes the :func:`_lent_row` witness.
     Any other map takes one thin SVD m = U S Vh; a wide one's witness is
     x = e_j - Vh* Vh e_j over all d^2 rows of Vh, so orthogonal to the whole
-    row space, j the column of least leverage (largest ||x||).
+    row space, j the column of least leverage (largest ||x||).  The witness
+    reads the blocks of x as views.
     """
     pmap = build_perturbation_map(p, tol)
     dom, cod = pmap.domain_dim, pmap.codomain_dim
     i = _certified_block(pmap, tol.rank_rel) if dom > cod else None
     if i is not None:
-        kernel_dim, smallest, marginal, x = dom - cod, 0.0, False, _lent_row(pmap, i)
+        kernel_dim, smallest, marginal, live = dom - cod, 0.0, False, _lent_row(pmap, i)
     else:
         _, s, vh = np.linalg.svd(pmap.matrix, full_matrices=False)
         # the dilation spans at least d dimensions, so s holds a positive s[0]
@@ -273,13 +305,14 @@ def purity_verdict(p: Povm, tol: Tolerance = DEFAULT_TOL) -> PurityVerdict:
             j = int(np.argmin(np.einsum("ij,ij->j", vh.conj(), vh).real))
             smallest, marginal, x = 0.0, False, -(vh.conj().T @ vh[:, j])
             x[j] += 1.0
+        live = [(i, x[lo : lo + n * n].reshape(n, n)) for i, (n, lo) in enumerate(zip(pmap.block_dims, pmap.offsets))]
     pure = kernel_dim == 0
     return PurityVerdict(
         pure=pure,
         kernel_dim=kernel_dim,
         smallest_singular_value=smallest,
         marginal=marginal,
-        witness=None if pure else _witness(pmap, x),
+        witness=None if pure else _witness(pmap, live),
         factors=() if pure else pmap.blocks,
     )
 
@@ -297,13 +330,16 @@ def convex_split(p: Povm, verdict: PurityVerdict, tol: Tolerance = DEFAULT_TOL) 
 
     The blocks A_i come from ``verdict.factors``; a verdict whose factors do
     not fit its witness raises ``ValueError``.  Zero effects stay zero on both
-    sides.  An outcome whose witness block is exactly zero keeps the input's
-    own effect in both halves, and its row of ``p.spectrum``: only the
-    effects the witness changes are decomposed, both halves' in one batched
-    solve (two outcomes on the lent-row route, whatever the number of
-    outcomes).  Both halves pass :func:`validate`'s checks at ``tol``, reused
-    rows included.  Their average is the input exactly on untouched outcomes;
-    elsewhere the cross terms cancel, up to rounding.
+    sides.  Each half is one copy of the input's effect stack and spectrum
+    with the moved rows written in.  An outcome whose witness block is
+    exactly zero keeps the input's own effect in both halves, and its row of
+    ``p.spectrum``: only the effects the witness changes are decomposed, both
+    halves' in one batched solve (two outcomes on the lent-row route,
+    whatever the number of outcomes).  Both halves pass :func:`validate`'s
+    checks at ``tol``, reused rows included, in one call of its stack-level
+    core, which takes the plus half first.  Their average is the input
+    exactly on untouched outcomes; elsewhere the cross terms cancel, up to
+    rounding.
     """
     if verdict.pure:
         raise IsPure("measurement is extremal; no convex split exists")
@@ -313,28 +349,33 @@ def convex_split(p: Povm, verdict: PurityVerdict, tol: Tolerance = DEFAULT_TOL) 
     if [a.shape for a in verdict.factors] != [(b.shape[0], p.dim) for b in w.blocks]:
         raise ValueError("verdict factors do not match the witness blocks")
     factors = dict(zip(w.labels, zip(verdict.factors, w.blocks)))
-    moved = [i for i, lab in enumerate(p.labels) if lab not in factors or factors[lab][1].any()]
-    m = len(moved)
-
-    def effect(lab: str, sign: float) -> np.ndarray:
-        if lab not in factors:
-            return np.zeros((p.dim, p.dim))
-        a, d = factors[lab]
-        return a.conj().T @ (np.eye(a.shape[0]) + sign * d) @ a
-
+    d, k = p.dim, len(p)
+    effects = np.empty((2, k, d, d), dtype=np.complex128)
+    effects[:] = p.effects
+    moved, by_size = [], {}
+    for i, lab in enumerate(p.labels):
+        pair = factors.get(lab)
+        if pair is None:  # a zero effect has no block, and is moved to zero
+            moved.append(i)
+            effects[:, i] = 0.0
+        elif np.count_nonzero(pair[1]):
+            moved.append(i)
+            by_size.setdefault(len(pair[1]), []).append((i, pair))
+    sign = np.array([1.0, -1.0])[:, None, None, None]
+    for n, members in by_size.items():  # both halves of the moved effects of one block size
+        a = np.array([f for _, (f, _) in members])
+        mid = np.eye(n) + sign * np.array([b for _, (_, b) in members])
+        effects[:, [i for i, _ in members]] = a.conj().swapaxes(-1, -2) @ mid @ a
     # Both halves' moved effects, the plus half's first, in one solve: batched
     # eigh solves each matrix on its own, so each row is the row a solve of its
     # half's stack would give, as is a kept effect's row of p.spectrum.
-    fresh = np.array([effect(p.labels[i], s) for s in (1.0, -1.0) for i in moved], dtype=np.complex128)
-    fresh = fresh.reshape(2 * m, p.dim, p.dim)
-    eig = _sorted_eig(fresh)
-
-    def half(rows: slice) -> Povm:
-        effects = list(p.effects)
-        for i, e in zip(moved, fresh[rows]):
-            effects[i] = e
-        values, vectors = p.spectrum.eigenvalues.copy(), p.spectrum.eigenvectors.copy()
-        values[moved], vectors[moved] = eig.eigenvalues[rows], eig.eigenvectors[rows]
-        return _validate(p.dim, zip(p.labels, effects), tol, EigenResult(eigenvalues=values, eigenvectors=vectors))
-
-    return ConvexSplit(plus=half(slice(0, m)), minus=half(slice(m, 2 * m)))
+    m = len(moved)
+    eig = _sorted_eig(effects[:, moved].reshape(2 * m, d, d))
+    # both halves' spectra, the plus half's rows first: the input's, with the moved rows written in
+    values, vectors = np.empty((2 * k, d)), np.empty((2 * k, d, d), dtype=np.complex128)
+    for whole, kept, fresh in ((values, p.spectrum.eigenvalues, eig.eigenvalues), (vectors, p.spectrum.eigenvectors, eig.eigenvectors)):
+        halves = whole.reshape(2, k, *kept.shape[1:])
+        halves[:] = kept
+        halves[:, moved] = fresh.reshape(2, m, *kept.shape[1:])
+    plus, minus = _checked(d, p.labels, effects, tol, EigenResult(eigenvalues=values, eigenvectors=vectors))
+    return ConvexSplit(plus=plus, minus=minus)

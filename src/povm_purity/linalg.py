@@ -123,10 +123,13 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive."""
     if v.size == 0:  # argmax raises on an empty axis
         return v.copy()
-    significant = np.abs(v) > _PHASE_EPS
-    anchor = np.take_along_axis(v, np.argmax(significant, axis=-2)[..., None, :], axis=-2)
+    # each column's first significant entry, gathered through a (m, r, c) view
+    stack = v.reshape(-1, *v.shape[-2:])
+    significant = np.abs(stack) > _PHASE_EPS
+    at = (np.arange(len(stack))[:, None], significant.argmax(axis=1), np.arange(stack.shape[2]))
+    shape = (*v.shape[:-2], 1, v.shape[-1])
     # a column with no significant entry keeps its phase
-    anchor = np.where(significant.any(axis=-2, keepdims=True), anchor, 1.0)
+    anchor = np.where(significant[at].reshape(shape), stack[at].reshape(shape), 1.0)
     return v * (np.conj(anchor) / np.abs(anchor))
 
 
@@ -207,21 +210,21 @@ def certify_min_eigenvalue(g, tau: float) -> bool:
     tau = float(tau)
     if not (0.0 <= tau < np.inf):
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         return False
     n = a.shape[0]
     diag = a.diagonal().real
     h = a.copy()  # cholesky reads only the lower triangle and the diagonal
-    top = float(np.max(diag, initial=0.0))
+    top = float(diag.max(initial=0.0))
     e = 2.0 * (n + 2 + top) * SUBNORMAL_MIN
     g_n = gamma(3 * n + 2)
-    bound = g_n / (1.0 - g_n) * (float(np.sum(np.clip(diag, 0.0, None))) + n * e) + n * e
-    slack = bound + UNIT_ROUNDOFF * (float(np.max(np.abs(diag), initial=0.0)) + tau)
+    bound = g_n / (1.0 - g_n) * (float(np.maximum(diag, 0.0).sum()) + n * e) + n * e
+    slack = bound + UNIT_ROUNDOFF * (float(np.abs(diag).max(initial=0.0)) + tau)
     c = (tau + 2.0 * slack) * (1.0 + 4.0 * UNIT_ROUNDOFF)
-    h[np.diag_indices(n)] = diag - c
+    h.reshape(-1)[:: n + 1] = diag - c
     try:
         r = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return False
     # a NaN pivot can pass LAPACK's positivity test; any overflow shows here too
-    return bool(np.all(np.isfinite(r)))
+    return bool(np.isfinite(r).all())

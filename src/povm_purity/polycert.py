@@ -118,17 +118,10 @@ class PolyFamily:
     members: tuple
 
 
-def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
-    """Members of the named basis up to ``max_degree``, minus excluded indices,
-    as the integer multiples H_n, 2^n P_n, n! L_n or x^n that its recurrence
-    in ``BASIS_INFO`` builds (scaling a member scales rows, which leaves
-    coverage alone).
-
-    A family whose kept coefficients would pass MAX_STACK_MB, counted at 8
-    bytes per entry plus each integer's magnitude bytes, is refused with
-    ``IndexOutOfRange``: on the entry count before anything is built, and on
-    the magnitudes at the member where they pass it.
-    """
+def _planned(basis: str, max_degree: int, exclude) -> tuple[set, int]:
+    """The checks :func:`orthonormal_family` makes before it builds a member:
+    the excluded indices, and the bytes MAX_STACK_MB leaves after 8 per kept
+    coefficient."""
     if basis not in BASIS_INFO:
         raise ValueError(f"unknown basis {basis!r}; one of {sorted(BASIS_INFO)}")
     _require_integers(max_degree=max_degree)
@@ -149,6 +142,21 @@ def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
     if room < 0:
         raise IndexOutOfRange(f"{basis} members to index {max_degree} hold {entries} coefficients: "
                               f"at 8 bytes each, over the {MAX_STACK_MB} MB limit")
+    return dropped, room
+
+
+def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
+    """Members of the named basis up to ``max_degree``, minus excluded indices,
+    as the integer multiples H_n, 2^n P_n, n! L_n or x^n that its recurrence
+    in ``BASIS_INFO`` builds (scaling a member scales rows, which leaves
+    coverage alone).
+
+    A family whose kept coefficients would pass MAX_STACK_MB, counted at 8
+    bytes per entry plus each integer's magnitude bytes, is refused with
+    ``IndexOutOfRange``: on the entry count before anything is built, and on
+    the magnitudes at the member where they pass it.
+    """
+    dropped, room = _planned(basis, max_degree, exclude)
     step, before, p, members = BASIS_INFO[basis][2], (), (1,), []
     for n in range(max_degree + 1):
         if n not in dropped:
@@ -161,6 +169,29 @@ def orthonormal_family(basis: str, max_degree: int, exclude=()) -> PolyFamily:
             a, b, c, d = step(n)
             before, p = p, tuple([(a * u + b * v - c * w) // d for u, v, w in zip((0, *p), (*p, 0), (*before, 0, 0))])
     return PolyFamily(members=tuple(members))
+
+
+def _support_size(basis: str, max_degree: int, dropped: set) -> int:
+    """How many indices hold a nonzero coefficient of some member of the
+    family to ``max_degree`` minus ``dropped``, read off the basis: H_n and
+    2^n P_n are nonzero at every index of the parity of n up to n, n! L_n at
+    every index up to n, and x^n at n alone."""
+    kept = [n for n in range(max_degree, -1, -1) if n not in dropped]
+    if basis == "monomial":
+        return len(kept)
+    if basis == "laguerre":
+        return kept[0] + 1
+    # the highest kept member of each parity, -2 for none
+    return sum(next((n for n in kept if n % 2 == parity), -2) // 2 + 1 for parity in (0, 1))
+
+
+def _check_family_slots(basis: str, max_degree: int, exclude, check_degree: int) -> None:
+    """Refuse, with the same error and before a member is built, the meet
+    array :func:`product_span_certificate` would refuse for this family and
+    degree; after the checks of the arguments themselves, in their order."""
+    dropped, _ = _planned(basis, max_degree, exclude)
+    _check_degree(check_degree)
+    _check_meet(_support_size(basis, max_degree, dropped), check_degree + 1)
 
 
 @dataclass(frozen=True)
@@ -267,6 +298,21 @@ def _read_exact(members, scanned=None) -> list[dict[int, tuple[int, int]]]:
     return out
 
 
+def _check_meet(indices: int, n_slots: int) -> None:
+    """Refuse with ``IndexOutOfRange`` a (support, slots) int64 meet array
+    over ``indices`` support indices and ``n_slots`` slots, counted with at
+    least one row as the slot list is as long, past MAX_STACK_MB."""
+    mb = max(indices, 1) * n_slots * 8 / 2**20
+    if mb > MAX_STACK_MB:
+        raise IndexOutOfRange(f"{n_slots} slots over {indices} indices: a {mb:.0f} MB meet array, over {MAX_STACK_MB} MB")
+
+
+def _check_degree(check_degree: int) -> None:
+    _require_integers(check_degree=check_degree)
+    if check_degree < 0:
+        raise IndexOutOfRange(f"check_degree must be >= 0, got {check_degree}")
+
+
 def _check_stack(who: str, what: str, shape: tuple, itemsize: int) -> None:
     """Refuse with ``IndexOutOfRange`` an array of ``shape`` past MAX_STACK_MB."""
     mb = math.prod(shape) * itemsize / 2**20
@@ -337,13 +383,8 @@ class ProductRows:
 
     def check_slots(self, n_slots: int) -> None:
         """Refuse with ``IndexOutOfRange`` when the (support, slots) int64
-        :meth:`meet` array over ``n_slots`` slots, counted with at least one
-        row as the slot list is as long, would pass MAX_STACK_MB."""
-        mb = max(len(self._support), 1) * n_slots * 8 / 2**20
-        if mb > MAX_STACK_MB:
-            raise IndexOutOfRange(
-                f"{n_slots} slots over {len(self._support)} indices: a {mb:.0f} MB meet array, over {MAX_STACK_MB} MB"
-            )
+        :meth:`meet` array over ``n_slots`` slots would pass MAX_STACK_MB."""
+        _check_meet(len(self._support), n_slots)
 
     def check_sketch(self, n_slots: int) -> None:
         """Refuse with ``IndexOutOfRange`` a support of 2^21 or more indices,
@@ -788,9 +829,8 @@ def product_span_certificate(fam: PolyFamily, check_degree: int) -> PurityCertif
     """
     if not fam.members:
         raise EmptyFamily("family has no members")
-    _require_integers(check_degree=check_degree)
-    if check_degree < 0:
-        raise IndexOutOfRange(f"check_degree must be >= 0, got {check_degree}")
-    rows = ProductRows([dict(enumerate(m)) for m in fam.members], sign=1)
+    _check_degree(check_degree)
+    # only the nonzero coefficients, and any bool, which the scan refuses
+    rows = ProductRows([{k: v for k, v in enumerate(m) if v or isinstance(v, _BOOLS)} for m in fam.members], sign=1)
     rows.check_slots(check_degree + 1)
     return span_certificate(rows, range(check_degree + 1), check_degree)

@@ -6,9 +6,10 @@ in the package assumes its input went through it (ops are cheap at desk scale
 but re-validating on every call would dominate, so the contract is explicit
 instead).  Its positivity check is the package's one eigendecomposition of
 the effects; the :class:`Povm` keeps it, and everything downstream reads it.
-The halves of a convex split pass the same checks on spectrum rows the split
-hands over: the effects it changed are decomposed for both halves in one
-solve, and the others keep their rows of the input's spectrum.
+The halves of a convex split pass the same checks, at the split's tolerance,
+through the same stack-level core: each half is one effect stack, with its
+spectrum rows handed over by the split (the input's rows for the effects it
+keeps, one solve shared by both halves for the others).
 """
 
 from __future__ import annotations
@@ -97,23 +98,6 @@ def validate(
     NotNormalized
         The effects do not sum to the identity within 1e-9.
     """
-    return _validate(dim, outcomes, tol)
-
-
-def _validate(
-    dim: int,
-    outcomes: Iterable[tuple[str, np.ndarray]],
-    tol: Tolerance,
-    spectrum: EigenResult | None = None,
-) -> Povm:
-    """:func:`validate`, reading ``spectrum`` as the spectrum of the effect
-    stack when it is given, instead of solving the stack.
-
-    A given ``spectrum`` must be what ``_sorted_eig`` would return.  The
-    convex split passes each half's rows: the input's rows for the effects it
-    keeps, and for the others their rows of one solve shared by both halves.
-    Every check still reads every effect, the given spectrum included.
-    """
     pairs = list(outcomes)
     if not _is_integer(dim) or dim < 1:
         raise DimensionMismatch(f"dimension must be a positive integer, got {dim!r}")
@@ -132,26 +116,59 @@ def _validate(
             misshapen = DimensionMismatch(f"effect {lab!r} has shape {a.shape}, expected ({dim}, {dim})")
             break
         arrays.append(a)
-    if arrays:
-        stack = np.stack(arrays)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            raise NonFinite(f"effect {pairs[int(np.argmin(finite))][0]!r} has a NaN or infinite entry")
-        if spectrum is None:
-            spectrum = _sorted_eig(stack)
-        psd = _hermitian_mask(stack, tol) & (spectrum.eigenvalues[:, -1] >= -tol.abs_eps)
-        if not psd.all():
-            raise NotPsd(f"effect {pairs[int(np.argmin(psd))][0]!r} is not positive semidefinite within tolerance")
-    if misshapen is not None:
+    if not arrays:
         raise misshapen
-    for a in (stack, spectrum.eigenvalues, spectrum.eigenvectors):
+    return _checked(dim, tuple(lab for lab, _ in pairs), np.array([arrays]), tol, misshapen=misshapen)[0]
+
+
+def _checked(
+    dim: int,
+    labels: tuple,
+    stacks: np.ndarray,
+    tol: Tolerance,
+    spectra: EigenResult | None = None,
+    misshapen: DimensionMismatch | None = None,
+) -> list[Povm]:
+    """The checks of :func:`validate` on h (k, dim, dim) complex effect
+    stacks, ``stacks``, that share the k ``labels`` (errors name a label as
+    given; each Povm holds them as strings).
+
+    All h stacks are checked for finite entries first.  Then, stack by
+    stack, each effect must be Hermitian and PSD, read from ``spectra``
+    (computed for all h k effects at once), and the effects must sum to the
+    identity, added left to right.  ``spectra`` holds the h k spectra in
+    order: one batched solve when not given, else what ``_sorted_eig`` would
+    return, as the convex split's are.  ``misshapen`` is :func:`validate`'s
+    first effect of the wrong shape, raised after the positivity checks of
+    the effects before it.  ``stacks`` and ``spectra`` are frozen; each Povm
+    keeps views of them.
+    """
+    flat = stacks.reshape(-1, dim, dim)
+    if not np.isfinite(flat).all():
+        finite = np.isfinite(flat).all(axis=(1, 2))
+        raise NonFinite(f"effect {labels[int(np.argmin(finite)) % len(labels)]!r} has a NaN or infinite entry")
+    if spectra is None:
+        spectra = _sorted_eig(flat)
+    psd = _hermitian_mask(flat, tol) & (spectra.eigenvalues[:, -1] >= -tol.abs_eps)
+    for a in (stacks, spectra.eigenvalues, spectra.eigenvectors):
         a.setflags(write=False)
-    effects = tuple(stack)
-    gap = sum(effects) - np.eye(dim)  # its Frobenius norm bounds opnorm, settling the common case
-    residual = opnorm(gap) if np.linalg.norm(gap) > NORMALIZATION_EPS else 0.0
-    if residual > NORMALIZATION_EPS:
-        raise NotNormalized(f"effects sum to identity with residual {residual:.3e} > {NORMALIZATION_EPS:g}")
-    return Povm(dim=dim, labels=labels, effects=effects, spectrum=spectrum)
+    k, names, eye, povms = len(labels), tuple(str(lab) for lab in labels), np.eye(dim), []
+    for h, stack in enumerate(stacks):
+        rows = slice(h * k, (h + 1) * k)
+        if not psd[rows].all():
+            raise NotPsd(f"effect {labels[int(np.argmin(psd[rows]))]!r} is not positive semidefinite within tolerance")
+        if misshapen is not None:
+            raise misshapen
+        spectrum = EigenResult(eigenvalues=spectra.eigenvalues[rows], eigenvectors=spectra.eigenvectors[rows])
+        effects = tuple(stack)
+        # sum(effects), in its order: numpy reduces the outcome axis outermost,
+        # except when d = 1 leaves it innermost, to be summed pairwise
+        gap = (np.add.reduce(stack) if dim > 1 else sum(effects)) - eye  # its Frobenius norm bounds opnorm
+        residual = opnorm(gap) if np.linalg.norm(gap) > NORMALIZATION_EPS else 0.0
+        if residual > NORMALIZATION_EPS:
+            raise NotNormalized(f"effects sum to identity with residual {residual:.3e} > {NORMALIZATION_EPS:g}")
+        povms.append(Povm(dim=dim, labels=names, effects=effects, spectrum=spectrum))
+    return povms
 
 
 def is_pvm(p: Povm) -> bool:

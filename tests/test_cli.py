@@ -570,6 +570,27 @@ def test_polycheck_refuses_coefficients_past_the_stack_bound(capsys, monkeypatch
     assert len(polycert.orthonormal_family(basis, top - 1).members) == top
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (("--basis", "monomial", "--max", "5792"), "5793 slots over 5793 indices: a 256 MB meet array, over 256 MB"),
+    (("--basis", "hermite", "--max", "6000", "--exclude", "6000"), "6001 slots over 6000 indices: a 275 MB meet array"),
+    (("--basis", "laguerre", "--max", "4", "--degree", "8388607"), "8388608 slots over 5 indices: a 320 MB meet array"),
+], ids=["monomial", "hermite", "degree"])
+def test_an_oversized_meet_array_is_refused_before_the_family_is_built(capsys, argv, detail):
+    # the count of support indices comes from the arguments: the monomials
+    # to 5792 once took 6 s and a 1.2 GB peak to build before this refusal
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, doc = run(capsys, "polycheck", *argv)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and doc["error"]["kind"] == "IndexOutOfRange"
+    assert doc["error"]["detail"].startswith(detail)
+    assert elapsed < 1.0 and peak < 2**20, (elapsed, peak)
+
+
 def test_a_huge_family_is_refused_before_it_is_built(capsys):
     tracemalloc.start()
     try:

@@ -1,3 +1,5 @@
+import importlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from povm_purity.dilation import build_dilation
-from povm_purity.errors import IsPure, LabelMismatch, NotPsd
+from povm_purity.errors import IsPure, LabelMismatch, NotPsd, PovmError
 from povm_purity.extremality import (
     MARGINAL_FACTOR,
     BlockHermitian,
@@ -16,7 +18,6 @@ from povm_purity.extremality import (
     PurityVerdict,
     _certified_block,
     _lent_row,
-    _sup_norm,
     _witness,
     build_perturbation_map,
     convex_split,
@@ -26,6 +27,8 @@ from povm_purity.fixtures import FIXTURE_NAMES, fixture
 from povm_purity.linalg import DEFAULT_TOL, Tolerance, _sorted_eig, opnorm
 from povm_purity.povm import is_pvm, mix, validate
 from povm_purity.rand import random_hermitian, random_povm, random_psd, random_pvm, random_unitary
+
+import purity_reference as reference
 
 SIGMA_Z = np.diag([1.0, -1.0])
 
@@ -45,6 +48,20 @@ def _random_blocks(rng, pmap):
 
 def _vec_blocks(d):
     return np.concatenate([b.ravel() for b in d.blocks])
+
+
+def _blocks_of(pmap, x):
+    """Every block of the domain vector x, as (index, n_i x n_i view)."""
+    return [(i, x[lo : lo + n * n].reshape(n, n)) for i, (n, lo) in enumerate(zip(pmap.block_dims, pmap.offsets))]
+
+
+def _dense(pmap, live):
+    """The domain vector whose blocks are ``live`` and zero elsewhere."""
+    x = np.zeros(pmap.domain_dim, dtype=np.complex128)
+    for i, b in live:
+        lo, n = pmap.offsets[i], pmap.block_dims[i]
+        x[lo : lo + n * n] = b.ravel()
+    return x
 
 
 def test_map_shapes_and_apply_consistency(rng):
@@ -624,7 +641,7 @@ def _full_svd_witness(pmap):
     cod = pmap.codomain_dim
     vh = np.linalg.svd(pmap.matrix, full_matrices=True)[2]
     j = int(np.argmin(np.sum(np.abs(vh[:cod]) ** 2, axis=0)))
-    return _witness(pmap, vh[cod:].conj().T @ vh[cod:, j])
+    return _witness(pmap, _blocks_of(pmap, vh[cod:].conj().T @ vh[cod:, j]))
 
 
 def test_uncertified_wide_witness_is_the_full_svd_projection(rng):
@@ -834,7 +851,7 @@ def _dense_witness(pmap, x):
         pos += n * n
         herm.append((b + b.conj().T) / 2.0)
         anti.append(-0.5j * (b - b.conj().T))
-    sups = [_sup_norm(part) for part in (herm, anti)]
+    sups = [reference.sup_norm(part) for part in (herm, anti)]
     blocks = herm if sups[0] >= sups[1] else anti
     sup = max(sups)
     flat = np.concatenate([np.stack([b.real, b.imag], axis=-1).ravel() for b in blocks])
@@ -844,18 +861,171 @@ def _dense_witness(pmap, x):
 
 
 def test_witness_of_nonzero_blocks_equals_the_dense_formula(rng):
-    """Bit for bit, signed zeros included: lent-row kernel vectors with k >= 3
+    """Bit for bit, signed zeros included: lent-row blocks with k >= 3
     outcomes, lent by the first block (a negative scale) and by the last (a
-    positive one), an anti-Hermitian one, and dense kernel vectors."""
+    positive one), an anti-Hermitian pair, and dense kernel vectors, against
+    the formula over every block of the dense vector.  Listing the zero
+    blocks of a lent row changes nothing, and the two lent blocks are the
+    nonzero blocks of the dense vector the witness read before."""
     scales = []
     for dim, k in ((2, 3), (3, 4), (4, 5), (2, 6), (5, 3)):
         pmap = build_perturbation_map(random_povm(rng, dim, k))
-        xs = [_lent_row(pmap, 0), _lent_row(pmap, k - 1), 1j * _lent_row(pmap, 1)]
-        xs.append(rng.standard_normal(pmap.domain_dim) + 1j * rng.standard_normal(pmap.domain_dim))
-        for x in xs:
+        lent = [_lent_row(pmap, 0), _lent_row(pmap, k - 1), [(i, 1j * b) for i, b in _lent_row(pmap, 1)]]
+        for i, live in zip((0, k - 1), lent):
+            index = [j for j, _ in live]
+            assert len(index) == 2 and i in index and index == sorted(index)
+            assert same_bits(_dense(pmap, live), reference.lent_row(pmap, i))
+        dense = rng.standard_normal(pmap.domain_dim) + 1j * rng.standard_normal(pmap.domain_dim)
+        for live in [*lent, _blocks_of(pmap, dense)]:
+            x = _dense(pmap, live)
             expected, scale = _dense_witness(pmap, x)
             scales.append(scale)
-            got = _witness(pmap, x)
-            assert got.labels == pmap.labels
-            assert all(same_bits(b, e) for b, e in zip(got.blocks, expected))
+            for listed in (live, _blocks_of(pmap, x)):
+                got = _witness(pmap, listed)
+                assert got.labels == pmap.labels
+                assert all(same_bits(b, e) for b, e in zip(got.blocks, expected))
     assert min(scales) < 0.0 < max(scales)
+
+
+# ---------------------------------------------------------------------------
+# the impure route against the code it replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _assert_route_is_the_reference(p, tol=DEFAULT_TOL):
+    """Every verdict field, witness block, split effect and spectrum of the
+    library equals the reference's, bit for bit, signed zeros included."""
+    got, want = purity_verdict(p, tol), reference.purity_verdict(p, tol)
+    assert (got.pure, got.kernel_dim, got.marginal) == (want.pure, want.kernel_dim, want.marginal)
+    assert same_bits(np.float64(got.smallest_singular_value), np.float64(want.smallest_singular_value))
+    if want.pure:
+        assert got.witness is None and got.factors == ()
+        return
+    assert got.witness.labels == want.witness.labels
+    assert all(same_bits(a, b) for a, b in zip(got.witness.blocks, want.witness.blocks, strict=True))
+    assert all(same_bits(a, b) for a, b in zip(got.factors, want.factors, strict=True))
+    try:
+        ref = reference.convex_split(p, want, tol)
+    except PovmError as exc:  # the same refusal, by name
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            convex_split(p, got, tol)
+        return
+    split = convex_split(p, got, tol)
+    for half, ref_half in ((split.plus, ref.plus), (split.minus, ref.minus)):
+        assert half.labels == ref_half.labels
+        assert all(same_bits(a, b) for a, b in zip(half.effects, ref_half.effects, strict=True))
+        assert same_bits(half.spectrum.eigenvalues, ref_half.spectrum.eigenvalues)
+        assert same_bits(half.spectrum.eigenvectors, ref_half.spectrum.eigenvectors)
+
+
+def _lumps_povm(rng, dim, ranks):
+    return _normalized(dim, [random_psd(rng, dim, r) for r in ranks])
+
+
+@seed(SEED)
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    draw=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["full-rank", "pvm-mixture", "padded", "rank-deficient", "rank-one"]),
+    dim=st.integers(1, 12),
+    outcomes=st.integers(2, 12),
+)
+def test_route_is_the_reference_bit_for_bit(draw, kind, dim, outcomes):
+    """Lent-row verdicts of full-rank POVMs, with zero outcomes inserted, and
+    SVD verdicts of PVM mixtures, of effects of random ranks and of rank-one
+    effects, tall, square and wide."""
+    rng = np.random.default_rng(draw)
+    if kind == "pvm-mixture":
+        k = min(outcomes, dim)
+        p = mix(random_pvm(rng, dim, k), random_pvm(rng, dim, k), float(rng.uniform(0.2, 0.8)))
+    elif kind == "rank-deficient":
+        ranks = rng.integers(1, dim + 1, size=outcomes).tolist()
+        while sum(ranks) < dim:  # lumps that span C^d
+            ranks.append(int(rng.integers(1, dim + 1)))
+        p = _lumps_povm(rng, dim, ranks)
+    elif kind == "rank-one":
+        dim = min(dim, 4)
+        p = _lumps_povm(rng, dim, [1] * int(rng.integers(dim, dim * dim + 4)))
+    else:
+        p = random_povm(rng, dim, outcomes)
+        if kind == "padded":
+            pairs = list(p)
+            for z in range(int(rng.integers(1, 4))):
+                pairs.insert(int(rng.integers(0, len(pairs) + 1)), (f"zero{z}", np.zeros((dim, dim))))
+            p = validate(dim, pairs)
+    _assert_route_is_the_reference(p)
+
+
+def _benchmark_inputs():
+    """The six fixtures, and POVMs of the sizes and kinds the purity-impure
+    benchmark times."""
+    rng = np.random.default_rng(SEED)
+    cases = [(name, fixture(name)) for name in FIXTURE_NAMES]
+    cases += [(f"full-rank-d{d}-k{k}", random_povm(rng, d, k)) for d, k in ((4, 4), (8, 4), (8, 8), (12, 6), (16, 8), (16, 16))]
+    cases += [(f"mix-d{d}", mix(random_pvm(rng, d, d), random_pvm(rng, d, d), 0.5)) for d in (4, 8)]
+    return cases
+
+
+@pytest.mark.parametrize("name, p", _benchmark_inputs(), ids=[name for name, _ in _benchmark_inputs()])
+def test_benchmark_inputs_take_the_reference_route(name, p):
+    _assert_route_is_the_reference(p)
+
+
+def _count_lapack(monkeypatch):
+    """Record (name, shape of the first argument) for each LAPACK-backed
+    call, also those np.linalg.norm makes inside numpy's linalg module."""
+    try:
+        inner = importlib.import_module("numpy.linalg._linalg")
+    except ImportError:  # numpy < 2
+        inner = importlib.import_module("numpy.linalg.linalg")
+    calls = []
+    for name in ("cholesky", "solve", "svd", "eigh", "eigvalsh", "qr"):
+        def counted(a, *args, _name=name, _f=getattr(inner, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _f(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(inner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["one size", "two sizes"])
+def test_lent_row_route_makes_one_call_per_factorization(rng, monkeypatch, kind):
+    """A lent-row verdict and its split take one Cholesky proof, one solve,
+    one batched SVD per size of the two witness blocks and one eigh for both
+    halves' moved effects; never the map's matrix nor a vector over the
+    whole domain."""
+    dim = 4
+    if kind == "one size":
+        p = random_povm(rng, dim, 6)
+    else:  # a full-rank effect lends to the rank-one effect with the largest row
+        p = _lumps_povm(rng, dim, [dim, 1, 1, 1])
+    pmap = build_perturbation_map(p)
+    sizes = {pmap.block_dims[_certified_block(pmap, DEFAULT_TOL.rank_rel)], *(n for n in pmap.block_dims if n < dim)}
+    assert len(sizes) == (1 if kind == "one size" else 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the map's matrix was built")
+
+    allocated = []
+    for name in ("zeros", "empty"):
+        def recorded(shape, *args, _f=getattr(np, name), **kwargs):
+            allocated.append(tuple(np.atleast_1d(shape).tolist()))
+            return _f(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, recorded)
+    monkeypatch.setattr(PerturbationMap, "matrix", property(refuse))
+    calls = _count_lapack(monkeypatch)
+    v = purity_verdict(p)
+    split = convex_split(p, v)
+    monkeypatch.undo()
+    assert [name for name, _ in calls].count("cholesky") == 1
+    assert [name for name, _ in calls].count("solve") == 1
+    svd_shapes = [shape for name, shape in calls if name == "svd"]
+    assert sorted(shape[-1] for shape in svd_shapes) == sorted(sizes)
+    assert [c for c in calls if c[0] not in ("cholesky", "solve", "svd")] == [("eigh", (4, dim, dim))]
+    assert (pmap.domain_dim,) not in allocated
+    assert v.kernel_dim == pmap.domain_dim - pmap.codomain_dim
+    assert opnorm(pmap.apply(v.witness)) <= 1e-10
+    for lab, e in p:
+        assert opnorm((split.plus.effect(lab) + split.minus.effect(lab)) / 2.0 - e) <= 1e-9

@@ -191,6 +191,36 @@ def test_excluded_indices_may_not_be_bools(flag):
         orthonormal_family("hermite", 3, exclude=(flag,))
 
 
+@pytest.mark.parametrize("basis", ["hermite", "legendre", "laguerre", "monomial"])
+def test_support_size_from_the_arguments_is_the_scanned_support(basis):
+    """The count the early meet-array check reads off (basis, max, exclude)
+    is the support ProductRows scans from the built members."""
+    for top in range(0, 13):
+        for exclude in [(), *[(k,) for k in range(top + 1)], *[(j, k) for j in range(top + 1) for k in range(j)]]:
+            if len(exclude) > top:
+                continue
+            members = orthonormal_family(basis, top, exclude=exclude).members
+            scanned = ProductRows([dict(enumerate(m)) for m in members], sign=1)._support
+            assert polycert._support_size(basis, top, set(exclude)) == len(scanned), (top, exclude)
+
+
+def test_certificate_rows_hold_only_nonzero_coefficients(monkeypatch):
+    """The members reach ProductRows without their zero coefficients, and
+    certify as before."""
+    seen = []
+    init = ProductRows.__init__
+
+    def spy(self, members, *args, **kwargs):
+        seen.extend(members)
+        init(self, members, *args, **kwargs)
+
+    monkeypatch.setattr(ProductRows, "__init__", spy)
+    fam = orthonormal_family("legendre", 12, exclude=(5,))
+    assert product_span_certificate(fam, 12).certified
+    assert [sorted(m) for m in seen] == [[k for k, c in enumerate(m) if c] for m in fam.members]
+    assert all(v for m in seen for v in m.values())
+
+
 def test_span_certificate_refuses_a_huge_slot_plan():
     # a (4, 10^9 + 1) int64 meet array is 30518 MB: refused before any slot is listed
     with pytest.raises(IndexOutOfRange, match="1000000001 slots over 4 indices: a 30518 MB meet array"):
@@ -1098,7 +1128,7 @@ def test_non_finite_coefficients_are_refused_before_either_route(monkeypatch, ba
         product_span_certificate(fam, 4)
 
 
-@pytest.mark.parametrize("flag", [True, np.True_])
+@pytest.mark.parametrize("flag", [True, np.True_, False, np.False_])
 def test_bool_coefficients_are_refused_before_either_route(monkeypatch, flag):
     # a bool would be read as the integer 1, among integers and among doubles alike
     def refuse(*args):

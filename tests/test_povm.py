@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import same_bits
 from numpy.testing import assert_allclose
 
 from povm_purity.errors import (
@@ -17,6 +18,7 @@ from povm_purity.linalg import DEFAULT_TOL, _sorted_eig, opnorm
 from povm_purity.povm import (
     NORMALIZATION_EPS,
     PVM_EPS,
+    _checked,
     is_pvm,
     mix,
     povm_from_dict,
@@ -348,3 +350,48 @@ def test_is_pvm_and_support_dominates_agree_with_the_operator_norms(rng):
         dominated.append(support_dominates(p, q))
         assert dominated[-1] == all(g <= EPS for f, g in zip(norms_p, norms_q) if f <= EPS)
     assert True in dominated and False in dominated
+
+
+def test_normalization_reduces_in_the_order_of_sum(rng):
+    """The checks' one-call sum over a stack of d >= 2 effects is Python's
+    sum(effects) bit for bit, signed zeros included; a d = 1 stack would be
+    reduced pairwise, so it takes sum(effects) itself."""
+    for _ in range(200):
+        k, d = int(rng.integers(1, 24)), int(rng.integers(2, 7))
+        stack = (rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))) * 10.0 ** rng.integers(-9, 3, (k, 1, 1))
+        stack[rng.random((k, d, d)) < 0.3] = -0.0
+        assert np.add.reduce(stack).tobytes() == sum(tuple(stack)).tobytes()
+    column = rng.random((24, 1, 1)) * 10.0 ** rng.integers(-9, 3, (24, 1, 1))
+    assert len(validate(1, [(str(j), c / column.sum()) for j, c in enumerate(column)])) == 24
+
+
+def test_checks_of_several_stacks_run_in_order():
+    """The core behind validate and the split's halves: every stack is
+    checked for finite entries first, then stack by stack positivity before
+    normalization, each naming the first effect that fails."""
+    ok = np.array([ZERO, ONE], dtype=complex)
+    negative = np.array([np.diag([1.5, -0.5]), ONE], dtype=complex)
+    loose = np.array([ZERO, 1.01 * ONE], dtype=complex)
+    broken = np.array([ZERO, np.full((2, 2), np.nan)], dtype=complex)
+    labels = ("0", "1")
+    plus, minus = _checked(2, labels, np.array([ok, ok]), DEFAULT_TOL)
+    assert plus.labels == minus.labels == labels and not plus.effects[0].flags.writeable
+    assert same_bits(plus.spectrum.eigenvectors, _sorted_eig(ok).eigenvectors)
+    for stacks, error, message in [
+        ((ok, loose), NotNormalized, "residual 1.000e-02"),
+        ((loose, negative), NotNormalized, "residual 1.000e-02"),
+        ((negative, loose), NotPsd, "effect '0'"),
+        ((ok, broken), NonFinite, "effect '1'"),
+        ((negative, broken), NonFinite, "effect '1'"),
+    ]:
+        with pytest.raises(error, match=message):
+            _checked(2, labels, np.array(stacks), DEFAULT_TOL)
+
+
+def test_refusals_name_labels_as_given():
+    """A label that is not a string is named by its repr, as given, and held as a string."""
+    with pytest.raises(NotPsd, match="^effect 0 is not positive"):
+        validate(2, [(0, np.diag([1.5, -0.5])), (1, ONE)])
+    with pytest.raises(NonFinite, match="^effect 0 has a NaN"):
+        validate(2, [(0, np.full((2, 2), np.nan)), (1, ONE)])
+    assert validate(2, [(0, ZERO), (1, ONE)]).labels == ("0", "1")
